@@ -54,31 +54,36 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # bench records the perf trajectory: the PolyBench interpreter dispatch
-# comparison (structured reference vs flat vs fused engine, plus the ALU
-# and memory-traffic microbenchmarks) in BENCH_interp.json, the
-# compile-once/run-many FaaS gateway comparison (per-request compile vs
-# cached CompiledModule + instance pool) in BENCH_faas.json, and — both in
+# comparison (structured reference vs the default register engine, plus
+# the ALU and memory-traffic microbenchmarks and the call-heavy suite) in
+# BENCH_interp.json, the compile-once/run-many FaaS gateway figures
+# (sandbox setup latency, pooled throughput) in BENCH_faas.json, and — both in
 # BENCH_ledger.json — the eager vs checkpoint-batched ledger signing
 # comparison (plus 10k-record offline-verification cost) and the bounded
 # vs unbounded retention sweep (resident records + heap + append rate at
 # 10k/100k/1M records × GOMAXPROCS 1/4/16), and the multi-core scaling
 # matrix (pooled gateway + bounded ledger at GOMAXPROCS 1/4/16, written
 # into the scaling sections of BENCH_faas.json / BENCH_ledger.json).
+# Every figure runs from one built binary: `go build` stamps it with the
+# VCS revision (`go run` does not), which BENCH_interp.json and
+# BENCH_faas.json record as `commit` next to `host_cpus` and `go_version`.
 bench:
-	$(GO) run ./cmd/acctee-bench -fig dispatch -trials 3 -json BENCH_interp.json
-	$(GO) run ./cmd/acctee-bench -fig faas -requests 60 -json BENCH_faas.json
-	$(GO) run ./cmd/acctee-bench -fig ledger -requests 400 -json BENCH_ledger.json
-	$(GO) run ./cmd/acctee-bench -fig retention -json BENCH_ledger.json
-	$(GO) run ./cmd/acctee-bench -fig scaling -json BENCH_faas.json -json-ledger BENCH_ledger.json
+	@mkdir -p build
+	$(GO) build -o build/acctee-bench ./cmd/acctee-bench
+	build/acctee-bench -fig dispatch -trials 3 -json BENCH_interp.json
+	build/acctee-bench -fig faas -requests 60 -json BENCH_faas.json
+	build/acctee-bench -fig ledger -requests 400 -json BENCH_ledger.json
+	build/acctee-bench -fig retention -json BENCH_ledger.json
+	build/acctee-bench -fig scaling -json BENCH_faas.json -json-ledger BENCH_ledger.json
 
-# bench-smoke is the CI perf gate: the fused engine must not fall below
-# the flat engine on the dispatch/memory microbenchmarks, the call-heavy
-# suite must beat its no-inline (legacy call path) baseline by >= 1.15x
-# geomean on the reg engine, spill-mode retention must keep up with
-# bounded, and on hosts with >= 4 CPUs the pooled gateway and bounded
-# ledger must reach >= 1.8x their single-proc throughput at GOMAXPROCS=4
-# (generous noise tolerance; the gate exits non-zero on regression and
-# skips the scaling check on smaller hosts).
+# bench-smoke is the CI perf gate: the default register engine must hold
+# >= 3.0x geomean over the structured reference on the dispatch/memory
+# microbenchmarks, the call-heavy suite must beat its DisableInline
+# baseline by >= 1.15x geomean where the inliner fires, spill-mode
+# retention must keep up with bounded, and on hosts with >= 4 CPUs the
+# pooled gateway and bounded ledger must reach >= 1.8x their single-proc
+# throughput at GOMAXPROCS=4 (generous noise tolerance; the gate exits
+# non-zero on regression and skips the scaling check on smaller hosts).
 bench-smoke:
 	$(GO) run ./cmd/acctee-bench -fig smoke -trials 5
 

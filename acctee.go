@@ -109,13 +109,9 @@ func (m *Module) Compile() (*CompiledModule, error) {
 // Module returns the source module.
 func (c *CompiledModule) Module() *Module { return c.src }
 
-// FuseStats reports how much of the artifact the fused tier's
-// superinstruction pass covered.
-func (c *CompiledModule) FuseStats() interp.FuseStats { return c.cm.FuseStats() }
-
-// RegStats reports the register tier's allocation and specialisation
+// RegStats reports the register engine's allocation and specialisation
 // coverage: register-file size, instructions under dedicated handlers, and
-// spans wider than the fused tier's superinstructions.
+// multi-instruction statement spans.
 func (c *CompiledModule) RegStats() interp.RegStats { return c.cm.RegStats() }
 
 // Execute invokes an exported function on a pooled sandbox instance (no
@@ -259,14 +255,6 @@ func (i *Instrumenter) Attest(p *Platform) error {
 // RunOptions configure one sandbox execution.
 type RunOptions = core.RunOptions
 
-// Engine selects the interpreter tier for a run. Accounting — instruction
-// counts, weighted cost, fuel, trap points — is bit-identical across tiers.
-type Engine = interp.Engine
-
-// ParseEngine maps the CLI spelling of an engine tier (structured, flat,
-// fused, reg) to its Engine value.
-func ParseEngine(s string) (Engine, error) { return interp.ParseEngine(s) }
-
 // RunResult is one execution's results plus its signed usage log.
 type RunResult = core.RunResult
 
@@ -289,9 +277,8 @@ type SandboxConfig struct {
 	// Weights must match the table the evidence was produced with
 	// (nil = unit).
 	Weights *Weights
-	// Pool tunes sandbox instance reuse across runs: Disabled forces a
-	// fresh instantiation per Run, Prewarm pre-creates instances. The zero
-	// value pools lazily.
+	// Pool tunes sandbox instance reuse across runs: Prewarm pre-creates
+	// instances. The zero value pools lazily.
 	Pool PoolConfig
 	// Ledger tunes the hash-chained usage ledger: shard count (default one
 	// lane per CPU), EagerSign for per-record signatures, and

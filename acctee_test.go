@@ -183,7 +183,9 @@ func TestFacadeCompiledModule(t *testing.T) {
 	}
 }
 
-// TestFacadeSandboxPoolConfig drives a sandbox with explicit pool knobs.
+// TestFacadeSandboxPoolConfig drives a sandbox with explicit pool knobs:
+// runs on recycled instances must match the first run of a newly built
+// sandbox (a never-used instance).
 func TestFacadeSandboxPoolConfig(t *testing.T) {
 	m, err := acctee.ParseWAT(doubleWAT)
 	if err != nil {
@@ -197,7 +199,7 @@ func TestFacadeSandboxPoolConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pool := range []acctee.PoolConfig{{Prewarm: 2}, {Disabled: true}} {
+	newSandbox := func(pool acctee.PoolConfig) *acctee.Sandbox {
 		sb, err := acctee.NewSandbox(acctee.SandboxConfig{
 			Pool:   pool,
 			Ledger: acctee.LedgerOptions{Shards: 1},
@@ -205,18 +207,32 @@ func TestFacadeSandboxPoolConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 3; i++ {
-			res, err := sb.Run(acctee.RunOptions{Entry: "double", Args: []uint64{21}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Results[0] != 42 {
-				t.Errorf("pool %+v run %d: double(21) = %d", pool, i, res.Results[0])
-			}
-			if res.Receipt.Shard != 0 || res.Receipt.Sequence != uint64(i) {
-				t.Errorf("pool %+v run %d: receipt %d/%d", pool, i, res.Receipt.Shard, res.Receipt.Sequence)
-			}
+		return sb
+	}
+	run := func(sb *acctee.Sandbox) acctee.RunResult {
+		res, err := sb.Run(acctee.RunOptions{Entry: "double", Args: []uint64{21}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		sb.Close()
+		return res
+	}
+	pooled := newSandbox(acctee.PoolConfig{Prewarm: 2})
+	defer pooled.Close()
+	for i := 0; i < 3; i++ {
+		fresh := newSandbox(acctee.PoolConfig{})
+		want := run(fresh)
+		fresh.Close()
+		res := run(pooled)
+		if res.Results[0] != 42 {
+			t.Errorf("run %d: double(21) = %d", i, res.Results[0])
+		}
+		if res.Receipt.Shard != 0 || res.Receipt.Sequence != uint64(i) {
+			t.Errorf("run %d: receipt %d/%d", i, res.Receipt.Shard, res.Receipt.Sequence)
+		}
+		got, wantLog := res.Record.Log, want.Record.Log
+		got.Sequence, wantLog.Sequence = 0, 0
+		if got != wantLog {
+			t.Errorf("run %d: pooled usage log %+v, fresh sandbox %+v", i, got, wantLog)
+		}
 	}
 }

@@ -229,9 +229,8 @@ func BenchmarkTableSize(b *testing.B) {
 
 // BenchmarkDispatch compares interpreter dispatch on PolyBench kernels:
 // the structured reference engine (label stack, per-instruction accounting)
-// against the flat engine (precompiled branch sidetable, block-batched
-// accounting), the fused engine (superinstructions, folded addressing) and
-// the register engine (register-form IR, direct-threaded closures).
+// against the default register engine (precompiled branch sidetable,
+// block-batched accounting, register-form IR, direct-threaded closures).
 // `make bench` runs the same comparison via acctee-bench and records it in
 // BENCH_interp.json.
 func BenchmarkDispatch(b *testing.B) {
@@ -251,7 +250,7 @@ func BenchmarkDispatch(b *testing.B) {
 		for _, eng := range []struct {
 			name   string
 			engine interp.Engine
-		}{{"structured", interp.EngineStructured}, {"flat", interp.EngineFlat}, {"fused", interp.EngineFused}, {"reg", interp.EngineReg}} {
+		}{{"structured", interp.EngineStructured}, {"reg", interp.EngineReg}} {
 			b.Run(name+"/"+eng.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					vm, err := interp.Instantiate(m, interp.Config{Engine: eng.engine})

@@ -11,8 +11,10 @@
 //	acctee-bench -fig 10
 //	acctee-bench -fig size         # §5.4 binary sizes
 //	acctee-bench -fig dispatch -json BENCH_interp.json
-//	                               # three-way engine comparison + microbenchmarks
-//	acctee-bench -fig smoke        # CI gates: fused must not regress below flat,
+//	                               # reg vs structured engine comparison,
+//	                               # microbenchmarks and the call-heavy suite
+//	acctee-bench -fig smoke        # CI gates: reg must hold ≥ 3.0x geomean over
+//	                               # structured on the microbenchmarks,
 //	                               # call inlining must beat the no-inline
 //	                               # baseline by ≥ 1.15x geomean,
 //	                               # spill-mode retention must hold ≥ 0.35x bounded,
@@ -32,10 +34,6 @@
 //	                               # pooled gateway and the bounded ledger
 //	                               # (standalone, like smoke)
 //
-// -engine {structured,flat,fused,reg} selects the interpreter tier for the
-// single-engine figures (6/9/10); the dispatch and call suites always sweep
-// all four tiers.
-//
 // -mutexprofile / -blockprofile enable Go's contention profilers for the
 // run and write build/mutex.pprof / build/block.pprof on exit — point `go
 // tool pprof` at them to see which locks the measured figure waits on.
@@ -52,7 +50,6 @@ import (
 
 	"acctee/internal/bench"
 	"acctee/internal/faas"
-	"acctee/internal/interp"
 )
 
 func main() {
@@ -73,14 +70,7 @@ func run() error {
 	jsonLedger := flag.String("json-ledger", "", "scaling: write the ledger matrix to this path (BENCH_ledger.json)")
 	mutexProf := flag.Bool("mutexprofile", false, "profile lock contention; writes build/mutex.pprof on exit")
 	blockProf := flag.Bool("blockprofile", false, "profile blocking; writes build/block.pprof on exit")
-	engineName := flag.String("engine", "fused", "interpreter tier for single-engine figures (6/9/10): structured, flat, fused, reg")
 	flag.Parse()
-
-	engine, err := interp.ParseEngine(*engineName)
-	if err != nil {
-		return err
-	}
-	bench.DefaultEngine = engine
 
 	if *mutexProf {
 		runtime.SetMutexProfileFraction(5)
@@ -167,7 +157,7 @@ func run() error {
 	}
 	if want("dispatch") {
 		matched = true
-		fmt.Println("== Interpreter dispatch: structured (reference) vs flat vs fused vs reg ==")
+		fmt.Println("== Interpreter dispatch: structured (reference) vs reg (default) ==")
 		rows, err := bench.RunDispatch(nil, *trials)
 		if err != nil {
 			return err
@@ -195,13 +185,13 @@ func run() error {
 	// noisy machine into a failure.
 	if *fig == "smoke" {
 		matched = true
-		fmt.Println("== Bench smoke gate: fused must not regress below flat, reg below fused ==")
+		fmt.Println("== Bench smoke gate: reg must keep its lead over the structured reference ==")
 		micro, err := bench.RunMicro(*trials)
 		if err != nil {
 			return err
 		}
 		bench.PrintDispatch(os.Stdout, nil, micro)
-		if err := bench.CheckMicroGate(micro, 0.85); err != nil {
+		if err := bench.CheckMicroGate(micro, bench.MicroSmokeFloor); err != nil {
 			return err
 		}
 		fmt.Println("gate passed")
@@ -249,7 +239,7 @@ func run() error {
 	}
 	if want("faas") {
 		matched = true
-		fmt.Println("== FaaS gateway: per-request compile vs cached CompiledModule + pool ==")
+		fmt.Println("== FaaS gateway: sandbox setup latency and pooled throughput ==")
 		samples := 200
 		if *quick {
 			samples = 30

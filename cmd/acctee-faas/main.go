@@ -37,7 +37,6 @@ func run() error {
 	listen := flag.String("listen", ":8080", "listen address")
 	fnName := flag.String("function", "echo", "function: echo or resize")
 	setupName := flag.String("setup", "hw-instr", "setup: wasm, sim, hw, hw-instr, hw-io, js")
-	noPool := flag.Bool("no-pool", false, "disable sandbox instance reuse (fresh instantiation per request)")
 	prewarm := flag.Int("pool-prewarm", 0, "sandbox instances to pre-instantiate at startup")
 	shards := flag.Int("ledger-shards", 0, "ledger sequence lanes (0 = one per CPU)")
 	eager := flag.Bool("ledger-eager", false, "sign every ledger record at append time (per-request signature baseline)")
@@ -79,7 +78,6 @@ func run() error {
 		return fmt.Errorf("unknown setup %q", *setupName)
 	}
 	srv, err := faas.NewServerWithOptions(fn, setup, faas.ServerOptions{
-		PoolDisabled:   *noPool,
 		PoolPrewarm:    *prewarm,
 		RequestTimeout: *reqTimeout,
 		MaxInFlight:    *maxInflight,
@@ -111,8 +109,8 @@ func run() error {
 		}()
 		fmt.Printf("acctee-faas: pprof on http://%s/debug/pprof/\n", *pprofAddr)
 	}
-	fmt.Printf("acctee-faas: serving %s (%s) on %s (pool disabled=%v prewarm=%d)\n",
-		fn, setup, *listen, *noPool, *prewarm)
+	fmt.Printf("acctee-faas: serving %s (%s) on %s (pool prewarm=%d)\n",
+		fn, setup, *listen, *prewarm)
 	fmt.Printf("acctee-faas: health on GET %s (liveness), %s (readiness; 503 once the spill pipeline degrades)\n",
 		faas.HealthPath, faas.ReadyPath)
 	if *maxInflight > 0 {

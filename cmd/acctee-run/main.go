@@ -6,10 +6,6 @@
 // Usage:
 //
 //	acctee-run -module module.wat -entry run -args 10,20 [-mode hw|sim] [-fuel N]
-//	           [-engine structured|flat|fused|reg]
-//
-// -engine picks the interpreter tier; the signed accounting record is
-// bit-identical across all four tiers.
 package main
 
 import (
@@ -38,14 +34,9 @@ func run() error {
 	mode := flag.String("mode", "hw", "enclave mode: hw or sim")
 	fuel := flag.Uint64("fuel", 0, "instruction limit (0 = unlimited)")
 	level := flag.String("level", "loop", "instrumentation level: naive, flow, loop")
-	engineName := flag.String("engine", "fused", "interpreter tier: structured, flat, fused, reg (accounting is identical across tiers)")
 	flag.Parse()
 	if *modPath == "" {
 		return errors.New("missing -module")
-	}
-	engine, err := acctee.ParseEngine(*engineName)
-	if err != nil {
-		return err
 	}
 	src, err := os.ReadFile(*modPath)
 	if err != nil {
@@ -107,7 +98,7 @@ func run() error {
 	if err := sb.Attest(platform); err != nil {
 		return fmt.Errorf("AE attestation: %w", err)
 	}
-	res, err := sb.Run(acctee.RunOptions{Entry: *entry, Args: args, Fuel: *fuel, Engine: engine})
+	res, err := sb.Run(acctee.RunOptions{Entry: *entry, Args: args, Fuel: *fuel})
 	if err != nil {
 		return err
 	}

@@ -74,7 +74,19 @@ func TestCloseDuringInflightGroupCommit(t *testing.T) {
 // and compacts must each be internally consistent — WriteDump drains the
 // spill writer, so a dump never observes a half-spilled seal. Every dump
 // must verify in both JSON and binary containers.
+//
+// The appender is handed one dump round at a time. It appends only while
+// that round's WriteDump is running and at most perRound records, so
+// however the scheduler treats the two goroutines the ledger holds at most
+// dumpRounds×perRound records and cannot outgrow the dump loop (an unthrottled
+// appender once grew it to gigabytes when the dump loop lost its CPU). The
+// dump starts only once the appender is mid-round, so every round dumps
+// against live appends and compactions.
 func TestCompactRacingWriteDump(t *testing.T) {
+	const (
+		dumpRounds = 10
+		perRound   = 2048
+	)
 	dir := t.TempDir()
 	e := codecEnclave(t)
 	l, err := NewLedger(e, LedgerOptions{
@@ -86,42 +98,62 @@ func TestCompactRacingWriteDump(t *testing.T) {
 	}
 	defer l.Close()
 
-	stop := make(chan struct{})
+	// round is what the dump loop hands the appender: the appender closes
+	// appending after the round's first record, the dump loop closes dumped
+	// when its WriteDump has returned.
+	type round struct{ appending, dumped chan struct{} }
+	i := 0
+	appendOne := func() error {
+		if _, _, err := l.Append(codecLog(i)); err != nil {
+			return err
+		}
+		if i++; i%16 == 0 {
+			_, err := l.Compact()
+			return err
+		}
+		return nil
+	}
+	open := make(chan round)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, _, err := l.Append(codecLog(i)); err != nil {
-				t.Error(err)
-				return
-			}
-			if (i+1)%16 == 0 {
-				if _, err := l.Compact(); err != nil {
+	nextRound:
+		for r := range open {
+			for n := 0; n < perRound; n++ {
+				err := appendOne()
+				if n == 0 {
+					close(r.appending)
+				}
+				if err != nil {
 					t.Error(err)
-					return
+					continue nextRound
+				}
+				select {
+				case <-r.dumped:
+					continue nextRound
+				default:
 				}
 			}
 		}
 	}()
 
 	pub := e.PublicKey()
-	for round := 0; round < 10; round++ {
-		bin := round%2 == 1
+	for n := 0; n < dumpRounds && !t.Failed(); n++ {
+		bin := n%2 == 1
+		r := round{make(chan struct{}), make(chan struct{})}
+		open <- r
+		<-r.appending
 		var buf bytes.Buffer
-		if err := l.WriteDump(&buf, DumpOptions{Binary: bin}); err != nil {
-			t.Fatalf("round %d (binary=%v): WriteDump: %v", round, bin, err)
-		}
-		if _, err := VerifyStream(bytes.NewReader(buf.Bytes()), VerifyOptions{Key: pub}); err != nil {
-			t.Fatalf("round %d (binary=%v): dump taken during compaction races does not verify: %v", round, bin, err)
+		err := l.WriteDump(&buf, DumpOptions{Binary: bin})
+		close(r.dumped)
+		if err != nil {
+			t.Errorf("round %d (binary=%v): WriteDump: %v", n, bin, err)
+		} else if _, err := VerifyStream(bytes.NewReader(buf.Bytes()), VerifyOptions{Key: pub}); err != nil {
+			t.Errorf("round %d (binary=%v): dump taken during compaction races does not verify: %v", n, bin, err)
 		}
 	}
-	close(stop)
+	close(open)
 	wg.Wait()
 }
 

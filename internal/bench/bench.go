@@ -39,16 +39,9 @@ func effectiveNs(wall time.Duration, cycles uint64) float64 {
 	return float64(wall.Nanoseconds()) + float64(cycles)/CyclesPerNs
 }
 
-// DefaultEngine is the interpreter tier used by the single-engine figure
-// harnesses (Fig. 6/9/10 style timings). The four-way dispatch and
-// call-suite benchmarks ignore it — they sweep all tiers explicitly. Set
-// from acctee-bench's -engine flag.
-var DefaultEngine interp.Engine
-
 // timeWasm instantiates and runs an export once, returning wall time and
 // the VM for post-inspection.
 func timeWasm(m *wasm.Module, cfg interp.Config, export string, args ...uint64) (time.Duration, *interp.VM, error) {
-	cfg.Engine = DefaultEngine
 	vm, err := interp.Instantiate(m, cfg)
 	if err != nil {
 		return 0, nil, err

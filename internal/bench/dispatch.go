@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"time"
 
 	"acctee/internal/interp"
@@ -14,103 +16,154 @@ import (
 )
 
 // DispatchKernels is the PolyBench subset used for the interpreter
-// four-way dispatch comparison (the Fig. 6 per-commit subset).
+// dispatch comparison (the Fig. 6 per-commit subset).
 var DispatchKernels = []string{"gemm", "2mm", "atax", "jacobi-2d", "cholesky", "nussinov", "doitgen", "durbin"}
 
-// DispatchRow is one kernel's structured / flat / fused / register engine
-// measurement.
+// DispatchRow is one kernel's measurement under the structured reference
+// engine and the default register engine.
 type DispatchRow struct {
 	Kernel       string `json:"kernel"`
 	N            int    `json:"n"`
 	Instructions uint64 `json:"instructions"`
 	StructuredNs int64  `json:"structured_ns"`
-	FlatNs       int64  `json:"flat_ns"`
-	FusedNs      int64  `json:"fused_ns"`
 	RegNs        int64  `json:"reg_ns"`
-	// FlatSpeedup is structured/flat (the PR 1 gain); FusedSpeedup is
-	// flat/fused (the PR 4 gain, gated at >=1.25x geomean); RegSpeedup is
-	// fused/reg (this PR's gain, gated at >=1.4x geomean).
-	FlatSpeedup  float64 `json:"flat_speedup"`
-	FusedSpeedup float64 `json:"fused_speedup"`
-	RegSpeedup   float64 `json:"reg_speedup"`
+	// RegSpeedup is structured/reg.
+	RegSpeedup float64 `json:"reg_speedup"`
 }
 
-// MicroRow is one microbenchmark's four-way measurement. The ALU row
-// isolates raw dispatch on a tight arithmetic loop; the memory-traffic row
-// isolates the effective-address fast paths on a load/store-dominated
-// kernel. The CI smoke gate fails when FusedVsFlat or RegVsFused drops
-// below the noise tolerance.
+// MicroRow is one microbenchmark's measurement. The ALU row isolates raw
+// dispatch on a tight arithmetic loop; the memory-traffic row isolates the
+// effective-address fast paths on a load/store-dominated kernel.
 type MicroRow struct {
 	Name         string  `json:"name"`
 	Instructions uint64  `json:"instructions"`
 	StructuredNs int64   `json:"structured_ns"`
-	FlatNs       int64   `json:"flat_ns"`
-	FusedNs      int64   `json:"fused_ns"`
 	RegNs        int64   `json:"reg_ns"`
-	FusedVsFlat  float64 `json:"fused_vs_flat"`
-	RegVsFused   float64 `json:"reg_vs_fused"`
+	RegSpeedup   float64 `json:"reg_speedup"`
+}
+
+// Stamp records where a BENCH_*.json came from, so numbers from different
+// commits, hosts or toolchains are never compared unknowingly.
+type Stamp struct {
+	GeneratedAt string `json:"generated_at"`
+	// Commit is the VCS revision the binary was built from ("+dirty" when
+	// the tree had uncommitted changes; "unknown" under `go run`, which
+	// does not stamp — `make bench` builds the binary for this reason).
+	Commit    string `json:"commit"`
+	HostCPUs  int    `json:"host_cpus"`
+	GoVersion string `json:"go_version"`
+}
+
+// NewStamp stamps a report with the current time, build and host.
+func NewStamp() Stamp {
+	st := Stamp{
+		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		Commit:      "unknown",
+		HostCPUs:    runtime.NumCPU(),
+		GoVersion:   runtime.Version(),
+	}
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				st.Commit = s.Value
+			case "vcs.modified":
+				if s.Value == "true" {
+					st.Commit += "+dirty"
+				}
+			}
+		}
+	}
+	return st
 }
 
 // DispatchReport is the BENCH_interp.json payload tracking the interpreter
 // performance trajectory across commits.
 type DispatchReport struct {
-	GeneratedAt string `json:"generated_at"`
-	Baseline    string `json:"baseline"`
-	Candidate   string `json:"candidate"`
-	// FusedGeomean is the geometric-mean fused-over-flat speedup and
-	// RegGeomean the register-over-fused speedup across the PolyBench rows.
+	Stamp
+	Baseline  string `json:"baseline"`
+	Candidate string `json:"candidate"`
+	// RegGeomean and MicroGeomean are the geometric-mean register-over-
+	// structured speedups across the PolyBench and microbenchmark rows.
 	// CallGeomean is the call-heavy suite's inlined-over-DisableInline
 	// speedup on the register engine (callbench.go).
-	FusedGeomean float64       `json:"fused_geomean"`
 	RegGeomean   float64       `json:"reg_geomean"`
+	MicroGeomean float64       `json:"micro_geomean"`
 	CallGeomean  float64       `json:"call_geomean"`
 	Rows         []DispatchRow `json:"rows"`
 	Micro        []MicroRow    `json:"micro"`
 	Calls        []CallRow     `json:"calls"`
 }
 
-// engines, in measurement order.
-var dispatchEngines = []interp.Engine{interp.EngineStructured, interp.EngineFlat, interp.EngineFused, interp.EngineReg}
-
-// measure4 runs the export once per trial per engine on a shared compiled
-// artifact and returns the best wall time for each engine plus the
-// instruction count (identical across engines by construction).
-func measure4(m *wasm.Module, export string, trials int, args ...uint64) (ns [4]int64, instr uint64, err error) {
-	cm, err := interp.Compile(m, interp.CompileOptions{})
-	if err != nil {
-		return ns, 0, err
-	}
-	for ei, engine := range dispatchEngines {
-		best := int64(0)
-		for t := 0; t < trials; t++ {
-			vm, err := cm.Instantiate(interp.Config{Engine: engine})
-			if err != nil {
-				return ns, 0, err
-			}
-			start := time.Now()
-			if _, err := vm.InvokeExport(export, args...); err != nil {
-				return ns, 0, err
-			}
-			d := time.Since(start).Nanoseconds()
-			if t == 0 || d < best {
-				best = d
-			}
-			instr = vm.InstrCount()
+// bestRun instantiates the artifact under cfg once per trial (at least
+// once), runs the export, and returns the best wall time plus the
+// instruction count.
+func bestRun(cm *interp.CompiledModule, cfg interp.Config, export string, trials int, args ...uint64) (best int64, instr uint64, err error) {
+	for t := 0; t < max(trials, 1); t++ {
+		vm, err := cm.Instantiate(cfg)
+		if err != nil {
+			return 0, 0, err
 		}
-		ns[ei] = best
+		start := time.Now()
+		if _, err := vm.InvokeExport(export, args...); err != nil {
+			return 0, 0, err
+		}
+		d := time.Since(start).Nanoseconds()
+		if t == 0 || d < best {
+			best = d
+		}
+		instr = vm.InstrCount()
 	}
-	return ns, instr, nil
+	return best, instr, nil
 }
 
-// RunDispatch measures each kernel under all four engines (best of
-// trials), at 2/3 of the kernel's default problem size like the Fig. 6
-// per-commit harness.
+// measureEngines compiles m once and runs the export on the shared
+// artifact under the structured reference engine and the register engine.
+// It returns the best wall time of each, the instruction count (identical
+// on both by construction) and the artifact.
+func measureEngines(m *wasm.Module, export string, trials int, args ...uint64) (structuredNs, regNs int64, instr uint64, cm *interp.CompiledModule, err error) {
+	cm, err = interp.Compile(m, interp.CompileOptions{})
+	if err != nil {
+		return 0, 0, 0, nil, err
+	}
+	structuredNs, _, err = bestRun(cm, interp.Config{Engine: interp.EngineStructured}, export, trials, args...)
+	if err != nil {
+		return 0, 0, 0, nil, err
+	}
+	regNs, instr, err = bestRun(cm, interp.Config{}, export, trials, args...)
+	return structuredNs, regNs, instr, cm, err
+}
+
+// ratio returns num/den, or 0 when den is not positive.
+func ratio(num, den int64) float64 {
+	if den <= 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
+}
+
+// geomean returns the geometric mean of xs (0 when empty or when any x is
+// not positive).
+func geomean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		if x <= 0 {
+			return 0
+		}
+		sum += math.Log(x)
+	}
+	return math.Exp(sum / float64(len(xs)))
+}
+
+// RunDispatch measures each kernel under both engines (best of trials), at
+// 2/3 of the kernel's default problem size like the Fig. 6 per-commit
+// harness.
 func RunDispatch(kernels []string, trials int) ([]DispatchRow, error) {
 	if len(kernels) == 0 {
 		kernels = DispatchKernels
-	}
-	if trials < 1 {
-		trials = 1
 	}
 	rows := make([]DispatchRow, 0, len(kernels))
 	for _, name := range kernels {
@@ -126,67 +179,45 @@ func RunDispatch(kernels []string, trials int) ([]DispatchRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		ns, instr, err := measure4(m, "run", trials)
+		sNs, rNs, instr, _, err := measureEngines(m, "run", trials)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", name, err)
 		}
-		row := DispatchRow{
+		rows = append(rows, DispatchRow{
 			Kernel:       name,
 			N:            n,
 			Instructions: instr,
-			StructuredNs: ns[0],
-			FlatNs:       ns[1],
-			FusedNs:      ns[2],
-			RegNs:        ns[3],
-		}
-		if ns[1] > 0 {
-			row.FlatSpeedup = float64(ns[0]) / float64(ns[1])
-		}
-		if ns[2] > 0 {
-			row.FusedSpeedup = float64(ns[1]) / float64(ns[2])
-		}
-		if ns[3] > 0 {
-			row.RegSpeedup = float64(ns[2]) / float64(ns[3])
-		}
-		rows = append(rows, row)
+			StructuredNs: sNs,
+			RegNs:        rNs,
+			RegSpeedup:   ratio(sNs, rNs),
+		})
 	}
 	return rows, nil
 }
 
-// FusedGeomean returns the geometric mean of the fused-over-flat speedups.
-func FusedGeomean(rows []DispatchRow) float64 {
-	if len(rows) == 0 {
-		return 0
+// RegGeomean returns the geometric mean of the register-over-structured
+// speedups across the PolyBench rows.
+func RegGeomean(rows []DispatchRow) float64 {
+	xs := make([]float64, len(rows))
+	for i, r := range rows {
+		xs[i] = r.RegSpeedup
 	}
-	sum := 0.0
-	for _, r := range rows {
-		if r.FusedSpeedup <= 0 {
-			return 0
-		}
-		sum += math.Log(r.FusedSpeedup)
-	}
-	return math.Exp(sum / float64(len(rows)))
+	return geomean(xs)
 }
 
-// RegGeomean returns the geometric mean of the register-over-fused
-// speedups (the tentpole gate: >=1.4x on the PolyBench rows).
-func RegGeomean(rows []DispatchRow) float64 {
-	if len(rows) == 0 {
-		return 0
+// MicroGeomean returns the geometric mean of the register-over-structured
+// speedups across the microbenchmarks (the CI smoke gate's quantity).
+func MicroGeomean(rows []MicroRow) float64 {
+	xs := make([]float64, len(rows))
+	for i, r := range rows {
+		xs[i] = r.RegSpeedup
 	}
-	sum := 0.0
-	for _, r := range rows {
-		if r.RegSpeedup <= 0 {
-			return 0
-		}
-		sum += math.Log(r.RegSpeedup)
-	}
-	return math.Exp(sum / float64(len(rows)))
+	return geomean(xs)
 }
 
 // buildALUMicro is the dispatch microbenchmark: a tight arithmetic loop
-// with no memory traffic, so the measurement isolates opcode dispatch and
-// ALU fusion.
+// with no memory traffic, so the measurement isolates dispatch and ALU
+// statement compilation.
 func buildALUMicro() (*wasm.Module, error) {
 	b := wasm.NewModule("alu-micro")
 	f := b.Func("run", []wasm.ValueType{wasm.I32}, []wasm.ValueType{wasm.I32})
@@ -205,8 +236,8 @@ func buildALUMicro() (*wasm.Module, error) {
 // buildMemMicro is the memory-traffic microbenchmark: a load/store-
 // dominated stream kernel (b[i] = a[i]*s + b[i] over f64 arrays, plus a
 // byte-wide histogram touch), so the effective-address fast paths and the
-// word-at-a-time access dominate the measurement, separately from ALU
-// fusion.
+// word-at-a-time access dominate the measurement, separately from the ALU
+// row.
 func buildMemMicro() (*wasm.Module, error) {
 	const elems = 1024
 	const baseA, baseB = 64, 64 + elems*8
@@ -241,11 +272,8 @@ func buildMemMicro() (*wasm.Module, error) {
 }
 
 // RunMicro measures the ALU-dispatch and memory-traffic microbenchmarks
-// under all four engines (best of trials).
+// under both engines (best of trials).
 func RunMicro(trials int) ([]MicroRow, error) {
-	if trials < 1 {
-		trials = 1
-	}
 	micro := []struct {
 		name  string
 		build func() (*wasm.Module, error)
@@ -260,45 +288,32 @@ func RunMicro(trials int) ([]MicroRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", mb.name, err)
 		}
-		ns, instr, err := measure4(m, "run", trials, mb.arg)
+		sNs, rNs, instr, _, err := measureEngines(m, "run", trials, mb.arg)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", mb.name, err)
 		}
-		row := MicroRow{
+		rows = append(rows, MicroRow{
 			Name:         mb.name,
 			Instructions: instr,
-			StructuredNs: ns[0],
-			FlatNs:       ns[1],
-			FusedNs:      ns[2],
-			RegNs:        ns[3],
-		}
-		if ns[2] > 0 {
-			row.FusedVsFlat = float64(ns[1]) / float64(ns[2])
-		}
-		if ns[3] > 0 {
-			row.RegVsFused = float64(ns[2]) / float64(ns[3])
-		}
-		rows = append(rows, row)
+			StructuredNs: sNs,
+			RegNs:        rNs,
+			RegSpeedup:   ratio(sNs, rNs),
+		})
 	}
 	return rows, nil
 }
 
-// CheckMicroGate is the CI bench smoke gate: each engine tier must not be
-// slower than the tier below it on any microbenchmark beyond the given
-// noise tolerance (e.g. 0.85 allows the upper tier to be up to ~18% slower
-// before failing, generous enough for shared CI runners).
-func CheckMicroGate(rows []MicroRow, tolerance float64) error {
-	for _, r := range rows {
-		if r.FusedVsFlat < tolerance {
-			return fmt.Errorf("bench gate: %s: fused %.2fx vs flat (tolerance %.2fx): fused=%s flat=%s",
-				r.Name, r.FusedVsFlat, tolerance,
-				time.Duration(r.FusedNs), time.Duration(r.FlatNs))
-		}
-		if r.RegVsFused < tolerance {
-			return fmt.Errorf("bench gate: %s: reg %.2fx vs fused (tolerance %.2fx): reg=%s fused=%s",
-				r.Name, r.RegVsFused, tolerance,
-				time.Duration(r.RegNs), time.Duration(r.FusedNs))
-		}
+// MicroSmokeFloor is the CI gate on the microbenchmarks: the register
+// engine must hold at least this geomean speedup over the structured
+// reference. The committed BENCH_interp.json rows sit well above 4x; the
+// floor leaves headroom for shared CI runners while still catching the
+// default engine losing its lead.
+const MicroSmokeFloor = 3.0
+
+// CheckMicroGate fails when the microbenchmark geomean drops below floor.
+func CheckMicroGate(rows []MicroRow, floor float64) error {
+	if g := MicroGeomean(rows); g < floor {
+		return fmt.Errorf("bench gate: reg over structured micro geomean %.2fx below floor %.2fx", g, floor)
 	}
 	return nil
 }
@@ -307,11 +322,11 @@ func CheckMicroGate(rows []MicroRow, tolerance float64) error {
 // tracking (BENCH_interp.json).
 func WriteDispatchJSON(path string, rows []DispatchRow, micro []MicroRow, calls []CallRow) error {
 	rep := DispatchReport{
-		GeneratedAt:  time.Now().UTC().Format(time.RFC3339),
+		Stamp:        NewStamp(),
 		Baseline:     "structured (label-stack, per-instruction accounting)",
 		Candidate:    "reg (register-form IR, direct-threaded closures) with call inlining + indirect-call inline cache",
-		FusedGeomean: FusedGeomean(rows),
 		RegGeomean:   RegGeomean(rows),
+		MicroGeomean: MicroGeomean(micro),
 		CallGeomean:  CallGeomean(calls),
 		Rows:         rows,
 		Micro:        micro,
@@ -324,25 +339,25 @@ func WriteDispatchJSON(path string, rows []DispatchRow, micro []MicroRow, calls 
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// PrintDispatch renders the four-way comparison as a table.
+// PrintDispatch renders the two-engine comparison as a table.
 func PrintDispatch(w io.Writer, rows []DispatchRow, micro []MicroRow) {
 	tw := newTab(w)
-	fmt.Fprintln(tw, "kernel\tN\tinstr\tstructured\tflat\tfused\treg\tflat/structured\tfused/flat\treg/fused")
+	fmt.Fprintln(tw, "kernel\tN\tinstr\tstructured\treg\treg/structured")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%s\n",
 			r.Kernel, r.N, r.Instructions,
-			time.Duration(r.StructuredNs), time.Duration(r.FlatNs), time.Duration(r.FusedNs), time.Duration(r.RegNs),
-			fmtRatio(r.FlatSpeedup), fmtRatio(r.FusedSpeedup), fmtRatio(r.RegSpeedup))
+			time.Duration(r.StructuredNs), time.Duration(r.RegNs), fmtRatio(r.RegSpeedup))
 	}
 	for _, r := range micro {
-		fmt.Fprintf(tw, "%s\t\t%d\t%s\t%s\t%s\t%s\t\t%s\t%s\n",
+		fmt.Fprintf(tw, "%s\t\t%d\t%s\t%s\t%s\n",
 			r.Name, r.Instructions,
-			time.Duration(r.StructuredNs), time.Duration(r.FlatNs), time.Duration(r.FusedNs), time.Duration(r.RegNs),
-			fmtRatio(r.FusedVsFlat), fmtRatio(r.RegVsFused))
+			time.Duration(r.StructuredNs), time.Duration(r.RegNs), fmtRatio(r.RegSpeedup))
 	}
 	tw.Flush()
 	if len(rows) > 0 {
-		fmt.Fprintf(w, "fused geomean over flat (polybench): %s\n", fmtRatio(FusedGeomean(rows)))
-		fmt.Fprintf(w, "reg geomean over fused (polybench): %s\n", fmtRatio(RegGeomean(rows)))
+		fmt.Fprintf(w, "reg geomean over structured (polybench): %s\n", fmtRatio(RegGeomean(rows)))
+	}
+	if len(micro) > 0 {
+		fmt.Fprintf(w, "reg geomean over structured (micro): %s\n", fmtRatio(MicroGeomean(micro)))
 	}
 }

@@ -33,25 +33,23 @@ type LatencyStats struct {
 	MeanNs int64 `json:"mean_ns"`
 }
 
-// FaaSThroughputRow is one client-count measurement of the resize gateway:
-// requests/s with per-request recompilation (the seed behaviour) versus the
-// pooled CompiledModule serving path.
+// FaaSThroughputRow is one client-count measurement of the resize gateway
+// (pooled instances over the cached CompiledModule). The recompile-per-
+// request baseline it used to be compared against is recorded in this
+// file's git history.
 type FaaSThroughputRow struct {
 	Clients          int     `json:"clients"`
 	Requests         int     `json:"requests"`
-	RecompileRPS     float64 `json:"recompile_req_per_sec"`
 	PooledRPS        float64 `json:"pooled_req_per_sec"`
-	Speedup          float64 `json:"speedup"`
-	RecompileErrors  int     `json:"recompile_errors"`
 	PooledErrors     int     `json:"pooled_errors"`
 	PooledReqsServed int     `json:"pooled_requests_completed"`
 }
 
 // FaaSReport is the BENCH_faas.json payload.
 type FaaSReport struct {
-	GeneratedAt string `json:"generated_at"`
-	Function    string `json:"function"`
-	Setup       string `json:"setup"`
+	Stamp
+	Function string `json:"function"`
+	Setup    string `json:"setup"`
 	// GOMAXPROCS contextualises the throughput scaling: on a single-CPU
 	// host concurrent clients cannot exceed one core's throughput.
 	GOMAXPROCS int `json:"gomaxprocs"`
@@ -131,11 +129,11 @@ func RunFaaSBench(samples, requests int, clientCounts []int) (*FaaSReport, error
 	m = res.Module
 
 	rep := &FaaSReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Function:    "resize",
-		Setup:       "WASM",
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Samples:     samples,
+		Stamp:      NewStamp(),
+		Function:   "resize",
+		Setup:      "WASM",
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Samples:    samples,
 	}
 
 	// 1) Per-request setup latency.
@@ -223,40 +221,24 @@ func RunFaaSBench(samples, requests int, clientCounts []int) (*FaaSReport, error
 		rep.SpeedupP50 = float64(rep.CompileInstantiate.P50Ns) / float64(rep.PooledReset.P50Ns)
 	}
 
-	// 2) Gateway throughput, recompile-per-request vs pooled serving.
+	// 2) Gateway throughput on the pooled serving path.
 	const imgSide = 24
 	payload := workloads.TestImage(imgSide, imgSide)
-	throughput := func(opts faas.ServerOptions, clients int) (faas.LoadResult, error) {
-		srv, err := faas.NewServerWithOptions(faas.Resize, faas.SetupWASM, opts)
+	for _, clients := range clientCounts {
+		srv, err := faas.NewServerWithOptions(faas.Resize, faas.SetupWASM, faas.ServerOptions{PoolPrewarm: clients})
 		if err != nil {
-			return faas.LoadResult{}, err
+			return nil, err
 		}
 		ts := httptest.NewServer(srv)
-		defer ts.Close()
-		return faas.GenerateLoad(ts.URL, clients, requests, payload, imgSide, imgSide), nil
-	}
-	for _, clients := range clientCounts {
-		base, err := throughput(faas.ServerOptions{RecompilePerRequest: true}, clients)
-		if err != nil {
-			return nil, err
-		}
-		pooledRes, err := throughput(faas.ServerOptions{PoolPrewarm: clients}, clients)
-		if err != nil {
-			return nil, err
-		}
-		row := FaaSThroughputRow{
+		res := faas.GenerateLoad(ts.URL, clients, requests, payload, imgSide, imgSide)
+		ts.Close()
+		rep.Rows = append(rep.Rows, FaaSThroughputRow{
 			Clients:          clients,
 			Requests:         requests,
-			RecompileRPS:     base.ReqPerSec,
-			PooledRPS:        pooledRes.ReqPerSec,
-			RecompileErrors:  base.Errors,
-			PooledErrors:     pooledRes.Errors,
-			PooledReqsServed: pooledRes.Requests,
-		}
-		if base.ReqPerSec > 0 {
-			row.Speedup = pooledRes.ReqPerSec / base.ReqPerSec
-		}
-		rep.Rows = append(rep.Rows, row)
+			PooledRPS:        res.ReqPerSec,
+			PooledErrors:     res.Errors,
+			PooledReqsServed: res.Requests,
+		})
 	}
 	return rep, nil
 }
@@ -291,11 +273,9 @@ func PrintFaaSBench(w io.Writer, rep *FaaSReport) {
 	fmt.Fprintf(w, "p50 instantiate speedup: %s\n\n", fmtRatio(rep.SpeedupP50))
 
 	tw = newTab(w)
-	fmt.Fprintln(tw, "clients\trecompile req/s\tpooled req/s\tspeedup\terrors")
+	fmt.Fprintln(tw, "clients\tpooled req/s\terrors")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(tw, "%d\t%.0f\t%.0f\t%s\t%d/%d\n",
-			r.Clients, r.RecompileRPS, r.PooledRPS, fmtRatio(r.Speedup),
-			r.RecompileErrors, r.PooledErrors)
+		fmt.Fprintf(tw, "%d\t%.0f\t%d\n", r.Clients, r.PooledRPS, r.PooledErrors)
 	}
 	tw.Flush()
 }

@@ -56,11 +56,10 @@ type ScalingRow struct {
 
 // ScalingReport is the `scaling` section of a bench JSON.
 type ScalingReport struct {
-	GeneratedAt string `json:"generated_at"`
-	// HostCPUs is runtime.NumCPU() — the ceiling on honest speedup.
-	HostCPUs int          `json:"host_cpus"`
-	Metric   string       `json:"metric"`
-	Rows     []ScalingRow `json:"rows"`
+	// Stamp.HostCPUs is the ceiling on honest speedup.
+	Stamp
+	Metric string       `json:"metric"`
+	Rows   []ScalingRow `json:"rows"`
 }
 
 // stampScaling fills each row's ratio over the procs=1 row.
@@ -130,11 +129,7 @@ func RunFaaSScaling(requests int, procs []int) (*ScalingReport, error) {
 	if len(procs) == 0 {
 		procs = ScalingProcs
 	}
-	rep := &ScalingReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		HostCPUs:    runtime.NumCPU(),
-		Metric:      "req_per_sec",
-	}
+	rep := &ScalingReport{Stamp: NewStamp(), Metric: "req_per_sec"}
 	for _, p := range procs {
 		v, err := bestOfProcs(p, func() (float64, error) { return runFaaSScalingCell(requests) })
 		if err != nil {
@@ -208,11 +203,7 @@ func RunLedgerScaling(records int, procs []int) (*ScalingReport, error) {
 	if len(procs) == 0 {
 		procs = ScalingProcs
 	}
-	rep := &ScalingReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		HostCPUs:    runtime.NumCPU(),
-		Metric:      "appends_per_sec",
-	}
+	rep := &ScalingReport{Stamp: NewStamp(), Metric: "appends_per_sec"}
 	for _, p := range procs {
 		v, err := bestOfProcs(p, func() (float64, error) { return runLedgerScalingCell(records) })
 		if err != nil {

@@ -192,10 +192,10 @@ func Build(body []wasm.Instr) (*Graph, error) {
 
 // Leaders returns the segment-leader bitmap of the body: true at every
 // basic-block start, and at the instruction following any occurrence of the
-// given opcodes. Accounting consumers (the interpreter's lowering pass, the
-// fusion pass) split segments after host-visible points — call,
-// call_indirect, memory.grow — so counters are settled whenever host code
-// can observe the VM; superinstruction fusion must never span a leader.
+// given opcodes. Accounting consumers (the interpreter's lowering passes)
+// split segments after host-visible points — call, call_indirect,
+// memory.grow — so counters are settled whenever host code can observe the
+// VM; a compiled statement must never span a leader.
 func (g *Graph) Leaders(splitAfter ...wasm.Opcode) []bool {
 	leader := make([]bool, len(g.Body))
 	for _, b := range g.Blocks {

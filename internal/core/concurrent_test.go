@@ -291,22 +291,39 @@ func TestSaturatedRunsBitExactAccounting(t *testing.T) {
 	}
 }
 
-// TestPoolConfigDisabledRunsFresh: an AE with pooling disabled still serves
-// correct, sequence-ordered runs (every Run instantiates fresh).
-func TestPoolConfigDisabledRunsFresh(t *testing.T) {
-	ae, _ := newTestAE(t, sgx.ModeSimulation)
-	defer ae.Close()
-	if err := ae.SetPoolConfig(interp.PoolConfig{Disabled: true}); err != nil {
-		t.Fatal(err)
-	}
-	ae.SetLedgerOptions(accounting.LedgerOptions{Shards: 1})
-	for i := 0; i < 3; i++ {
-		res, err := ae.Run(core.RunOptions{Entry: "sum", Args: []uint64{7}})
+// TestPooledRunsMatchFreshEnclave: an AE recycling one pooled instance
+// across runs serves sequence-ordered records whose usage logs equal the
+// first run of a newly built AE (a never-used instance) on the same input.
+func TestPooledRunsMatchFreshEnclave(t *testing.T) {
+	run := func(ae *core.AccountingEnclave, arg uint64) core.RunResult {
+		t.Helper()
+		res, err := ae.Run(core.RunOptions{Entry: "sum", Args: []uint64{arg}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Receipt.Shard != 0 || res.Receipt.Sequence != uint64(i) {
-			t.Errorf("run %d landed at %d/%d", i, res.Receipt.Shard, res.Receipt.Sequence)
+		return res
+	}
+	pooled, _ := newTestAE(t, sgx.ModeSimulation)
+	defer pooled.Close()
+	if err := pooled.SetPoolConfig(interp.PoolConfig{Prewarm: 1}); err != nil {
+		t.Fatal(err)
+	}
+	pooled.SetLedgerOptions(accounting.LedgerOptions{Shards: 1})
+	for i, arg := range []uint64{7, 40, 7} {
+		fresh, _ := newTestAE(t, sgx.ModeSimulation)
+		want := run(fresh, arg)
+		fresh.Close()
+		got := run(pooled, arg)
+		if got.Receipt.Shard != 0 || got.Receipt.Sequence != uint64(i) {
+			t.Errorf("run %d landed at %d/%d", i, got.Receipt.Shard, got.Receipt.Sequence)
+		}
+		if got.Results[0] != want.Results[0] {
+			t.Errorf("run %d: sum(%d) = %d on the recycled instance, %d fresh", i, arg, got.Results[0], want.Results[0])
+		}
+		gotLog, wantLog := got.Record.Log, want.Record.Log
+		gotLog.Sequence, wantLog.Sequence = 0, 0
+		if gotLog != wantLog {
+			t.Errorf("run %d: usage log on the recycled instance %+v, fresh %+v", i, gotLog, wantLog)
 		}
 	}
 }

@@ -183,11 +183,6 @@ type RunOptions struct {
 	Imports map[string]interp.HostFunc
 	// MaxPages caps linear memory growth.
 	MaxPages uint32
-	// Engine selects the interpreter tier (default EngineFused; see
-	// interp.ParseEngine for the CLI spellings). Accounting is
-	// bit-identical across tiers, so this only trades execution speed
-	// against the reference engine's simplicity.
-	Engine interp.Engine
 }
 
 // RunResult is one execution's outcome plus its ledger evidence.
@@ -325,9 +320,9 @@ func (ae *AccountingEnclave) Compact() (accounting.CompactResult, error) {
 // closes its spill files.
 func (ae *AccountingEnclave) Close() { ae.ledger.Close() }
 
-// SetPoolConfig replaces the AE's sandbox instance pool (e.g. to disable
-// reuse or pre-warm instances). Call it before serving concurrent runs;
-// instances already handed out to in-flight runs drain to the old pool.
+// SetPoolConfig replaces the AE's sandbox instance pool (e.g. to pre-warm
+// instances). Call it before serving concurrent runs; instances already
+// handed out to in-flight runs drain to the old pool.
 func (ae *AccountingEnclave) SetPoolConfig(pc interp.PoolConfig) error {
 	pool, err := ae.compiled.NewPool(interp.Config{Imports: DefaultImports(ae.libos)}, pc)
 	if err != nil {
@@ -371,8 +366,8 @@ func (ae *AccountingEnclave) Run(opts RunOptions) (RunResult, error) {
 // charge point with interp.ErrInterrupted (check with errors.Is). The abort
 // is accounting-exact: the returned record and receipt charge precisely the
 // fuel/instructions retired before the interrupt — resources already spent
-// are still billed, bit-identical across engines — so cancellation never
-// produces an unaccounted partial execution.
+// are still billed — so cancellation never produces an unaccounted partial
+// execution.
 func (ae *AccountingEnclave) RunContext(ctx context.Context, opts RunOptions) (RunResult, error) {
 	if opts.Policy == 0 {
 		opts.Policy = accounting.PeakMemory
@@ -413,7 +408,6 @@ func (ae *AccountingEnclave) RunContext(ctx context.Context, opts RunOptions) (R
 	counterIdx := ae.counter
 	pool := ae.pool
 	vm, err := pool.Get(interp.Config{
-		Engine:    opts.Engine,
 		Imports:   imports,
 		Fuel:      opts.Fuel,
 		CostModel: model,

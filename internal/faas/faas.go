@@ -104,17 +104,15 @@ var JSDispatchCost = 12 * time.Millisecond
 // so a long-running gateway's resident ledger stays bounded
 // (ServerOptions.Ledger.Retention automates the trigger).
 type Server struct {
-	fn       Function
-	setup    Setup
-	opts     ServerOptions
-	module   *wasm.Module           // nil for SetupJS
-	compiled *interp.CompiledModule // nil for SetupJS
-	pool     *interp.InstancePool   // nil for SetupJS
-	counter  uint32                 // instrumented counter global (instr setups)
-	enclave  *sgx.Enclave           // nil for non-SGX setups
-	ledger   *accounting.Ledger     // instrumented setups only
-	modHash  [32]byte
-	costs    sgx.CostParams
+	fn      Function
+	setup   Setup
+	opts    ServerOptions
+	pool    *interp.InstancePool // nil for SetupJS
+	counter uint32               // instrumented counter global (instr setups)
+	enclave *sgx.Enclave         // nil for non-SGX setups
+	ledger  *accounting.Ledger   // instrumented setups only
+	modHash [32]byte
+	costs   sgx.CostParams
 	// Request counters are atomics, not a shared mutex: every response on
 	// every connection bumps them, and a lock here serializes otherwise
 	// independent requests at the very end of the handler.
@@ -130,18 +128,11 @@ type Server struct {
 	interrupted atomic.Uint64
 }
 
-// ServerOptions tune the gateway's compile/instantiate strategy and its
-// accounting ledger.
+// ServerOptions tune the gateway's instance pool, its accounting ledger and
+// its overload behaviour.
 type ServerOptions struct {
-	// PoolDisabled instantiates a fresh VM per request from the cached
-	// compiled artifact instead of reusing pooled instances.
-	PoolDisabled bool
 	// PoolPrewarm pre-instantiates this many sandbox instances at startup.
 	PoolPrewarm int
-	// RecompilePerRequest re-runs the full lowering pass on every request
-	// (the pre-artifact behaviour). It exists as the before/after baseline
-	// for the FaaS benchmark.
-	RecompilePerRequest bool
 	// Ledger tunes the instrumented setups' usage ledger: shard count,
 	// per-record eager signing (the per-request-signature baseline), and
 	// periodic checkpointing. Ignored by uninstrumented setups.
@@ -216,7 +207,6 @@ func NewServerWithOptions(fn Function, setup Setup, opts ServerOptions) (srv *Se
 		m = res.Module
 		s.counter = res.CounterGlobal
 	}
-	s.module = m
 	if s.modHash, err = core.ModuleHash(m); err != nil {
 		return nil, fmt.Errorf("faas: hash function module: %w", err)
 	}
@@ -245,16 +235,14 @@ func NewServerWithOptions(fn Function, setup Setup, opts ServerOptions) (srv *Se
 	if model := s.requestModel(); model != nil {
 		warm = append(warm, model)
 	}
-	s.compiled, err = interp.Compile(m, interp.CompileOptions{CostModels: warm})
+	compiled, err := interp.Compile(m, interp.CompileOptions{CostModels: warm})
 	if err != nil {
 		return nil, fmt.Errorf("faas: compile function: %w", err)
 	}
-	if !opts.RecompilePerRequest {
-		s.pool, err = s.compiled.NewPool(interp.Config{CostModel: s.requestModel()},
-			interp.PoolConfig{Disabled: opts.PoolDisabled, Prewarm: opts.PoolPrewarm})
-		if err != nil {
-			return nil, fmt.Errorf("faas: instance pool: %w", err)
-		}
+	s.pool, err = compiled.NewPool(interp.Config{CostModel: s.requestModel()},
+		interp.PoolConfig{Prewarm: opts.PoolPrewarm})
+	if err != nil {
+		return nil, fmt.Errorf("faas: instance pool: %w", err)
 	}
 	return s, nil
 }
@@ -319,6 +307,7 @@ const (
 	ErrCodeInvokeFailed     = "invoke_failed"
 	ErrCodeCheckpointFailed = "checkpoint_failed"
 	ErrCodeCompactFailed    = "compact_failed"
+	ErrCodePayloadTooLarge  = "payload_too_large"
 )
 
 // writeError responds with a stable machine-readable error code and logs
@@ -500,9 +489,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	body, err := io.ReadAll(r.Body)
-	if err != nil || len(body) > workloads.MaxPayload {
-		http.Error(w, "bad payload", http.StatusBadRequest)
+	// The ceiling applies to the read itself: an oversize body is cut off
+	// at MaxPayload+1 bytes instead of being buffered whole and measured.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, workloads.MaxPayload))
+	if err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			writeError(w, http.StatusRequestEntityTooLarge, ErrCodePayloadTooLarge, nil)
+		} else {
+			http.Error(w, "bad payload", http.StatusBadRequest)
+		}
 		return
 	}
 	width, _ := strconv.Atoi(r.Header.Get("X-Width"))
@@ -655,38 +650,23 @@ func (s *Server) serveWasm(ctx context.Context, body []byte, width, height int) 
 	// interrupt flag the engines poll at segment-leader charge points, so
 	// an expired deadline aborts the run with exactly the executed work
 	// accounted (and charged to the ledger below).
-	if done := ctx.Done(); done != nil {
+	if ctx.Done() != nil {
 		intr := new(atomic.Bool)
 		if ctx.Err() != nil {
 			intr.Store(true)
 		} else {
-			stop := make(chan struct{})
-			defer close(stop)
-			go func() {
-				select {
-				case <-done:
-					intr.Store(true)
-				case <-stop:
-				}
-			}()
+			// AfterFunc registers on the context; it starts no goroutine
+			// unless the context actually ends while the request runs.
+			stop := context.AfterFunc(ctx, func() { intr.Store(true) })
+			defer stop()
 		}
 		cfg.Interrupt = intr
 	}
-	var (
-		vm  *interp.VM
-		err error
-	)
-	if s.opts.RecompilePerRequest {
-		vm, err = interp.Instantiate(s.module, cfg)
-	} else {
-		vm, err = s.pool.Get(cfg)
-	}
+	vm, err := s.pool.Get(cfg)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("faas: instantiate: %w", err)
 	}
-	if !s.opts.RecompilePerRequest {
-		defer s.pool.Put(vm)
-	}
+	defer s.pool.Put(vm)
 	if s.enclave != nil {
 		// request enters the enclave, response leaves it
 		burn(s.enclave.Transition())

@@ -2,6 +2,7 @@ package faas_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -101,10 +102,42 @@ func TestOversizedPayloadRejected(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	big := make([]byte, workloads.MaxPayload+1)
-	resp, _ := post(t, ts.URL, big, 0, 0)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status %d, want 400", resp.StatusCode)
+	resp, body := post(t, ts.URL, big, 0, 0)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d, want 413", resp.StatusCode)
 	}
+	var e struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(body, &e); err != nil || e.Error.Code != faas.ErrCodePayloadTooLarge {
+		t.Errorf("413 body %q, want error code %q", body, faas.ErrCodePayloadTooLarge)
+	}
+	// The ceiling is on the read, not on a buffered body: the handler must
+	// stop pulling from a body that never ends instead of buffering it.
+	endless := &countingReader{}
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/", endless))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("endless body: status %d, want 413", w.Code)
+	}
+	if endless.n > workloads.MaxPayload+1 {
+		t.Errorf("endless body: handler read %d bytes, ceiling is %d", endless.n, workloads.MaxPayload)
+	}
+	// A body of exactly the ceiling is still served.
+	resp, _ = post(t, ts.URL, big[:workloads.MaxPayload], 0, 0)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("MaxPayload-sized body: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// countingReader is a request body that never ends; n counts what was read.
+type countingReader struct{ n int }
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	r.n += len(p)
+	return len(p), nil
 }
 
 func TestGenerateLoad(t *testing.T) {
@@ -361,37 +394,42 @@ func TestGenerateLoadLatencyPercentiles(t *testing.T) {
 	}
 }
 
-// TestPooledServingMatchesRecompile: the pooled gateway must produce
-// byte-identical responses and counters to the recompile-per-request
-// baseline, across repeated requests on recycled instances.
+// TestPooledServingMatchesRecompile: a pooled gateway serving repeated
+// requests on recycled instances must produce byte-identical responses and
+// counters to a gateway built (function compiled, instance fresh) for each
+// single request.
 func TestPooledServingMatchesRecompile(t *testing.T) {
 	const size = 32
 	img := workloads.TestImage(size, size)
-	serve := func(opts faas.ServerOptions) ([]byte, string) {
+	serve := func(srv *faas.Server) ([]byte, string) {
+		w := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(img))
+		req.Header.Set("X-Width", strconv.Itoa(size))
+		req.Header.Set("X-Height", strconv.Itoa(size))
+		srv.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d", w.Code)
+		}
+		return w.Body.Bytes(), w.Header().Get("X-Weighted-Instructions")
+	}
+	newServer := func(opts faas.ServerOptions) *faas.Server {
 		srv, err := faas.NewServerWithOptions(faas.Resize, faas.SetupSGXHWInstr, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv)
-		defer ts.Close()
-		var body []byte
-		var counter string
-		for i := 0; i < 3; i++ { // repeat so the pooled path reuses instances
-			resp, b := post(t, ts.URL, img, size, size)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("status %d", resp.StatusCode)
-			}
-			body, counter = b, resp.Header.Get("X-Weighted-Instructions")
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	pooled := newServer(faas.ServerOptions{PoolPrewarm: 1})
+	for i := 0; i < 3; i++ { // repeat so the pooled path reuses its instance
+		baseBody, baseCounter := serve(newServer(faas.ServerOptions{}))
+		poolBody, poolCounter := serve(pooled)
+		if !bytes.Equal(baseBody, poolBody) {
+			t.Errorf("request %d: pooled response body differs from the fresh server's", i)
 		}
-		return body, counter
-	}
-	baseBody, baseCounter := serve(faas.ServerOptions{RecompilePerRequest: true})
-	poolBody, poolCounter := serve(faas.ServerOptions{PoolPrewarm: 1})
-	if !bytes.Equal(baseBody, poolBody) {
-		t.Error("pooled response body differs from recompile baseline")
-	}
-	if baseCounter == "" || baseCounter != poolCounter {
-		t.Errorf("pooled counter %q differs from baseline %q", poolCounter, baseCounter)
+		if baseCounter == "" || baseCounter != poolCounter {
+			t.Errorf("request %d: pooled counter %q differs from the fresh server's %q", i, poolCounter, baseCounter)
+		}
 	}
 }
 
@@ -484,6 +522,63 @@ func TestServerCreateCloseNoLeak(t *testing.T) {
 			}
 			for j := 0; j < 4; j++ {
 				invoke(t, srv, http.StatusGatewayTimeout)
+			}
+			srv.Close()
+		}},
+		{"armed", func(t *testing.T) {
+			// A request whose context can expire arms the interrupt without
+			// a goroutine of its own: while it is served, the count stays
+			// where it was before. The sampler exists on both sides of the
+			// comparison; the request runs on this goroutine.
+			srv, err := faas.NewServerWithOptions(faas.Resize, faas.SetupWASM, faas.ServerOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const size = 256
+			img := workloads.TestImage(size, size)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var sampling atomic.Bool
+			var peak, samples atomic.Int64
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if sampling.Load() {
+						if g := int64(runtime.NumGoroutine()); g > peak.Load() {
+							peak.Store(g)
+						}
+						samples.Add(1)
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+			}()
+			before := int64(runtime.NumGoroutine())
+			for try := 0; try < 20 && samples.Load() == 0; try++ {
+				req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(img)).WithContext(ctx)
+				req.Header.Set("X-Width", strconv.Itoa(size))
+				req.Header.Set("X-Height", strconv.Itoa(size))
+				w := httptest.NewRecorder()
+				sampling.Store(true)
+				srv.ServeHTTP(w, req)
+				sampling.Store(false)
+				if w.Code != http.StatusOK {
+					t.Fatalf("status %d, want 200", w.Code)
+				}
+			}
+			close(stop)
+			<-done
+			if samples.Load() == 0 {
+				t.Fatal("sampler never ran while a request was being served")
+			}
+			if peak.Load() != before {
+				t.Errorf("%d goroutines while serving a cancellable request, %d before it", peak.Load(), before)
 			}
 			srv.Close()
 		}},

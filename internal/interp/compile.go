@@ -14,9 +14,9 @@ import (
 //     the operand-stack height it truncates to, and the number of label
 //     result values it copies down — so execution never maintains a label
 //     stack and never walks labels to resolve a branch;
-//   - static stack-height analysis yields the exact operand-stack high-water
-//     mark, so each call frame is a single fixed-size allocation indexed by
-//     an integer stack pointer;
+//   - static stack-height analysis yields the operand-stack height before
+//     every pc and its high-water mark, so each call frame is a single
+//     fixed-size allocation and every stack slot has a fixed home in it;
 //   - the body is partitioned into straight-line segments (the shared
 //     internal/cfg basic blocks, further split after call, call_indirect and
 //     memory.grow so counters are settled at every host-visible point) and
@@ -24,10 +24,10 @@ import (
 //     charged once per segment, with per-pc rollback metadata keeping trap
 //     paths bit-identical to per-instruction accounting;
 //   - an inlining pass (inline.go) then splices small straight-line callees
-//     into their callers' flat IR, and a final fusion pass (fuse.go)
-//     rewrites the stream into superinstructions for the default fused
-//     engine, strictly within segment boundaries so the accounting above is
-//     untouched.
+//     into their callers' flat IR, and the register lowering (regalloc.go)
+//     compiles the result into the closure stream the default engine runs,
+//     statement by statement and strictly within segment boundaries so the
+//     accounting above is untouched.
 //
 // The pass is cost-model-independent: per-segment cost sums live in the
 // CompiledModule's per-fingerprint cache (module.go), not in the flat IR,
@@ -50,7 +50,7 @@ type flatTarget struct {
 	arity  int32
 }
 
-// flatOp is the per-pc lowered metadata the flat engine executes against.
+// flatOp is the per-pc lowered metadata the register lowering compiles from.
 // target/height/arity describe the taken-branch edge of br/br_if, the
 // false edge of if, and the end-continuation of else. segEnd is the pc of
 // the enclosing segment's last instruction (trap rollback bound). segCnt is
@@ -64,12 +64,16 @@ type flatOp struct {
 	segCnt int32
 	segEnd int32
 	arity  int32
-	flags  uint8 // call-path metadata, see fInl*/fCall*/fICSite
+	flags  uint8 // call-path metadata, see fInl*/fCallDef
 }
 
 // flatOp.flags bits. They are assigned after the inlining pass (inline.go):
-// the first two mark the boundaries of spliced callee bodies, the rest are
-// the residual-call fast-path descriptors resolved once at compile time.
+// the first two mark the boundaries of spliced callee bodies, the third is
+// the residual-call descriptor resolved once at compile time. The other
+// two descriptors need no bit: an OpCall that is neither inlined nor
+// fCallDef calls the imported host function whose index is in target, and
+// every OpCallIndirect carries its dense per-module inline-cache site id
+// (indexing VM.icache) in target.
 const (
 	// fInlEnter marks an OpCall that was inlined: the callee body follows
 	// immediately. The op stays OpCall so its accounting charge (fuel,
@@ -85,16 +89,11 @@ const (
 	// target holds the defined-function index (body index, imports already
 	// subtracted) so the call site never re-derives it.
 	fCallDef
-	// fCallHost marks a residual OpCall to an imported host function;
-	// target holds the host-function index.
-	fCallHost
-	// fICSite marks an OpCallIndirect with an inline-cache slot; target
-	// holds the dense per-module site id indexing VM.icache.
-	fICSite
 )
 
-// compile builds both engine representations for one function: the ctrl
-// sidetable (structured reference engine) and the flat IR (default engine).
+// compile builds both engines' front-end representations for one function:
+// the ctrl sidetable (structured reference engine) and the flat IR (which
+// the default engine's register lowering consumes).
 // One cfg.Build provides the control matching, the segment boundaries and
 // the structural validation for both.
 func compile(m *wasm.Module, f *wasm.Func) (compiledFunc, error) {
@@ -115,9 +114,8 @@ func compile(m *wasm.Module, f *wasm.Func) (compiledFunc, error) {
 	if err := lower(m, &cf, g); err != nil {
 		return cf, err
 	}
-	// Fusion and register lowering run later, from Compile (module.go): the
-	// inlining pass (inline.go) must splice callee bodies into this flat IR
-	// first, and both back ends consume the post-inline view.
+	// Register lowering runs later, from Compile (module.go): the inlining
+	// pass (inline.go) must splice callee bodies into this flat IR first.
 	return cf, nil
 }
 

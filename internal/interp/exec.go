@@ -3,31 +3,24 @@ package interp
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"acctee/internal/wasm"
 )
 
-// This file is the flat/fused execution loop, shared by EngineFlat and the
-// default EngineFused. It interprets the per-pc IR produced by the lowering
-// pass in compile.go — EngineFlat dispatches the original body, EngineFused
-// the fused stream built by fuse.go (same pc space, superinstructions at
-// span leaders, constituents jumped over):
+// This file holds the accounting-exactness machinery the register engine
+// (regalloc.go, regexec.go) falls back on. Fuel, CostModel cycles and the
+// ground-truth instruction counter are charged once per straight-line
+// segment at its leader; the two paths that must undo or refine that batched
+// charge live here:
 //
-//   - branches jump through the precompiled sidetable (no label stack, no
-//     label walk); fused conditional branches read the br_if constituent's
-//     sidetable entry directly;
-//   - the operand stack is a fixed-size slab indexed by an integer stack
-//     pointer, allocated together with the locals in one frame; fused ops
-//     read locals and constants without round-tripping through it;
-//   - fuel, CostModel cycles and the ground-truth instruction counter are
-//     charged once per straight-line segment at its leader (fused spans
-//     never cross a segment, so the charge rides on an existing dispatch);
-//     traps roll the not-executed suffix back — for a trap inside a
-//     superinstruction, from the trapping constituent's own pc — and a fuel
-//     shortfall deoptimizes to the per-instruction tail over the original
-//     body, so all accounting stays bit-identical to the structured
-//     reference engine.
+//   - a trap rolls the not-executed suffix of its segment back, from the
+//     trapping instruction's original body pc (rollback);
+//   - a fuel shortfall deoptimizes, before the segment runs, to a
+//     per-instruction tail over the original body (execFuelTail),
+//
+// so all accounting stays bit-identical to the structured reference engine.
+
+// Raw-bit boxing helpers shared by both engines' numeric code.
 
 // b2u converts a comparison result to a wasm i32 boolean.
 func b2u(b bool) uint64 {
@@ -42,1127 +35,6 @@ func f32u(f float32) uint64 { return uint64(math.Float32bits(f)) }
 func uf64(u uint64) float64 { return math.Float64frombits(u) }
 func f64u(f float64) uint64 { return math.Float64bits(f) }
 func i32u(v int32) uint64   { return uint64(uint32(v)) }
-
-// exec runs a compiled function body on the flat engine. fi is the
-// function's defined-function index (for the cost-table lookup); frame is
-// the function's single allocation: numLoc locals followed by maxStack
-// operand slots. The single result (if any) is the first return value.
-func (vm *VM) exec(f *compiledFunc, fi int, frame []uint64) (uint64, error) {
-	// Inlined-call markers bump depth inside the body; restoring the entry
-	// depth (rather than decrementing) keeps it right when a trap unwinds
-	// past open inline regions.
-	d0 := vm.depth
-	vm.depth++
-	defer func() { vm.depth = d0 }()
-	if vm.depth > vm.maxDepth {
-		return 0, ErrCallStackExhausted
-	}
-
-	// The whole frame doubles as the locals array: inlined callee bodies
-	// address their locals at shifted indices >= numLoc (see inline.go).
-	locals := frame
-	st := frame[f.numLoc:]
-	sp := 0
-	code := f.fused
-	if vm.engine == EngineFlat {
-		code = f.body
-	}
-	flat := f.flat
-	costed := vm.cost != nil
-	var fc *funcCosts
-	if costed {
-		fc = &vm.costs[fi]
-	}
-	pc := 0
-	var trapErr error
-
-	for pc < len(code) {
-		fl := &flat[pc]
-		if n := fl.segCnt; n != 0 {
-			// Segment leader: poll cooperative cancellation before charging,
-			// so an interrupted run's counters hold exactly the instructions
-			// already retired (nothing of this segment ran yet — no rollback
-			// needed). Then charge the whole straight-line run at once.
-			if vm.intr != nil && vm.intr.Load() {
-				return 0, ErrInterrupted
-			}
-			if vm.fuelLimited && vm.fuel < uint64(n) {
-				return 0, vm.execFuelTail(f.body, locals, st, sp, pc)
-			}
-			vm.instrCount += uint64(n)
-			if vm.fuelLimited {
-				vm.fuel -= uint64(n)
-			}
-			if costed {
-				vm.costAcc += fc.segCost[pc]
-			}
-		}
-		in := &code[pc]
-
-		switch in.Op {
-		// --- control
-		case wasm.OpUnreachable:
-			trapErr = ErrUnreachable
-			goto trap
-		case wasm.OpNop, wasm.OpBlock, wasm.OpLoop:
-			// structure is precompiled; nothing to do at runtime
-		case wasm.OpEnd:
-			if fl.flags&fInlEnd != 0 {
-				// Exit of an inlined callee body: commit the results down to
-				// the caller's operand height, exactly like a frame return.
-				if fl.arity > 0 {
-					st[fl.height] = st[sp-1]
-				}
-				sp = int(fl.height) + int(fl.arity)
-				vm.depth--
-			}
-		case wasm.OpIf:
-			sp--
-			if st[sp] == 0 {
-				pc = int(fl.target)
-				continue
-			}
-		case wasm.OpElse:
-			// Fallthrough from the then-arm. The reference engine executes
-			// the matching end too; charge it inline, then continue after it.
-			vm.instrCount++
-			if vm.fuelLimited {
-				if vm.fuel == 0 {
-					trapErr = ErrFuelExhausted
-					goto trap
-				}
-				vm.fuel--
-			}
-			if costed {
-				vm.costAcc += vm.endCost
-			}
-			pc = int(fl.target)
-			continue
-		case wasm.OpBr:
-			if a := int(fl.arity); a > 0 {
-				copy(st[fl.height:int(fl.height)+a], st[sp-a:sp])
-			}
-			sp = int(fl.height) + int(fl.arity)
-			pc = int(fl.target)
-			continue
-		case wasm.OpBrIf:
-			sp--
-			if st[sp] != 0 {
-				if a := int(fl.arity); a > 0 {
-					copy(st[fl.height:int(fl.height)+a], st[sp-a:sp])
-				}
-				sp = int(fl.height) + int(fl.arity)
-				pc = int(fl.target)
-				continue
-			}
-		case wasm.OpBrTable:
-			sp--
-			tbl := fl.table
-			j := int(uint32(st[sp]))
-			if j >= len(tbl)-1 {
-				j = len(tbl) - 1
-			}
-			t := &tbl[j]
-			if a := int(t.arity); a > 0 {
-				copy(st[t.height:int(t.height)+a], st[sp-a:sp])
-			}
-			sp = int(t.height) + int(t.arity)
-			pc = int(t.pc)
-			continue
-		case wasm.OpReturn:
-			goto done
-		case wasm.OpCall:
-			if fl.flags&fCallDef != 0 {
-				// Residual call to a defined function, pre-resolved at
-				// compile time: no import-count compare, no bounds check,
-				// and the frame slab clears only the non-param locals.
-				cf := &vm.funcs[fl.target]
-				nf := vm.getFrame(cf.numLoc+cf.maxStack, cf.nparams, cf.numLoc)
-				sp -= cf.nparams
-				copy(nf, st[sp:sp+cf.nparams])
-				res, err := vm.exec(cf, int(fl.target), nf)
-				if err != nil {
-					trapErr = err
-					goto trap
-				}
-				if cf.nresults > 0 {
-					st[sp] = res
-					sp++
-				}
-			} else if fl.flags&fInlEnter != 0 {
-				// Inlined call: the charge for the call op already rode on
-				// this segment; only the frame bookkeeping remains. Depth
-				// still counts so call-stack exhaustion traps exactly where
-				// a real call would.
-				vm.depth++
-				if vm.depth > vm.maxDepth {
-					trapErr = ErrCallStackExhausted
-					goto trap
-				}
-				if n := int(fl.arity); n > 0 {
-					z := st[sp : sp+n]
-					for j := range z {
-						z[j] = 0
-					}
-					sp += n
-				}
-			} else if fl.flags&fCallHost != 0 {
-				nsp, err := vm.invokeHost(uint32(fl.target), st, sp)
-				if err != nil {
-					trapErr = err
-					goto trap
-				}
-				sp = nsp
-			} else {
-				// LegacyCalls artifact (bench baseline): the generic
-				// pre-optimization path, re-deriving the host/defined split
-				// at runtime and clearing the whole callee frame.
-				nsp, err := vm.invokeAtSlow(in.Idx, st, sp)
-				if err != nil {
-					trapErr = err
-					goto trap
-				}
-				sp = nsp
-			}
-		case wasm.OpCallIndirect:
-			sp--
-			elem := uint32(st[sp])
-			if fl.flags&fICSite != 0 {
-				var fi int32
-				if ic := &vm.icache[fl.target]; ic.elem == int32(elem) {
-					// Monomorphic hit: same table element as last time at this
-					// site, bounds and type check already vouched for.
-					fi = ic.fidx
-				} else {
-					if int(elem) >= len(vm.table) {
-						trapErr = ErrUndefinedElement
-						goto trap
-					}
-					fi = vm.table[elem]
-					if fi < 0 {
-						trapErr = ErrUndefinedElement
-						goto trap
-					}
-					want := vm.module.Types[in.Idx]
-					got, err := vm.module.FuncTypeAt(uint32(fi))
-					if err != nil || !got.Equal(want) {
-						trapErr = ErrIndirectTypeBad
-						goto trap
-					}
-					*ic = icEntry{elem: int32(elem), fidx: fi}
-				}
-				nsp, err := vm.invokeAt(uint32(fi), st, sp)
-				if err != nil {
-					trapErr = err
-					goto trap
-				}
-				sp = nsp
-			} else {
-				// LegacyCalls artifact: full checks on every dispatch.
-				if int(elem) >= len(vm.table) {
-					trapErr = ErrUndefinedElement
-					goto trap
-				}
-				fi := vm.table[elem]
-				if fi < 0 {
-					trapErr = ErrUndefinedElement
-					goto trap
-				}
-				want := vm.module.Types[in.Idx]
-				got, err := vm.module.FuncTypeAt(uint32(fi))
-				if err != nil || !got.Equal(want) {
-					trapErr = ErrIndirectTypeBad
-					goto trap
-				}
-				nsp, err := vm.invokeAtSlow(uint32(fi), st, sp)
-				if err != nil {
-					trapErr = err
-					goto trap
-				}
-				sp = nsp
-			}
-
-		// --- parametric / variables
-		case wasm.OpDrop:
-			sp--
-		case wasm.OpSelect:
-			sp -= 2
-			if st[sp+1] == 0 {
-				st[sp-1] = st[sp]
-			}
-		case wasm.OpLocalGet:
-			st[sp] = locals[in.Idx]
-			sp++
-		case wasm.OpLocalSet:
-			sp--
-			locals[in.Idx] = st[sp]
-		case wasm.OpLocalTee:
-			locals[in.Idx] = st[sp-1]
-		case wasm.OpGlobalGet:
-			st[sp] = vm.globals[in.Idx]
-			sp++
-		case wasm.OpGlobalSet:
-			sp--
-			vm.globals[in.Idx] = st[sp]
-
-		// --- memory
-		case wasm.OpMemorySize:
-			st[sp] = uint64(uint32(len(vm.memory) / wasm.PageSize))
-			sp++
-		case wasm.OpMemoryGrow:
-			delta := uint32(st[sp-1])
-			old := uint32(len(vm.memory) / wasm.PageSize)
-			if delta > vm.maxPages || old+delta > vm.maxPages {
-				st[sp-1] = uint64(uint32(0xFFFFFFFF))
-				break
-			}
-			grown := make([]byte, int(old+delta)*wasm.PageSize)
-			copy(grown, vm.memory)
-			vm.memory = grown
-			vm.sizeDirtyMap(len(grown))
-			st[sp-1] = uint64(old)
-			if vm.growHook != nil {
-				vm.growHook(vm, old, old+delta)
-			}
-
-		case wasm.OpI32Const, wasm.OpI64Const, wasm.OpF32Const, wasm.OpF64Const:
-			st[sp] = in.U64
-			sp++
-
-		// --- loads
-		case wasm.OpI32Load, wasm.OpF32Load:
-			v, err := vm.loadBits(uint32(st[sp-1]), in.Off, 4, false)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = v
-		case wasm.OpI64Load, wasm.OpF64Load:
-			v, err := vm.loadBits(uint32(st[sp-1]), in.Off, 8, false)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = v
-		case wasm.OpI32Load8U, wasm.OpI64Load8U:
-			v, err := vm.loadBits(uint32(st[sp-1]), in.Off, 1, false)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = v
-		case wasm.OpI32Load8S:
-			v, err := vm.loadBits(uint32(st[sp-1]), in.Off, 1, false)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = uint64(uint32(int32(int8(v))))
-		case wasm.OpI64Load8S:
-			v, err := vm.loadBits(uint32(st[sp-1]), in.Off, 1, false)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = uint64(int64(int8(v)))
-		case wasm.OpI32Load16U, wasm.OpI64Load16U:
-			v, err := vm.loadBits(uint32(st[sp-1]), in.Off, 2, false)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = v
-		case wasm.OpI32Load16S:
-			v, err := vm.loadBits(uint32(st[sp-1]), in.Off, 2, false)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = uint64(uint32(int32(int16(v))))
-		case wasm.OpI64Load16S:
-			v, err := vm.loadBits(uint32(st[sp-1]), in.Off, 2, false)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = uint64(int64(int16(v)))
-		case wasm.OpI64Load32U:
-			v, err := vm.loadBits(uint32(st[sp-1]), in.Off, 4, false)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = v
-		case wasm.OpI64Load32S:
-			v, err := vm.loadBits(uint32(st[sp-1]), in.Off, 4, false)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = uint64(int64(int32(uint32(v))))
-
-		// --- stores
-		case wasm.OpI32Store8, wasm.OpI64Store8:
-			sp -= 2
-			if err := vm.storeBits(uint32(st[sp]), in.Off, 1, st[sp+1]); err != nil {
-				trapErr = err
-				goto trap
-			}
-		case wasm.OpI32Store16, wasm.OpI64Store16:
-			sp -= 2
-			if err := vm.storeBits(uint32(st[sp]), in.Off, 2, st[sp+1]); err != nil {
-				trapErr = err
-				goto trap
-			}
-		case wasm.OpI32Store, wasm.OpF32Store, wasm.OpI64Store32:
-			sp -= 2
-			if err := vm.storeBits(uint32(st[sp]), in.Off, 4, st[sp+1]); err != nil {
-				trapErr = err
-				goto trap
-			}
-		case wasm.OpI64Store, wasm.OpF64Store:
-			sp -= 2
-			if err := vm.storeBits(uint32(st[sp]), in.Off, 8, st[sp+1]); err != nil {
-				trapErr = err
-				goto trap
-			}
-
-		// --- i32 comparison
-		case wasm.OpI32Eqz:
-			st[sp-1] = b2u(uint32(st[sp-1]) == 0)
-		case wasm.OpI32Eq:
-			sp--
-			st[sp-1] = b2u(uint32(st[sp-1]) == uint32(st[sp]))
-		case wasm.OpI32Ne:
-			sp--
-			st[sp-1] = b2u(uint32(st[sp-1]) != uint32(st[sp]))
-		case wasm.OpI32LtS:
-			sp--
-			st[sp-1] = b2u(int32(uint32(st[sp-1])) < int32(uint32(st[sp])))
-		case wasm.OpI32LtU:
-			sp--
-			st[sp-1] = b2u(uint32(st[sp-1]) < uint32(st[sp]))
-		case wasm.OpI32GtS:
-			sp--
-			st[sp-1] = b2u(int32(uint32(st[sp-1])) > int32(uint32(st[sp])))
-		case wasm.OpI32GtU:
-			sp--
-			st[sp-1] = b2u(uint32(st[sp-1]) > uint32(st[sp]))
-		case wasm.OpI32LeS:
-			sp--
-			st[sp-1] = b2u(int32(uint32(st[sp-1])) <= int32(uint32(st[sp])))
-		case wasm.OpI32LeU:
-			sp--
-			st[sp-1] = b2u(uint32(st[sp-1]) <= uint32(st[sp]))
-		case wasm.OpI32GeS:
-			sp--
-			st[sp-1] = b2u(int32(uint32(st[sp-1])) >= int32(uint32(st[sp])))
-		case wasm.OpI32GeU:
-			sp--
-			st[sp-1] = b2u(uint32(st[sp-1]) >= uint32(st[sp]))
-
-		// --- i64 comparison
-		case wasm.OpI64Eqz:
-			st[sp-1] = b2u(st[sp-1] == 0)
-		case wasm.OpI64Eq:
-			sp--
-			st[sp-1] = b2u(st[sp-1] == st[sp])
-		case wasm.OpI64Ne:
-			sp--
-			st[sp-1] = b2u(st[sp-1] != st[sp])
-		case wasm.OpI64LtS:
-			sp--
-			st[sp-1] = b2u(int64(st[sp-1]) < int64(st[sp]))
-		case wasm.OpI64LtU:
-			sp--
-			st[sp-1] = b2u(st[sp-1] < st[sp])
-		case wasm.OpI64GtS:
-			sp--
-			st[sp-1] = b2u(int64(st[sp-1]) > int64(st[sp]))
-		case wasm.OpI64GtU:
-			sp--
-			st[sp-1] = b2u(st[sp-1] > st[sp])
-		case wasm.OpI64LeS:
-			sp--
-			st[sp-1] = b2u(int64(st[sp-1]) <= int64(st[sp]))
-		case wasm.OpI64LeU:
-			sp--
-			st[sp-1] = b2u(st[sp-1] <= st[sp])
-		case wasm.OpI64GeS:
-			sp--
-			st[sp-1] = b2u(int64(st[sp-1]) >= int64(st[sp]))
-		case wasm.OpI64GeU:
-			sp--
-			st[sp-1] = b2u(st[sp-1] >= st[sp])
-
-		// --- f32 comparison
-		case wasm.OpF32Eq:
-			sp--
-			st[sp-1] = b2u(uf32(st[sp-1]) == uf32(st[sp]))
-		case wasm.OpF32Ne:
-			sp--
-			st[sp-1] = b2u(uf32(st[sp-1]) != uf32(st[sp]))
-		case wasm.OpF32Lt:
-			sp--
-			st[sp-1] = b2u(uf32(st[sp-1]) < uf32(st[sp]))
-		case wasm.OpF32Gt:
-			sp--
-			st[sp-1] = b2u(uf32(st[sp-1]) > uf32(st[sp]))
-		case wasm.OpF32Le:
-			sp--
-			st[sp-1] = b2u(uf32(st[sp-1]) <= uf32(st[sp]))
-		case wasm.OpF32Ge:
-			sp--
-			st[sp-1] = b2u(uf32(st[sp-1]) >= uf32(st[sp]))
-
-		// --- f64 comparison
-		case wasm.OpF64Eq:
-			sp--
-			st[sp-1] = b2u(uf64(st[sp-1]) == uf64(st[sp]))
-		case wasm.OpF64Ne:
-			sp--
-			st[sp-1] = b2u(uf64(st[sp-1]) != uf64(st[sp]))
-		case wasm.OpF64Lt:
-			sp--
-			st[sp-1] = b2u(uf64(st[sp-1]) < uf64(st[sp]))
-		case wasm.OpF64Gt:
-			sp--
-			st[sp-1] = b2u(uf64(st[sp-1]) > uf64(st[sp]))
-		case wasm.OpF64Le:
-			sp--
-			st[sp-1] = b2u(uf64(st[sp-1]) <= uf64(st[sp]))
-		case wasm.OpF64Ge:
-			sp--
-			st[sp-1] = b2u(uf64(st[sp-1]) >= uf64(st[sp]))
-
-		// --- i32 numeric
-		case wasm.OpI32Clz:
-			st[sp-1] = uint64(uint32(bits.LeadingZeros32(uint32(st[sp-1]))))
-		case wasm.OpI32Ctz:
-			st[sp-1] = uint64(uint32(bits.TrailingZeros32(uint32(st[sp-1]))))
-		case wasm.OpI32Popcnt:
-			st[sp-1] = uint64(uint32(bits.OnesCount32(uint32(st[sp-1]))))
-		case wasm.OpI32Add:
-			sp--
-			st[sp-1] = uint64(uint32(st[sp-1]) + uint32(st[sp]))
-		case wasm.OpI32Sub:
-			sp--
-			st[sp-1] = uint64(uint32(st[sp-1]) - uint32(st[sp]))
-		case wasm.OpI32Mul:
-			sp--
-			st[sp-1] = uint64(uint32(st[sp-1]) * uint32(st[sp]))
-		case wasm.OpI32DivS:
-			sp--
-			b, a := int32(uint32(st[sp])), int32(uint32(st[sp-1]))
-			if b == 0 {
-				trapErr = ErrDivByZero
-				goto trap
-			}
-			if a == math.MinInt32 && b == -1 {
-				trapErr = ErrIntOverflow
-				goto trap
-			}
-			st[sp-1] = i32u(a / b)
-		case wasm.OpI32DivU:
-			sp--
-			b, a := uint32(st[sp]), uint32(st[sp-1])
-			if b == 0 {
-				trapErr = ErrDivByZero
-				goto trap
-			}
-			st[sp-1] = uint64(a / b)
-		case wasm.OpI32RemS:
-			sp--
-			b, a := int32(uint32(st[sp])), int32(uint32(st[sp-1]))
-			if b == 0 {
-				trapErr = ErrDivByZero
-				goto trap
-			}
-			if a == math.MinInt32 && b == -1 {
-				st[sp-1] = 0
-			} else {
-				st[sp-1] = i32u(a % b)
-			}
-		case wasm.OpI32RemU:
-			sp--
-			b, a := uint32(st[sp]), uint32(st[sp-1])
-			if b == 0 {
-				trapErr = ErrDivByZero
-				goto trap
-			}
-			st[sp-1] = uint64(a % b)
-		case wasm.OpI32And:
-			sp--
-			st[sp-1] = uint64(uint32(st[sp-1]) & uint32(st[sp]))
-		case wasm.OpI32Or:
-			sp--
-			st[sp-1] = uint64(uint32(st[sp-1]) | uint32(st[sp]))
-		case wasm.OpI32Xor:
-			sp--
-			st[sp-1] = uint64(uint32(st[sp-1]) ^ uint32(st[sp]))
-		case wasm.OpI32Shl:
-			sp--
-			st[sp-1] = uint64(uint32(st[sp-1]) << (uint32(st[sp]) & 31))
-		case wasm.OpI32ShrS:
-			sp--
-			st[sp-1] = i32u(int32(uint32(st[sp-1])) >> (uint32(st[sp]) & 31))
-		case wasm.OpI32ShrU:
-			sp--
-			st[sp-1] = uint64(uint32(st[sp-1]) >> (uint32(st[sp]) & 31))
-		case wasm.OpI32Rotl:
-			sp--
-			st[sp-1] = uint64(bits.RotateLeft32(uint32(st[sp-1]), int(uint32(st[sp])&31)))
-		case wasm.OpI32Rotr:
-			sp--
-			st[sp-1] = uint64(bits.RotateLeft32(uint32(st[sp-1]), -int(uint32(st[sp])&31)))
-
-		// --- i64 numeric
-		case wasm.OpI64Clz:
-			st[sp-1] = uint64(bits.LeadingZeros64(st[sp-1]))
-		case wasm.OpI64Ctz:
-			st[sp-1] = uint64(bits.TrailingZeros64(st[sp-1]))
-		case wasm.OpI64Popcnt:
-			st[sp-1] = uint64(bits.OnesCount64(st[sp-1]))
-		case wasm.OpI64Add:
-			sp--
-			st[sp-1] = st[sp-1] + st[sp]
-		case wasm.OpI64Sub:
-			sp--
-			st[sp-1] = st[sp-1] - st[sp]
-		case wasm.OpI64Mul:
-			sp--
-			st[sp-1] = st[sp-1] * st[sp]
-		case wasm.OpI64DivS:
-			sp--
-			b, a := int64(st[sp]), int64(st[sp-1])
-			if b == 0 {
-				trapErr = ErrDivByZero
-				goto trap
-			}
-			if a == math.MinInt64 && b == -1 {
-				trapErr = ErrIntOverflow
-				goto trap
-			}
-			st[sp-1] = uint64(a / b)
-		case wasm.OpI64DivU:
-			sp--
-			if st[sp] == 0 {
-				trapErr = ErrDivByZero
-				goto trap
-			}
-			st[sp-1] = st[sp-1] / st[sp]
-		case wasm.OpI64RemS:
-			sp--
-			b, a := int64(st[sp]), int64(st[sp-1])
-			if b == 0 {
-				trapErr = ErrDivByZero
-				goto trap
-			}
-			if a == math.MinInt64 && b == -1 {
-				st[sp-1] = 0
-			} else {
-				st[sp-1] = uint64(a % b)
-			}
-		case wasm.OpI64RemU:
-			sp--
-			if st[sp] == 0 {
-				trapErr = ErrDivByZero
-				goto trap
-			}
-			st[sp-1] = st[sp-1] % st[sp]
-		case wasm.OpI64And:
-			sp--
-			st[sp-1] = st[sp-1] & st[sp]
-		case wasm.OpI64Or:
-			sp--
-			st[sp-1] = st[sp-1] | st[sp]
-		case wasm.OpI64Xor:
-			sp--
-			st[sp-1] = st[sp-1] ^ st[sp]
-		case wasm.OpI64Shl:
-			sp--
-			st[sp-1] = st[sp-1] << (st[sp] & 63)
-		case wasm.OpI64ShrS:
-			sp--
-			st[sp-1] = uint64(int64(st[sp-1]) >> (st[sp] & 63))
-		case wasm.OpI64ShrU:
-			sp--
-			st[sp-1] = st[sp-1] >> (st[sp] & 63)
-		case wasm.OpI64Rotl:
-			sp--
-			st[sp-1] = bits.RotateLeft64(st[sp-1], int(st[sp]&63))
-		case wasm.OpI64Rotr:
-			sp--
-			st[sp-1] = bits.RotateLeft64(st[sp-1], -int(st[sp]&63))
-
-		// --- f32 numeric
-		case wasm.OpF32Abs:
-			st[sp-1] = f32u(float32(math.Abs(float64(uf32(st[sp-1])))))
-		case wasm.OpF32Neg:
-			st[sp-1] = f32u(-uf32(st[sp-1]))
-		case wasm.OpF32Ceil:
-			st[sp-1] = f32u(float32(math.Ceil(float64(uf32(st[sp-1])))))
-		case wasm.OpF32Floor:
-			st[sp-1] = f32u(float32(math.Floor(float64(uf32(st[sp-1])))))
-		case wasm.OpF32Trunc:
-			st[sp-1] = f32u(float32(math.Trunc(float64(uf32(st[sp-1])))))
-		case wasm.OpF32Nearest:
-			st[sp-1] = f32u(float32(math.RoundToEven(float64(uf32(st[sp-1])))))
-		case wasm.OpF32Sqrt:
-			st[sp-1] = f32u(float32(math.Sqrt(float64(uf32(st[sp-1])))))
-		case wasm.OpF32Add:
-			sp--
-			st[sp-1] = f32u(uf32(st[sp-1]) + uf32(st[sp]))
-		case wasm.OpF32Sub:
-			sp--
-			st[sp-1] = f32u(uf32(st[sp-1]) - uf32(st[sp]))
-		case wasm.OpF32Mul:
-			sp--
-			st[sp-1] = f32u(uf32(st[sp-1]) * uf32(st[sp]))
-		case wasm.OpF32Div:
-			sp--
-			st[sp-1] = f32u(uf32(st[sp-1]) / uf32(st[sp]))
-		case wasm.OpF32Min:
-			sp--
-			st[sp-1] = f32u(float32(fmin(float64(uf32(st[sp-1])), float64(uf32(st[sp])))))
-		case wasm.OpF32Max:
-			sp--
-			st[sp-1] = f32u(float32(fmax(float64(uf32(st[sp-1])), float64(uf32(st[sp])))))
-		case wasm.OpF32Copysign:
-			sp--
-			st[sp-1] = f32u(float32(math.Copysign(float64(uf32(st[sp-1])), float64(uf32(st[sp])))))
-
-		// --- f64 numeric
-		case wasm.OpF64Abs:
-			st[sp-1] = f64u(math.Abs(uf64(st[sp-1])))
-		case wasm.OpF64Neg:
-			st[sp-1] = f64u(-uf64(st[sp-1]))
-		case wasm.OpF64Ceil:
-			st[sp-1] = f64u(math.Ceil(uf64(st[sp-1])))
-		case wasm.OpF64Floor:
-			st[sp-1] = f64u(math.Floor(uf64(st[sp-1])))
-		case wasm.OpF64Trunc:
-			st[sp-1] = f64u(math.Trunc(uf64(st[sp-1])))
-		case wasm.OpF64Nearest:
-			st[sp-1] = f64u(math.RoundToEven(uf64(st[sp-1])))
-		case wasm.OpF64Sqrt:
-			st[sp-1] = f64u(math.Sqrt(uf64(st[sp-1])))
-		case wasm.OpF64Add:
-			sp--
-			st[sp-1] = f64u(uf64(st[sp-1]) + uf64(st[sp]))
-		case wasm.OpF64Sub:
-			sp--
-			st[sp-1] = f64u(uf64(st[sp-1]) - uf64(st[sp]))
-		case wasm.OpF64Mul:
-			sp--
-			st[sp-1] = f64u(uf64(st[sp-1]) * uf64(st[sp]))
-		case wasm.OpF64Div:
-			sp--
-			st[sp-1] = f64u(uf64(st[sp-1]) / uf64(st[sp]))
-		case wasm.OpF64Min:
-			sp--
-			st[sp-1] = f64u(fmin(uf64(st[sp-1]), uf64(st[sp])))
-		case wasm.OpF64Max:
-			sp--
-			st[sp-1] = f64u(fmax(uf64(st[sp-1]), uf64(st[sp])))
-		case wasm.OpF64Copysign:
-			sp--
-			st[sp-1] = f64u(math.Copysign(uf64(st[sp-1]), uf64(st[sp])))
-
-		// --- conversions
-		case wasm.OpI32WrapI64:
-			st[sp-1] = uint64(uint32(st[sp-1]))
-		case wasm.OpI32TruncF32S:
-			v, err := truncS(float64(uf32(st[sp-1])), i32Lo, i32Hi)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = i32u(int32(v))
-		case wasm.OpI32TruncF32U:
-			v, err := truncU(float64(uf32(st[sp-1])), u32Hi)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = uint64(uint32(v))
-		case wasm.OpI32TruncF64S:
-			v, err := truncS(uf64(st[sp-1]), i32Lo, i32Hi)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = i32u(int32(v))
-		case wasm.OpI32TruncF64U:
-			v, err := truncU(uf64(st[sp-1]), u32Hi)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = uint64(uint32(v))
-		case wasm.OpI64ExtendI32S:
-			st[sp-1] = uint64(int64(int32(uint32(st[sp-1]))))
-		case wasm.OpI64ExtendI32U:
-			st[sp-1] = uint64(uint32(st[sp-1]))
-		case wasm.OpI64TruncF32S:
-			v, err := truncS(float64(uf32(st[sp-1])), i64Lo, i64Hi)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = uint64(v)
-		case wasm.OpI64TruncF32U:
-			v, err := truncU(float64(uf32(st[sp-1])), u64Hi)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = v
-		case wasm.OpI64TruncF64S:
-			v, err := truncS(uf64(st[sp-1]), i64Lo, i64Hi)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = uint64(v)
-		case wasm.OpI64TruncF64U:
-			v, err := truncU(uf64(st[sp-1]), u64Hi)
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = v
-		case wasm.OpF32ConvertI32S:
-			st[sp-1] = f32u(float32(int32(uint32(st[sp-1]))))
-		case wasm.OpF32ConvertI32U:
-			st[sp-1] = f32u(float32(uint32(st[sp-1])))
-		case wasm.OpF32ConvertI64S:
-			st[sp-1] = f32u(float32(int64(st[sp-1])))
-		case wasm.OpF32ConvertI64U:
-			st[sp-1] = f32u(float32(st[sp-1]))
-		case wasm.OpF32DemoteF64:
-			st[sp-1] = f32u(float32(uf64(st[sp-1])))
-		case wasm.OpF64ConvertI32S:
-			st[sp-1] = f64u(float64(int32(uint32(st[sp-1]))))
-		case wasm.OpF64ConvertI32U:
-			st[sp-1] = f64u(float64(uint32(st[sp-1])))
-		case wasm.OpF64ConvertI64S:
-			st[sp-1] = f64u(float64(int64(st[sp-1])))
-		case wasm.OpF64ConvertI64U:
-			st[sp-1] = f64u(float64(st[sp-1]))
-		case wasm.OpF64PromoteF32:
-			st[sp-1] = f64u(float64(uf32(st[sp-1])))
-		case wasm.OpI32ReinterpretF, wasm.OpI64ReinterpretF,
-			wasm.OpF32ReinterpretI, wasm.OpF64ReinterpretI:
-			// bit pattern unchanged
-
-		// --- superinstructions (fused stream only; see fuse.go for the
-		// payload layout). Every case advances pc past its constituents; a
-		// trap adjusts pc to the trapping constituent first so rollback
-		// reproduces the reference engine's per-instruction totals.
-
-		// ALU fusion: operands straight from locals/constants, result to the
-		// stack or straight back into a local.
-		case opFGetGetBin:
-			v, err := applyBin(wasm.Opcode(in.Align), locals[in.Idx], locals[in.Off])
-			if err != nil {
-				pc += 2
-				trapErr = err
-				goto trap
-			}
-			st[sp] = v
-			sp++
-			pc += 3
-			continue
-		case opFGetConstBin:
-			v, err := applyBin(wasm.Opcode(in.Align), locals[in.Idx], in.U64)
-			if err != nil {
-				pc += 2
-				trapErr = err
-				goto trap
-			}
-			st[sp] = v
-			sp++
-			pc += 3
-			continue
-		case opFGetBin:
-			v, err := applyBin(wasm.Opcode(in.Align), st[sp-1], locals[in.Idx])
-			if err != nil {
-				pc++
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = v
-			pc += 2
-			continue
-		case opFConstBin:
-			v, err := applyBin(wasm.Opcode(in.Align), st[sp-1], in.U64)
-			if err != nil {
-				pc++
-				trapErr = err
-				goto trap
-			}
-			st[sp-1] = v
-			pc += 2
-			continue
-		case opFBinSet:
-			sp -= 2
-			v, err := applyBin(wasm.Opcode(in.Align), st[sp], st[sp+1])
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			locals[in.Idx] = v
-			if in.Align&fTee != 0 {
-				st[sp] = v
-				sp++
-			}
-			pc += 2
-			continue
-		case opFGetGetBinSet:
-			v, err := applyBin(wasm.Opcode(in.Align), locals[in.Idx], locals[in.Off])
-			if err != nil {
-				pc += 2
-				trapErr = err
-				goto trap
-			}
-			locals[uint32(in.U64)] = v
-			if in.Align&fTee != 0 {
-				st[sp] = v
-				sp++
-			}
-			pc += 4
-			continue
-		case opFGetConstBinSet:
-			v, err := applyBin(wasm.Opcode(in.Align), locals[in.Idx], in.U64)
-			if err != nil {
-				pc += 2
-				trapErr = err
-				goto trap
-			}
-			locals[in.Off] = v
-			if in.Align&fTee != 0 {
-				st[sp] = v
-				sp++
-			}
-			pc += 4
-			continue
-		case opFConstSet:
-			locals[in.Idx] = in.U64
-			if in.Align&fTee != 0 {
-				st[sp] = in.U64
-				sp++
-			}
-			pc += 2
-			continue
-
-		// Fused conditional branches: the compare feeds the branch directly
-		// (comparisons cannot trap); the taken edge is the br_if
-		// constituent's own sidetable entry.
-		case opFCmpBr:
-			sp -= 2
-			v, _ := applyBin(wasm.Opcode(in.Align), st[sp], st[sp+1])
-			if v != 0 {
-				t := &flat[pc+1]
-				if n := int(t.arity); n > 0 {
-					copy(st[t.height:int(t.height)+n], st[sp-n:sp])
-				}
-				sp = int(t.height) + int(t.arity)
-				pc = int(t.target)
-				continue
-			}
-			pc += 2
-			continue
-		case opFGetGetCmpBr:
-			v, _ := applyBin(wasm.Opcode(in.Align), locals[in.Idx], locals[in.Off])
-			if v != 0 {
-				t := &flat[pc+3]
-				if n := int(t.arity); n > 0 {
-					copy(st[t.height:int(t.height)+n], st[sp-n:sp])
-				}
-				sp = int(t.height) + int(t.arity)
-				pc = int(t.target)
-				continue
-			}
-			pc += 4
-			continue
-		case opFGetConstCmpBr:
-			v, _ := applyBin(wasm.Opcode(in.Align), locals[in.Idx], in.U64)
-			if v != 0 {
-				t := &flat[pc+3]
-				if n := int(t.arity); n > 0 {
-					copy(st[t.height:int(t.height)+n], st[sp-n:sp])
-				}
-				sp = int(t.height) + int(t.arity)
-				pc = int(t.target)
-				continue
-			}
-			pc += 4
-			continue
-		case opFBinBr:
-			// Arithmetic feeding the branch directly. Unlike the compare
-			// shapes the binop can trap (div/rem by zero, overflow): the
-			// trap pc is the binop itself, so no adjustment before rollback.
-			sp -= 2
-			v, err := applyBin(wasm.Opcode(in.Align), st[sp], st[sp+1])
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			if v != 0 {
-				t := &flat[pc+1]
-				if n := int(t.arity); n > 0 {
-					copy(st[t.height:int(t.height)+n], st[sp-n:sp])
-				}
-				sp = int(t.height) + int(t.arity)
-				pc = int(t.target)
-				continue
-			}
-			pc += 2
-			continue
-		case opFEqzBr:
-			sp--
-			var taken bool
-			if wasm.Opcode(in.Align) == wasm.OpI32Eqz {
-				taken = uint32(st[sp]) == 0
-			} else {
-				taken = st[sp] == 0
-			}
-			if taken {
-				t := &flat[pc+1]
-				if n := int(t.arity); n > 0 {
-					copy(st[t.height:int(t.height)+n], st[sp-n:sp])
-				}
-				sp = int(t.height) + int(t.arity)
-				pc = int(t.target)
-				continue
-			}
-			pc += 2
-			continue
-
-		// Memory fast paths: effective address folded (or scaled) at compile
-		// time, one bounds check, word-at-a-time little-endian access.
-		case opFConstLoad:
-			al := in.Align
-			width := al >> 16 & 0xFF
-			ea := in.U64 // const + memarg offset, folded at compile time
-			if ea+uint64(width) > uint64(len(vm.memory)) {
-				pc++
-				trapErr = ErrOutOfBounds
-				goto trap
-			}
-			if costed {
-				vm.costAcc += vm.cost.MemCost(uint32(ea), width, false, uint32(len(vm.memory)))
-			}
-			st[sp] = fastLoad(vm.memory, ea, width, al>>24)
-			sp++
-			pc += 2
-			continue
-		case opFGetLoad:
-			al := in.Align
-			width := al >> 16 & 0xFF
-			ea := uint64(uint32(locals[in.Idx])) + uint64(in.Off)
-			if ea+uint64(width) > uint64(len(vm.memory)) {
-				pc++
-				trapErr = ErrOutOfBounds
-				goto trap
-			}
-			if costed {
-				vm.costAcc += vm.cost.MemCost(uint32(ea), width, false, uint32(len(vm.memory)))
-			}
-			st[sp] = fastLoad(vm.memory, ea, width, al>>24)
-			sp++
-			pc += 2
-			continue
-		case opFScaleLoad:
-			al := in.Align
-			width := al >> 16 & 0xFF
-			ea := uint64(uint32(st[sp-1])*uint32(in.U64)) + uint64(in.Off)
-			if ea+uint64(width) > uint64(len(vm.memory)) {
-				pc += 2
-				trapErr = ErrOutOfBounds
-				goto trap
-			}
-			if costed {
-				vm.costAcc += vm.cost.MemCost(uint32(ea), width, false, uint32(len(vm.memory)))
-			}
-			st[sp-1] = fastLoad(vm.memory, ea, width, al>>24)
-			pc += 3
-			continue
-		case opFBinStore:
-			sp -= 3
-			v, err := applyBin(wasm.Opcode(in.Align), st[sp+1], st[sp+2])
-			if err != nil {
-				trapErr = err
-				goto trap
-			}
-			width := in.Align >> 16 & 0xFF
-			ea := uint64(uint32(st[sp])) + uint64(in.Off)
-			if ea+uint64(width) > uint64(len(vm.memory)) {
-				pc++
-				trapErr = ErrOutOfBounds
-				goto trap
-			}
-			if costed {
-				vm.costAcc += vm.cost.MemCost(uint32(ea), width, true, uint32(len(vm.memory)))
-			}
-			vm.markDirty(int(ea), int(width))
-			fastStore(vm.memory, ea, width, v)
-			pc += 2
-			continue
-		case opFGetStore:
-			sp--
-			width := in.Align >> 16 & 0xFF
-			ea := uint64(uint32(st[sp])) + uint64(in.Off)
-			if ea+uint64(width) > uint64(len(vm.memory)) {
-				pc++
-				trapErr = ErrOutOfBounds
-				goto trap
-			}
-			if costed {
-				vm.costAcc += vm.cost.MemCost(uint32(ea), width, true, uint32(len(vm.memory)))
-			}
-			vm.markDirty(int(ea), int(width))
-			fastStore(vm.memory, ea, width, locals[in.Idx])
-			pc += 2
-			continue
-		case opFConstStore:
-			sp--
-			width := in.Align >> 16 & 0xFF
-			ea := uint64(uint32(st[sp])) + uint64(in.Off)
-			if ea+uint64(width) > uint64(len(vm.memory)) {
-				pc++
-				trapErr = ErrOutOfBounds
-				goto trap
-			}
-			if costed {
-				vm.costAcc += vm.cost.MemCost(uint32(ea), width, true, uint32(len(vm.memory)))
-			}
-			vm.markDirty(int(ea), int(width))
-			fastStore(vm.memory, ea, width, in.U64)
-			pc += 2
-			continue
-
-		default:
-			trapErr = &UnknownOpcodeError{Op: in.Op}
-			goto trap
-		}
-		pc++
-	}
-
-done:
-	if f.nresults > 0 {
-		if sp == 0 {
-			return 0, ErrUnreachable
-		}
-		return st[sp-1], nil
-	}
-	return 0, nil
-
-trap:
-	vm.rollback(f, fc, pc)
-	return 0, trapErr
-}
 
 // rollback undoes the batched charge for the not-executed suffix (pc,
 // segEnd] of the trapping instruction's segment, restoring the exact
@@ -1183,59 +55,9 @@ func (vm *VM) rollback(f *compiledFunc, fc *funcCosts, pc int) {
 	}
 }
 
-// invokeAt calls function idx (combined index space) from the flat engine,
-// popping arguments from and pushing results onto st; it returns the new
-// stack pointer.
-func (vm *VM) invokeAt(idx uint32, st []uint64, sp int) (int, error) {
-	nimp := len(vm.hostFns)
-	if int(idx) < nimp {
-		return vm.invokeHost(idx, st, sp)
-	}
-	di := int(idx) - nimp
-	cf := &vm.funcs[di]
-	frame := vm.getFrame(cf.numLoc+cf.maxStack, cf.nparams, cf.numLoc)
-	copy(frame, st[sp-cf.nparams:sp])
-	sp -= cf.nparams
-	res, err := vm.exec(cf, di, frame)
-	if err != nil {
-		return sp, err
-	}
-	if cf.nresults > 0 {
-		st[sp] = res
-		sp++
-	}
-	return sp, nil
-}
-
-// invokeAtSlow is invokeAt without the compile-time call descriptors: the
-// host/defined split happens at runtime and the callee frame is cleared in
-// full, as the engine did before the call fast path. Reached only from
-// LegacyCalls artifacts (the call-heavy benchmark baseline).
-func (vm *VM) invokeAtSlow(idx uint32, st []uint64, sp int) (int, error) {
-	nimp := len(vm.hostFns)
-	if int(idx) < nimp {
-		return vm.invokeHost(idx, st, sp)
-	}
-	di := int(idx) - nimp
-	cf := &vm.funcs[di]
-	n := cf.numLoc + cf.maxStack
-	frame := vm.getFrame(n, 0, n)
-	copy(frame, st[sp-cf.nparams:sp])
-	sp -= cf.nparams
-	res, err := vm.exec(cf, di, frame)
-	if err != nil {
-		return sp, err
-	}
-	if cf.nresults > 0 {
-		st[sp] = res
-		sp++
-	}
-	return sp, nil
-}
-
 // invokeHost calls imported function idx, popping arguments from and pushing
-// results onto st; it returns the new stack pointer. Shared by the flat and
-// register engines' call paths.
+// results onto st; it returns the new stack pointer. st is the caller's
+// stack-home window (frame[numLoc:]).
 func (vm *VM) invokeHost(idx uint32, st []uint64, sp int) (int, error) {
 	sig := vm.hostSigs[idx]
 	n := len(sig.Params)

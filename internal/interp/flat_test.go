@@ -12,11 +12,11 @@ import (
 	"acctee/internal/weights"
 )
 
-// This file pins the flat and fused engines to the structured reference
-// engine: the lowering pass (branch sidetable, stack heights, segment
-// accounting) and the superinstruction fusion pass must be observationally
-// identical — results, traps, InstrCount, weighted Cost, remaining fuel,
-// and final memory/global state — on every program.
+// This file pins the default register engine to the structured reference
+// engine: the lowering passes (branch sidetable, stack heights, segment
+// accounting, statement compilation) must be observationally identical —
+// results, traps, InstrCount, weighted Cost, remaining fuel, and final
+// memory/global state — on every program.
 
 // obs is everything observable about one execution.
 type obs struct {
@@ -51,49 +51,43 @@ func observe(t *testing.T, m *wasm.Module, cfg interp.Config, entry string, args
 	return o
 }
 
-// diffEngines runs entry under all four engines (structured reference,
-// flat, fused, register) and requires identical observations; it returns
-// the last engine's observation.
+// diffEngines runs entry under the structured reference engine and the
+// default register engine and requires identical observations; it returns
+// the register engine's observation.
 func diffEngines(t *testing.T, m *wasm.Module, cfg interp.Config, entry string, args ...uint64) obs {
 	t.Helper()
 	cfg.Engine = interp.EngineStructured
 	ref := observe(t, m, cfg, entry, args...)
-	var got obs
-	for _, eng := range []struct {
-		name   string
-		engine interp.Engine
-	}{{"flat", interp.EngineFlat}, {"fused", interp.EngineFused}, {"reg", interp.EngineReg}} {
-		cfg.Engine = eng.engine
-		got = observe(t, m, cfg, entry, args...)
+	cfg.Engine = interp.EngineReg
+	got := observe(t, m, cfg, entry, args...)
 
-		if (got.err == nil) != (ref.err == nil) || (ref.err != nil && !errors.Is(got.err, ref.err)) {
-			t.Errorf("error diverged: %s=%v structured=%v", eng.name, got.err, ref.err)
-		}
-		if len(got.res) != len(ref.res) {
-			t.Errorf("result arity diverged: %s=%v structured=%v", eng.name, got.res, ref.res)
-		} else {
-			for i := range got.res {
-				if got.res[i] != ref.res[i] {
-					t.Errorf("result[%d] diverged: %s=%d structured=%d", i, eng.name, got.res[i], ref.res[i])
-				}
+	if (got.err == nil) != (ref.err == nil) || (ref.err != nil && !errors.Is(got.err, ref.err)) {
+		t.Errorf("error diverged: reg=%v structured=%v", got.err, ref.err)
+	}
+	if len(got.res) != len(ref.res) {
+		t.Errorf("result arity diverged: reg=%v structured=%v", got.res, ref.res)
+	} else {
+		for i := range got.res {
+			if got.res[i] != ref.res[i] {
+				t.Errorf("result[%d] diverged: reg=%d structured=%d", i, got.res[i], ref.res[i])
 			}
 		}
-		if got.count != ref.count {
-			t.Errorf("InstrCount diverged: %s=%d structured=%d", eng.name, got.count, ref.count)
-		}
-		if got.cost != ref.cost {
-			t.Errorf("Cost diverged: %s=%d structured=%d", eng.name, got.cost, ref.cost)
-		}
-		if got.fuel != ref.fuel {
-			t.Errorf("FuelRemaining diverged: %s=%d structured=%d", eng.name, got.fuel, ref.fuel)
-		}
-		if !bytes.Equal(got.memory, ref.memory) {
-			t.Errorf("final memory diverged (%s vs structured)", eng.name)
-		}
-		for i := range ref.global {
-			if got.global[i] != ref.global[i] {
-				t.Errorf("global %d diverged: %s=%d structured=%d", i, eng.name, got.global[i], ref.global[i])
-			}
+	}
+	if got.count != ref.count {
+		t.Errorf("InstrCount diverged: reg=%d structured=%d", got.count, ref.count)
+	}
+	if got.cost != ref.cost {
+		t.Errorf("Cost diverged: reg=%d structured=%d", got.cost, ref.cost)
+	}
+	if got.fuel != ref.fuel {
+		t.Errorf("FuelRemaining diverged: reg=%d structured=%d", got.fuel, ref.fuel)
+	}
+	if !bytes.Equal(got.memory, ref.memory) {
+		t.Errorf("final memory diverged (reg vs structured)")
+	}
+	for i := range ref.global {
+		if got.global[i] != ref.global[i] {
+			t.Errorf("global %d diverged: reg=%d structured=%d", i, got.global[i], ref.global[i])
 		}
 	}
 	return got
@@ -528,15 +522,13 @@ func TestHostObservationExactness(t *testing.T) {
 		return snaps
 	}
 	ref := run(interp.EngineStructured)
-	for _, engine := range []interp.Engine{interp.EngineFlat, interp.EngineFused, interp.EngineReg} {
-		got := run(engine)
-		if len(got) != len(ref) {
-			t.Fatalf("engine %d: snapshot count diverged: %d vs %d", engine, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Errorf("engine %d: observation %d diverged: got=%v structured=%v", engine, i, got[i], ref[i])
-			}
+	got := run(interp.EngineReg)
+	if len(got) != len(ref) {
+		t.Fatalf("snapshot count diverged: reg=%d structured=%d", len(got), len(ref))
+	}
+	for i := range got {
+		if got[i] != ref[i] {
+			t.Errorf("observation %d diverged: reg=%v structured=%v", i, got[i], ref[i])
 		}
 	}
 }
@@ -551,7 +543,7 @@ func TestHostResultArityChecked(t *testing.T) {
 	f.Call(bad)
 	b.ExportFunc("f", f.End())
 	m := b.MustBuild()
-	for _, engine := range []interp.Engine{interp.EngineFused, interp.EngineFlat, interp.EngineStructured, interp.EngineReg} {
+	for _, engine := range []interp.Engine{interp.EngineReg, interp.EngineStructured} {
 		vm, err := interp.Instantiate(m, interp.Config{
 			Engine: engine,
 			Imports: map[string]interp.HostFunc{
@@ -564,7 +556,7 @@ func TestHostResultArityChecked(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := vm.InvokeExport("f"); err == nil {
-			t.Errorf("engine %d: excess host results not rejected", engine)
+			t.Errorf("%s: excess host results not rejected", engine)
 		}
 	}
 }

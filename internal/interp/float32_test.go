@@ -142,8 +142,8 @@ func TestCopysign(t *testing.T) {
 }
 
 // TestF32DifferentialAllEngines drives the f32 instruction family through
-// all four engines (structured oracle, flat, fused, register) and requires
-// bit-identical results and accounting. The register lowering specialises
+// both engines (structured oracle, register) and requires bit-identical
+// results and accounting. The register lowering specialises
 // f32.add/mul and routes the rest through its generic applyBin/applyUn
 // arms, so this exercises both paths.
 func TestF32DifferentialAllEngines(t *testing.T) {

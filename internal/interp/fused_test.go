@@ -10,16 +10,19 @@ import (
 	"acctee/internal/weights"
 )
 
-// This file pins the fused engine's deoptimization paths: a trap landing in
-// the middle of a superinstruction, and a fuel shortfall inside a fully
-// fused segment, must roll accounting back to exactly the per-instruction
-// totals of the structured reference engine (diffEngines compares results,
-// trap identity, InstrCount, weighted Cost, remaining fuel, memory and
-// globals across structured/flat/fused).
+// This file pins the deoptimization paths of multi-instruction execution
+// units: a trap landing in the middle of one, and a fuel shortfall inside a
+// segment made only of them, must roll accounting back to exactly the
+// per-instruction totals of the structured reference engine (diffEngines
+// compares results, trap identity, InstrCount, weighted Cost, remaining
+// fuel, memory and globals). The programs were shaped after the
+// superinstruction idioms of the removed fused tier (the test names keep
+// that vocabulary); the register engine compiles each idiom into one
+// statement closure, so the same programs now land their traps and fuel
+// shortfalls mid-statement.
 
 // TestFusedTrapMidSuperinstruction drives a trap into every trap-capable
-// fused shape. Each module is built so the fusion pass emits the targeted
-// superinstruction (pinned by the white-box shape tests) with a suffix
+// idiom (producer/operator/sink at each operand layout), each with a suffix
 // behind the trap that the batched accounting must roll back.
 func TestFusedTrapMidSuperinstruction(t *testing.T) {
 	cases := []struct {
@@ -29,7 +32,7 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 		trap  error
 	}{
 		{
-			// get get div -> opFGetGetBin, trapping at the binop (offset 2).
+			// get get div, trapping at the binop (offset 2).
 			name: "getgetbin_div_by_zero",
 			build: func() *wasm.Module {
 				b := wasm.NewModule("f1")
@@ -54,7 +57,7 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 			args: []uint64{0x80000000, 0xFFFFFFFF}, trap: interp.ErrIntOverflow,
 		},
 		{
-			// get const div -> opFGetConstBin with a zero constant divisor.
+			// get const div with a zero constant divisor.
 			name: "getconstbin_div_by_zero",
 			build: func() *wasm.Module {
 				b := wasm.NewModule("f3")
@@ -67,7 +70,7 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 			args: []uint64{9}, trap: interp.ErrDivByZero,
 		},
 		{
-			// get get rem set -> opFGetGetBinSet, trapping before the set
+			// get get rem set, trapping before the set
 			// writes the local.
 			name: "getgetbinset_rem_by_zero",
 			build: func() *wasm.Module {
@@ -83,7 +86,7 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 			args: []uint64{13, 0}, trap: interp.ErrDivByZero,
 		},
 		{
-			// i64 division inside the fused shape.
+			// i64 division inside the same shape.
 			name: "getgetbin_i64_div_by_zero",
 			build: func() *wasm.Module {
 				b := wasm.NewModule("f5")
@@ -96,7 +99,7 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 			args: []uint64{100, 0}, trap: interp.ErrDivByZero,
 		},
 		{
-			// const load with folded effective address -> opFConstLoad OOB.
+			// const load (compile-time-known effective address) OOB.
 			name: "constload_oob",
 			build: func() *wasm.Module {
 				b := wasm.NewModule("f6")
@@ -124,7 +127,7 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 			trap: interp.ErrOutOfBounds,
 		},
 		{
-			// get load -> opFGetLoad OOB through the local's value.
+			// get load OOB through the local's value.
 			name: "getload_oob",
 			build: func() *wasm.Module {
 				b := wasm.NewModule("f8")
@@ -138,7 +141,7 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 			args: []uint64{65530}, trap: interp.ErrOutOfBounds,
 		},
 		{
-			// scaled-index load -> opFScaleLoad OOB at the load (offset 2).
+			// scaled-index load OOB at the load (offset 2).
 			name: "scaleload_oob",
 			build: func() *wasm.Module {
 				b := wasm.NewModule("f9")
@@ -153,8 +156,8 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 			args: []uint64{8000, 192}, trap: interp.ErrOutOfBounds,
 		},
 		{
-			// bin store -> opFBinStore trapping in the binop (offset 0): the
-			// operands come from fused const-loads of zeroed memory, so the
+			// bin store trapping in the binop (offset 0): the
+			// operands come from const-loads of zeroed memory, so the
 			// division is 0/0.
 			name: "binstore_div_by_zero",
 			build: func() *wasm.Module {
@@ -172,7 +175,7 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 			trap: interp.ErrDivByZero,
 		},
 		{
-			// bin store -> opFBinStore trapping in the store (offset 1).
+			// bin store trapping in the store (offset 1).
 			name: "binstore_oob",
 			build: func() *wasm.Module {
 				b := wasm.NewModule("f11")
@@ -189,7 +192,7 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 			args: []uint64{70000}, trap: interp.ErrOutOfBounds,
 		},
 		{
-			// get store -> opFGetStore OOB.
+			// get store OOB.
 			name: "getstore_oob",
 			build: func() *wasm.Module {
 				b := wasm.NewModule("f12")
@@ -203,7 +206,7 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 			args: []uint64{1 << 20, 7}, trap: interp.ErrOutOfBounds,
 		},
 		{
-			// const store -> opFConstStore OOB.
+			// const store OOB.
 			name: "conststore_oob",
 			build: func() *wasm.Module {
 				b := wasm.NewModule("f13")
@@ -217,8 +220,8 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 			args: []uint64{0xFFFFFFFF}, trap: interp.ErrOutOfBounds,
 		},
 		{
-			// get bin with the stack operand produced by a fused load:
-			// opFGetBin trapping at the binop (offset 1).
+			// get bin with the stack operand produced by a load, trapping
+			// at the binop (offset 1).
 			name: "getbin_div_by_zero",
 			build: func() *wasm.Module {
 				b := wasm.NewModule("f14")
@@ -233,8 +236,8 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 			args: []uint64{0}, trap: interp.ErrDivByZero,
 		},
 		{
-			// bin br_if -> opFBinBr trapping in the binop (offset 0): both
-			// operands come from fused const-loads of zeroed memory, so the
+			// bin br_if trapping in the binop (offset 0): both
+			// operands come from const-loads of zeroed memory, so the
 			// branch condition is 0/0.
 			name: "binbr_div_by_zero",
 			build: func() *wasm.Module {
@@ -253,8 +256,8 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 			trap: interp.ErrDivByZero,
 		},
 		{
-			// bin br_if -> opFBinBr trapping with the division-overflow
-			// flavour: MinInt32 / -1 assembled in memory by fused stores.
+			// bin br_if trapping with the division-overflow
+			// flavour: MinInt32 / -1 assembled in memory by stores.
 			name: "binbr_div_overflow",
 			build: func() *wasm.Module {
 				b := wasm.NewModule("fbbov")
@@ -274,7 +277,7 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 			trap: interp.ErrIntOverflow,
 		},
 		{
-			// const bin -> opFConstBin with a zero constant divisor.
+			// const bin with a zero constant divisor.
 			name: "constbin_div_by_zero",
 			build: func() *wasm.Module {
 				b := wasm.NewModule("f15")
@@ -300,8 +303,8 @@ func TestFusedTrapMidSuperinstruction(t *testing.T) {
 }
 
 // TestFusedFuelSweepMemoryLoop sweeps every fuel budget over a counted loop
-// whose body is dominated by fused memory superinstructions (scaled-index
-// load, bin store) and whose control overhead is fully fused (compare+br_if
+// whose body is dominated by memory statements (scaled-index load, bin
+// store) and whose control overhead folds into its sinks (compare+br_if
 // exit, get/const/add/set increment). Every budget must deoptimize to the
 // per-instruction tail at the same instruction as the reference engine,
 // with identical counters.
@@ -332,14 +335,14 @@ func TestFusedFuelSweepMemoryLoop(t *testing.T) {
 	}
 }
 
-// TestFusedBranchValueCarry exercises a fused compare+br_if whose taken
-// edge carries a block result value: the sidetable copy-down must behave
-// exactly as the unfused br_if.
+// TestFusedBranchValueCarry exercises a compare folded into its br_if whose
+// taken edge carries a block result value: the copy-down must behave exactly
+// as a plain br_if.
 func TestFusedBranchValueCarry(t *testing.T) {
 	b := wasm.NewModule("bv")
 	f := b.Func("f", []wasm.ValueType{wasm.I32, wasm.I32}, []wasm.ValueType{wasm.I32})
 	f.Block(wasm.BlockOf(wasm.I32), func() {
-		f.I32Const(777) // result if the fused branch is taken
+		f.I32Const(777) // result if the branch is taken
 		f.LocalGet(0).LocalGet(1).Op(wasm.OpI32LtS).BrIf(0)
 		f.Op(wasm.OpDrop)
 		f.I32Const(333)
@@ -359,7 +362,7 @@ func TestFusedBranchValueCarry(t *testing.T) {
 	}
 }
 
-// TestFusedEqzBranch covers the inverted fused branch from the While shape
+// TestFusedEqzBranch covers the inverted branch from the While shape
 // (cond; eqz; br_if).
 func TestFusedEqzBranch(t *testing.T) {
 	b := wasm.NewModule("wz")
@@ -387,9 +390,8 @@ func TestFusedEqzBranch(t *testing.T) {
 
 // TestFusedBinBrLoopDifferential drives a loop whose back-edge condition is
 // an arithmetic result (memory countdown times itself) consumed directly by
-// br_if — the opFBinBr shape — through all three engines, including a fuel
-// sweep across the fused branch: results, counters and deopt points must
-// be bit-identical to the structured reference.
+// br_if, including a fuel sweep across that branch: results, counters and
+// deopt points must be bit-identical to the structured reference.
 func TestFusedBinBrLoopDifferential(t *testing.T) {
 	b := wasm.NewModule("bbl")
 	b.Memory(1, 1)
@@ -407,7 +409,7 @@ func TestFusedBinBrLoopDifferential(t *testing.T) {
 			f.I32Const(0).Load(wasm.OpI32Load, 0)
 			f.I32Const(1).Op(wasm.OpI32Sub)
 			f.Store(wasm.OpI32Store, 0)
-			// The back-edge: product of two fused loads drives br_if.
+			// The back-edge: product of two loads drives br_if.
 			f.I32Const(0).Load(wasm.OpI32Load, 0)
 			f.I32Const(0).Load(wasm.OpI32Load, 0)
 			f.Op(wasm.OpI32Mul).BrIf(0)

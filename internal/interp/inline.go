@@ -16,8 +16,8 @@ import "acctee/internal/wasm"
 //   - the callee body is copied immediately after the marker with local
 //     indices and stack heights shifted so the caller's frame doubles as the
 //     callee's: params are the operands already on the caller's stack, locals
-//     live above them. Because the executing engines treat the whole frame as
-//     the locals array, a shifted local index is just a frame-slot index;
+//     live above them. Because the register engine treats the whole frame as
+//     one register file, a shifted local index is just a frame-slot index;
 //   - the callee's segment table is copied with pcs shifted, so segment
 //     leaders — the points where fuel/cost are charged and interrupts are
 //     polled — occur in exactly the same dynamic order as a real call, and
@@ -76,7 +76,7 @@ type inlineSite struct {
 // inlinePass splices eligible callees into every function of cm, repeating
 // for inlineRounds so chains of small functions collapse transitively.
 // It must run after lower() and the freezing of the s-views, and before
-// finalizeCalls/fuse/regLower, which consume the post-inline bodies.
+// finalizeCalls/regLower, which consume the post-inline bodies.
 func inlinePass(cm *CompiledModule) InlineStats {
 	var st InlineStats
 	nimp := cm.m.NumImportedFuncs()
@@ -319,14 +319,12 @@ func finalizeCalls(cm *CompiledModule) {
 					continue
 				}
 				if idx := int(cf.body[pc].Idx); idx < nimp {
-					fl.flags |= fCallHost
 					fl.target = int32(idx)
 				} else {
 					fl.flags |= fCallDef
 					fl.target = int32(idx - nimp)
 				}
 			case wasm.OpCallIndirect:
-				fl.flags |= fICSite
 				fl.target = int32(sites)
 				sites++
 			}

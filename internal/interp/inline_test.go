@@ -118,33 +118,31 @@ func TestInlineMatchesDisableInline(t *testing.T) {
 		if cmOn.InlineStats.SitesInlined == 0 {
 			t.Fatalf("module %s: inliner fired on no sites", m.Name)
 		}
-		for _, eng := range []interp.Engine{interp.EngineFlat, interp.EngineFused, interp.EngineReg} {
-			cfg := interp.Config{Engine: eng, CostModel: weights.Calibrated(), Fuel: 1 << 20}
-			vmOn, err := cmOn.Instantiate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vmOff, err := cmOff.Instantiate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rOn, errOn := vmOn.InvokeExport("f", 9, 9)
-			rOff, errOff := vmOff.InvokeExport("f", 9, 9)
-			if (errOn == nil) != (errOff == nil) {
-				t.Fatalf("%s %v: err %v vs %v", m.Name, eng, errOn, errOff)
-			}
-			if len(rOn) != len(rOff) || (len(rOn) > 0 && rOn[0] != rOff[0]) {
-				t.Errorf("%s %v: result %v vs %v", m.Name, eng, rOn, rOff)
-			}
-			if vmOn.InstrCount() != vmOff.InstrCount() {
-				t.Errorf("%s %v: InstrCount %d vs %d", m.Name, eng, vmOn.InstrCount(), vmOff.InstrCount())
-			}
-			if vmOn.Cost() != vmOff.Cost() {
-				t.Errorf("%s %v: Cost %d vs %d", m.Name, eng, vmOn.Cost(), vmOff.Cost())
-			}
-			if vmOn.FuelRemaining() != vmOff.FuelRemaining() {
-				t.Errorf("%s %v: fuel %d vs %d", m.Name, eng, vmOn.FuelRemaining(), vmOff.FuelRemaining())
-			}
+		cfg := interp.Config{CostModel: weights.Calibrated(), Fuel: 1 << 20}
+		vmOn, err := cmOn.Instantiate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vmOff, err := cmOff.Instantiate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rOn, errOn := vmOn.InvokeExport("f", 9, 9)
+		rOff, errOff := vmOff.InvokeExport("f", 9, 9)
+		if (errOn == nil) != (errOff == nil) {
+			t.Fatalf("%s: err %v vs %v", m.Name, errOn, errOff)
+		}
+		if len(rOn) != len(rOff) || (len(rOn) > 0 && rOn[0] != rOff[0]) {
+			t.Errorf("%s: result %v vs %v", m.Name, rOn, rOff)
+		}
+		if vmOn.InstrCount() != vmOff.InstrCount() {
+			t.Errorf("%s: InstrCount %d vs %d", m.Name, vmOn.InstrCount(), vmOff.InstrCount())
+		}
+		if vmOn.Cost() != vmOff.Cost() {
+			t.Errorf("%s: Cost %d vs %d", m.Name, vmOn.Cost(), vmOff.Cost())
+		}
+		if vmOn.FuelRemaining() != vmOff.FuelRemaining() {
+			t.Errorf("%s: fuel %d vs %d", m.Name, vmOn.FuelRemaining(), vmOff.FuelRemaining())
 		}
 	}
 }
@@ -320,19 +318,17 @@ func TestCallIndirectCacheDifferential(t *testing.T) {
 			t.Fatalf("structured step %d: err %v, want %v", i, ref[i].err, c.trap)
 		}
 	}
-	for _, eng := range []interp.Engine{interp.EngineFlat, interp.EngineFused, interp.EngineReg} {
-		got := run(eng)
-		for i := range seq {
-			if (got[i].err == nil) != (ref[i].err == nil) || (ref[i].err != nil && !errors.Is(got[i].err, ref[i].err)) {
-				t.Errorf("%v step %d: err %v, structured %v", eng, i, got[i].err, ref[i].err)
-			}
-			if ref[i].err == nil && got[i].res[0] != ref[i].res[0] {
-				t.Errorf("%v step %d: res %d, structured %d", eng, i, got[i].res[0], ref[i].res[0])
-			}
-			if got[i].count != ref[i].count || got[i].cost != ref[i].cost {
-				t.Errorf("%v step %d: count/cost %d/%d, structured %d/%d",
-					eng, i, got[i].count, got[i].cost, ref[i].count, ref[i].cost)
-			}
+	got := run(interp.EngineReg)
+	for i := range seq {
+		if (got[i].err == nil) != (ref[i].err == nil) || (ref[i].err != nil && !errors.Is(got[i].err, ref[i].err)) {
+			t.Errorf("step %d: err %v, structured %v", i, got[i].err, ref[i].err)
+		}
+		if ref[i].err == nil && got[i].res[0] != ref[i].res[0] {
+			t.Errorf("step %d: res %d, structured %d", i, got[i].res[0], ref[i].res[0])
+		}
+		if got[i].count != ref[i].count || got[i].cost != ref[i].cost {
+			t.Errorf("step %d: count/cost %d/%d, structured %d/%d",
+				i, got[i].count, got[i].cost, ref[i].count, ref[i].cost)
 		}
 	}
 }
@@ -343,7 +339,7 @@ func TestCallIndirectCacheDifferential(t *testing.T) {
 // longer matches what the cache vouched for).
 func TestCallIndirectCacheInvalidation(t *testing.T) {
 	m := buildDispatch()
-	for _, eng := range []interp.Engine{interp.EngineStructured, interp.EngineFlat, interp.EngineFused, interp.EngineReg} {
+	for _, eng := range []interp.Engine{interp.EngineReg, interp.EngineStructured} {
 		cfg := interp.Config{Engine: eng}
 		vm, err := interp.Instantiate(m, cfg)
 		if err != nil {
@@ -411,28 +407,26 @@ func TestZeroAllocCallPaths(t *testing.T) {
 	m := b.MustBuild()
 
 	args := []uint64{64}
-	for _, eng := range []interp.Engine{interp.EngineFlat, interp.EngineFused, interp.EngineReg} {
-		vm, err := interp.Instantiate(m, interp.Config{Engine: eng})
-		if err != nil {
+	vm, err := interp.Instantiate(m, interp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vm.InvokeExport("spin", args...); err != nil { // warm the frame slabs
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := vm.InvokeExport("spin", args...); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := vm.InvokeExport("spin", args...); err != nil { // warm the frame slabs
-			t.Fatal(err)
-		}
-		if n := testing.AllocsPerRun(100, func() {
-			if _, err := vm.InvokeExport("spin", args...); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("%v: %v allocs per invoke, want 0", eng, n)
-		}
+	}); n != 0 {
+		t.Errorf("%v allocs per invoke, want 0", n)
 	}
 
 	cm, err := interp.Compile(m, interp.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := interp.Config{Engine: interp.EngineFused}
+	cfg := interp.Config{}
 	pool, err := cm.NewPool(cfg, interp.PoolConfig{Prewarm: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -93,7 +93,7 @@ func TestInlineArtifactInvariants(t *testing.T) {
 				if op != wasm.OpCall {
 					t.Errorf("func %d pc %d: fInlEnter on %v", fi, pc, op)
 				}
-				if fl.flags&(fCallDef|fCallHost) != 0 {
+				if fl.flags&fCallDef != 0 {
 					t.Errorf("func %d pc %d: marker also flagged as residual call", fi, pc)
 				}
 				if int(fl.segEnd) != pc {
@@ -110,17 +110,18 @@ func TestInlineArtifactInvariants(t *testing.T) {
 				}
 			}
 			if op == wasm.OpCall && fl.flags&fInlEnter == 0 && !cf.preDead[pc] {
-				if fl.flags&(fCallDef|fCallHost) == 0 {
-					t.Errorf("func %d pc %d: residual call without fast-path flag", fi, pc)
+				// Defined callees carry fCallDef and their defined-function
+				// index; host imports carry no flag and their import index.
+				want, wantDef := int(cf.body[pc].Idx), false
+				if nimp := len(cm.importKeys); want >= nimp {
+					want, wantDef = want-nimp, true
 				}
-				if fl.flags&fCallDef != 0 && fl.flags&fCallHost != 0 {
-					t.Errorf("func %d pc %d: call flagged both defined and host", fi, pc)
+				if (fl.flags&fCallDef != 0) != wantDef || int(fl.target) != want {
+					t.Errorf("func %d pc %d: call descriptor (def=%v, target %d), want (def=%v, target %d)",
+						fi, pc, fl.flags&fCallDef != 0, fl.target, wantDef, want)
 				}
 			}
 			if op == wasm.OpCallIndirect && !cf.preDead[pc] {
-				if fl.flags&fICSite == 0 {
-					t.Errorf("func %d pc %d: call_indirect without cache site", fi, pc)
-				}
 				if icSites[fl.target] {
 					t.Errorf("func %d pc %d: duplicate cache site id %d", fi, pc, fl.target)
 				}

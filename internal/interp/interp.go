@@ -8,7 +8,7 @@
 //
 // Compilation and instantiation are split (paper §3.3, "instrument once,
 // execute many times"): Compile lowers a module once into an immutable
-// CompiledModule — including the fused superinstruction stream the default
+// CompiledModule — including the register-form closure stream the default
 // engine dispatches — from which any number of VMs are instantiated cheaply,
 // directly or recycled through an InstancePool with a deterministic Reset.
 // Instantiate below composes the two for one-shot use.
@@ -38,7 +38,7 @@ var (
 	// the embedder set Config.Interrupt and the engine observed it at a
 	// segment-leader charge point. The check runs before the segment is
 	// charged, so the accounting counters hold exactly the work executed up
-	// to the interrupt — bit-identical across all four engines.
+	// to the interrupt — bit-identical across both engines.
 	ErrInterrupted = errors.New("wasm trap: execution interrupted")
 )
 
@@ -51,71 +51,40 @@ type Engine int
 
 // Engines.
 const (
-	// EngineFused (the default) executes the fused IR: the flat engine's
-	// precompiled branch sidetable and fixed-size value stack, plus a
-	// compile-time fusion pass that collapses the dominant instruction
-	// idioms (local.get/local.get/binop, binop/local.set, compare/br_if,
-	// const-folded and scaled-index memory accesses) into single
-	// superinstructions. Accounting is bit-identical to EngineStructured:
-	// fused spans never cross an accounting segment, and traps inside a
-	// superinstruction roll back at the trapping constituent's pc.
-	EngineFused Engine = iota
+	// EngineReg (the default) executes the register-form IR: the flat IR
+	// (precompiled branch sidetable, static stack heights) lowered by a
+	// stack-to-register allocation pass (every operand-stack slot and local
+	// pinned to a slot of the frame's flat register file, explicit src/dst
+	// operands per instruction, no runtime stack pointer) and emitted as a
+	// direct-threaded closure stream, so execution is
+	// pc = ops[pc](vm, frame) with no big-switch dispatch. Accounting is
+	// bit-identical to EngineStructured by construction: block-batched
+	// charging at segment leaders, per-original-pc trap rollback and a
+	// per-instruction deopt tail on fuel shortfall.
+	EngineReg Engine = iota
 	// EngineStructured is the original structured-control-flow interpreter
 	// (runtime label stack, per-instruction accounting). It is retained as
 	// the reference oracle for differential testing and before/after
 	// dispatch benchmarks.
 	EngineStructured
-	// EngineFlat executes the flat IR without the fusion pass: one
-	// dispatch per wasm instruction. It is kept as the mid-tier for
-	// three-way dispatch benchmarks (structured / flat / fused).
-	EngineFlat
-	// EngineReg executes the register-form IR: the flat IR lowered once
-	// more by a stack-to-register allocation pass (every operand-stack
-	// slot and local pinned to a slot of the frame's flat register file,
-	// explicit src/dst operands per instruction, no runtime stack
-	// pointer) and emitted as a direct-threaded closure stream, so
-	// execution is pc = ops[pc](vm, frame) with no big-switch dispatch.
-	// Accounting is bit-identical to EngineStructured by construction:
-	// the lowering reuses the flat engine's segment space, block-batched
-	// charging, per-original-pc trap rollback and fuel-shortfall deopt.
-	EngineReg
 )
 
-// String names the engine as accepted by ParseEngine.
+// String names the engine.
 func (e Engine) String() string {
 	switch e {
-	case EngineFused:
-		return "fused"
-	case EngineStructured:
-		return "structured"
-	case EngineFlat:
-		return "flat"
 	case EngineReg:
 		return "reg"
+	case EngineStructured:
+		return "structured"
 	}
 	return fmt.Sprintf("engine(%d)", int(e))
-}
-
-// ParseEngine maps the CLI spelling of an engine tier to its Engine value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "fused", "":
-		return EngineFused, nil
-	case "structured":
-		return EngineStructured, nil
-	case "flat":
-		return EngineFlat, nil
-	case "reg":
-		return EngineReg, nil
-	}
-	return 0, fmt.Errorf("interp: unknown engine %q (want structured, flat, fused or reg)", s)
 }
 
 // Config parameterises instantiation.
 type Config struct {
 	// Imports maps "module.name" to host implementations.
 	Imports map[string]HostFunc
-	// Engine selects the execution strategy (default EngineFused).
+	// Engine selects the execution strategy (default EngineReg).
 	Engine Engine
 	// MaxPages caps linear memory growth regardless of the module's limit.
 	MaxPages uint32
@@ -231,14 +200,13 @@ type compiledFunc struct {
 	numLoc   int // params + locals
 	nparams  int
 	nresults int
-	maxStack int // operand-stack high-water mark (flat engine frame size)
+	maxStack int // operand-stack high-water mark (stack-home registers per frame)
 	body     []wasm.Instr
-	ctrl     []ctrlMeta   // structured-engine control metadata
-	flat     []flatOp     // flat-engine branch sidetable + segment accounting
-	fused    []wasm.Instr // fused stream: body with superinstructions at span leaders
-	preH     []int32      // static operand-stack height before each pc
-	preDead  []bool       // pc statically unreachable (after unconditional transfer)
-	reg      *regCode     // register-form direct-threaded stream (EngineReg)
+	ctrl     []ctrlMeta // structured-engine control metadata
+	flat     []flatOp   // branch sidetable + segment accounting
+	preH     []int32    // static operand-stack height before each pc
+	preDead  []bool     // pc statically unreachable (after unconditional transfer)
+	reg      *regCode   // register-form direct-threaded stream (EngineReg)
 	name     string
 
 	// Original (pre-inlining) views, used by the structured reference
@@ -500,13 +468,7 @@ func (vm *VM) Invoke(idx uint32, args ...uint64) ([]uint64, error) {
 	}
 	frame := vm.getFrame(f.numLoc+f.maxStack, f.nparams, f.numLoc)
 	copy(frame, args)
-	var res uint64
-	var err error
-	if vm.engine == EngineReg {
-		res, err = vm.execReg(f, di, frame)
-	} else {
-		res, err = vm.exec(f, di, frame)
-	}
+	res, err := vm.execReg(f, di, frame)
 	if err != nil {
 		return nil, err
 	}

@@ -78,14 +78,12 @@ var interruptEngines = []struct {
 	engine interp.Engine
 }{
 	{"structured", interp.EngineStructured},
-	{"flat", interp.EngineFlat},
-	{"fused", interp.EngineFused},
 	{"reg", interp.EngineReg},
 }
 
 // TestInterruptBitIdenticalAcrossEngines is the acceptance check for
 // cooperative cancellation: an interrupted run must charge exactly the work
-// done up to the interrupt, bit-identical across all four engines.
+// done up to the interrupt, bit-identical across both engines.
 func TestInterruptBitIdenticalAcrossEngines(t *testing.T) {
 	m := interruptModule()
 	for _, fireAt := range []int{1, 5, 50} {

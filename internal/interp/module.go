@@ -14,14 +14,15 @@ import (
 // This file implements the compile-once/run-many split (paper §3.3:
 // "instrument once, execute many times", and the FaaS gateway of §5.3 that
 // spins up a fresh sandbox per request). Compile produces an immutable
-// CompiledModule — the lowered flat IR, the fused superinstruction stream,
+// CompiledModule — the lowered flat IR, the register-form closure stream,
 // branch/segment sidetables and initialiser templates — that any number of
-// VMs instantiate from without repeating the lowering or fusion passes. Per-CostModel segment cost sums are cached on
-// the artifact keyed by the model's per-opcode cost fingerprint, so a fresh
-// stateful model per run (e.g. a new EPC paging model per request) still
-// hits the cache. InstancePool recycles VM slabs (memory, globals, table,
-// call frames) across runs with a deterministic Reset that is observationally
-// identical to a fresh instantiation.
+// VMs instantiate from without repeating the lowering passes. Per-CostModel
+// segment cost sums are cached on the artifact keyed by the model's
+// per-opcode cost fingerprint, so a fresh stateful model per run (e.g. a new
+// EPC paging model per request) still hits the cache. InstancePool recycles
+// VM slabs (memory, globals, table, call frames) across runs with a
+// deterministic Reset that is observationally identical to a fresh
+// instantiation.
 
 // CompileOptions parameterise Compile.
 type CompileOptions struct {
@@ -34,13 +35,6 @@ type CompileOptions struct {
 	// path; the residual-call fast path and call_indirect inline caches are
 	// unaffected.
 	DisableInline bool
-	// LegacyCalls additionally skips the residual-call finalization: no
-	// fast-path descriptors and no call_indirect inline caches, so every
-	// call takes the generic pre-optimization path (runtime host/defined
-	// split, full frame clear, full indirect checks). This reconstructs
-	// the call path as it was before the inlining PR and exists solely as
-	// the call-heavy benchmark baseline (implies DisableInline).
-	LegacyCalls bool
 }
 
 // CompiledModule is the immutable compile artifact shared by all VMs
@@ -183,15 +177,12 @@ func Compile(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 	// Cross-function inlining, then residual-call finalization (fast-path
 	// descriptors and call_indirect inline-cache site ids — assigned after
 	// inlining so duplicated sites get distinct cache slots), then the
-	// per-function back ends over the post-inline view.
-	if !opts.DisableInline && !opts.LegacyCalls {
+	// register lowering over the post-inline view.
+	if !opts.DisableInline {
 		cm.InlineStats = inlinePass(cm)
 	}
-	if !opts.LegacyCalls {
-		finalizeCalls(cm)
-	}
+	finalizeCalls(cm)
 	for i := range cm.funcs {
-		fuse(&cm.funcs[i])
 		regLower(cm, i)
 	}
 
@@ -390,9 +381,6 @@ func (vm *VM) Reset(cfg Config) error {
 
 // PoolConfig tunes an InstancePool.
 type PoolConfig struct {
-	// Disabled bypasses reuse: Get always instantiates a fresh VM from the
-	// compiled artifact and Put drops the instance.
-	Disabled bool
 	// Prewarm instantiates this many instances at pool construction so the
 	// first requests do not pay the cold allocation.
 	Prewarm int
@@ -424,9 +412,8 @@ type poolStripe struct {
 // instances beyond that capacity overflow into a sync.Pool and may be
 // collected under memory pressure.
 type InstancePool struct {
-	cm       *CompiledModule
-	disabled bool
-	stripes  []poolStripe
+	cm      *CompiledModule
+	stripes []poolStripe
 	// stripeCap bounds each stripe's owned list at ceil(Prewarm/stripes),
 	// so total owned capacity is at least Prewarm.
 	stripeCap int
@@ -447,48 +434,43 @@ func (cm *CompiledModule) NewPool(base Config, pc PoolConfig) (*InstancePool, er
 		n = 16
 	}
 	p := &InstancePool{
-		cm:       cm,
-		disabled: pc.Disabled,
-		stripes:  make([]poolStripe, n),
-		picker:   affinity.NewPicker(n, 0),
+		cm:      cm,
+		stripes: make([]poolStripe, n),
+		picker:  affinity.NewPicker(n, 0),
 	}
 	if pc.Prewarm > 0 {
 		p.stripeCap = (pc.Prewarm + n - 1) / n
 	}
-	if !pc.Disabled {
-		for i := 0; i < pc.Prewarm; i++ {
-			vm, err := cm.instantiate(base, true)
-			if err != nil {
-				return nil, fmt.Errorf("interp: prewarm instance %d: %w", i, err)
-			}
-			s := &p.stripes[i%n]
-			s.warm = append(s.warm, vm)
+	for i := 0; i < pc.Prewarm; i++ {
+		vm, err := cm.instantiate(base, true)
+		if err != nil {
+			return nil, fmt.Errorf("interp: prewarm instance %d: %w", i, err)
 		}
+		s := &p.stripes[i%n]
+		s.warm = append(s.warm, vm)
 	}
 	return p, nil
 }
 
 // Get returns a VM bound to cfg: a recycled instance after a deterministic
-// Reset, or a fresh instantiation when the pool is empty or disabled.
+// Reset, or a fresh instantiation when the pool is empty.
 // Pool-managed instances carry dirty-page tracking from their very first
 // instantiation, so every Reset re-zeroes exactly the written pages —
 // including data segments and start-function stores.
 func (p *InstancePool) Get(cfg Config) (*VM, error) {
-	if !p.disabled {
-		vm := p.take()
-		if vm == nil {
-			if v := p.pool.Get(); v != nil {
-				vm = v.(*VM)
-			}
-		}
-		if vm != nil {
-			if err := vm.Reset(cfg); err != nil {
-				return nil, err
-			}
-			return vm, nil
+	vm := p.take()
+	if vm == nil {
+		if v := p.pool.Get(); v != nil {
+			vm = v.(*VM)
 		}
 	}
-	return p.cm.instantiate(cfg, !p.disabled)
+	if vm == nil {
+		return p.cm.instantiate(cfg, true)
+	}
+	if err := vm.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return vm, nil
 }
 
 // take pops a warm instance: the caller's sticky stripe first (a blocking
@@ -530,13 +512,12 @@ func (s *poolStripe) popLocked() *VM {
 }
 
 // Put returns an instance to the pool for reuse. Instances from other
-// modules are rejected; with pooling disabled the instance is dropped. The
-// instance lands on the caller's sticky stripe when it has owned capacity,
-// spills to a sibling stripe otherwise (so the owned set keeps its full
-// Prewarm complement even when callers cluster on one stripe), and only
-// then overflows into the GC-managed sync.Pool.
+// modules are rejected. The instance lands on the caller's sticky stripe
+// when it has owned capacity, spills to a sibling stripe otherwise (so the
+// owned set keeps its full Prewarm complement even when callers cluster on
+// one stripe), and only then overflows into the GC-managed sync.Pool.
 func (p *InstancePool) Put(vm *VM) {
-	if p.disabled || vm == nil || vm.cm != p.cm {
+	if vm == nil || vm.cm != p.cm {
 		return
 	}
 	home := int(p.picker.Pick())

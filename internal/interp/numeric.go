@@ -8,7 +8,7 @@ import (
 )
 
 // This file holds the slice-based single-instruction step shared by the
-// structured reference engine and the flat engine's fuel-exhaustion tail,
+// structured reference engine and the register engine's fuel-exhaustion tail,
 // plus the memory and float helpers both engines use.
 
 // ---------------------------------------------------------------------------

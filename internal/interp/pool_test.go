@@ -268,16 +268,14 @@ func TestPoolReuseFuelSweep(t *testing.T) {
 }
 
 // TestPoolReuseRandomPrograms recycles instances across random structured
-// programs, under both the fused (default) and the unfused flat engine.
+// programs.
 func TestPoolReuseRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x9007))
 	for trial := 0; trial < 30; trial++ {
 		m := randomFlatProgram(rng)
 		arg := uint64(rng.Intn(30))
-		for _, engine := range []interp.Engine{interp.EngineFused, interp.EngineFlat, interp.EngineReg} {
-			cfg := interp.Config{Engine: engine, CostModel: weights.Calibrated(), Fuel: 1 << 20}
-			diffReuse(t, m, cfg, "main", arg)
-		}
+		cfg := interp.Config{CostModel: weights.Calibrated(), Fuel: 1 << 20}
+		diffReuse(t, m, cfg, "main", arg)
 	}
 }
 
@@ -387,27 +385,40 @@ func TestPoolConcurrentGetPut(t *testing.T) {
 	}
 }
 
-// TestPoolDisabledStillCorrect: a disabled pool must behave like fresh
-// instantiation per Get.
-func TestPoolDisabledStillCorrect(t *testing.T) {
+// TestPoolGetMatchesFreshInstantiate: whatever a pool hands out — a
+// prewarmed instance, a recycled one after Reset, or one Get built because
+// the pool ran empty — must behave like cm.Instantiate on the same artifact.
+func TestPoolGetMatchesFreshInstantiate(t *testing.T) {
 	m := buildFuelSweepModule()
 	cfg := interp.Config{CostModel: weights.Calibrated()}
-	fresh := observe(t, m, cfg, "f", 4)
 	cm, err := interp.Compile(m, interp.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := cm.NewPool(cfg, interp.PoolConfig{Disabled: true, Prewarm: 3})
+	pool, err := cm.NewPool(cfg, interp.PoolConfig{Prewarm: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		vm, err := pool.Get(cfg)
+		freshVM, err := cm.Instantiate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareObs(t, fmt.Sprintf("disabled get %d", i), collectObs(t, vm, "f", 4), fresh)
-		pool.Put(vm)
+		fresh := collectObs(t, freshVM, "f", 4)
+		// Two Gets against one owned slot: the first is prewarmed (i == 0) or
+		// recycled, the second finds the owned list empty.
+		var held []*interp.VM
+		for j := 0; j < 2; j++ {
+			vm, err := pool.Get(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareObs(t, fmt.Sprintf("round %d get %d", i, j), collectObs(t, vm, "f", 4), fresh)
+			held = append(held, vm)
+		}
+		for _, vm := range held {
+			pool.Put(vm)
+		}
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // This file is the structured reference engine (EngineStructured): the
 // original interpreter over structured control flow, with a runtime label
 // stack and per-instruction accounting. It defines the accounting semantics
-// the flat engine must reproduce bit-for-bit, and serves as the oracle for
-// differential tests and before/after dispatch benchmarks.
+// the register engine must reproduce bit-for-bit, and serves as the oracle
+// for differential tests and before/after dispatch benchmarks.
 
 // labelRT is a runtime control label.
 type labelRT struct {
@@ -49,7 +49,7 @@ func (vm *VM) execStructured(f *compiledFunc, locals []uint64, stack []uint64) (
 		op := in.Op
 
 		// Poll cooperative cancellation at the same program points the
-		// batched engines do — segment leaders (flat sidetable segCnt != 0)
+		// register engine does — segment leaders (flat sidetable segCnt != 0)
 		// — and before charging this instruction, so the abort pc and the
 		// counters are bit-identical across engines.
 		if vm.intr != nil && f.sflat[pc].segCnt != 0 && vm.intr.Load() {

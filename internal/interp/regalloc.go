@@ -25,9 +25,7 @@ import (
 // evaluator closures (regEval) hanging off the statement's commit point, so
 // a 15-instruction address-arithmetic + load + multiply + store chain costs
 // one driver dispatch and its intermediate values never touch the home
-// registers. This is strictly wider than the fused tier's superinstruction
-// shapes, which cap at a handful of constituents and cannot carry values
-// through arbitrary tree positions.
+// registers.
 //
 // Between statements the canonical invariant holds: every live operand-stack
 // slot is materialised in its home register. Statements never cross a
@@ -41,12 +39,12 @@ import (
 // later effectful nodes in the same statement see it and skip their side
 // effects (preserving MemCost order and totals); the statement's commit
 // point converts the latch into the driver's regTrapRet, which performs the
-// same suffix rollback as the flat engine. Accounting is bit-identical by
-// construction:
+// suffix rollback (exec.go). Accounting is bit-identical to the structured
+// reference engine by construction:
 //   - segment leaders (flat[pc].segCnt != 0) get their closure wrapped with
-//     the same block-batched fuel/cost/InstrCount charge, reading the same
+//     the block-batched fuel/cost/InstrCount charge, reading the
 //     per-fingerprint segCost tables;
-//   - a fuel shortfall deoptimises to the shared per-instruction tail
+//   - a fuel shortfall deoptimises to the per-instruction tail
 //     (execFuelTail) over the original body;
 //   - traps report the trapping constituent's original body pc through
 //     vm.regTrapPC and the driver performs the same suffix rollback.
@@ -121,9 +119,8 @@ type regLowering struct {
 
 // regLower builds the register-form artifact for compiled function fi.
 // It must run after lower() (preH/preDead, flat sidetable), the inlining
-// pass and finalizeCalls (the call closures specialise on the fInl*/fCall*/
-// fICSite descriptors), and fuse() (RegStats compares statement widths
-// against the fused stream).
+// pass and finalizeCalls (the call closures specialise on the fInl*/fCallDef
+// descriptors and the host-function and call_indirect site indices).
 func regLower(cm *CompiledModule, fi int) {
 	cf := &cm.funcs[fi]
 	rl := &regLowering{cm: cm, cf: cf, fi: fi, numLoc: cf.numLoc}
@@ -149,11 +146,10 @@ func regLower(cm *CompiledModule, fi int) {
 func (rl *regLowering) home(h int32) int { return rl.numLoc + int(h) }
 
 // wrapLeader prefixes a closure with the segment's batched accounting
-// charge: the same fuel check (with per-instruction deopt on shortfall),
-// instruction count and per-fingerprint cost sum the flat engine applies at
-// segment leaders. At a leader every live stack value is in its home
-// register, so the deopt tail runs the original body against the frame's
-// home window directly.
+// charge: the fuel check (with per-instruction deopt on shortfall),
+// instruction count and per-fingerprint cost sum. At a leader every live
+// stack value is in its home register, so the deopt tail runs the original
+// body against the frame's home window directly.
 func (rl *regLowering) wrapLeader(pc int, inner regFn, cnt int32) regFn {
 	n := uint64(cnt)
 	numLoc := rl.numLoc
@@ -1602,7 +1598,8 @@ func (rl *regLowering) emitSingle(pc int, h int32) int {
 					return next
 				}
 			}
-		case fl.flags&fCallHost != 0:
+		default:
+			// Residual call to an imported host function (index in target).
 			hidx := uint32(fl.target)
 			sp := int(h)
 			rl.ops[pc] = func(vm *VM, fr []uint64) int {
@@ -1613,74 +1610,28 @@ func (rl *regLowering) emitSingle(pc int, h int32) int {
 				}
 				return next
 			}
-		default:
-			// LegacyCalls artifact (bench baseline): the generic
-			// pre-optimization path.
-			fidx := in.Idx
-			sp := int(h)
-			rl.ops[pc] = func(vm *VM, fr []uint64) int {
-				if _, err := vm.invokeAtRegSlow(fidx, fr[numLoc:], sp); err != nil {
-					vm.regErr = err
-					vm.regTrapPC = cpc
-					return regTrapRet
-				}
-				return next
-			}
 		}
 
 	case wasm.OpCallIndirect:
 		tidx := in.Idx
-		fl := &cf.flat[pc]
+		site := int(cf.flat[pc].target) // inline-cache slot (finalizeCalls)
 		c := rl.home(h - 1)
 		sp := int(h - 1)
 		cpc := int32(pc)
-		if fl.flags&fICSite != 0 {
-			site := int(fl.target)
-			rl.ops[pc] = func(vm *VM, fr []uint64) int {
-				elem := uint32(fr[c])
-				var fi int32
-				if ic := &vm.icache[site]; ic.elem == int32(elem) {
-					// Monomorphic hit: bounds and type check already vouched
-					// for this element at this site.
-					fi = ic.fidx
-				} else {
-					if int(elem) >= len(vm.table) {
-						vm.regErr = ErrUndefinedElement
-						vm.regTrapPC = cpc
-						return regTrapRet
-					}
-					fi = vm.table[elem]
-					if fi < 0 {
-						vm.regErr = ErrUndefinedElement
-						vm.regTrapPC = cpc
-						return regTrapRet
-					}
-					want := vm.module.Types[tidx]
-					got, err := vm.module.FuncTypeAt(uint32(fi))
-					if err != nil || !got.Equal(want) {
-						vm.regErr = ErrIndirectTypeBad
-						vm.regTrapPC = cpc
-						return regTrapRet
-					}
-					*ic = icEntry{elem: int32(elem), fidx: fi}
-				}
-				if _, err := vm.invokeAtReg(uint32(fi), fr[numLoc:], sp); err != nil {
-					vm.regErr = err
-					vm.regTrapPC = cpc
-					return regTrapRet
-				}
-				return next
-			}
-		} else {
-			// LegacyCalls artifact: full checks on every dispatch.
-			rl.ops[pc] = func(vm *VM, fr []uint64) int {
-				elem := uint32(fr[c])
+		rl.ops[pc] = func(vm *VM, fr []uint64) int {
+			elem := uint32(fr[c])
+			var fi int32
+			if ic := &vm.icache[site]; ic.elem == int32(elem) {
+				// Monomorphic hit: bounds and type check already vouched
+				// for this element at this site.
+				fi = ic.fidx
+			} else {
 				if int(elem) >= len(vm.table) {
 					vm.regErr = ErrUndefinedElement
 					vm.regTrapPC = cpc
 					return regTrapRet
 				}
-				fi := vm.table[elem]
+				fi = vm.table[elem]
 				if fi < 0 {
 					vm.regErr = ErrUndefinedElement
 					vm.regTrapPC = cpc
@@ -1693,13 +1644,14 @@ func (rl *regLowering) emitSingle(pc int, h int32) int {
 					vm.regTrapPC = cpc
 					return regTrapRet
 				}
-				if _, err := vm.invokeAtRegSlow(uint32(fi), fr[numLoc:], sp); err != nil {
-					vm.regErr = err
-					vm.regTrapPC = cpc
-					return regTrapRet
-				}
-				return next
+				*ic = icEntry{elem: int32(elem), fidx: fi}
 			}
+			if _, err := vm.invokeAtReg(uint32(fi), fr[numLoc:], sp); err != nil {
+				vm.regErr = err
+				vm.regTrapPC = cpc
+				return regTrapRet
+			}
+			return next
 		}
 
 	case wasm.OpMemoryGrow:
@@ -1745,15 +1697,10 @@ type RegStats struct {
 	Specialised int
 	// Spans is the number of multi-instruction statement closures emitted.
 	Spans int
-	// Widened is the number of statements strictly wider than the fused
-	// tier's superinstruction at the same pc — shapes the stack form
-	// couldn't express.
-	Widened int
 }
 
 // RegStats reports how much of the module the register lowering covered
-// with dedicated handlers and how its statements compare against the fused
-// tier's spans.
+// with dedicated handlers.
 func (cm *CompiledModule) RegStats() RegStats {
 	var s RegStats
 	for i := range cm.funcs {
@@ -1774,13 +1721,6 @@ func (cm *CompiledModule) RegStats() RegStats {
 			}
 			if w > 1 {
 				s.Spans++
-				fw := fusedWidth(cf.fused[pc].Op)
-				if fw == 0 {
-					fw = 1
-				}
-				if w > fw {
-					s.Widened++
-				}
 			}
 			pc += w
 		}

@@ -69,8 +69,8 @@ func checkRegInvariants(t *testing.T, name string, cm *CompiledModule) {
 
 // TestRegInvariantsPolybench checks the invariants on real kernels and
 // requires the lowering to actually cover the stream with dedicated
-// handlers and to form spans wider than the fused tier's (the two claims
-// RegStats makes).
+// handlers and to form multi-instruction spans (the two claims RegStats
+// makes).
 func TestRegInvariantsPolybench(t *testing.T) {
 	for _, name := range []string{"gemm", "atax", "jacobi-2d", "cholesky", "durbin"} {
 		k, err := polybench.Get(name)
@@ -97,17 +97,13 @@ func TestRegInvariantsPolybench(t *testing.T) {
 		if s.Spans == 0 {
 			t.Errorf("%s: no register spans formed", name)
 		}
-		if s.Widened == 0 {
-			t.Errorf("%s: no span wider than the fused tier (Widened=0)", name)
-		}
 	}
 }
 
 // TestRegStatsHandBuilt pins the stats on a function whose lowering is
 // known by construction: a[i]*s + c compiles to one statement closure
 // covering the whole scaled-load/fma expression up to its local.set sink,
-// and the store line to a second; both are wider than any fused
-// superinstruction and fully specialised.
+// and the store line to a second; both are fully specialised.
 func TestRegStatsHandBuilt(t *testing.T) {
 	b := wasm.NewModule("rs")
 	b.Memory(1, 1)
@@ -132,7 +128,27 @@ func TestRegStatsHandBuilt(t *testing.T) {
 	if s.Spans != 2 {
 		t.Errorf("expected exactly 2 statement spans (expression + store), got %d", s.Spans)
 	}
-	if s.Widened != 2 {
-		t.Errorf("expected both statements wider than the fused tier, got Widened=%d", s.Widened)
+}
+
+// TestZeroEngineIsReg pins the zero value: an instantiation that names no
+// engine runs on the register engine, and that engine is Engine(0) — the
+// spelling the benchmark uses for "whatever the default is".
+func TestZeroEngineIsReg(t *testing.T) {
+	if got := Engine(0).String(); got != "reg" {
+		t.Errorf("Engine(0).String() = %q, want \"reg\"", got)
+	}
+	b := wasm.NewModule("dflt")
+	f := b.Func("f", nil, []wasm.ValueType{wasm.I32})
+	f.I32Const(7)
+	b.ExportFunc("f", f.End())
+	vm, err := Instantiate(b.MustBuild(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vm.engine != EngineReg {
+		t.Errorf("Config{} bound engine %v, want %v", vm.engine, EngineReg)
+	}
+	if res, err := vm.InvokeExport("f"); err != nil || res[0] != 7 {
+		t.Errorf("f() = %v, %v", res, err)
 	}
 }

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 
@@ -88,9 +89,10 @@ func (vm *VM) execReg(f *compiledFunc, fi int, frame []uint64) (uint64, error) {
 }
 
 // invokeAtReg calls function idx (combined index space) from a register-
-// engine closure. st is the caller's stack-home window (frame[numLoc:]) with
-// the arguments materialised at [sp-nargs, sp); results land back at the
-// same position, mirroring invokeAt.
+// engine closure (the call_indirect path, whose callee is only known at run
+// time). st is the caller's stack-home window (frame[numLoc:]) with the
+// arguments materialised at [sp-nargs, sp); results land back at the same
+// position.
 func (vm *VM) invokeAtReg(idx uint32, st []uint64, sp int) (int, error) {
 	nimp := len(vm.hostFns)
 	if int(idx) < nimp {
@@ -112,34 +114,8 @@ func (vm *VM) invokeAtReg(idx uint32, st []uint64, sp int) (int, error) {
 	return sp, nil
 }
 
-// invokeAtRegSlow is invokeAtReg without the compile-time call descriptors:
-// runtime host/defined split and a fully-cleared callee frame, as the
-// engine behaved before the call fast path. Reached only from LegacyCalls
-// artifacts (the call-heavy benchmark baseline).
-func (vm *VM) invokeAtRegSlow(idx uint32, st []uint64, sp int) (int, error) {
-	nimp := len(vm.hostFns)
-	if int(idx) < nimp {
-		return vm.invokeHost(idx, st, sp)
-	}
-	di := int(idx) - nimp
-	cf := &vm.funcs[di]
-	n := cf.numLoc + cf.maxStack
-	frame := vm.getFrame(n, 0, n)
-	copy(frame, st[sp-cf.nparams:sp])
-	sp -= cf.nparams
-	res, err := vm.execReg(cf, di, frame)
-	if err != nil {
-		return sp, err
-	}
-	if cf.nresults > 0 {
-		st[sp] = res
-		sp++
-	}
-	return sp, nil
-}
-
 // applyUn executes one single-operand numeric or conversion instruction on a
-// raw 64-bit operand, replicating the flat engine's cases exactly. The
+// raw 64-bit operand, replicating the reference engine's cases exactly. The
 // trapping family (float→int truncation) returns the engine trap errors.
 func applyUn(op wasm.Opcode, a uint64) (uint64, error) {
 	switch op {
@@ -282,4 +258,321 @@ func binCanTrap(op wasm.Opcode) bool {
 		return true
 	}
 	return false
+}
+
+// Load extension codes: the per-opcode sign/zero extension fastLoad applies
+// to the raw little-endian bits.
+const (
+	extNone = iota
+	extI32S8
+	extI64S8
+	extI32S16
+	extI64S16
+	extI64S32
+)
+
+// loadSpec returns the access width and extension code of a load opcode.
+func loadSpec(op wasm.Opcode) (width, ext uint32, ok bool) {
+	switch op {
+	case wasm.OpI32Load, wasm.OpF32Load:
+		return 4, extNone, true
+	case wasm.OpI64Load, wasm.OpF64Load:
+		return 8, extNone, true
+	case wasm.OpI32Load8U, wasm.OpI64Load8U:
+		return 1, extNone, true
+	case wasm.OpI32Load8S:
+		return 1, extI32S8, true
+	case wasm.OpI64Load8S:
+		return 1, extI64S8, true
+	case wasm.OpI32Load16U, wasm.OpI64Load16U:
+		return 2, extNone, true
+	case wasm.OpI32Load16S:
+		return 2, extI32S16, true
+	case wasm.OpI64Load16S:
+		return 2, extI64S16, true
+	case wasm.OpI64Load32U:
+		return 4, extNone, true
+	case wasm.OpI64Load32S:
+		return 4, extI64S32, true
+	}
+	return 0, 0, false
+}
+
+// storeSpec returns the access width of a store opcode.
+func storeSpec(op wasm.Opcode) (width uint32, ok bool) {
+	switch op {
+	case wasm.OpI32Store8, wasm.OpI64Store8:
+		return 1, true
+	case wasm.OpI32Store16, wasm.OpI64Store16:
+		return 2, true
+	case wasm.OpI32Store, wasm.OpF32Store, wasm.OpI64Store32:
+		return 4, true
+	case wasm.OpI64Store, wasm.OpF64Store:
+		return 8, true
+	}
+	return 0, false
+}
+
+// applyBin executes one two-operand numeric or comparison instruction on raw
+// 64-bit operands (a is the lower stack slot). Semantics replicate the
+// reference engine's cases exactly — wrap-around integer arithmetic, masked
+// shift counts, IEEE-754 single/double arithmetic on the boxed bit patterns.
+// The two trapping families (integer division and remainder) return the
+// engine trap errors; everything else returns a nil error.
+func applyBin(op wasm.Opcode, a, b uint64) (uint64, error) {
+	switch op {
+	// --- i32 numeric
+	case wasm.OpI32Add:
+		return uint64(uint32(a) + uint32(b)), nil
+	case wasm.OpI32Sub:
+		return uint64(uint32(a) - uint32(b)), nil
+	case wasm.OpI32Mul:
+		return uint64(uint32(a) * uint32(b)), nil
+	case wasm.OpI32DivS:
+		x, y := int32(uint32(a)), int32(uint32(b))
+		if y == 0 {
+			return 0, ErrDivByZero
+		}
+		if x == math.MinInt32 && y == -1 {
+			return 0, ErrIntOverflow
+		}
+		return i32u(x / y), nil
+	case wasm.OpI32DivU:
+		if uint32(b) == 0 {
+			return 0, ErrDivByZero
+		}
+		return uint64(uint32(a) / uint32(b)), nil
+	case wasm.OpI32RemS:
+		x, y := int32(uint32(a)), int32(uint32(b))
+		if y == 0 {
+			return 0, ErrDivByZero
+		}
+		if x == math.MinInt32 && y == -1 {
+			return 0, nil
+		}
+		return i32u(x % y), nil
+	case wasm.OpI32RemU:
+		if uint32(b) == 0 {
+			return 0, ErrDivByZero
+		}
+		return uint64(uint32(a) % uint32(b)), nil
+	case wasm.OpI32And:
+		return uint64(uint32(a) & uint32(b)), nil
+	case wasm.OpI32Or:
+		return uint64(uint32(a) | uint32(b)), nil
+	case wasm.OpI32Xor:
+		return uint64(uint32(a) ^ uint32(b)), nil
+	case wasm.OpI32Shl:
+		return uint64(uint32(a) << (uint32(b) & 31)), nil
+	case wasm.OpI32ShrS:
+		return i32u(int32(uint32(a)) >> (uint32(b) & 31)), nil
+	case wasm.OpI32ShrU:
+		return uint64(uint32(a) >> (uint32(b) & 31)), nil
+	case wasm.OpI32Rotl:
+		return uint64(bits.RotateLeft32(uint32(a), int(uint32(b)&31))), nil
+	case wasm.OpI32Rotr:
+		return uint64(bits.RotateLeft32(uint32(a), -int(uint32(b)&31))), nil
+
+	// --- i64 numeric
+	case wasm.OpI64Add:
+		return a + b, nil
+	case wasm.OpI64Sub:
+		return a - b, nil
+	case wasm.OpI64Mul:
+		return a * b, nil
+	case wasm.OpI64DivS:
+		x, y := int64(a), int64(b)
+		if y == 0 {
+			return 0, ErrDivByZero
+		}
+		if x == math.MinInt64 && y == -1 {
+			return 0, ErrIntOverflow
+		}
+		return uint64(x / y), nil
+	case wasm.OpI64DivU:
+		if b == 0 {
+			return 0, ErrDivByZero
+		}
+		return a / b, nil
+	case wasm.OpI64RemS:
+		x, y := int64(a), int64(b)
+		if y == 0 {
+			return 0, ErrDivByZero
+		}
+		if x == math.MinInt64 && y == -1 {
+			return 0, nil
+		}
+		return uint64(x % y), nil
+	case wasm.OpI64RemU:
+		if b == 0 {
+			return 0, ErrDivByZero
+		}
+		return a % b, nil
+	case wasm.OpI64And:
+		return a & b, nil
+	case wasm.OpI64Or:
+		return a | b, nil
+	case wasm.OpI64Xor:
+		return a ^ b, nil
+	case wasm.OpI64Shl:
+		return a << (b & 63), nil
+	case wasm.OpI64ShrS:
+		return uint64(int64(a) >> (b & 63)), nil
+	case wasm.OpI64ShrU:
+		return a >> (b & 63), nil
+	case wasm.OpI64Rotl:
+		return bits.RotateLeft64(a, int(b&63)), nil
+	case wasm.OpI64Rotr:
+		return bits.RotateLeft64(a, -int(b&63)), nil
+
+	// --- f32 numeric
+	case wasm.OpF32Add:
+		return f32u(uf32(a) + uf32(b)), nil
+	case wasm.OpF32Sub:
+		return f32u(uf32(a) - uf32(b)), nil
+	case wasm.OpF32Mul:
+		return f32u(uf32(a) * uf32(b)), nil
+	case wasm.OpF32Div:
+		return f32u(uf32(a) / uf32(b)), nil
+	case wasm.OpF32Min:
+		return f32u(float32(fmin(float64(uf32(a)), float64(uf32(b))))), nil
+	case wasm.OpF32Max:
+		return f32u(float32(fmax(float64(uf32(a)), float64(uf32(b))))), nil
+	case wasm.OpF32Copysign:
+		return f32u(float32(math.Copysign(float64(uf32(a)), float64(uf32(b))))), nil
+
+	// --- f64 numeric
+	case wasm.OpF64Add:
+		return f64u(uf64(a) + uf64(b)), nil
+	case wasm.OpF64Sub:
+		return f64u(uf64(a) - uf64(b)), nil
+	case wasm.OpF64Mul:
+		return f64u(uf64(a) * uf64(b)), nil
+	case wasm.OpF64Div:
+		return f64u(uf64(a) / uf64(b)), nil
+	case wasm.OpF64Min:
+		return f64u(fmin(uf64(a), uf64(b))), nil
+	case wasm.OpF64Max:
+		return f64u(fmax(uf64(a), uf64(b))), nil
+	case wasm.OpF64Copysign:
+		return f64u(math.Copysign(uf64(a), uf64(b))), nil
+
+	// --- i32 comparison
+	case wasm.OpI32Eq:
+		return b2u(uint32(a) == uint32(b)), nil
+	case wasm.OpI32Ne:
+		return b2u(uint32(a) != uint32(b)), nil
+	case wasm.OpI32LtS:
+		return b2u(int32(uint32(a)) < int32(uint32(b))), nil
+	case wasm.OpI32LtU:
+		return b2u(uint32(a) < uint32(b)), nil
+	case wasm.OpI32GtS:
+		return b2u(int32(uint32(a)) > int32(uint32(b))), nil
+	case wasm.OpI32GtU:
+		return b2u(uint32(a) > uint32(b)), nil
+	case wasm.OpI32LeS:
+		return b2u(int32(uint32(a)) <= int32(uint32(b))), nil
+	case wasm.OpI32LeU:
+		return b2u(uint32(a) <= uint32(b)), nil
+	case wasm.OpI32GeS:
+		return b2u(int32(uint32(a)) >= int32(uint32(b))), nil
+	case wasm.OpI32GeU:
+		return b2u(uint32(a) >= uint32(b)), nil
+
+	// --- i64 comparison
+	case wasm.OpI64Eq:
+		return b2u(a == b), nil
+	case wasm.OpI64Ne:
+		return b2u(a != b), nil
+	case wasm.OpI64LtS:
+		return b2u(int64(a) < int64(b)), nil
+	case wasm.OpI64LtU:
+		return b2u(a < b), nil
+	case wasm.OpI64GtS:
+		return b2u(int64(a) > int64(b)), nil
+	case wasm.OpI64GtU:
+		return b2u(a > b), nil
+	case wasm.OpI64LeS:
+		return b2u(int64(a) <= int64(b)), nil
+	case wasm.OpI64LeU:
+		return b2u(a <= b), nil
+	case wasm.OpI64GeS:
+		return b2u(int64(a) >= int64(b)), nil
+	case wasm.OpI64GeU:
+		return b2u(a >= b), nil
+
+	// --- f32 comparison
+	case wasm.OpF32Eq:
+		return b2u(uf32(a) == uf32(b)), nil
+	case wasm.OpF32Ne:
+		return b2u(uf32(a) != uf32(b)), nil
+	case wasm.OpF32Lt:
+		return b2u(uf32(a) < uf32(b)), nil
+	case wasm.OpF32Gt:
+		return b2u(uf32(a) > uf32(b)), nil
+	case wasm.OpF32Le:
+		return b2u(uf32(a) <= uf32(b)), nil
+	case wasm.OpF32Ge:
+		return b2u(uf32(a) >= uf32(b)), nil
+
+	// --- f64 comparison
+	case wasm.OpF64Eq:
+		return b2u(uf64(a) == uf64(b)), nil
+	case wasm.OpF64Ne:
+		return b2u(uf64(a) != uf64(b)), nil
+	case wasm.OpF64Lt:
+		return b2u(uf64(a) < uf64(b)), nil
+	case wasm.OpF64Gt:
+		return b2u(uf64(a) > uf64(b)), nil
+	case wasm.OpF64Le:
+		return b2u(uf64(a) <= uf64(b)), nil
+	case wasm.OpF64Ge:
+		return b2u(uf64(a) >= uf64(b)), nil
+	}
+	return 0, &UnknownOpcodeError{Op: op}
+}
+
+// fastLoad reads width bytes little-endian at a (the caller has already
+// bounds-checked [a, a+width)) and applies the load's extension: one word
+// access instead of loadBits's byte loop, with identical results.
+func fastLoad(mem []byte, a uint64, width, ext uint32) uint64 {
+	var v uint64
+	switch width {
+	case 1:
+		v = uint64(mem[a])
+	case 2:
+		v = uint64(binary.LittleEndian.Uint16(mem[a:]))
+	case 4:
+		v = uint64(binary.LittleEndian.Uint32(mem[a:]))
+	default:
+		v = binary.LittleEndian.Uint64(mem[a:])
+	}
+	switch ext {
+	case extI32S8:
+		v = uint64(uint32(int32(int8(v))))
+	case extI64S8:
+		v = uint64(int64(int8(v)))
+	case extI32S16:
+		v = uint64(uint32(int32(int16(v))))
+	case extI64S16:
+		v = uint64(int64(int16(v)))
+	case extI64S32:
+		v = uint64(int64(int32(uint32(v))))
+	}
+	return v
+}
+
+// fastStore writes the low width bytes of v little-endian at a (the caller
+// has already bounds-checked the range and recorded it dirty).
+func fastStore(mem []byte, a uint64, width uint32, v uint64) {
+	switch width {
+	case 1:
+		mem[a] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(mem[a:], uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(mem[a:], uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(mem[a:], v)
+	}
 }
