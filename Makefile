@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race chaos vet fmt-check bench bench-smoke verify-ledger clean
+.PHONY: all build test race chaos fuzz-smoke vet fmt-check bench bench-smoke verify-ledger clean
 
 all: build test
 
@@ -25,6 +25,14 @@ race:
 chaos:
 	$(GO) test -race -run 'Fault|Chaos|Crash|Interrupt|RunContext|Overload|Shed|Degrade|NoLeak|Admission|Health' \
 		./internal/fault/... ./internal/accounting/... ./internal/core/... ./internal/faas/... ./internal/interp/...
+
+# fuzz-smoke runs each fuzz target for 20 s on top of its committed seed
+# corpus: the EPC residency model against its map+FIFO reference, and the
+# spill frame decoder. (go test takes one -fuzz target and one package per
+# invocation.)
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzEPCModel -fuzztime 20s ./internal/sgx
+	$(GO) test -run '^$$' -fuzz FuzzBinFrameDecode -fuzztime 20s ./internal/accounting
 
 # verify-ledger is the tier-2 smoke path for the verifiable ledger: the
 # faas example serves instrumented requests under bounded retention

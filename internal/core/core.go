@@ -361,8 +361,8 @@ func (ae *AccountingEnclave) Run(opts RunOptions) (RunResult, error) {
 }
 
 // RunContext is Run with deadline propagation: when ctx carries a deadline
-// or cancellation, a watcher arms the sandbox's cooperative-interrupt flag
-// the moment ctx is done, and the workload aborts at its next segment-leader
+// or cancellation, the sandbox's cooperative-interrupt flag is armed the
+// moment ctx is done, and the workload aborts at its next segment-leader
 // charge point with interp.ErrInterrupted (check with errors.Is). The abort
 // is accounting-exact: the returned record and receipt charge precisely the
 // fuel/instructions retired before the interrupt — resources already spent
@@ -373,7 +373,7 @@ func (ae *AccountingEnclave) RunContext(ctx context.Context, opts RunOptions) (R
 		opts.Policy = accounting.PeakMemory
 	}
 	var intr *atomic.Bool
-	if done := ctx.Done(); done != nil {
+	if ctx.Done() != nil {
 		intr = new(atomic.Bool)
 		if ctx.Err() != nil {
 			// Already expired: the run aborts at the entry leader, charging
@@ -381,15 +381,10 @@ func (ae *AccountingEnclave) RunContext(ctx context.Context, opts RunOptions) (R
 			// record — callers see one uniform cancellation path.
 			intr.Store(true)
 		} else {
-			stop := make(chan struct{})
-			defer close(stop)
-			go func() {
-				select {
-				case <-done:
-					intr.Store(true)
-				case <-stop:
-				}
-			}()
+			// AfterFunc registers on the context; it starts no goroutine
+			// unless the context actually ends while the run is in flight.
+			stop := context.AfterFunc(ctx, func() { intr.Store(true) })
+			defer stop()
 		}
 	}
 	model := sgx.NewEPCModel(ae.mode, ae.costs, ae.weights)

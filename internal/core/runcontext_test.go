@@ -3,6 +3,8 @@ package core_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,5 +70,53 @@ func TestRunContextDeadlineChargesPartialWork(t *testing.T) {
 	}
 	if _, err := ae.Snapshot(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
+	}
+}
+
+// TestRunContextNoLeak: a run whose context can expire arms the interrupt
+// without a goroutine of its own. While it executes, the goroutine count
+// stays where it was before (the sampler exists on both sides of the
+// comparison; the run is on this goroutine).
+func TestRunContextNoLeak(t *testing.T) {
+	ae, _ := newTestAE(t, sgx.ModeSimulation)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var sampling atomic.Bool
+	var peak, samples atomic.Int64
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if sampling.Load() {
+				if g := int64(runtime.NumGoroutine()); g > peak.Load() {
+					peak.Store(g)
+				}
+				samples.Add(1)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	before := int64(runtime.NumGoroutine())
+	for try := 0; try < 20 && samples.Load() == 0; try++ {
+		sampling.Store(true)
+		_, err := ae.RunContext(ctx, core.RunOptions{Entry: "sum", Args: []uint64{1_000_000}})
+		sampling.Store(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+	if samples.Load() == 0 {
+		t.Fatal("sampler never ran during a run")
+	}
+	if peak.Load() != before {
+		t.Errorf("%d goroutines during a cancellable run, %d before it", peak.Load(), before)
 	}
 }

@@ -736,3 +736,38 @@ func TestGatewayBoundedRetention100k(t *testing.T) {
 		t.Fatalf("verified cumulative totals cover %d records, want %d", vr.Totals.Sequence, total)
 	}
 }
+
+// TestEchoRequestAllocBudget pins the gateway's fixed per-request
+// allocation under the full hardware setup (EPC model, transitions, I/O
+// accounting, ledger append): the EPC-sized residency model alone used to
+// cost 769 KB per request. Allocated bytes are deterministic up to the
+// ledger's amortised growth, so this runs in tier-1.
+func TestEchoRequestAllocBudget(t *testing.T) {
+	// A prewarmed instance lives on the pool's owned free-list; the overflow
+	// sync.Pool may drop instances (a collection; at random under -race).
+	srv, err := faas.NewServerWithOptions(faas.Echo, faas.SetupSGXHWIO, faas.ServerOptions{PoolPrewarm: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	payload := bytes.Repeat([]byte("x"), 64)
+	serve := func() {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(payload)))
+		if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), payload) {
+			t.Fatalf("status %d, body %q", w.Code, w.Body.Bytes())
+		}
+	}
+	const requests = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < requests; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	perRequest := (after.TotalAlloc - before.TotalAlloc) / requests
+	t.Logf("%d B allocated per echo request", perRequest)
+	if perRequest >= 64<<10 {
+		t.Errorf("%d B allocated per echo request, budget 64 KiB", perRequest)
+	}
+}

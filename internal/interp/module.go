@@ -1,11 +1,11 @@
 package interp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"acctee/internal/affinity"
 	"acctee/internal/wasm"
@@ -66,13 +66,20 @@ type CompiledModule struct {
 	// (post-inline) bodies; it sizes each VM's inline-cache array.
 	numICSites int
 
-	// costCache maps costKey fingerprints to *costTables. Reads vastly
-	// outnumber writes (every pooled Get with a cost model looks up, only
-	// the first request per fingerprint computes), so it is a sync.Map;
-	// costMu serializes misses only, so concurrent first requests compute
-	// the tables once instead of racing duplicate work.
+	// costCache holds the cost tables per CostModel fingerprint. Reads
+	// vastly outnumber writes (every pooled Get with a cost model looks up,
+	// only the first request per fingerprint computes), so it is a
+	// copy-on-write slice: a hit loads the pointer and compares, allocating
+	// nothing. costMu serializes misses only, so concurrent first requests
+	// compute the tables once instead of racing duplicate work.
 	costMu    sync.Mutex
-	costCache sync.Map
+	costCache atomic.Pointer[[]costEntry]
+}
+
+// costEntry is one cached fingerprint: InstrCost evaluated over opsUsed.
+type costEntry struct {
+	fingerprint []uint64
+	tables      *costTables
 }
 
 // funcCosts are one function's cost tables under one CostModel fingerprint:
@@ -197,31 +204,41 @@ func Compile(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 // Module returns the underlying module.
 func (cm *CompiledModule) Module() *wasm.Module { return cm.m }
 
-// costKey fingerprints a CostModel by evaluating InstrCost over the
-// module's opcode set. InstrCost is required to be pure (a fixed function of
-// the opcode), so two models with equal fingerprints yield identical segment
+// lookupCosts finds the cached tables whose fingerprint the model matches.
+// A CostModel is fingerprinted by evaluating InstrCost over the module's
+// opcode set: InstrCost is required to be pure (a fixed function of the
+// opcode), so two models with equal fingerprints yield identical segment
 // sums — a fresh stateful model per run maps to the same cached tables.
-func (cm *CompiledModule) costKey(model CostModel) string {
-	b := make([]byte, 8*len(cm.opsUsed))
-	for i, op := range cm.opsUsed {
-		binary.LittleEndian.PutUint64(b[i*8:], model.InstrCost(op))
+func (cm *CompiledModule) lookupCosts(model CostModel) *costTables {
+	entries := cm.costCache.Load()
+	if entries == nil {
+		return nil
 	}
-	return string(b)
+next:
+	for _, e := range *entries {
+		for i, op := range cm.opsUsed {
+			if model.InstrCost(op) != e.fingerprint[i] {
+				continue next
+			}
+		}
+		return e.tables
+	}
+	return nil
 }
 
 // costTablesFor returns (computing and caching if needed) the cost tables
 // for the model's fingerprint. The hit path — every pooled Get/Reset with a
-// cost model — is lock-free; only a miss takes costMu, with a double-check
-// so concurrent misses on the same fingerprint compute the tables once.
+// cost model — is lock-free and allocation-free; only a miss takes costMu,
+// with a double-check so concurrent misses on the same fingerprint compute
+// the tables once.
 func (cm *CompiledModule) costTablesFor(model CostModel) *costTables {
-	key := cm.costKey(model)
-	if t, ok := cm.costCache.Load(key); ok {
-		return t.(*costTables)
+	if t := cm.lookupCosts(model); t != nil {
+		return t
 	}
 	cm.costMu.Lock()
 	defer cm.costMu.Unlock()
-	if t, ok := cm.costCache.Load(key); ok {
-		return t.(*costTables)
+	if t := cm.lookupCosts(model); t != nil {
+		return t
 	}
 	t := &costTables{
 		endCost: model.InstrCost(wasm.OpEnd),
@@ -241,7 +258,16 @@ func (cm *CompiledModule) costTablesFor(model CostModel) *costTables {
 		}
 		t.funcs[i] = funcCosts{segCost: seg, costPfx: pfx}
 	}
-	cm.costCache.Store(key, t)
+	fingerprint := make([]uint64, len(cm.opsUsed))
+	for i, op := range cm.opsUsed {
+		fingerprint[i] = model.InstrCost(op)
+	}
+	var entries []costEntry
+	if old := cm.costCache.Load(); old != nil {
+		entries = append(entries, *old...)
+	}
+	entries = append(entries, costEntry{fingerprint, t})
+	cm.costCache.Store(&entries)
 	return t
 }
 
@@ -511,15 +537,20 @@ func (s *poolStripe) popLocked() *VM {
 	return vm
 }
 
-// Put returns an instance to the pool for reuse. Instances from other
-// modules are rejected. The instance lands on the caller's sticky stripe
-// when it has owned capacity, spills to a sibling stripe otherwise (so the
-// owned set keeps its full Prewarm complement even when callers cluster on
-// one stripe), and only then overflows into the GC-managed sync.Pool.
+// Put returns an instance to the pool for reuse, unbound from its run.
+// Instances from other modules are rejected. The instance lands on the
+// caller's sticky stripe when it has owned capacity, spills to a sibling
+// stripe otherwise (so the owned set keeps its full Prewarm complement even
+// when callers cluster on one stripe), and only then overflows into the
+// GC-managed sync.Pool.
 func (p *InstancePool) Put(vm *VM) {
 	if vm == nil || vm.cm != p.cm {
 		return
 	}
+	// An idle instance must not keep its last run's cost model, hooks and
+	// host closures (and what they capture) alive; Get rebinds all of them.
+	vm.cost, vm.growHook, vm.intr = nil, nil, nil
+	clear(vm.hostFns)
 	home := int(p.picker.Pick())
 	s := &p.stripes[home]
 	s.mu.Lock()

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"acctee/internal/interp"
 	"acctee/internal/polybench"
@@ -500,5 +502,93 @@ func TestPoolPrewarmSurvivesGC(t *testing.T) {
 	}
 	if vm3 != vm1 && vm3 != vm2 {
 		t.Error("prewarmed instance was evicted by GC despite the owned free-list")
+	}
+}
+
+// runState stands in for what one run binds into its instance: a stateful
+// cost model, and the state its host closures and grow hook capture.
+type runState struct{ pad [256]byte }
+
+func (*runState) InstrCost(wasm.Opcode) uint64                 { return 1 }
+func (*runState) MemCost(_, _ uint32, _ bool, _ uint32) uint64 { return 0 }
+
+// TestPoolPutReleasesRunBindings: an idle pooled instance must not keep its
+// last run's cost model, host closures, grow hook or interrupt flag alive.
+func TestPoolPutReleasesRunBindings(t *testing.T) {
+	cm, err := interp.Compile(interruptModule(), interp.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick := func(*interp.VM, []uint64) ([]uint64, error) { return nil, nil }
+	pool, err := cm.NewPool(interp.Config{Imports: map[string]interp.HostFunc{"env.tick": tick}},
+		interp.PoolConfig{Prewarm: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var collected atomic.Int32
+	track := func() *runState {
+		s := new(runState)
+		runtime.AddCleanup(s, func(struct{}) { collected.Add(1) }, struct{}{})
+		return s
+	}
+	func() {
+		model, host, hook := track(), track(), track()
+		vm, err := pool.Get(interp.Config{
+			CostModel: model,
+			Interrupt: new(atomic.Bool),
+			GrowHook:  func(*interp.VM, uint32, uint32) { hook.pad[0]++ },
+			Imports: map[string]interp.HostFunc{"env.tick": func(*interp.VM, []uint64) ([]uint64, error) {
+				host.pad[0]++
+				return nil, nil
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vm.InvokeExport("run", 3); err != nil {
+			t.Fatal(err)
+		}
+		pool.Put(vm)
+	}()
+	for i := 0; i < 50 && collected.Load() < 3; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := collected.Load(); n != 3 {
+		t.Errorf("%d of 3 per-run objects collected while the instance sits idle in the pool", n)
+	}
+	// The parked instance is still the prewarmed one, and rebinds cleanly.
+	vm, err := pool.Get(interp.Config{Imports: map[string]interp.HostFunc{"env.tick": tick}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vm.InvokeExport("run", 3); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPoolGetPutAllocFree: a pooled Get/Put cycle with a cost model — the
+// fingerprint lookup included — allocates nothing.
+func TestPoolGetPutAllocFree(t *testing.T) {
+	cm, err := interp.Compile(buildFuelSweepModule(), interp.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two fingerprints cached, so the lookup walks past a mismatch too.
+	for _, model := range []interp.CostModel{weights.Unit(), weights.Calibrated()} {
+		cfg := interp.Config{CostModel: model}
+		pool, err := cm.NewPool(cfg, interp.PoolConfig{Prewarm: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			vm, err := pool.Get(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool.Put(vm)
+		}); allocs != 0 {
+			t.Errorf("Get/Put with a cost model makes %v allocations, want 0", allocs)
+		}
 	}
 }

@@ -304,40 +304,43 @@ func (s *AttestationService) attestUserData(q Quote, expected Measurement, want 
 
 // EPCModel is an interp.CostModel combining an instruction weight table
 // with hardware-mode EPC paging penalties. Resident pages are tracked with
-// a FIFO set sized to the usable EPC; accesses to non-resident pages charge
+// a FIFO set bounded by the usable EPC; accesses to non-resident pages charge
 // PageFaultCycles, reproducing the paper's observation that hardware-mode
 // overhead explodes once the working set exceeds the EPC (§5.1).
+//
+// The residency state is sized by the pages a run touches, not by the EPC:
+// a fresh model is just the struct, so one per request or Run costs nothing
+// until the first memory access.
 type EPCModel struct {
 	weights  *weights.Table
 	mode     Mode
 	params   CostParams
-	pageSize uint64
 	capacity int
-	resident map[uint64]int // page -> ring slot
-	ring     []uint64
+	// table maps page -> ring slot+1 (0 = not resident). It is grown on
+	// touch to cover the linear memory, which a wasm32 address space bounds
+	// at 2^20 entries.
+	table    []int32
+	ring     []uint32 // resident pages in FIFO order, at most capacity
 	head     int
 	faults   uint64
 	lastPage uint64 // fast path for sequential access runs
 	hasLast  bool
 }
 
+const epcPageSize = 4096
+
 // NewEPCModel builds an EPC model over per-instruction weights. The weights
-// argument may be nil for a pure paging model.
+// argument may be nil for a pure paging model. Every run holds its model
+// behind interp.CostModel, so the struct is on the heap either way; noinline
+// keeps that allocation the constructor's own where a caller measures it alone.
+//
+//go:noinline
 func NewEPCModel(mode Mode, params CostParams, w *weights.Table) *EPCModel {
-	const page = 4096
-	capacity := int(params.UsableEPCBytes / page)
+	capacity := int(params.UsableEPCBytes / epcPageSize)
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &EPCModel{
-		weights:  w,
-		mode:     mode,
-		params:   params,
-		pageSize: page,
-		capacity: capacity,
-		resident: make(map[uint64]int, capacity),
-		ring:     make([]uint64, 0, capacity),
-	}
+	return &EPCModel{weights: w, mode: mode, params: params, capacity: capacity}
 }
 
 // InstrCost implements interp.CostModel: the instruction weight, if a
@@ -349,43 +352,46 @@ func (m *EPCModel) InstrCost(op wasm.Opcode) uint64 {
 	return m.weights.InstrCost(op)
 }
 
-// touch charges for one page access.
-func (m *EPCModel) touch(page uint64) uint64 {
-	if m.mode != ModeHardware {
-		return 0
-	}
-	// Sequential runs hit the same page repeatedly; skip the map.
+// touch charges for one page access in hardware mode.
+func (m *EPCModel) touch(page uint64, memSize uint32) uint64 {
+	// Sequential runs hit the same page repeatedly; skip the table.
 	if m.hasLast && page == m.lastPage {
 		return 0
 	}
-	if _, ok := m.resident[page]; ok {
+	if page >= uint64(len(m.table)) {
+		n := max(page+1, uint64(memSize)/epcPageSize)
+		m.table = append(m.table, make([]int32, n-uint64(len(m.table)))...)
+	}
+	if m.table[page] != 0 {
 		m.lastPage = page
 		m.hasLast = true
 		return 0
 	}
 	m.faults++
 	if len(m.ring) < m.capacity {
-		m.resident[page] = len(m.ring)
-		m.ring = append(m.ring, page)
+		m.ring = append(m.ring, uint32(page))
+		m.table[page] = int32(len(m.ring))
 		// Cold faults on first touch are charged at a reduced rate: the
 		// page is EADDed once, not paged in and out.
 		return m.params.PageFaultCycles / 4
 	}
-	evict := m.ring[m.head]
-	delete(m.resident, evict)
-	m.ring[m.head] = page
-	m.resident[page] = m.head
+	m.table[m.ring[m.head]] = 0
+	m.ring[m.head] = uint32(page)
+	m.table[page] = int32(m.head + 1)
 	m.head = (m.head + 1) % m.capacity
 	return m.params.PageFaultCycles
 }
 
 // MemCost implements interp.CostModel.
 func (m *EPCModel) MemCost(addr, width uint32, store bool, memSize uint32) uint64 {
-	first := uint64(addr) / m.pageSize
-	last := (uint64(addr) + uint64(width) - 1) / m.pageSize
+	if width == 0 || m.mode != ModeHardware {
+		return 0
+	}
+	first := uint64(addr) / epcPageSize
+	last := (uint64(addr) + uint64(width) - 1) / epcPageSize
 	var c uint64
 	for p := first; p <= last; p++ {
-		c += m.touch(p)
+		c += m.touch(p, memSize)
 	}
 	return c
 }
