@@ -19,7 +19,9 @@ race:
 
 # chaos runs the fault-injection and overload suite under the race
 # detector: injected disk faults (transient heal-via-retry, permanent
-# degrade-not-wedge, scripted mid-group-commit crash + recovery), deadline
+# degrade-not-wedge, scripted mid-group-commit crash + recovery, and the
+# exhaustive sweep that crashes the spill workload at every write with
+# every tear length, TestSpillCrashSweep), deadline
 # interrupts with exact partial-work accounting, admission-control
 # shedding, and the create/close leak matrix across all of them.
 chaos:
@@ -27,31 +29,36 @@ chaos:
 		./internal/fault/... ./internal/accounting/... ./internal/core/... ./internal/faas/... ./internal/interp/...
 
 # fuzz-smoke runs each fuzz target for 20 s on top of its committed seed
-# corpus: the EPC residency model against its map+FIFO reference, and the
-# spill frame decoder. (go test takes one -fuzz target and one package per
-# invocation.)
+# corpus: the EPC residency model against its map+FIFO reference, the
+# spill frame decoder, and the dump-container verifier (mutated honest
+# containers: no panic, allocation bounded by the input, nothing attested
+# changeable). go test takes one -fuzz target and one package per
+# invocation. The accounting targets cap input minimisation at one
+# execution: with the default (60 s per interesting input) a 20 s run
+# spends all of it minimising the first input it finds and executes a few
+# dozen inputs instead of a hundred thousand.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEPCModel -fuzztime 20s ./internal/sgx
-	$(GO) test -run '^$$' -fuzz FuzzBinFrameDecode -fuzztime 20s ./internal/accounting
+	$(GO) test -run '^$$' -fuzz FuzzBinFrameDecode -fuzztime 20s -fuzzminimizetime 1x ./internal/accounting
+	$(GO) test -run '^$$' -fuzz FuzzVerifyReader -fuzztime 20s -fuzzminimizetime 1x ./internal/accounting
 
 # verify-ledger is the tier-2 smoke path for the verifiable ledger: the
 # faas example serves instrumented requests under bounded retention
-# (sealed segments spill into build/spill as binary v2 frames) with the
-# persisted checkpoint chain pruned to every 2nd checkpoint, compacts,
-# proves a flipped byte inside a spilled binary frame is detected, and
-# writes the full, truncated (checkpoint-anchored, non-zero starting
-# sequence) and binary (v3 container) dumps into build/ (never the repo
-# root); acctee-verify then replays all four offline — full dump,
-# truncated dump, binary dump, and the spill directory itself.
+# (sealed segments spill into build/spill) with the persisted checkpoint
+# chain pruned to every 2nd checkpoint, compacts, proves a flipped byte
+# inside a spilled frame is detected, and writes the full and the
+# truncated (checkpoint-anchored, non-zero starting sequence) dump
+# containers into build/ (never the repo root); acctee-verify then
+# replays all three offline — full dump, truncated dump, and the spill
+# directory itself.
 verify-ledger:
 	@mkdir -p build
 	rm -rf build/spill
-	$(GO) run ./examples/faas -dump build/ledger.json -spill-dir build/spill \
-		-retention 8 -keep-every 2 -dump-truncated build/ledger-trunc.json \
-		-dump-binary build/ledger.bin -prove-tamper
-	$(GO) run ./cmd/acctee-verify -dump build/ledger.json
-	$(GO) run ./cmd/acctee-verify -dump build/ledger-trunc.json
+	$(GO) run ./examples/faas -dump build/ledger.bin -spill-dir build/spill \
+		-retention 8 -keep-every 2 -dump-truncated build/ledger-trunc.bin \
+		-prove-tamper
 	$(GO) run ./cmd/acctee-verify -dump build/ledger.bin
+	$(GO) run ./cmd/acctee-verify -dump build/ledger-trunc.bin
 	$(GO) run ./cmd/acctee-verify -spill build/spill
 
 vet:

@@ -370,8 +370,8 @@ func VerifyCheckpoint(sc SignedCheckpoint, aePub *ecdsa.PublicKey) error {
 	return accounting.VerifyCheckpointSig(sc, aePub, core.AEMeasurement())
 }
 
-// VerifyLedger replays a serialised ledger offline against the attested AE
-// key: chain continuity from the carried-forward heads, per-shard
+// VerifyLedger replays an in-memory ledger dump offline against the
+// attested AE key: chain continuity from the carried-forward heads, per-shard
 // gap-freedom, checkpoint signatures, and totals reconstruction (the
 // acctee-verify command wraps this). Anchored (truncated) dumps verify
 // from their non-zero starting sequences against the anchor's signature.
@@ -379,11 +379,12 @@ func VerifyLedger(d *LedgerDump, aePub *ecdsa.PublicKey) (*accounting.VerifyResu
 	return accounting.VerifyDump(d, accounting.VerifyOptions{Key: aePub, Measurement: core.AEMeasurement()})
 }
 
-// VerifyLedgerStream verifies a serialised ledger straight off a reader in
-// O(segment) memory — the streaming counterpart of VerifyLedger for dumps
+// VerifyLedgerStream verifies a serialised ledger (the dump container
+// Ledger.WriteDump and GET /ledger produce) straight off a reader, one
+// record at a time — the streaming counterpart of VerifyLedger for dumps
 // too large to materialise.
 func VerifyLedgerStream(r io.Reader, aePub *ecdsa.PublicKey) (*accounting.VerifyResult, error) {
-	return accounting.VerifyStream(r, accounting.VerifyOptions{Key: aePub, Measurement: core.AEMeasurement()})
+	return accounting.VerifyReader(r, accounting.VerifyOptions{Key: aePub, Measurement: core.AEMeasurement()})
 }
 
 // Execute is a convenience for untrusted-free local runs (no enclaves, no

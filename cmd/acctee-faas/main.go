@@ -121,7 +121,7 @@ func run() error {
 		fmt.Printf("acctee-faas: request deadline %v (expired runs charge executed work and return 504)\n", *reqTimeout)
 	}
 	if srv.Ledger() != nil {
-		fmt.Printf("acctee-faas: verifiable ledger on GET /receipt, /checkpoint, /ledger[?truncated=1][&bin=1] and POST /compact (eager=%v, checkpoint every %v)\n",
+		fmt.Printf("acctee-faas: verifiable ledger on GET /receipt, /checkpoint, /ledger[?truncated=1] and POST /compact (eager=%v, checkpoint every %v)\n",
 			*eager, *cpEvery)
 		if *retention > 0 || *spillDir != "" {
 			fmt.Printf("acctee-faas: bounded retention: max resident %d records, spill dir %q, checkpoint keep-every %d\n",

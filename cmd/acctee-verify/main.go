@@ -6,11 +6,11 @@
 // A single flipped byte anywhere in the dump makes verification fail.
 //
 // Verification is streaming: records are consumed one at a time off the
-// file, so a million-record dump verifies in O(segment) memory. Both dump
-// containers are read with autodetection: the JSON v2 layout and the
-// binary v3 container (DumpOptions.Binary, or /ledger?bin=1 on the
-// gateway). Dumps may start at any checkpoint-anchored sequence (the
-// gateway's /ledger?truncated=1, or Ledger.DumpTruncated) — the anchor's
+// file, so a million-record dump verifies in constant record memory. A
+// dump is the binary ACCTDMP3 container that Ledger.WriteDump and the
+// gateway's GET /ledger write; there is no other dump format. Dumps may
+// start at any checkpoint-anchored sequence (the gateway's
+// /ledger?truncated=1, or DumpOptions.Truncated) — the anchor's
 // signature vouches for everything below the starting sequences. Dumps
 // and spill directories whose checkpoint chain was pruned
 // (RetentionPolicy.CheckpointKeepEvery) declare it, and the verifier
@@ -19,13 +19,14 @@
 //
 // Usage:
 //
-//	acctee-verify -dump ledger.json [-measurement hex32] [-pubkey key.der]
+//	acctee-verify -dump ledger.bin  [-measurement hex32] [-pubkey key.der]
 //	acctee-verify -spill spill-dir  [-measurement hex32] [-pubkey key.der]
 //
 // -spill replays a bounded-retention ledger's spill directory instead:
-// every spilled segment frame (binary v2 or legacy JSON v1, per the
-// manifest format stamp) is re-hashed against the persisted checkpoint
-// chain, so a flipped byte in any segment file is detected.
+// every spilled segment frame is re-hashed against the persisted
+// checkpoint chain, so a flipped byte in any segment file is detected. A
+// directory whose manifest is not stamped acctee-spill/v2 (the JSON-lines
+// v1 layout of early builds) is refused.
 //
 // By default the dump-embedded public key and measurement are used (fine
 // when the dump travelled a trusted channel). A suspicious verifier passes
@@ -51,7 +52,7 @@ func main() {
 }
 
 func run() error {
-	dumpPath := flag.String("dump", "", "serialised ledger (JSON, see /ledger endpoint or Ledger.Dump)")
+	dumpPath := flag.String("dump", "", "serialised ledger (dump container, see the /ledger endpoint or Ledger.WriteDump)")
 	spillDir := flag.String("spill", "", "bounded-retention spill directory to replay instead of a dump")
 	measHex := flag.String("measurement", "", "expected enclave measurement (64 hex chars; empty = trust the dump)")
 	keyPath := flag.String("pubkey", "", "attested enclave public key (PKIX DER file; empty = trust the dump)")

@@ -6,9 +6,11 @@
 // disk), and verify both the full from-genesis dump and the truncated
 // dump anchored at the compaction checkpoint — exactly what
 // cmd/acctee-verify does offline (the `make verify-ledger` smoke path).
+// -dump and -dump-truncated save the two dump containers GET /ledger
+// served.
 //
 // With -prove-tamper the example additionally flips one byte inside a
-// spilled binary frame and proves the spill verifier rejects it, then
+// spilled frame and proves the spill verifier rejects it, then
 // restores the byte so later `acctee-verify -spill` runs see the pristine
 // directory.
 package main
@@ -38,9 +40,8 @@ func main() {
 }
 
 func run() error {
-	dumpPath := flag.String("dump", "", "write the full serialised ledger here for acctee-verify")
-	truncPath := flag.String("dump-truncated", "", "write the truncated (checkpoint-anchored) ledger here")
-	binPath := flag.String("dump-binary", "", "write the binary (v3 container) ledger dump here")
+	dumpPath := flag.String("dump", "", "write the full ledger dump (container) here for acctee-verify")
+	truncPath := flag.String("dump-truncated", "", "write the truncated (checkpoint-anchored) ledger dump here")
 	spillDir := flag.String("spill-dir", "", "spill sealed ledger segments to this directory")
 	retention := flag.Int("retention", 8, "max resident ledger records before auto-compaction")
 	keepEvery := flag.Int("keep-every", 2, "prune the persisted checkpoint chain to every Kth checkpoint plus the anchor tip (0 or 1 = keep all)")
@@ -174,7 +175,7 @@ func run() error {
 				return nil, err
 			}
 		}
-		vr, err := accounting.VerifyStream(bytes.NewReader(raw),
+		vr, err := accounting.VerifyReader(bytes.NewReader(raw),
 			accounting.VerifyOptions{Key: srv.Enclave().PublicKey()})
 		if err != nil {
 			return nil, fmt.Errorf("%s verification: %w", what, err)
@@ -196,32 +197,6 @@ func run() error {
 	}
 	fmt.Printf("truncated replay OK: %d tail records, %d carried forward by anchor checkpoint %d's signature\n",
 		tv.Records, tv.StartRecords, tv.AnchorSequence)
-	// The binary v3 container carries the same proof in far fewer bytes;
-	// the verifier autodetects it by the leading magic.
-	resp, err := http.Get(gateway.URL + faas.LedgerPath + "?bin=1")
-	if err != nil {
-		return err
-	}
-	binRaw, err := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	bv, err := accounting.VerifyStream(bytes.NewReader(binRaw),
-		accounting.VerifyOptions{Key: srv.Enclave().PublicKey()})
-	if err != nil {
-		return fmt.Errorf("binary dump verification: %w", err)
-	}
-	if bv.Records != vr.Records {
-		return fmt.Errorf("binary dump replayed %d records, JSON replayed %d", bv.Records, vr.Records)
-	}
-	if *binPath != "" {
-		if err := os.WriteFile(*binPath, binRaw, 0o644); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("binary dump replay OK: %d records in %d bytes (same proof, smaller container)\n",
-		bv.Records, len(binRaw))
 
 	if *tamper {
 		if *spillDir == "" {

@@ -1,6 +1,7 @@
 package accounting_test
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -107,7 +108,7 @@ func TestRecordSigRejectsTampering(t *testing.T) {
 
 // TestMarshalPinned pins the exact serialisation the hash-chained ledger
 // builds on: size, field order, and endianness. If this test breaks, every
-// existing ledger dump becomes unverifiable — bump DumpFormat instead of
+// existing ledger dump becomes unverifiable — bump DumpFormatV3 instead of
 // changing the layout silently.
 func TestMarshalPinned(t *testing.T) {
 	u := sampleLog()
@@ -188,8 +189,8 @@ func TestRecordJSONRoundTrip(t *testing.T) {
 	if err := accounting.VerifyRecordSig(back, e.PublicKey()); err != nil {
 		t.Errorf("round-tripped record rejected: %v", err)
 	}
-	if _, err := accounting.ParseDump([]byte("not json")); err == nil {
-		t.Error("garbage JSON accepted as a dump")
+	if _, err := accounting.ReadDump(bytes.NewReader(j)); err == nil {
+		t.Error("JSON accepted as a dump container")
 	}
 }
 

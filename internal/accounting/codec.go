@@ -1,15 +1,16 @@
-// Binary wire codecs for the spill store (format v2) and the ledger dump
-// (format v3).
+// Wire codecs: the spill frame (format "acctee-spill/v2") and the dump
+// container (format "acctee-ledger/v3"). This file is the only place that
+// knows either byte layout — the store, crash recovery and the offline
+// verifier read frames through walkFrames / readFrameAt and containers
+// through readDumpContainer, and write them through encodeBinFrame /
+// writeDumpContainer.
 //
-// PR 5's spill frames were one JSON object per line — simple, greppable,
-// and the reason BENCH_ledger.json showed spill-mode retention collapsing
-// to ~0.18x of bounded-in-memory: every sealed record paid ~1.1 KB of JSON
-// marshalling on the compaction path. The binary frame reuses the pinned
-// serialisations the hash chain is already built on (Record.Marshal,
-// UsageLog.AppendMarshal — layouts guarded by TestMarshalPinned), so the
-// codec adds no second source of truth about byte layout.
+// Both layouts reuse the pinned serialisations the hash chain is already
+// built on (Record.Marshal, UsageLog.AppendMarshal — guarded by
+// TestMarshalPinned), so the codec adds no second source of truth about
+// record bytes.
 //
-// Spill frame (format "acctee-spill/v2", one frame per seal):
+// Spill frame (one frame per seal):
 //
 //	u32  payloadLen          little-endian, length of payload only
 //	payload:
@@ -24,45 +25,46 @@
 //	     96 B  totals           running shard aggregate after the frame
 //	u32  crc                 CRC-32C (Castagnoli) over payload
 //
-// Torn-tail rule (what crash recovery and the offline verifier both
-// apply): a frame is *torn* if and only if the file ends before the
-// advertised frame end (length prefix itself cut short, or fewer than
-// payloadLen+4 bytes follow it) — the residue of a crash mid-append, cut
-// and forgotten. A frame that is fully present but fails its CRC or its
-// structural decode is *corruption* and always a hard error, even in tail
-// position: a flipped byte can never demote itself to an honest crash.
+// Torn-tail rule (applied once, by walkFrames, for crash recovery and the
+// offline verifier alike): a frame is *torn* if and only if the file ends
+// before the advertised frame end (length prefix itself cut short, or
+// fewer than payloadLen+4 bytes follow it) — the residue of a crash
+// mid-append, cut and forgotten. A frame that is fully present but fails
+// its CRC or its structural decode is *corruption* and always a hard
+// error, even in tail position: a flipped byte can never demote itself to
+// an honest crash.
 //
-// Dump container (format "acctee-ledger/v3"):
+// Dump container:
 //
 //	8 B  magic "ACCTDMP3"
 //	u32  headerLen
 //	headerLen B of JSON: the Dump struct with an empty records array —
 //	     format, shards, measurement, publicKey, anchor, checkpoints,
-//	     prunedCheckpoints all travel exactly as in the v2 JSON dump
+//	     prunedCheckpoints
 //	repeated: u32 recLen | recLen B of binary record (layout above)
-//	u32  0                   terminator
-//
-// VerifyStream autodetects the container by its first byte ('{' = JSON v2,
-// 'A' of the magic = binary v3) and verifies both through the same
-// incremental core.
+//	u32  0                   terminator, followed by end of input
 package accounting
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 )
 
-// SpillFormatV1 is the PR 5 line-delimited JSON spill layout, still read
-// (and, on a reopened v1 directory, written — a spill file never mixes
-// codecs) but no longer created fresh.
-const SpillFormatV1 = "acctee-spill/v1"
-
-// SpillFormatV2 is the length-prefixed binary spill layout documented
-// above. Fresh spill directories always use it.
+// SpillFormatV2 is the one spill layout, stamped into every manifest. A
+// directory carrying any other stamp (the line-delimited JSON
+// "acctee-spill/v1" of PR 5 included) is refused.
 const SpillFormatV2 = "acctee-spill/v2"
+
+// DumpFormatV3 is the one serialised dump layout, stamped into every
+// container header and every in-memory Dump.
+const DumpFormatV3 = "acctee-ledger/v3"
 
 // castagnoli is the CRC-32C table (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -184,6 +186,17 @@ func decodeBinFramePayload(payload []byte) (*spillFrame, error) {
 	return fr, nil
 }
 
+// decodeBinFrameBody checks a complete frame's CRC and decodes it; body
+// is everything after the length prefix (payload, then the CRC).
+func decodeBinFrameBody(body []byte) (*spillFrame, error) {
+	payload := body[:len(body)-4]
+	wantCRC := binary.LittleEndian.Uint32(body[len(payload):])
+	if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
+		return nil, fmt.Errorf("accounting: binary frame CRC mismatch (stored %08x, computed %08x)", wantCRC, got)
+	}
+	return decodeBinFramePayload(payload)
+}
+
 // errTornFrame marks a frame cut short by the end of the file — the honest
 // residue of a crash mid-append, distinct from corruption.
 var errTornFrame = fmt.Errorf("accounting: torn binary frame at end of file")
@@ -207,24 +220,218 @@ func readBinFrame(r *bufio.Reader) (*spillFrame, int64, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, 0, errTornFrame // file ends before the advertised frame end
 	}
-	payload := body[:payloadLen]
-	wantCRC := binary.LittleEndian.Uint32(body[payloadLen:])
-	if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
-		return nil, 0, fmt.Errorf("accounting: binary frame CRC mismatch (stored %08x, computed %08x)", wantCRC, got)
-	}
-	fr, err := decodeBinFramePayload(payload)
+	fr, err := decodeBinFrameBody(body)
 	if err != nil {
 		return nil, 0, err
 	}
 	return fr, int64(4 + payloadLen + 4), nil
 }
 
-// dumpMagicV3 opens every binary (format v3) dump container.
+// walkFrames streams one shard's segment file through fn, frame by frame,
+// with each frame's byte offset and on-disk size. It is where the
+// torn-tail rule lives: the walk ends cleanly at the end of the file or
+// at a torn trailing frame, returning the offset just past the last whole
+// frame (where recovery cuts); a complete frame that fails its CRC or
+// decode, or an error from fn, ends it with that error. A missing file is
+// an empty one.
+func walkFrames(path string, fn func(fr *spillFrame, off, size int64) error) (goodEnd int64, err error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	br := bufio.NewReaderSize(f, 1<<20)
+	var off int64
+	for {
+		fr, size, err := readBinFrame(br)
+		if err == io.EOF || err == errTornFrame {
+			return off, nil
+		}
+		if err != nil {
+			return off, fmt.Errorf("accounting: %s at offset %d: %w", filepath.Base(path), off, err)
+		}
+		if err := fn(fr, off, size); err != nil {
+			return off, err
+		}
+		off += size
+	}
+}
+
+// readFrameAt decodes the frame an index entry locates.
+func readFrameAt(f *os.File, fi frameIndex) (*spillFrame, error) {
+	if fi.size < 8 {
+		return nil, fmt.Errorf("accounting: spill frame index names a %d-byte frame", fi.size)
+	}
+	buf := make([]byte, fi.size)
+	if _, err := f.ReadAt(buf, fi.off); err != nil {
+		return nil, fmt.Errorf("accounting: read spill frame: %w", err)
+	}
+	if payloadLen := binary.LittleEndian.Uint32(buf); int64(payloadLen)+8 != fi.size {
+		return nil, fmt.Errorf("accounting: spill frame length drifted (payload %d in a %d-byte frame)", payloadLen, fi.size)
+	}
+	return decodeBinFrameBody(buf[4:])
+}
+
+// dumpMagicV3 opens every dump container.
 var dumpMagicV3 = [8]byte{'A', 'C', 'C', 'T', 'D', 'M', 'P', '3'}
 
-// maxBinDumpHeader bounds the declared header length of a binary dump.
+// maxBinDumpHeader bounds the declared header length of a dump container.
 const maxBinDumpHeader = 1 << 28
 
 // maxBinDumpRecord bounds one encoded dump record (a record is ~166 bytes
 // plus an optional ECDSA signature; anything near the bound is hostile).
 const maxBinDumpRecord = 1 << 20
+
+// writeDumpContainer streams a container: magic, length-prefixed header
+// JSON (head, whose Records must be empty and non-nil), then every record
+// the snapshots replay as u32 length + binary encoding, closed by a zero
+// length.
+func writeDumpContainer(w io.Writer, head *Dump, snaps []func(func(*Record) error) error) error {
+	hj, err := json.Marshal(head)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	if _, err := bw.Write(dumpMagicV3[:]); err != nil {
+		return err
+	}
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], uint32(len(hj)))
+	if _, err := bw.Write(b[:]); err != nil {
+		return err
+	}
+	if _, err := bw.Write(hj); err != nil {
+		return err
+	}
+	var rbuf []byte
+	for i := range snaps {
+		err := snaps[i](func(r *Record) error {
+			rbuf = appendRecordBin(rbuf[:0], r)
+			binary.LittleEndian.PutUint32(b[:], uint32(len(rbuf)))
+			if _, err := bw.Write(b[:]); err != nil {
+				return err
+			}
+			_, err := bw.Write(rbuf)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+	}
+	binary.LittleEndian.PutUint32(b[:], 0)
+	if _, err := bw.Write(b[:]); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// readExactly reads n bytes off r, into buf's storage when it is large
+// enough. A longer read grows the buffer in bounded steps, so a hostile
+// length prefix can only size an allocation the input actually backs.
+func readExactly(r io.Reader, n int, buf []byte) ([]byte, error) {
+	if n <= cap(buf) {
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	const step = 64 << 10
+	buf = buf[:0]
+	for len(buf) < n {
+		grow := min(n-len(buf), step)
+		buf = append(buf, make([]byte, grow)...)
+		if _, err := io.ReadFull(r, buf[len(buf)-grow:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
+// readDumpContainer parses a container off r: header receives the decoded
+// header (format checked, records empty) before the first record is
+// read, record each record in stream order (valid for the call only).
+// Anything but the end of the input after the terminator is an error —
+// bytes the walk never looked at must not ride along inside something
+// reported as verified.
+func readDumpContainer(r io.Reader, header func(*Dump) error, record func(*Record) error) error {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var magic [8]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return fmt.Errorf("accounting: parse ledger dump: %w", err)
+	}
+	if magic != dumpMagicV3 {
+		return fmt.Errorf("accounting: ledger dump magic %q, want %q", magic[:], dumpMagicV3[:])
+	}
+	var b [4]byte
+	if _, err := io.ReadFull(br, b[:]); err != nil {
+		return fmt.Errorf("accounting: parse ledger dump header: %w", err)
+	}
+	hlen := binary.LittleEndian.Uint32(b[:])
+	if hlen == 0 || hlen > maxBinDumpHeader {
+		return fmt.Errorf("accounting: ledger dump declares a %d-byte header", hlen)
+	}
+	hj, err := readExactly(br, int(hlen), nil)
+	if err != nil {
+		return fmt.Errorf("accounting: parse ledger dump header: %w", err)
+	}
+	// The header is decoded strictly — a field the Dump struct does not
+	// know is refused, as is anything after the object — so no byte of it
+	// goes unread: a misspelt "checkpoints" cannot quietly pass for a
+	// ledger that was never checkpointed.
+	var d Dump
+	dec := json.NewDecoder(bytes.NewReader(hj))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&d); err != nil {
+		return fmt.Errorf("accounting: parse ledger dump header: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("accounting: ledger dump header carries data after its JSON object")
+	}
+	if d.Format != DumpFormatV3 {
+		return fmt.Errorf("accounting: dump format %q, want %q", d.Format, DumpFormatV3)
+	}
+	if len(d.Records) != 0 {
+		return fmt.Errorf("accounting: ledger dump header carries %d records outside the record stream", len(d.Records))
+	}
+	if err := header(&d); err != nil {
+		return err
+	}
+	var rbuf []byte
+	// One Record for the whole stream: passed to a func value it would
+	// otherwise be heap-allocated per record. record must not retain it.
+	var rec Record
+	for {
+		if _, err := io.ReadFull(br, b[:]); err != nil {
+			return fmt.Errorf("accounting: ledger dump truncated: %w", err)
+		}
+		rlen := int(binary.LittleEndian.Uint32(b[:]))
+		if rlen == 0 {
+			break // terminator
+		}
+		if rlen > maxBinDumpRecord {
+			return fmt.Errorf("accounting: ledger dump record declares %d bytes", rlen)
+		}
+		if rbuf, err = readExactly(br, rlen, rbuf); err != nil {
+			return fmt.Errorf("accounting: ledger dump truncated: %w", err)
+		}
+		var n int
+		if rec, n, err = decodeRecordBin(rbuf); err != nil {
+			return err
+		}
+		if n != rlen {
+			return fmt.Errorf("accounting: ledger dump record carries %d trailing bytes", rlen-n)
+		}
+		if err := record(&rec); err != nil {
+			return err
+		}
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("data after the terminator")
+		}
+		return fmt.Errorf("accounting: ledger dump does not end at its terminator: %w", err)
+	}
+	return nil
+}

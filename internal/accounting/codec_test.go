@@ -1,7 +1,8 @@
 package accounting
 
-// White-box tests for the binary spill codec (format v2) and the legacy
-// JSON (format v1) compatibility path. These live inside the package to
+// White-box tests for the spill frame codec, the compatibility fixture
+// written by the parent of the PR that retired the v1 (JSON-lines) spill
+// layout, and that layout's refusal. These live inside the package to
 // exercise encodeBinFrame/readBinFrame directly and to rewrite a spill
 // directory down to the v1 layout byte-for-byte.
 
@@ -12,6 +13,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"acctee/internal/sgx"
@@ -173,11 +176,11 @@ func TestBinFrameRejectsHostileHeader(t *testing.T) {
 	}
 }
 
-// TestLegacyV1SpillReadWrite: a v1 (JSON-lines) spill directory must stay
-// fully usable — recovery reads it, the reopened ledger KEEPS WRITING the
-// JSON codec (a spill file never mixes codecs), and the offline verifier
-// replays it. The v1 directory is produced by transcoding a fresh v2
-// directory frame-for-frame, so both codecs cover identical chain state.
+// TestLegacyV1SpillReadWrite: the PR 5 line-delimited JSON spill layout
+// is no longer read or written. A v1 directory — made here by transcoding
+// a fresh v2 one frame for frame — is refused by NewLedger and by
+// VerifySpillDir with an error naming the format, and the refusal touches
+// nothing: every file is byte-identical afterwards.
 func TestLegacyV1SpillReadWrite(t *testing.T) {
 	dir := t.TempDir()
 	e := codecEnclave(t)
@@ -203,99 +206,137 @@ func TestLegacyV1SpillReadWrite(t *testing.T) {
 
 	// Transcode the directory to the v1 layout: JSON frame lines and a
 	// downgraded manifest format stamp.
-	mPath := filepath.Join(dir, manifestName)
-	mRaw, err := os.ReadFile(mPath)
+	const spillFormatV1 = "acctee-spill/v1"
+	type v1Frame struct {
+		Shard   uint32   `json:"shard"`
+		Base    uint64   `json:"base"`
+		Head    [32]byte `json:"head"`
+		Totals  UsageLog `json:"totals"`
+		Records []Record `json:"records"`
+	}
+	m, err := readSpillManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m spillManifest
-	if err := json.Unmarshal(mRaw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Format != SpillFormatV2 {
-		t.Fatalf("fresh spill dir stamped %q, want %q", m.Format, SpillFormatV2)
-	}
-	m.Format = SpillFormatV1
-	if err := writeSpillManifest(mPath, &m); err != nil {
+	m.Format = spillFormatV1
+	if err := writeSpillManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
 	for shard := 0; shard < opts.Shards; shard++ {
 		path := filepath.Join(dir, shardFileName(shard))
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var jsonl bytes.Buffer
-		br := bufio.NewReader(bytes.NewReader(raw))
-		for {
-			fr, _, err := readBinFrame(br)
-			if err == io.EOF {
-				break
-			}
+		if _, err := walkFrames(path, func(fr *spillFrame, _, _ int64) error {
+			line, err := json.Marshal(v1Frame(*fr))
 			if err != nil {
-				t.Fatalf("shard %d: %v", shard, err)
-			}
-			line, err := json.Marshal(fr)
-			if err != nil {
-				t.Fatal(err)
+				return err
 			}
 			jsonl.Write(line)
 			jsonl.WriteByte('\n')
+			return nil
+		}); err != nil {
+			t.Fatalf("shard %d: %v", shard, err)
+		}
+		if jsonl.Len() == 0 {
+			t.Fatalf("shard %d spilled no frames — test setup broken", shard)
 		}
 		if err := os.WriteFile(path, jsonl.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Reopen: recovery must accept the v1 layout and carry on appending.
-	l2, err := NewLedger(e, opts)
-	if err != nil {
-		t.Fatalf("reopening v1 spill dir: %v", err)
-	}
-	for i := 16; i < 24; i++ {
-		if _, _, err := l2.AppendShard(uint32(i%2), codecLog(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := l2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	l2.Close()
-
-	// The directory must still be pure v1: manifest stamp unchanged and
-	// every shard file line-delimited JSON (first byte '{').
-	mRaw, err = os.ReadFile(mPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(mRaw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Format != SpillFormatV1 {
-		t.Fatalf("reopened v1 dir restamped to %q", m.Format)
-	}
-	for shard := 0; shard < opts.Shards; shard++ {
-		raw, err := os.ReadFile(filepath.Join(dir, shardFileName(shard)))
+	snapshot := func() map[string][]byte {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(raw) == 0 || raw[0] != '{' || raw[len(raw)-1] != '\n' {
-			t.Fatalf("shard %d of a v1 dir is not JSON lines after reopen", shard)
-		}
-		for _, line := range bytes.Split(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n")) {
-			var fr spillFrame
-			if err := json.Unmarshal(line, &fr); err != nil {
-				t.Fatalf("shard %d: v1 frame line does not parse: %v", shard, err)
+		files := map[string][]byte{}
+		for _, ent := range entries {
+			raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
 			}
+			files[ent.Name()] = raw
+		}
+		return files
+	}
+	before := snapshot()
+
+	// Also with pruning newly requested: the manifest rewrite that
+	// declares it must not get ahead of the refusal.
+	pruning := opts
+	pruning.Retention.CheckpointKeepEvery = 2
+	for _, o := range []LedgerOptions{opts, pruning} {
+		l2, err := NewLedger(e, o)
+		if err == nil {
+			l2.Close()
+			t.Fatal("NewLedger reopened a v1 spill dir")
+		}
+		if !strings.Contains(err.Error(), spillFormatV1) {
+			t.Fatalf("NewLedger refusal does not name the format: %v", err)
 		}
 	}
-
-	// And the whole mixed-generation directory verifies offline.
-	res, err := VerifySpillDir(dir, VerifyOptions{Key: e.PublicKey()})
-	if err != nil {
-		t.Fatal(err)
+	_, err = VerifySpillDir(dir, VerifyOptions{Key: e.PublicKey()})
+	if err == nil {
+		t.Fatal("VerifySpillDir accepted a v1 spill dir")
 	}
-	if res.Records != 24 {
-		t.Fatalf("v1 spill verification replayed %d records, want 24", res.Records)
+	if !strings.Contains(err.Error(), spillFormatV1) {
+		t.Fatalf("VerifySpillDir refusal does not name the format: %v", err)
+	}
+	if after := snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatal("a refused v1 spill dir was modified")
+	}
+}
+
+// compatDir holds a spill directory and three dump containers written by
+// commit b9cb227 — the last one that could also write the JSON forms (see
+// its README.md). They pin "frame and container bytes did not change" from
+// outside the code that writes them.
+const compatDir = "testdata/compat-b9cb227"
+
+// TestCompatFixtureVerifies: what the parent commit wrote verifies under
+// the identity embedded in it, with the parent's own verdicts.
+func TestCompatFixtureVerifies(t *testing.T) {
+	sres, err := VerifySpillDir(filepath.Join(compatDir, "spill-v2"), VerifyOptions{})
+	if err != nil {
+		t.Fatalf("parent's spill directory: %v", err)
+	}
+	if sres.Records != 72 || sres.Checkpoints != 9 || sres.CoveredRecords != 72 ||
+		sres.BeyondHorizon != 1 || sres.PrunedCheckpointGaps != 5 || sres.Totals.WeightedInstructions != 74556 {
+		t.Fatalf("parent's spill directory: verdict %+v", *sres)
+	}
+	for _, tc := range []struct {
+		file string
+		want VerifyResult
+	}{
+		{"ledger-v3.bin", VerifyResult{Records: 75, Checkpoints: 9, CoveredRecords: 75, PrunedCheckpointGaps: 5}},
+		{"ledger-v3-truncated.bin", VerifyResult{Records: 3, Checkpoints: 1, CoveredRecords: 75,
+			Anchored: true, AnchorSequence: 71, StartRecords: 72}},
+		{"ledger-v3-unpruned.bin", VerifyResult{Records: 20, Checkpoints: 3, CoveredRecords: 20}},
+	} {
+		raw, err := os.ReadFile(filepath.Join(compatDir, tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := VerifyReader(bytes.NewReader(raw), VerifyOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		tc.want.Shards = 2
+		tc.want.Totals = res.Totals
+		if want := uint64(1000*tc.want.CoveredRecords + tc.want.CoveredRecords*(tc.want.CoveredRecords-1)/2); res.Totals.WeightedInstructions != want {
+			// The generator charged record i 1000+i weighted instructions.
+			t.Errorf("%s: totals %d weighted instructions, want %d", tc.file, res.Totals.WeightedInstructions, want)
+		}
+		if *res != tc.want {
+			t.Errorf("%s: verdict %+v, want %+v", tc.file, *res, tc.want)
+		}
+		d, err := ReadDump(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: ReadDump: %v", tc.file, err)
+		}
+		if dres, err := VerifyDump(d, VerifyOptions{}); err != nil || *dres != *res {
+			t.Errorf("%s: VerifyDump(ReadDump) = %+v, %v; VerifyReader = %+v", tc.file, dres, err, *res)
+		}
 	}
 }

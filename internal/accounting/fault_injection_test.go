@@ -198,7 +198,7 @@ func TestSpillPermanentWriteFaultDegrades(t *testing.T) {
 	if err := l.WriteDump(&buf, accounting.DumpOptions{}); err != nil {
 		t.Fatalf("dump from degraded ledger: %v", err)
 	}
-	vres, err := accounting.VerifyStream(bytes.NewReader(buf.Bytes()), accounting.VerifyOptions{Key: e.PublicKey()})
+	vres, err := accounting.VerifyReader(bytes.NewReader(buf.Bytes()), accounting.VerifyOptions{Key: e.PublicKey()})
 	if err != nil {
 		t.Fatalf("degraded dump does not verify: %v", err)
 	}

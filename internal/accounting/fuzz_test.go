@@ -1,22 +1,107 @@
 package accounting
 
-// Fuzz harness for the binary spill-frame decoder. The decoder fronts
-// every byte that crash recovery and the offline verifier read off disk,
-// so it must never panic and never over-allocate, whatever a hostile or
-// half-written file feeds it. Run with:
+// Fuzz harnesses for the two parsers of untrusted bytes: the spill-frame
+// decoder, which fronts every byte crash recovery and the offline
+// verifier read off disk, and the dump-container verifier, which is
+// handed whatever a provider chooses to serve. Neither may panic or
+// over-allocate, whatever a hostile or half-written input feeds it. Run
+// with:
 //
 //	go test -fuzz=FuzzBinFrameDecode -fuzztime=30s ./internal/accounting
+//	go test -fuzz=FuzzVerifyReader -fuzztime=30s ./internal/accounting
 //
-// The committed seed corpus (testdata/fuzz/FuzzBinFrameDecode) covers a
-// valid single-record frame, a signed batch, truncations at interesting
-// offsets, and single-bit flips.
+// The committed seed corpora (testdata/fuzz/<target>) cover, for frames,
+// a valid single-record frame, a signed batch, truncations at interesting
+// offsets and single-bit flips; for containers, the honest full,
+// truncated and pruned-chain dumps of the compatibility fixture, and the
+// malformed ones TestBinaryDumpRoundTrip lists.
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
+
+// FuzzVerifyReader mutates honest dump containers. The honest ones are the
+// compatibility fixture's (a committed corpus needs a key that outlives
+// the process that signed it), and the attested identity is the one its
+// spill manifest records. Whatever the input:
+//
+//   - VerifyReader returns; it never panics;
+//   - it allocates no more than a fixed multiple of the input's size (plus
+//     the verifier's fixed buffers and MaxDumpShards' worth of lane state):
+//     no length field can size an allocation the input does not back;
+//   - if the input verifies under the attested key and measurement, the
+//     verdict is one an honest container earns. Every honest seed's last
+//     record is checkpoint-covered, so there is no unsigned tail a
+//     mutation could cut or extend: nothing attested can be changed.
+func FuzzVerifyReader(f *testing.F) {
+	m, err := readSpillManifest(filepath.Join(compatDir, "spill-v2"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	pub, err := ParsePublicKey(m.PublicKey)
+	if err != nil {
+		f.Fatal(err)
+	}
+	attested := VerifyOptions{Key: pub, Measurement: m.Measurement}
+	var honest []VerifyResult
+	var small []byte
+	for _, name := range []string{"ledger-v3.bin", "ledger-v3-truncated.bin", "ledger-v3-unpruned.bin"} {
+		raw, err := os.ReadFile(filepath.Join(compatDir, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		res, err := VerifyReader(bytes.NewReader(raw), attested)
+		if err != nil {
+			f.Fatalf("%s: %v", name, err)
+		}
+		honest = append(honest, *res)
+		f.Add(raw)
+		small = raw
+	}
+	// Malformed: bytes after the terminator, no terminator, a flipped
+	// record byte, a header length far beyond the input, and not a
+	// container at all.
+	hlen := int(binary.LittleEndian.Uint32(small[8:12]))
+	f.Add(append(append([]byte(nil), small...), 0))
+	f.Add(small[:len(small)-4])
+	flipped := append([]byte(nil), small...)
+	flipped[12+hlen+4+10] ^= 0x01
+	f.Add(flipped)
+	hostile := append([]byte(nil), small[:64]...)
+	binary.LittleEndian.PutUint32(hostile[8:], maxBinDumpHeader)
+	f.Add(hostile)
+	f.Add([]byte(`{"format":"acctee-ledger/v2","records":[]}`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := VerifyReader(bytes.NewReader(data), attested)
+		runtime.ReadMemStats(&after)
+		// 64 KiB of bufio, 64 KiB of read step, 48 B of lane state for
+		// each of up to MaxDumpShards shards, and the JSON decoder's
+		// constant factor over the header text.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(128*len(data)+(8<<20)); got > limit {
+			t.Fatalf("verifying %d bytes allocated %d bytes (limit %d)", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		for i := range honest {
+			if *res == honest[i] {
+				return
+			}
+		}
+		t.Fatalf("a container no honest ledger wrote verifies under the attested key: %+v", *res)
+	})
+}
 
 func FuzzBinFrameDecode(f *testing.F) {
 	// Valid frames: single record, batch, eager-signed batch.

@@ -21,12 +21,9 @@
 package accounting
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/ecdsa"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -838,10 +835,11 @@ type DumpOptions struct {
 	// chaining from the anchor's carried-forward heads. Without an anchor
 	// (no compaction yet) the dump is the full from-genesis one.
 	Truncated bool
-	// Binary selects the format-v3 container for WriteDump: the same
-	// header JSON framed behind a magic, records as length-prefixed
-	// binary (codec.go) instead of JSON — roughly 6x smaller and
-	// proportionally faster to verify. VerifyStream reads both formats.
+	// Binary once chose between a JSON stream and the binary container.
+	//
+	// Deprecated: accepted and ignored — WriteDump always writes the
+	// container. The field survives only because the frozen benchmark
+	// (benchmark/ledger.go) still sets it; nothing else may.
 	Binary bool
 }
 
@@ -946,23 +944,34 @@ func (l *Ledger) snapshotDump(opts DumpOptions) (dumpCapture, []func(func(*Recor
 	return c, snaps, nil
 }
 
-func (l *Ledger) dump(opts DumpOptions) (*Dump, error) {
+// dumpHeader is the record-less Dump of a capture: what Dump() fills with
+// records and WriteDump serialises as the container's header. Records is
+// empty but non-nil so the header always spells out "records":[].
+func (l *Ledger) dumpHeader(c dumpCapture) (*Dump, error) {
 	pub, err := MarshalPublicKey(l.enclave.PublicKey())
 	if err != nil {
 		return nil, err
 	}
-	c, snaps, err := l.snapshotDump(opts)
-	if err != nil {
-		return nil, err
-	}
-	d := &Dump{
-		Format:      DumpFormat,
+	return &Dump{
+		Format:      DumpFormatV3,
 		Shards:      len(l.lanes),
 		Measurement: l.enclave.Measurement(),
 		PublicKey:   pub,
 		Anchor:      c.anchor,
 		Checkpoints: c.cps,
 		Pruned:      capturedPruned(c.anchor, c.cps),
+		Records:     []Record{},
+	}, nil
+}
+
+func (l *Ledger) dump(opts DumpOptions) (*Dump, error) {
+	c, snaps, err := l.snapshotDump(opts)
+	if err != nil {
+		return nil, err
+	}
+	d, err := l.dumpHeader(c)
+	if err != nil {
+		return nil, err
 	}
 	for i := range snaps {
 		err := snaps[i](func(r *Record) error {
@@ -981,80 +990,23 @@ func (l *Ledger) dump(opts DumpOptions) (*Dump, error) {
 	return d, nil
 }
 
-// WriteDump streams the dump to w in O(segment + resident) memory: the
-// header, anchor and checkpoints first, then records shard by shard — the
-// resident suffix from a point-in-time copy, sealed segments straight
-// from the spill files one frame at a time. The snapshot phase is the
-// only part that takes ledger locks: a consumer draining the stream
-// slowly (a curl of GET /ledger over a bad link) never blocks appends or
-// compaction. The emitted layout always keeps "records" last, which is
-// what lets VerifyStream verify it without materialising the record
-// array.
+// WriteDump streams the dump container to w in O(segment + resident)
+// memory: the header, anchor and checkpoints first, then records shard by
+// shard — the resident suffix from a point-in-time copy, sealed segments
+// straight from the spill files one frame at a time. The snapshot phase
+// is the only part that takes ledger locks: a consumer draining the
+// stream slowly (a curl of GET /ledger over a bad link) never blocks
+// appends or compaction.
 func (l *Ledger) WriteDump(w io.Writer, opts DumpOptions) error {
-	pub, err := MarshalPublicKey(l.enclave.PublicKey())
-	if err != nil {
-		return err
-	}
 	c, snaps, err := l.snapshotDump(opts)
 	if err != nil {
 		return err
 	}
-	if opts.Binary {
-		return writeBinaryDump(w, l, pub, c, snaps)
-	}
-
-	// The header serialises through the Dump struct itself — one field
-	// set, one set of tags, shared with Dump()/ParseDump — with an empty
-	// (non-nil) Records slice as the last field. Stripping the closing
-	// "]}" leaves the stream positioned inside the records array, which
-	// is then filled one record at a time.
-	head := &Dump{
-		Format:      DumpFormat,
-		Shards:      len(l.lanes),
-		Measurement: l.enclave.Measurement(),
-		PublicKey:   pub,
-		Anchor:      c.anchor,
-		Checkpoints: c.cps,
-		Pruned:      capturedPruned(c.anchor, c.cps),
-		Records:     []Record{},
-	}
-	hj, err := json.Marshal(head)
+	head, err := l.dumpHeader(c)
 	if err != nil {
 		return err
 	}
-	if !bytes.HasSuffix(hj, []byte(`"records":[]}`)) {
-		// Records must stay the last Dump field — VerifyStream depends on
-		// the streaming layout.
-		return fmt.Errorf("accounting: dump header no longer ends with the records array")
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(hj[:len(hj)-2]); err != nil {
-		return err
-	}
-	first := true
-	for i := range snaps {
-		err := snaps[i](func(r *Record) error {
-			if !first {
-				if _, err := bw.WriteString(","); err != nil {
-					return err
-				}
-			}
-			first = false
-			j, err := json.Marshal(r)
-			if err != nil {
-				return err
-			}
-			_, err = bw.Write(j)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return writeDumpContainer(w, head, snaps)
 }
 
 // capturedPruned reports whether the captured checkpoint sequence has
@@ -1077,56 +1029,4 @@ func capturedPruned(anchor *SignedCheckpoint, cps []SignedCheckpoint) bool {
 		prev, have = seq, true
 	}
 	return false
-}
-
-// writeBinaryDump streams the format-v3 container: magic, length-prefixed
-// header JSON (the Dump struct with an empty records array), then each
-// record as u32 length + binary encoding, closed by a zero length.
-func writeBinaryDump(w io.Writer, l *Ledger, pub []byte, c dumpCapture, snaps []func(func(*Record) error) error) error {
-	head := &Dump{
-		Format:      DumpFormatV3,
-		Shards:      len(l.lanes),
-		Measurement: l.enclave.Measurement(),
-		PublicKey:   pub,
-		Anchor:      c.anchor,
-		Checkpoints: c.cps,
-		Pruned:      capturedPruned(c.anchor, c.cps),
-		Records:     []Record{},
-	}
-	hj, err := json.Marshal(head)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(dumpMagicV3[:]); err != nil {
-		return err
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(len(hj)))
-	if _, err := bw.Write(b[:]); err != nil {
-		return err
-	}
-	if _, err := bw.Write(hj); err != nil {
-		return err
-	}
-	var rbuf []byte
-	for i := range snaps {
-		err := snaps[i](func(r *Record) error {
-			rbuf = appendRecordBin(rbuf[:0], r)
-			binary.LittleEndian.PutUint32(b[:], uint32(len(rbuf)))
-			if _, err := bw.Write(b[:]); err != nil {
-				return err
-			}
-			_, err := bw.Write(rbuf)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-	}
-	binary.LittleEndian.PutUint32(b[:], 0)
-	if _, err := bw.Write(b[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
 }

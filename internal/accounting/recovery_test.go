@@ -167,7 +167,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	if err := l2.WriteDump(&full, accounting.DumpOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := accounting.VerifyStream(bytes.NewReader(full.Bytes()), accounting.VerifyOptions{Key: e.PublicKey()})
+	res, err := accounting.VerifyReader(bytes.NewReader(full.Bytes()), accounting.VerifyOptions{Key: e.PublicKey()})
 	if err != nil {
 		t.Fatalf("post-recovery full dump: %v", err)
 	}

@@ -149,7 +149,7 @@ func TestRetentionSpillRoundTrip(t *testing.T) {
 	if err := l.WriteDump(&full, accounting.DumpOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := accounting.VerifyStream(bytes.NewReader(full.Bytes()), accounting.VerifyOptions{})
+	res, err := accounting.VerifyReader(bytes.NewReader(full.Bytes()), accounting.VerifyOptions{})
 	if err != nil {
 		t.Fatalf("full streamed dump: %v", err)
 	}
@@ -165,7 +165,7 @@ func TestRetentionSpillRoundTrip(t *testing.T) {
 	if err := l.WriteDump(&trunc, accounting.DumpOptions{Truncated: true}); err != nil {
 		t.Fatal(err)
 	}
-	tres, err := accounting.VerifyStream(bytes.NewReader(trunc.Bytes()), accounting.VerifyOptions{})
+	tres, err := accounting.VerifyReader(bytes.NewReader(trunc.Bytes()), accounting.VerifyOptions{})
 	if err != nil {
 		t.Fatalf("truncated streamed dump: %v", err)
 	}
@@ -177,7 +177,7 @@ func TestRetentionSpillRoundTrip(t *testing.T) {
 		t.Fatalf("truncated cumulative totals %+v != full totals %+v", tres.Totals, res.Totals)
 	}
 
-	// The in-memory Dump (compat path) agrees with the stream.
+	// The in-memory Dump agrees with the stream.
 	d, err := l.Dump()
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestRetentionSpillRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if *dres != *res {
-		t.Fatalf("VerifyDump %+v != VerifyStream %+v", dres, res)
+		t.Fatalf("VerifyDump %+v != VerifyReader %+v", dres, res)
 	}
 
 	// The spill directory itself verifies (frames re-hashed against the
@@ -249,17 +249,11 @@ func TestTruncatedDumpTamperDetection(t *testing.T) {
 	if _, err := accounting.VerifyDump(base, accounting.VerifyOptions{}); err != nil {
 		t.Fatalf("pristine truncated dump: %v", err)
 	}
-	reparse := func() *accounting.Dump {
-		j, err := base.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := accounting.ParseDump(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
+	var container bytes.Buffer
+	if err := l.WriteDump(&container, accounting.DumpOptions{Truncated: true}); err != nil {
+		t.Fatal(err)
 	}
+	reparse := func() *accounting.Dump { return readDump(t, container.Bytes()) }
 	cases := []struct {
 		name   string
 		mutate func(*accounting.Dump)

@@ -19,11 +19,8 @@
 //	MANIFEST.json    store identity: format, shards, measurement, PKIX key
 //	shard-NNNN.seg   append-only; one frame per seal, each frame a run of
 //	                 records [base, base+count) with the running chain head
-//	                 and shard totals after the frame. Format v2 frames are
-//	                 length-prefixed binary with a CRC-32C (codec.go);
-//	                 format v1 frames are one JSON object per line
-//	                 (legacy — still read and, on a reopened v1 directory,
-//	                 still written, so a file never mixes codecs).
+//	                 and shard totals after the frame, length-prefixed
+//	                 binary with a CRC-32C (codec.go owns the layout)
 //	checkpoints.jsonl signed checkpoints, appended as they are signed; with
 //	                 pruning enabled the chain may skip sequences (the
 //	                 manifest's prunedCheckpoints flag says so)
@@ -57,11 +54,9 @@ package accounting
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -145,7 +140,7 @@ type segment struct {
 // the sealed range readable until the frame index takes over.
 type pendingFrame struct {
 	fr  *spillFrame
-	enc []byte // wire encoding (binary v2 frame or JSON line)
+	enc []byte // wire encoding (encodeBinFrame)
 }
 
 // shardSegs is one shard's resident segment list plus its spill state.
@@ -185,7 +180,7 @@ type frameIndex struct {
 	base  uint64
 	count uint64
 	off   int64 // byte offset of the frame
-	size  int64 // full frame length on disk (line incl. newline for v1)
+	size  int64 // full frame length on disk (prefix + payload + CRC)
 }
 
 // segStore is the shared segmented core of both stores.
@@ -411,15 +406,14 @@ type spillManifest struct {
 }
 
 // spillFrame is one frame of a shard's segment file: a contiguous run of
-// records plus the shard's chain head and running totals after the run.
-// The JSON field tags are the v1 wire format; codec.go defines the binary
-// v2 encoding of the same struct.
+// records plus the shard's chain head and running totals after the run
+// (codec.go defines its encoding).
 type spillFrame struct {
-	Shard   uint32   `json:"shard"`
-	Base    uint64   `json:"base"`
-	Head    [32]byte `json:"head"`
-	Totals  UsageLog `json:"totals"`
-	Records []Record `json:"records"`
+	Shard   uint32
+	Base    uint64
+	Head    [32]byte
+	Totals  UsageLog
+	Records []Record
 }
 
 const (
@@ -478,9 +472,6 @@ type fileStore struct {
 	*segStore
 	dir      string
 	manifest spillManifest
-	// binary selects the frame codec: v2 binary for fresh directories,
-	// legacy JSON lines when reopening a v1 directory.
-	binary bool
 
 	mu      sync.Mutex // guards files + checkpoint file appends
 	files   []*os.File
@@ -561,12 +552,11 @@ type recoveredState struct {
 }
 
 // openFileStore creates or reopens a spill directory. On a fresh (or
-// empty) directory it writes a format-v2 manifest and returns a nil
-// recovery state; on a populated one it replays the spill (whichever
-// format the manifest declares) and returns the rebuilt chain state.
-// pruned declares that the ledger above will prune the checkpoint chain.
-// faults, when non-nil, interposes the fault-injection harness on the
-// store's write/sync/truncate calls (tests only).
+// empty) directory it writes the manifest and returns a nil recovery
+// state; on a populated one it replays the spill and returns the rebuilt
+// chain state. pruned declares that the ledger above will prune the
+// checkpoint chain. faults, when non-nil, interposes the fault-injection
+// harness on the store's write/sync/truncate calls (tests only).
 func openFileStore(dir string, shards, segRecords int, meas sgx.Measurement, pubDER []byte, pruned bool, faults *fault.Injector) (*fileStore, *recoveredState, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("accounting: spill dir: %w", err)
@@ -579,51 +569,41 @@ func openFileStore(dir string, shards, segRecords int, meas sgx.Measurement, pub
 			Format: SpillFormatV2, Shards: shards, SegRecords: segRecords,
 			Measurement: meas, PublicKey: pubDER, Pruned: pruned,
 		},
-		binary: true,
-		files:  make([]*os.File, shards),
-		wbufs:  make([][]byte, shards),
+		files: make([]*os.File, shards),
+		wbufs: make([][]byte, shards),
 	}
 	fs.dataDirty = make([]bool, shards)
 	fs.unhinted = make([]int64, shards)
 	fs.hintOff = make([]int64, shards)
 	fs.qcond = sync.NewCond(&fs.qmu)
-	manifestPath := filepath.Join(dir, manifestName)
 	var rec *recoveredState
-	if raw, err := os.ReadFile(manifestPath); err == nil {
-		var m spillManifest
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return nil, nil, fmt.Errorf("accounting: spill manifest: %w", err)
-		}
-		if m.Format != SpillFormatV1 && m.Format != SpillFormatV2 {
-			return nil, nil, fmt.Errorf("accounting: spill format %q, want %q or %q", m.Format, SpillFormatV1, SpillFormatV2)
-		}
+	m, err := readSpillManifest(dir)
+	switch {
+	case err == nil:
 		if m.Shards != shards {
 			return nil, nil, fmt.Errorf("accounting: spill dir has %d shards, ledger wants %d", m.Shards, shards)
 		}
 		if m.Measurement != meas || !bytes.Equal(m.PublicKey, pubDER) {
 			return nil, nil, fmt.Errorf("accounting: spill dir belongs to a different enclave identity")
 		}
-		// A reopened v1 directory keeps writing v1 JSON frames: one spill
-		// file never mixes codecs.
-		fs.binary = m.Format == SpillFormatV2
 		if pruned && !m.Pruned {
 			// Declare pruning before the first entry can go missing; the
 			// flag is sticky across reopenings.
 			m.Pruned = true
-			if err := writeSpillManifest(manifestPath, &m); err != nil {
+			if err := writeSpillManifest(dir, m); err != nil {
 				return nil, nil, err
 			}
 		}
-		fs.manifest = m
+		fs.manifest = *m
 		if rec, err = fs.recover(); err != nil {
 			return nil, nil, err
 		}
-	} else if os.IsNotExist(err) {
-		if err := writeSpillManifest(manifestPath, &fs.manifest); err != nil {
+	case errors.Is(err, os.ErrNotExist):
+		if err := writeSpillManifest(dir, &fs.manifest); err != nil {
 			return nil, nil, err
 		}
-	} else {
-		return nil, nil, fmt.Errorf("accounting: spill manifest: %w", err)
+	default:
+		return nil, nil, err
 	}
 	for i := range fs.files {
 		f, err := os.OpenFile(filepath.Join(dir, shardFileName(i)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -648,110 +628,116 @@ func openFileStore(dir string, shards, segRecords int, meas sgx.Measurement, pub
 	return fs, rec, nil
 }
 
-// writeSpillManifest writes MANIFEST.json.
-func writeSpillManifest(path string, m *spillManifest) error {
+// readSpillManifest loads MANIFEST.json and checks its format stamp: a
+// directory in any layout but SpillFormatV2 is refused here, before the
+// caller opens (let alone truncates) another file in it.
+func readSpillManifest(dir string) (*spillManifest, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		return nil, fmt.Errorf("accounting: spill manifest: %w", err)
+	}
+	var m spillManifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return nil, fmt.Errorf("accounting: spill manifest: %w", err)
+	}
+	if m.Format != SpillFormatV2 {
+		return nil, fmt.Errorf("accounting: spill dir is in format %q; only %q is supported", m.Format, SpillFormatV2)
+	}
+	return &m, nil
+}
+
+// writeSpillManifest atomically (re)places dir's MANIFEST.json.
+func writeSpillManifest(dir string, m *spillManifest) error {
 	j, err := json.MarshalIndent(m, "", " ")
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, j, 0o644); err != nil {
+	if err := replaceFile(filepath.Join(dir, manifestName), j, nil); err != nil {
 		return fmt.Errorf("accounting: write spill manifest: %w", err)
 	}
 	return nil
 }
 
+// replaceFile atomically replaces path with data: a temp file beside it
+// is written and fsynced, renamed over path, and the directory fsynced so
+// the rename itself is durable — a crash at any point leaves either the
+// old file or the new one, never a torn mix. The write and sync go
+// through faults (nil-safe), and a crashed injector stops short of the
+// rename: a dead process renames nothing.
+func replaceFile(path string, data []byte, faults *fault.Injector) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err := faults.Write(f, data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := faults.Sync(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if faults.Crashed() {
+		return fault.ErrCrashed
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// shardScan is what a structural replay of one shard's segment file
+// yields: the frame index, the chain state after the last whole frame,
+// and the byte offset just past it (where a torn tail is cut).
+type shardScan struct {
+	frames  []frameIndex
+	next    uint64
+	head    [32]byte
+	totals  UsageLog
+	goodEnd int64
+}
+
 // scanShardFile structurally replays one shard's segment file: frames must
 // be contiguous runs with internally consistent sequences, prev-hash
-// linkage and head/totals stamps. It returns the frame index, final chain
-// state, and the byte offset just past the last good frame (a torn
-// trailing frame from a crash mid-group-commit is cut there, not treated
-// as corruption). bin selects the frame codec.
-func scanShardFile(path string, shard uint32, bin bool) (frames []frameIndex, next uint64, head [32]byte, totals UsageLog, goodEnd int64, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, 0, head, totals, 0, nil
-	}
-	if err != nil {
-		return nil, 0, head, totals, 0, err
-	}
-	defer f.Close()
-	// validate replays one decoded frame into the running chain state.
-	validate := func(fr *spillFrame, off int64) error {
-		if fr.Shard != shard || fr.Base != next || len(fr.Records) == 0 {
+// linkage and head/totals stamps.
+func scanShardFile(path string, shard uint32) (s shardScan, err error) {
+	s.goodEnd, err = walkFrames(path, func(fr *spillFrame, off, size int64) error {
+		if fr.Shard != shard || fr.Base != s.next || len(fr.Records) == 0 {
 			return fmt.Errorf(
 				"accounting: spill shard %d frame at offset %d out of order (base %d, want %d)",
-				shard, off, fr.Base, next)
+				shard, off, fr.Base, s.next)
 		}
 		for i := range fr.Records {
 			r := &fr.Records[i]
-			if r.Shard != shard || r.Log.Sequence != next {
+			if r.Shard != shard || r.Log.Sequence != s.next {
 				return fmt.Errorf(
-					"accounting: spill shard %d record %d out of sequence (want %d)", shard, r.Log.Sequence, next)
+					"accounting: spill shard %d record %d out of sequence (want %d)", shard, r.Log.Sequence, s.next)
 			}
-			if r.PrevHash != head {
+			if r.PrevHash != s.head {
 				return fmt.Errorf(
-					"accounting: spill shard %d record %d breaks the hash chain", shard, next)
+					"accounting: spill shard %d record %d breaks the hash chain", shard, s.next)
 			}
-			head = r.Hash
-			aggregate(&totals, &r.Log)
-			next++
+			s.head = r.Hash
+			aggregate(&s.totals, &r.Log)
+			s.next++
 		}
-		if fr.Head != head || fr.Totals != totals {
+		if fr.Head != s.head || fr.Totals != s.totals {
 			return fmt.Errorf(
 				"accounting: spill shard %d frame at offset %d head/totals stamp mismatch", shard, off)
 		}
+		s.frames = append(s.frames, frameIndex{base: fr.Base, count: uint64(len(fr.Records)), off: off, size: size})
 		return nil
-	}
-	if bin {
-		br := bufio.NewReaderSize(f, 1<<20)
-		var off int64
-		for {
-			fr, size, rerr := readBinFrame(br)
-			if rerr == io.EOF || rerr == errTornFrame {
-				// Clean end of file, or a frame cut short by a crash
-				// mid-group-commit: everything before off is intact; the
-				// caller truncates any torn residue.
-				return frames, next, head, totals, off, nil
-			}
-			if rerr != nil {
-				return nil, 0, head, totals, 0, fmt.Errorf("accounting: spill shard %d at offset %d: %w", shard, off, rerr)
-			}
-			if verr := validate(fr, off); verr != nil {
-				return nil, 0, head, totals, 0, verr
-			}
-			frames = append(frames, frameIndex{base: fr.Base, count: uint64(len(fr.Records)), off: off, size: size})
-			off += size
-		}
-	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<30)
-	var off int64
-	for sc.Scan() {
-		line := sc.Bytes()
-		size := int64(len(line)) + 1
-		var fr spillFrame
-		if err := json.Unmarshal(line, &fr); err != nil {
-			if sc.Scan() {
-				// An unparsable line FOLLOWED by more data is corruption,
-				// not a torn tail — refuse rather than silently dropping
-				// the frames behind it.
-				return nil, 0, head, totals, 0, fmt.Errorf(
-					"accounting: spill shard %d: corrupt frame at offset %d (not a torn tail)", shard, off)
-			}
-			// Torn tail from a crash mid-append: everything before it is
-			// intact; the caller truncates here.
-			return frames, next, head, totals, off, nil
-		}
-		if verr := validate(&fr, off); verr != nil {
-			return nil, 0, head, totals, 0, verr
-		}
-		frames = append(frames, frameIndex{base: fr.Base, count: uint64(len(fr.Records)), off: off, size: size})
-		off += size
-	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, head, totals, 0, err
-	}
-	return frames, next, head, totals, off, nil
+	})
+	return s, err
 }
 
 // recover rebuilds per-shard chain state from the spill directory,
@@ -759,21 +745,12 @@ func scanShardFile(path string, shard uint32, bin bool) (frames []frameIndex, ne
 // persisted checkpoint whose coverage the spill fully contains, and
 // checkpoints past the spill horizon).
 func (fs *fileStore) recover() (*recoveredState, error) {
-	type shardScan struct {
-		frames  []frameIndex
-		next    uint64
-		head    [32]byte
-		totals  UsageLog
-		goodEnd int64
-	}
 	scans := make([]shardScan, len(fs.shards))
 	for i := range fs.shards {
-		frames, next, head, totals, goodEnd, err := scanShardFile(
-			filepath.Join(fs.dir, shardFileName(i)), uint32(i), fs.binary)
-		if err != nil {
+		var err error
+		if scans[i], err = scanShardFile(filepath.Join(fs.dir, shardFileName(i)), uint32(i)); err != nil {
 			return nil, err
 		}
-		scans[i] = shardScan{frames, next, head, totals, goodEnd}
 	}
 	cps, err := readSpillCheckpoints(fs.dir, len(fs.shards), fs.manifest.Pruned)
 	if err != nil {
@@ -806,12 +783,22 @@ func (fs *fileStore) recover() (*recoveredState, error) {
 			anchor = i
 		}
 	}
-	// A spill with records but no anchoring checkpoint means the
-	// checkpoint log was lost or corrupted out from under the frames.
-	// Refuse: recovering "from genesis" here would truncate every segment
-	// file to zero, destroying intact signature-covered records.
+	// A spill with records but no anchoring checkpoint means one of two
+	// things. If the log reaches back to checkpoint 0 and its newest entry
+	// covers every frame on disk, no seal ever completed: the frames are
+	// the residue of the first seal, interrupted before all of its frames
+	// landed, and nothing durable is lost by cutting back to genesis (the
+	// unanchored checkpoints are reported through DroppedCheckpoints).
+	// Otherwise the checkpoint log was lost or corrupted out from under
+	// the frames. Refuse: recovering "from genesis" there would truncate
+	// every segment file to zero, destroying intact signature-covered
+	// records.
 	if anchor < 0 {
+		firstSeal := len(cps) > 0 && cps[0].Checkpoint.Sequence == 0
 		for i := range scans {
+			if firstSeal && scans[i].next <= cps[len(cps)-1].Checkpoint.Heads[i].Count {
+				continue
+			}
 			if scans[i].next > 0 {
 				return nil, fmt.Errorf(
 					"accounting: spill dir holds %d records of shard %d but no persisted checkpoint anchors them — refusing to recover (checkpoint log lost or corrupt?)",
@@ -829,40 +816,37 @@ func (fs *fileStore) recover() (*recoveredState, error) {
 	}
 	for i := range fs.shards {
 		s := &scans[i]
+		path := filepath.Join(fs.dir, shardFileName(i))
 		var limit uint64 // anchored spill horizon for this shard
 		if anchor >= 0 {
 			limit = cps[anchor].Checkpoint.Heads[i].Count
 		}
-		if s.next > limit {
-			// Truncate unanchored frames (and re-scan state) back to the
-			// anchor boundary. Frames end exactly on seal boundaries, so
-			// the cut always lands between frames.
-			cut := int64(0)
-			kept := s.frames[:0]
-			s.next, s.head, s.totals = 0, [32]byte{}, UsageLog{}
+		cut, unanchored := s.goodEnd, s.next > limit
+		if unanchored {
+			// Unanchored frames go: cut back to the anchor boundary.
+			// Frames end exactly on seal boundaries, so the cut always
+			// lands between frames.
+			cut = 0
+			var end uint64
 			for _, fr := range s.frames {
 				if fr.base+fr.count > limit {
 					break
 				}
-				cut = fr.off + fr.size
-				kept = append(kept, fr)
+				cut, end = fr.off+fr.size, fr.base+fr.count
 			}
-			if len(kept) > 0 {
-				last := kept[len(kept)-1]
-				if last.base+last.count != limit {
-					return nil, fmt.Errorf("accounting: spill shard %d cannot be cut at anchor boundary %d", i, limit)
-				}
-			} else if limit != 0 {
-				return nil, fmt.Errorf("accounting: spill shard %d misses anchored records below %d", i, limit)
+			if end != limit {
+				return nil, fmt.Errorf("accounting: spill shard %d cannot be cut at anchor boundary %d (frames end at %d)", i, limit, end)
 			}
-			// Recompute the carried-forward state over the kept prefix.
-			if err := fs.rescanPrefix(i, kept, &s.next, &s.head, &s.totals); err != nil {
+		}
+		if err := os.Truncate(path, cut); err != nil {
+			return nil, fmt.Errorf("accounting: truncate spill shard %d: %w", i, err)
+		}
+		if unanchored {
+			// Recompute the carried-forward state over the kept prefix
+			// (rare path: only after a crash mid-seal).
+			if *s, err = scanShardFile(path, uint32(i)); err != nil {
 				return nil, err
 			}
-			s.frames, s.goodEnd = kept, cut
-		}
-		if err := os.Truncate(filepath.Join(fs.dir, shardFileName(i)), s.goodEnd); err != nil {
-			return nil, fmt.Errorf("accounting: truncate spill shard %d: %w", i, err)
 		}
 		sh := &fs.shards[i]
 		sh.next, sh.dropped = s.next, s.next
@@ -896,55 +880,6 @@ func (fs *fileStore) recover() (*recoveredState, error) {
 		}
 	}
 	return rec, nil
-}
-
-// rescanPrefix recomputes chain state over a kept frame prefix after a
-// truncation decision (rare path: only after a crash mid-seal).
-func (fs *fileStore) rescanPrefix(shard int, frames []frameIndex, next *uint64, head *[32]byte, totals *UsageLog) error {
-	f, err := os.Open(filepath.Join(fs.dir, shardFileName(shard)))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	for _, fr := range frames {
-		frame, err := readFrameAt(f, fr, fs.binary)
-		if err != nil {
-			return err
-		}
-		for i := range frame.Records {
-			*head = frame.Records[i].Hash
-			aggregate(totals, &frame.Records[i].Log)
-			*next++
-		}
-	}
-	return nil
-}
-
-// readFrameAt decodes one frame at a known offset (bin selects the codec).
-func readFrameAt(f *os.File, fi frameIndex, bin bool) (*spillFrame, error) {
-	buf := make([]byte, fi.size)
-	if _, err := f.ReadAt(buf, fi.off); err != nil {
-		return nil, fmt.Errorf("accounting: read spill frame: %w", err)
-	}
-	if bin {
-		if fi.size < 8 {
-			return nil, fmt.Errorf("accounting: spill frame index names a %d-byte frame", fi.size)
-		}
-		payloadLen := binary.LittleEndian.Uint32(buf)
-		if int64(payloadLen)+8 != fi.size {
-			return nil, fmt.Errorf("accounting: spill frame length drifted (payload %d in a %d-byte frame)", payloadLen, fi.size)
-		}
-		payload := buf[4 : 4+payloadLen]
-		if got := crc32.Checksum(payload, castagnoli); got != binary.LittleEndian.Uint32(buf[4+payloadLen:]) {
-			return nil, fmt.Errorf("accounting: spill frame CRC mismatch")
-		}
-		return decodeBinFramePayload(payload)
-	}
-	var fr spillFrame
-	if err := json.Unmarshal(bytes.TrimRight(buf, "\n"), &fr); err != nil {
-		return nil, fmt.Errorf("accounting: decode spill frame: %w", err)
-	}
-	return &fr, nil
 }
 
 // readSpillCheckpoints reads a spill directory's persisted checkpoint
@@ -1008,40 +943,24 @@ func readSpillCheckpoints(dir string, shards int, pruned bool) ([]SignedCheckpoi
 // superseded anchors). When the append handle is open the caller must
 // hold fs.mu; the handle is reopened on the new inode after the rename.
 func (fs *fileStore) rewriteCheckpoints(cps []SignedCheckpoint) error {
-	tmp := filepath.Join(fs.dir, checkpointsName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
+	var log bytes.Buffer
 	for i := range cps {
 		j, err := json.Marshal(&cps[i])
 		if err != nil {
-			f.Close()
 			return err
 		}
-		w.Write(j)
-		w.WriteByte('\n')
+		log.Write(j)
+		log.WriteByte('\n')
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(fs.dir, checkpointsName)); err != nil {
+	path := filepath.Join(fs.dir, checkpointsName)
+	if err := replaceFile(path, log.Bytes(), fs.faults); err != nil {
 		return err
 	}
 	if fs.cpF != nil {
 		// The old append FD points at the renamed-over inode; reopen so
 		// later appends land in the rewritten log.
 		_ = fs.cpF.Close()
-		nf, err := os.OpenFile(filepath.Join(fs.dir, checkpointsName), os.O_WRONLY|os.O_APPEND, 0o644)
+		nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			fs.cpF = nil
 			return fmt.Errorf("accounting: reopen checkpoint log: %w", err)
@@ -1111,7 +1030,7 @@ func (fs *fileStore) Get(shard uint32, seq uint64) (Record, bool) {
 		return Record{}, false
 	}
 	defer f.Close()
-	frame, err := readFrameAt(f, fi, fs.binary)
+	frame, err := readFrameAt(f, fi)
 	if err != nil {
 		return Record{}, false
 	}
@@ -1182,18 +1101,6 @@ func (fs *fileStore) PersistCheckpoint(sc *SignedCheckpoint) error {
 	fs.cpLines++
 	fs.cpDirty = true
 	return nil
-}
-
-// encodeFrame serialises a frame in the store's codec.
-func (fs *fileStore) encodeFrame(fr *spillFrame) ([]byte, error) {
-	if fs.binary {
-		return encodeBinFrame(fr), nil
-	}
-	j, err := json.Marshal(fr)
-	if err != nil {
-		return nil, err
-	}
-	return append(j, '\n'), nil
 }
 
 // reserve claims a writer-pipeline slot (one per frame). It fails once
@@ -1320,11 +1227,7 @@ func (fs *fileStore) Seal(sc *SignedCheckpoint) (int, error) {
 				aggregate(&frame.Totals, &frame.Records[i].Log)
 			}
 			frame.Head = frame.Records[len(frame.Records)-1].Hash
-			enc, err := fs.encodeFrame(frame)
-			if err != nil {
-				sh.mu.Unlock()
-				return released, err
-			}
+			enc := encodeBinFrame(frame)
 			if err := fs.reserve(); err != nil {
 				sh.mu.Unlock()
 				return released, err
@@ -1581,7 +1484,6 @@ func (fs *fileStore) Snapshot(shard uint32, from, to uint64) (func(fn func(*Reco
 		return nil, err
 	}
 	path := filepath.Join(fs.dir, shardFileName(int(shard)))
-	bin := fs.binary
 	return func(fn func(*Record) error) error {
 		if from < spilled {
 			f, err := os.Open(path)
@@ -1596,7 +1498,7 @@ func (fs *fileStore) Snapshot(shard uint32, from, to uint64) (func(fn func(*Reco
 				if fi.base >= to {
 					return nil
 				}
-				frame, err := readFrameAt(f, fi, bin)
+				frame, err := readFrameAt(f, fi)
 				if err != nil {
 					return err
 				}

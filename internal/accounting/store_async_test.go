@@ -9,10 +9,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
+
+	"acctee/internal/fault"
 )
 
 // TestCloseDuringInflightGroupCommit: Close must act as a full write
@@ -140,17 +144,16 @@ func TestCompactRacingWriteDump(t *testing.T) {
 
 	pub := e.PublicKey()
 	for n := 0; n < dumpRounds && !t.Failed(); n++ {
-		bin := n%2 == 1
 		r := round{make(chan struct{}), make(chan struct{})}
 		open <- r
 		<-r.appending
 		var buf bytes.Buffer
-		err := l.WriteDump(&buf, DumpOptions{Binary: bin})
+		err := l.WriteDump(&buf, DumpOptions{})
 		close(r.dumped)
 		if err != nil {
-			t.Errorf("round %d (binary=%v): WriteDump: %v", n, bin, err)
-		} else if _, err := VerifyStream(bytes.NewReader(buf.Bytes()), VerifyOptions{Key: pub}); err != nil {
-			t.Errorf("round %d (binary=%v): dump taken during compaction races does not verify: %v", n, bin, err)
+			t.Errorf("round %d: WriteDump: %v", n, err)
+		} else if _, err := VerifyReader(bytes.NewReader(buf.Bytes()), VerifyOptions{Key: pub}); err != nil {
+			t.Errorf("round %d: dump taken during compaction races does not verify: %v", n, err)
 		}
 	}
 	close(open)
@@ -341,7 +344,7 @@ func TestPrunedCheckpointChain(t *testing.T) {
 	if res.PrunedCheckpointGaps == 0 {
 		t.Fatal("pruned spill dir verified with zero reported checkpoint gaps")
 	}
-	dres, err := VerifyStream(bytes.NewReader(dump.Bytes()), VerifyOptions{Key: e.PublicKey()})
+	dres, err := VerifyReader(bytes.NewReader(dump.Bytes()), VerifyOptions{Key: e.PublicKey()})
 	if err != nil {
 		t.Fatalf("dump of pruned ledger: %v", err)
 	}
@@ -374,9 +377,11 @@ func TestPrunedCheckpointChain(t *testing.T) {
 	}
 }
 
-// TestBinaryDumpRoundTrip: the v3 binary container carries exactly the
-// JSON dump's verification semantics at a fraction of the bytes, and a
-// flipped byte in its record section is detected.
+// TestBinaryDumpRoundTrip: the dump container carries exactly the
+// in-memory dump's verification semantics, and the reader accepts nothing
+// it has not checked — a flipped record byte, bytes after the terminator,
+// a missing terminator and records smuggled into the header JSON are all
+// refused, by VerifyReader and by ReadDump alike.
 func TestBinaryDumpRoundTrip(t *testing.T) {
 	e := codecEnclave(t)
 	l, err := NewLedger(e, LedgerOptions{Shards: 2})
@@ -394,37 +399,222 @@ func TestBinaryDumpRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	var jsonDump, binDump bytes.Buffer
-	if err := l.WriteDump(&jsonDump, DumpOptions{}); err != nil {
+	var container bytes.Buffer
+	if err := l.WriteDump(&container, DumpOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteDump(&binDump, DumpOptions{Binary: true}); err != nil {
-		t.Fatal(err)
-	}
-	if binDump.Len() >= jsonDump.Len() {
-		t.Fatalf("binary dump (%d bytes) not smaller than JSON (%d bytes)", binDump.Len(), jsonDump.Len())
-	}
-	jres, err := VerifyStream(bytes.NewReader(jsonDump.Bytes()), VerifyOptions{Key: e.PublicKey()})
+	raw := container.Bytes()
+	opts := VerifyOptions{Key: e.PublicKey()}
+	bres, err := VerifyReader(bytes.NewReader(raw), opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	bres, err := VerifyStream(bytes.NewReader(binDump.Bytes()), VerifyOptions{Key: e.PublicKey()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *jres != *bres {
-		t.Fatalf("binary dump verdict %+v differs from JSON %+v", *bres, *jres)
 	}
 	if bres.Records != 100 {
-		t.Fatalf("binary dump replayed %d records, want 100", bres.Records)
+		t.Fatalf("container replayed %d records, want 100", bres.Records)
 	}
-
-	// Flip one byte inside the record section (past magic + header).
-	raw := binDump.Bytes()
+	d, err := l.Dump()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dres, err := VerifyDump(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *dres != *bres {
+		t.Fatalf("container verdict %+v differs from the in-memory dump's %+v", *bres, *dres)
+	}
+	back, err := ReadDump(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, d) {
+		t.Fatal("ReadDump of the container differs from Ledger.Dump()")
+	}
 	hlen := int(binary.LittleEndian.Uint32(raw[8:12]))
-	mut := append([]byte(nil), raw...)
-	mut[8+4+hlen+4+10] ^= 0x01
-	if _, err := VerifyStream(bytes.NewReader(mut), VerifyOptions{Key: e.PublicKey()}); err == nil {
-		t.Fatal("verifier accepted a binary dump with a flipped record byte")
+	// withHeader rebuilds the container around an edited header JSON.
+	withHeader := func(edit func(map[string]json.RawMessage)) []byte {
+		var h map[string]json.RawMessage
+		if err := json.Unmarshal(raw[12:12+hlen], &h); err != nil {
+			t.Fatal(err)
+		}
+		edit(h)
+		hj, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := append([]byte(nil), raw[:8]...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(hj)))
+		out = append(out, hj...)
+		return append(out, raw[12+hlen:]...)
+	}
+	rec0, err := json.Marshal([]Record{d.Records[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), raw...)
+	flipped[12+hlen+4+10] ^= 0x01 // in the first record's prev-hash
+	rendered, err := d.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  []byte
+		// wellFormed: ReadDump parses it (it does not verify); the
+		// tampering is then VerifyDump's to catch.
+		wellFormed bool
+	}{
+		{"flipped record byte", flipped, true},
+		{"one byte after the terminator", append(append([]byte(nil), raw...), 0), false},
+		{"a second container after the terminator", append(append([]byte(nil), raw...), raw...), false},
+		{"terminator cut off", raw[:len(raw)-4], false},
+		{"terminator cut short", raw[:len(raw)-1], false},
+		{"records inside the header JSON", withHeader(func(h map[string]json.RawMessage) { h["records"] = rec0 }), false},
+		{"header stamped with the retired JSON format", withHeader(func(h map[string]json.RawMessage) {
+			h["format"] = json.RawMessage(`"acctee-ledger/v2"`)
+		}), false},
+		{"the JSON rendering", rendered, false},
+	} {
+		if _, err := VerifyReader(bytes.NewReader(tc.mut), opts); err == nil {
+			t.Errorf("%s: VerifyReader accepted it", tc.name)
+		}
+		got, err := ReadDump(bytes.NewReader(tc.mut))
+		switch {
+		case !tc.wellFormed && err == nil:
+			t.Errorf("%s: ReadDump accepted it", tc.name)
+		case tc.wellFormed && err != nil:
+			t.Errorf("%s: ReadDump: %v", tc.name, err)
+		case tc.wellFormed:
+			if _, err := VerifyDump(got, opts); err == nil {
+				t.Errorf("%s: VerifyDump accepted what ReadDump parsed", tc.name)
+			}
+		}
+	}
+	// The header editor itself is sound: an untouched header round-trips
+	// into a container that still verifies.
+	if _, err := VerifyReader(bytes.NewReader(withHeader(func(map[string]json.RawMessage) {})), opts); err != nil {
+		t.Fatalf("re-marshalled header no longer verifies: %v", err)
+	}
+}
+
+// TestManifestReplacedAtomically: reopening with pruning newly enabled
+// rewrites MANIFEST.json, and a crash inside an in-place rewrite would
+// leave a directory nothing can open. The rewrite goes through a temp
+// file and a rename instead, so the torn temp file such a crash leaves
+// beside an intact manifest is harmless: the directory reopens with or
+// without another rewrite, and a completed rewrite leaves no temp file.
+func TestManifestReplacedAtomically(t *testing.T) {
+	dir := t.TempDir()
+	e := codecEnclave(t)
+	opts := LedgerOptions{
+		Shards:    2,
+		Retention: RetentionPolicy{SegmentRecords: 4, SpillDir: dir},
+	}
+	reopen := func(opts LedgerOptions, appends int) {
+		t.Helper()
+		l, err := NewLedger(e, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < appends; i++ {
+			if _, _, err := l.AppendShard(uint32(i%2), codecLog(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+	}
+	reopen(opts, 8)
+	intact, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, manifestName+".tmp")
+	if err := os.WriteFile(tmp, intact[:len(intact)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopen(opts, 0) // no rewrite: the torn temp file is simply ignored
+	opts.Retention.CheckpointKeepEvery = 2
+	reopen(opts, 0) // rewrite: the stale temp file is overwritten, then renamed away
+	m, err := readSpillManifest(dir)
+	if err != nil {
+		t.Fatalf("manifest after the rewrite: %v", err)
+	}
+	if !m.Pruned {
+		t.Fatal("manifest does not declare pruning after a reopen that enabled it")
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("temp manifest still present after a completed rewrite (stat: %v)", err)
+	}
+	if _, err := VerifySpillDir(dir, VerifyOptions{Key: e.PublicKey()}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrashedProcessCannotRewriteCheckpointLog: the checkpoint-log
+// rewrite (pruning, recovery) goes through the fault injector like every
+// other spill write. A process that crashes in it, or has crashed before
+// it, leaves at most a torn temp file — never a renamed log.
+func TestCrashedProcessCannotRewriteCheckpointLog(t *testing.T) {
+	dir := t.TempDir()
+	e := codecEnclave(t)
+	inj := fault.New()
+	l, err := NewLedger(e, LedgerOptions{
+		Shards:    1,
+		Retention: RetentionPolicy{SegmentRecords: 4, SpillDir: dir},
+		Faults:    inj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 3; r++ {
+		for i := 0; i < 4; i++ {
+			if _, _, err := l.Append(codecLog(4*r + i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Anchor() // drain: all three seals durable
+	logPath := filepath.Join(dir, checkpointsName)
+	before, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := l.store.(*fileStore)
+	inj.CrashOnWrite(inj.Writes()+1, 7)
+	for attempt, wantTmp := range []int{7, 0} { // crashing in the rewrite, then already crashed
+		fs.mu.Lock()
+		err := fs.rewriteCheckpoints(l.checkpoints[2:])
+		fs.mu.Unlock()
+		if !errors.Is(err, fault.ErrCrashed) {
+			t.Fatalf("attempt %d: rewriteCheckpoints = %v, want the crash", attempt, err)
+		}
+		after, err := os.ReadFile(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Fatalf("attempt %d: a crashed process replaced the checkpoint log", attempt)
+		}
+		if fi, err := os.Stat(logPath + ".tmp"); err != nil || fi.Size() != int64(wantTmp) {
+			t.Fatalf("attempt %d: temp log is %v (stat: %v), want %d torn bytes", attempt, fi, err, wantTmp)
+		}
+	}
+	l.Close()
+	l2, err := NewLedger(e, LedgerOptions{
+		Shards:    1,
+		Retention: RetentionPolicy{SegmentRecords: 4, SpillDir: dir},
+	})
+	if err != nil {
+		t.Fatalf("reopen beside a torn temp log: %v", err)
+	}
+	defer l2.Close()
+	if dropped := l2.Recovered(); dropped != 0 || l2.SpilledRecords() != 12 {
+		t.Fatalf("reopened with %d dropped checkpoints and %d spilled records, want 0 and 12", dropped, l2.SpilledRecords())
 	}
 }

@@ -24,52 +24,39 @@
 //
 // The engine is incremental (verifyCore): it consumes one record at a
 // time and keeps O(shards + checkpoints) state, never the records
-// themselves. VerifyStream drives it straight off an io.Reader — a
-// million-record dump verifies segment-by-segment in O(segment) memory —
-// while VerifyDump feeds it from an already-parsed Dump, and
-// VerifySpillDir replays a ledger's spill directory frame by frame.
+// themselves. There are two serialised inputs and one entry point for
+// each: VerifyReader drives the engine straight off a dump container — a
+// million-record dump verifies record by record in O(1) record memory —
+// and VerifySpillDir replays a ledger's spill directory frame by frame;
+// VerifyDump feeds it from an in-memory Dump. The byte layouts of both
+// inputs belong to codec.go; nothing here parses them.
 package accounting
 
 import (
-	"bufio"
 	"crypto/ecdsa"
 	"crypto/x509"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 
 	"acctee/internal/sgx"
 )
 
-// DumpFormat identifies the serialised ledger layout. v2 added the anchor
-// (checkpoint-anchored truncation) and fixed the field order so records
-// always come last — the property the streaming verifier relies on.
-const DumpFormat = "acctee-ledger/v2"
-
-// DumpFormatV3 is the binary dump container (DumpOptions.Binary): the
-// same header JSON framed behind the ACCTDMP3 magic, records as
-// length-prefixed binary (codec.go). VerifyStream autodetects v2 vs v3
-// by the first byte.
-const DumpFormatV3 = "acctee-ledger/v3"
-
 // MaxDumpShards bounds the shard count a dump may declare, far above any
 // real configuration (the ledger defaults to one lane per CPU).
 const MaxDumpShards = 1 << 16
 
-// Dump is a serialised ledger: the dumped records in deterministic merge
-// order (ascending shard, then lane-local sequence), the checkpoints
+// Dump is a ledger dump in memory: the dumped records in deterministic
+// merge order (ascending shard, then lane-local sequence), the checkpoints
 // covering them, and the identity to verify against. The embedded public
 // key is a convenience transport — a suspicious verifier substitutes the
 // key it attested itself. Anchor, when present, is the signed checkpoint
 // the dump is truncated at: records it covers are omitted and each
 // shard's chain carries forward from the anchor's heads.
 //
-// Field order matters: Records is declared (and always serialised) last,
-// so VerifyStream can verify the header and checkpoints before streaming
-// records one at a time.
+// With Records empty, its JSON is also the header of the serialised form,
+// the dump container (codec.go), whose records follow in binary.
 type Dump struct {
 	Format      string             `json:"format"`
 	Shards      int                `json:"shards"`
@@ -109,19 +96,22 @@ func ParsePublicKey(der []byte) (*ecdsa.PublicKey, error) {
 	return pub, nil
 }
 
-// JSON serialises the dump.
+// JSON renders the dump for a human reader. It is not an input format:
+// nothing parses it back.
 func (d *Dump) JSON() ([]byte, error) { return json.MarshalIndent(d, "", " ") }
 
-// ParseDump parses a serialised dump.
-func ParseDump(data []byte) (*Dump, error) {
-	var d Dump
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("accounting: parse ledger dump: %w", err)
+// ReadDump materialises a dump container. It parses and does not verify:
+// hand the result to VerifyDump, or verify the container itself with
+// VerifyReader.
+func ReadDump(r io.Reader) (*Dump, error) {
+	var d *Dump
+	err := readDumpContainer(r,
+		func(h *Dump) error { d = h; return nil },
+		func(rec *Record) error { d.Records = append(d.Records, *rec); return nil })
+	if err != nil {
+		return nil, err
 	}
-	if d.Format != DumpFormat {
-		return nil, fmt.Errorf("accounting: dump format %q, want %q", d.Format, DumpFormat)
-	}
-	return &d, nil
+	return d, nil
 }
 
 // VerifyResult summarises a successful offline verification.
@@ -437,9 +427,9 @@ func checkMeasurement(opts VerifyOptions, got sgx.Measurement) error {
 	return nil
 }
 
-// VerifyDump replays a parsed ledger dump offline. It returns the first
-// integrity violation found, localised to shard/sequence where possible.
-func VerifyDump(d *Dump, opts VerifyOptions) (*VerifyResult, error) {
+// newDumpCore starts a replay from a dump header: key and measurement
+// resolved against opts, anchor and checkpoint chain verified.
+func newDumpCore(d *Dump, opts VerifyOptions) (*verifyCore, error) {
 	pub, err := resolveKey(opts, d.PublicKey)
 	if err != nil {
 		return nil, err
@@ -447,7 +437,14 @@ func VerifyDump(d *Dump, opts VerifyOptions) (*VerifyResult, error) {
 	if err := checkMeasurement(opts, d.Measurement); err != nil {
 		return nil, err
 	}
-	core, err := newVerifyCore(pub, d.Measurement, d.Shards, d.Anchor, d.Checkpoints, false, d.Pruned)
+	return newVerifyCore(pub, d.Measurement, d.Shards, d.Anchor, d.Checkpoints, false, d.Pruned)
+}
+
+// VerifyDump replays an in-memory ledger dump offline. It returns the
+// first integrity violation found, localised to shard/sequence where
+// possible.
+func VerifyDump(d *Dump, opts VerifyOptions) (*VerifyResult, error) {
+	core, err := newDumpCore(d, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -459,255 +456,36 @@ func VerifyDump(d *Dump, opts VerifyOptions) (*VerifyResult, error) {
 	return core.finish()
 }
 
-// VerifyStream verifies a serialised dump straight off the reader without
-// materialising the record array: the header and checkpoints are decoded
-// first (they precede the records in every dump this package writes), then
-// records are verified one at a time — O(segment) memory however large the
-// ledger grew. Both dump formats are read: the first byte distinguishes a
-// JSON v2 dump ('{') from a binary v3 container (the ACCTDMP3 magic).
-func VerifyStream(r io.Reader, opts VerifyOptions) (*VerifyResult, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, fmt.Errorf("accounting: parse ledger dump: %w", err)
-	}
-	if first[0] == dumpMagicV3[0] {
-		return verifyBinaryStream(br, opts)
-	}
-	dec := json.NewDecoder(br)
-	expectDelim := func(d json.Delim) error {
-		tok, err := dec.Token()
-		if err != nil {
-			return fmt.Errorf("accounting: parse ledger dump: %w", err)
-		}
-		if got, ok := tok.(json.Delim); !ok || got != d {
-			return fmt.Errorf("accounting: parse ledger dump: expected %q, got %v", d, tok)
-		}
-		return nil
-	}
-	if err := expectDelim('{'); err != nil {
-		return nil, err
-	}
-	var (
-		format      string
-		shards      int
-		meas        sgx.Measurement
-		pubDER      []byte
-		anchor      *SignedCheckpoint
-		cps         []SignedCheckpoint
-		pruned      bool
-		sawFormat   bool
-		sawShards   bool
-		core        *verifyCore
-		recordsDone bool
-	)
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			return nil, fmt.Errorf("accounting: parse ledger dump: %w", err)
-		}
-		key, ok := tok.(string)
-		if !ok {
-			return nil, fmt.Errorf("accounting: parse ledger dump: unexpected token %v", tok)
-		}
-		if core != nil {
-			return nil, fmt.Errorf("accounting: dump field %q after records — not a streaming-layout dump", key)
-		}
-		switch key {
-		case "format":
-			if err := dec.Decode(&format); err != nil {
-				return nil, fmt.Errorf("accounting: parse ledger dump: %w", err)
-			}
-			sawFormat = true
-		case "shards":
-			if err := dec.Decode(&shards); err != nil {
-				return nil, fmt.Errorf("accounting: parse ledger dump: %w", err)
-			}
-			sawShards = true
-		case "measurement":
-			if err := dec.Decode(&meas); err != nil {
-				return nil, fmt.Errorf("accounting: parse ledger dump: %w", err)
-			}
-		case "publicKey":
-			if err := dec.Decode(&pubDER); err != nil {
-				return nil, fmt.Errorf("accounting: parse ledger dump: %w", err)
-			}
-		case "anchor":
-			anchor = new(SignedCheckpoint)
-			if err := dec.Decode(anchor); err != nil {
-				return nil, fmt.Errorf("accounting: parse ledger dump: %w", err)
-			}
-		case "checkpoints":
-			if err := dec.Decode(&cps); err != nil {
-				return nil, fmt.Errorf("accounting: parse ledger dump: %w", err)
-			}
-		case "prunedCheckpoints":
-			if err := dec.Decode(&pruned); err != nil {
-				return nil, fmt.Errorf("accounting: parse ledger dump: %w", err)
-			}
-		case "records":
-			if !sawFormat || !sawShards {
-				return nil, fmt.Errorf("accounting: dump records precede the header — not a streaming-layout dump")
-			}
-			if format != DumpFormat {
-				return nil, fmt.Errorf("accounting: dump format %q, want %q", format, DumpFormat)
-			}
-			pub, err := resolveKey(opts, pubDER)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkMeasurement(opts, meas); err != nil {
-				return nil, err
-			}
-			if core, err = newVerifyCore(pub, meas, shards, anchor, cps, false, pruned); err != nil {
-				return nil, err
-			}
-			if err := expectDelim('['); err != nil {
-				return nil, err
-			}
-			for dec.More() {
-				var rec Record
-				if err := dec.Decode(&rec); err != nil {
-					return nil, fmt.Errorf("accounting: parse ledger dump: %w", err)
-				}
-				if err := core.record(&rec); err != nil {
-					return nil, err
-				}
-			}
-			if err := expectDelim(']'); err != nil {
-				return nil, err
-			}
-			recordsDone = true
-		default:
-			var skip json.RawMessage
-			if err := dec.Decode(&skip); err != nil {
-				return nil, fmt.Errorf("accounting: parse ledger dump: %w", err)
-			}
-		}
-	}
-	if err := expectDelim('}'); err != nil {
-		return nil, err
-	}
-	if !recordsDone {
-		// A dump with no records field at all: still verify header and
-		// checkpoints (an idle anchored ledger dumps exactly this).
-		if !sawFormat || !sawShards {
-			return nil, fmt.Errorf("accounting: dump misses format/shards")
-		}
-		if format != DumpFormat {
-			return nil, fmt.Errorf("accounting: dump format %q, want %q", format, DumpFormat)
-		}
-		pub, err := resolveKey(opts, pubDER)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkMeasurement(opts, meas); err != nil {
-			return nil, err
-		}
-		if core, err = newVerifyCore(pub, meas, shards, anchor, cps, false, pruned); err != nil {
-			return nil, err
-		}
-	}
-	return core.finish()
-}
-
-// verifyBinaryStream verifies a format-v3 binary dump container.
-func verifyBinaryStream(br *bufio.Reader, opts VerifyOptions) (*VerifyResult, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("accounting: parse binary dump: %w", err)
-	}
-	if magic != dumpMagicV3 {
-		return nil, fmt.Errorf("accounting: binary dump magic %q, want %q", magic[:], dumpMagicV3[:])
-	}
-	var b [4]byte
-	if _, err := io.ReadFull(br, b[:]); err != nil {
-		return nil, fmt.Errorf("accounting: parse binary dump header: %w", err)
-	}
-	hlen := binary.LittleEndian.Uint32(b[:])
-	if hlen == 0 || hlen > maxBinDumpHeader {
-		return nil, fmt.Errorf("accounting: binary dump declares a %d-byte header", hlen)
-	}
-	hj := make([]byte, hlen)
-	if _, err := io.ReadFull(br, hj); err != nil {
-		return nil, fmt.Errorf("accounting: parse binary dump header: %w", err)
-	}
-	var d Dump
-	if err := json.Unmarshal(hj, &d); err != nil {
-		return nil, fmt.Errorf("accounting: parse binary dump header: %w", err)
-	}
-	if d.Format != DumpFormatV3 {
-		return nil, fmt.Errorf("accounting: dump format %q, want %q", d.Format, DumpFormatV3)
-	}
-	pub, err := resolveKey(opts, d.PublicKey)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkMeasurement(opts, d.Measurement); err != nil {
-		return nil, err
-	}
-	core, err := newVerifyCore(pub, d.Measurement, d.Shards, d.Anchor, d.Checkpoints, false, d.Pruned)
-	if err != nil {
-		return nil, err
-	}
-	var rbuf []byte
-	for {
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return nil, fmt.Errorf("accounting: binary dump truncated: %w", err)
-		}
-		rlen := int(binary.LittleEndian.Uint32(b[:]))
-		if rlen == 0 {
-			break // terminator
-		}
-		if rlen > maxBinDumpRecord {
-			return nil, fmt.Errorf("accounting: binary dump record declares %d bytes", rlen)
-		}
-		if cap(rbuf) < rlen {
-			rbuf = make([]byte, rlen)
-		}
-		rbuf = rbuf[:rlen]
-		if _, err := io.ReadFull(br, rbuf); err != nil {
-			return nil, fmt.Errorf("accounting: binary dump truncated: %w", err)
-		}
-		rec, n, err := decodeRecordBin(rbuf)
-		if err != nil {
-			return nil, err
-		}
-		if n != rlen {
-			return nil, fmt.Errorf("accounting: binary dump record carries %d trailing bytes", rlen-n)
-		}
-		if err := core.record(&rec); err != nil {
-			return nil, err
-		}
-	}
-	return core.finish()
-}
-
-// VerifyReader verifies a serialised dump from r, streaming.
+// VerifyReader verifies a dump container straight off the reader without
+// materialising the record array: the header and checkpoints are checked
+// first, then records are verified one at a time — constant record memory
+// however large the ledger grew.
 func VerifyReader(r io.Reader, opts VerifyOptions) (*VerifyResult, error) {
-	return VerifyStream(r, opts)
+	var core *verifyCore
+	err := readDumpContainer(r,
+		func(d *Dump) (err error) { core, err = newDumpCore(d, opts); return err },
+		func(rec *Record) error { return core.record(rec) })
+	if err != nil {
+		return nil, err
+	}
+	return core.finish()
 }
 
 // VerifySpillDir replays a ledger's spill directory offline, frame by
 // frame: the manifest supplies the identity, checkpoints.jsonl the signed
 // chain, and every spilled record is re-hashed against it — a single
-// flipped byte in any segment file fails verification. Checkpoints signed
-// after the last seal cover records that were never spilled; their
-// signatures and chaining are verified and they are reported in
-// BeyondHorizon rather than failing the replay.
+// flipped byte in any segment file fails verification. A shard file may
+// end in a frame cut short by a crash mid-group-commit (the residue
+// recovery truncates): the frames before it are intact, and any
+// checkpoint reaching into the torn part is reported in BeyondHorizon,
+// not as a false tamper alarm on an honest crashed ledger. So are
+// checkpoints signed after the last seal, which cover records that were
+// never spilled; their signatures and chaining are still verified.
 func VerifySpillDir(dir string, opts VerifyOptions) (*VerifyResult, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	m, err := readSpillManifest(dir)
 	if err != nil {
-		return nil, fmt.Errorf("accounting: spill manifest: %w", err)
+		return nil, err
 	}
-	var m spillManifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("accounting: spill manifest: %w", err)
-	}
-	if m.Format != SpillFormatV1 && m.Format != SpillFormatV2 {
-		return nil, fmt.Errorf("accounting: spill format %q, want %q or %q", m.Format, SpillFormatV1, SpillFormatV2)
-	}
-	bin := m.Format == SpillFormatV2
 	pub, err := resolveKey(opts, m.PublicKey)
 	if err != nil {
 		return nil, err
@@ -727,18 +505,9 @@ func VerifySpillDir(dir string, opts VerifyOptions) (*VerifyResult, error) {
 		return nil, err
 	}
 	for shard := 0; shard < m.Shards; shard++ {
-		path := filepath.Join(dir, shardFileName(shard))
-		f, err := os.Open(path)
-		if os.IsNotExist(err) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		var verr error
 		var totals UsageLog
 		var head [32]byte
-		replay := func(fr *spillFrame) error {
+		_, err := walkFrames(filepath.Join(dir, shardFileName(shard)), func(fr *spillFrame, _, _ int64) error {
 			for i := range fr.Records {
 				if err := core.record(&fr.Records[i]); err != nil {
 					return err
@@ -750,53 +519,9 @@ func VerifySpillDir(dir string, opts VerifyOptions) (*VerifyResult, error) {
 				return fmt.Errorf("accounting: spill shard %d: frame head/totals stamp mismatch", shard)
 			}
 			return nil
-		}
-		if bin {
-			br := bufio.NewReaderSize(f, 1<<20)
-			for {
-				fr, _, rerr := readBinFrame(br)
-				if rerr == io.EOF || rerr == errTornFrame {
-					// Clean end, or a frame cut short by a crash
-					// mid-group-commit — the exact residue recovery
-					// truncates. The frames before it are intact; any
-					// checkpoint reaching into the torn part is reported
-					// via BeyondHorizon, not a false tamper alarm on an
-					// honest crashed ledger. A complete frame with a bad
-					// CRC or structure is corruption and fails below.
-					break
-				}
-				if rerr != nil {
-					verr = fmt.Errorf("accounting: spill shard %d: %w", shard, rerr)
-					break
-				}
-				if verr = replay(fr); verr != nil {
-					break
-				}
-			}
-		} else {
-			sc := bufio.NewScanner(f)
-			sc.Buffer(make([]byte, 0, 1<<20), 1<<30)
-			for sc.Scan() {
-				var fr spillFrame
-				if err := json.Unmarshal(sc.Bytes(), &fr); err != nil {
-					if !sc.Scan() {
-						// Torn final line from a crash mid-seal.
-						break
-					}
-					verr = fmt.Errorf("accounting: spill shard %d: corrupt frame (not a torn tail): %w", shard, err)
-					break
-				}
-				if verr = replay(&fr); verr != nil {
-					break
-				}
-			}
-			if verr == nil {
-				verr = sc.Err()
-			}
-		}
-		f.Close()
-		if verr != nil {
-			return nil, verr
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return core.finish()

@@ -2,9 +2,9 @@ package accounting_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"acctee/internal/accounting"
@@ -12,8 +12,8 @@ import (
 )
 
 // buildDump creates a ledger with `records` records across 4 shards,
-// checkpointing every `cpEvery` appends, and returns the parsed dump plus
-// its serialisation.
+// checkpointing every `cpEvery` appends, and returns the in-memory dump
+// plus its serialisation (the dump container).
 func buildDump(t *testing.T, records, cpEvery int) (*accounting.Dump, []byte) {
 	t.Helper()
 	e := newEnclave(t)
@@ -36,15 +36,26 @@ func buildDump(t *testing.T, records, cpEvery int) (*accounting.Dump, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := d.JSON()
+	var c bytes.Buffer
+	if err := l.WriteDump(&c, accounting.DumpOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	return d, c.Bytes()
+}
+
+// readDump materialises a container — also the tests' way to get a private
+// deep copy of a dump to mutate.
+func readDump(t *testing.T, container []byte) *accounting.Dump {
+	t.Helper()
+	d, err := accounting.ReadDump(bytes.NewReader(container))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, j
+	return d
 }
 
 func TestVerifyDumpHappyPath(t *testing.T) {
-	d, j := buildDump(t, 200, 50)
+	d, c := buildDump(t, 200, 50)
 	res, err := accounting.VerifyDump(d, accounting.VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +69,7 @@ func TestVerifyDumpHappyPath(t *testing.T) {
 		t.Fatal("replayed totals differ from final checkpoint totals")
 	}
 	// The serialised round trip verifies identically (the acctee-verify path).
-	res2, err := accounting.VerifyReader(bytes.NewReader(j), accounting.VerifyOptions{})
+	res2, err := accounting.VerifyReader(bytes.NewReader(c), accounting.VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +88,12 @@ func TestVerifyDumpHappyPath(t *testing.T) {
 }
 
 // TestVerifyDetectsSingleFlippedByte pins the acceptance criterion: a
-// single flipped byte anywhere in a 10k-record serialised ledger must be
-// detected — either the dump no longer parses, or verification fails, or
-// (for flips in serialisation cosmetics, e.g. the key name of a zero-valued
-// field) the parsed content is bit-identical to the original, i.e. nothing
-// was actually tampered with.
+// single flipped byte anywhere in a serialised ledger must be detected —
+// either the container no longer parses, or verification fails, or (for
+// flips in the header's JSON cosmetics, e.g. the case of a key name) the
+// parsed content is bit-identical to the original, i.e. nothing was
+// actually tampered with. Every byte of a small container is flipped, and
+// a 10k-record one is sampled across its whole length.
 func TestVerifyDetectsSingleFlippedByte(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-record dump")
@@ -92,60 +104,57 @@ func TestVerifyDetectsSingleFlippedByte(t *testing.T) {
 		// the concurrent ledger tests.
 		t.Skip("sequential test, skipped under -race")
 	}
-	orig, j := buildDump(t, 10_000, 2_500)
-
-	// Deterministic sample of flip positions across the whole dump, plus
-	// targeted hits on every structural region.
 	rng := rand.New(rand.NewSource(42))
-	positions := make([]int, 0, 160)
-	for i := 0; i < 128; i++ {
-		positions = append(positions, rng.Intn(len(j)))
-	}
-	for _, marker := range []string{
-		`"format"`, `"publicKey"`, `"measurement"`, `"shards"`,
-		`"weightedInstructions"`, `"prevHash"`, `"hash"`,
-		`"checkpoint"`, `"signature"`, `"totals"`, `"heads"`,
-	} {
-		if idx := strings.Index(string(j), marker); idx >= 0 {
-			positions = append(positions, idx+2, idx+len(marker)+4)
-		}
-	}
-
-	for _, pos := range positions {
+	check := func(orig *accounting.Dump, c []byte, pos int) {
+		t.Helper()
 		flip := byte(1 + rng.Intn(255))
-		mut := append([]byte(nil), j...)
+		mut := append([]byte(nil), c...)
 		mut[pos] ^= flip
-
-		d, err := accounting.ParseDump(mut)
-		if err != nil {
-			continue // corrupted serialisation: detected
-		}
-		if _, err := accounting.VerifyDump(d, accounting.VerifyOptions{}); err != nil {
-			continue // integrity violation: detected
+		if _, err := accounting.VerifyReader(bytes.NewReader(mut), accounting.VerifyOptions{}); err != nil {
+			return // unparsable or an integrity violation: detected
 		}
 		// Verification passed: the flip must have been cosmetic — the
 		// parsed content must be exactly the original's.
-		if !reflect.DeepEqual(d, orig) {
-			t.Fatalf("flip of byte %d (xor %#x) changed ledger content yet verified", pos, flip)
+		if d := readDump(t, mut); !reflect.DeepEqual(d, orig) {
+			t.Fatalf("flip of byte %d of %d (xor %#x) changed ledger content yet verified", pos, len(c), flip)
 		}
+	}
+
+	small, sc := buildDump(t, 24, 12)
+	for pos := range sc {
+		check(small, sc, pos)
+	}
+
+	// Deterministic sample of flip positions across the whole 10k-record
+	// container, plus targeted hits on every structural region: magic,
+	// header length, the header's fields, the first record's length
+	// prefix and the terminator.
+	orig, c := buildDump(t, 10_000, 2_500)
+	positions := []int{0, 7, 8, 11, len(c) - 4, len(c) - 1}
+	for i := 0; i < 128; i++ {
+		positions = append(positions, rng.Intn(len(c)))
+	}
+	hlen := int(binary.LittleEndian.Uint32(c[8:12]))
+	positions = append(positions, 12+hlen, 12+hlen+3, 12+hlen+4)
+	for _, marker := range []string{
+		`"format"`, `"publicKey"`, `"measurement"`, `"shards"`,
+		`"checkpoint"`, `"signature"`, `"totals"`, `"heads"`, `"records"`,
+	} {
+		idx := bytes.Index(c[:12+hlen], []byte(marker))
+		if idx < 0 {
+			t.Fatalf("container header has no %s", marker)
+		}
+		positions = append(positions, idx+2, idx+len(marker)+4)
+	}
+	for _, pos := range positions {
+		check(orig, c, pos)
 	}
 }
 
 // TestVerifyDetectsStructuralTampering drives the verifier's individual
 // checks through semantic (parsed-level) mutations.
 func TestVerifyDetectsStructuralTampering(t *testing.T) {
-	base, _ := buildDump(t, 60, 20)
-	reparse := func() *accounting.Dump {
-		j, err := base.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := accounting.ParseDump(j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
+	_, c := buildDump(t, 60, 20)
 	cases := []struct {
 		name   string
 		mutate func(*accounting.Dump)
@@ -181,7 +190,7 @@ func TestVerifyDetectsStructuralTampering(t *testing.T) {
 		{"wrong measurement", func(d *accounting.Dump) { d.Measurement[0] ^= 1 }},
 	}
 	for _, tc := range cases {
-		d := reparse()
+		d := readDump(t, c)
 		tc.mutate(d)
 		if _, err := accounting.VerifyDump(d, accounting.VerifyOptions{}); err == nil {
 			t.Errorf("%s: tampered dump verified", tc.name)

@@ -49,10 +49,10 @@ type LedgerThroughputRow struct {
 
 // LedgerReport is the BENCH_ledger.json payload.
 type LedgerReport struct {
-	GeneratedAt string `json:"generated_at"`
-	Function    string `json:"function"`
-	Setup       string `json:"setup"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
+	Stamp
+	Function   string `json:"function"`
+	Setup      string `json:"setup"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 	// Shards is the gateway ledger's sequence-lane count.
 	Shards int                   `json:"shards"`
 	Rows   []LedgerThroughputRow `json:"throughput"`
@@ -62,11 +62,9 @@ type LedgerReport struct {
 	VerifyCheckpoints int     `json:"verify_checkpoints"`
 	VerifyNs          int64   `json:"verify_ns"`
 	VerifyNsPerRecord float64 `json:"verify_ns_per_record"`
-	DumpBytes         int     `json:"dump_bytes"`
-	// DumpBytesBinary is the same dump in the v3 binary container
-	// (DumpOptions.Binary) — the satellite target for shrinking the ~11 MB
-	// JSON serialisation of 10k records.
-	DumpBytesBinary int `json:"dump_bytes_binary"`
+	// DumpBytes is the size of the same ledger as a dump container
+	// (Ledger.WriteDump).
+	DumpBytes int `json:"dump_bytes"`
 	// Retention holds the bounded-retention sweep (acctee-bench -fig
 	// retention) and Scaling the GOMAXPROCS matrix (-fig scaling); the
 	// figures update their own sections of BENCH_ledger.json without
@@ -108,10 +106,10 @@ func RunLedgerBench(requests, verifyRecords int, clientCounts []int) (*LedgerRep
 		clientCounts = LedgerClientCounts
 	}
 	rep := &LedgerReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Function:    "echo",
-		Setup:       faas.SetupSGXHWInstr.String(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		Stamp:      NewStamp(),
+		Function:   "echo",
+		Setup:      faas.SetupSGXHWInstr.String(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 
 	// 1) Gateway throughput: the echo function keeps per-request compute
@@ -220,19 +218,14 @@ func RunLedgerBench(requests, verifyRecords int, clientCounts []int) (*LedgerRep
 	if err != nil {
 		return nil, err
 	}
-	j, err := dump.JSON()
-	if err != nil {
+	var container bytes.Buffer
+	if err := ledger.WriteDump(&container, accounting.DumpOptions{}); err != nil {
 		return nil, err
 	}
-	rep.DumpBytes = len(j)
-	var binDump bytes.Buffer
-	if err := ledger.WriteDump(&binDump, accounting.DumpOptions{Binary: true}); err != nil {
-		return nil, err
+	rep.DumpBytes = container.Len()
+	if _, err := accounting.VerifyReader(&container, accounting.VerifyOptions{Key: encl.PublicKey()}); err != nil {
+		return nil, fmt.Errorf("bench: dump container does not verify: %w", err)
 	}
-	if _, err := accounting.VerifyStream(bytes.NewReader(binDump.Bytes()), accounting.VerifyOptions{Key: encl.PublicKey()}); err != nil {
-		return nil, fmt.Errorf("bench: binary dump does not verify: %w", err)
-	}
-	rep.DumpBytesBinary = binDump.Len()
 	rep.VerifyRecords = verifyRecords
 	rep.VerifyCheckpoints = len(dump.Checkpoints)
 	t0 := time.Now()
@@ -268,7 +261,7 @@ func PrintLedgerBench(w io.Writer, rep *LedgerReport) {
 			time.Duration(r.EagerP99Ns), time.Duration(r.BatchedP99Ns))
 	}
 	tw.Flush()
-	fmt.Fprintf(w, "offline verification: %d records (%d checkpoints, %d B dump / %d B binary) in %s (%.0f ns/record)\n",
-		rep.VerifyRecords, rep.VerifyCheckpoints, rep.DumpBytes, rep.DumpBytesBinary,
+	fmt.Fprintf(w, "offline verification: %d records (%d checkpoints, %d B dump) in %s (%.0f ns/record)\n",
+		rep.VerifyRecords, rep.VerifyCheckpoints, rep.DumpBytes,
 		time.Duration(rep.VerifyNs), rep.VerifyNsPerRecord)
 }

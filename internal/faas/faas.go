@@ -592,28 +592,19 @@ func (s *Server) serveCheckpoint(w http.ResponseWriter) {
 // materialises the record array, however long it has been running.
 // ?truncated=1 anchors the dump at the last compaction checkpoint: a
 // non-zero starting sequence per shard, heads carried forward from the
-// anchor, verifiable against the anchor's signature alone. ?bin=1 selects
-// the binary v3 dump container (~5x smaller than JSON for record-heavy
-// dumps); acctee-verify autodetects either.
+// anchor, verifiable against the anchor's signature alone. The body is
+// always the dump container (application/octet-stream); the ?bin=1 of
+// earlier clients is ignored.
 func (s *Server) serveLedger(w http.ResponseWriter, r *http.Request) {
 	if s.ledger == nil {
 		http.Error(w, "no ledger in this setup", http.StatusNotFound)
 		return
 	}
-	opts := accounting.DumpOptions{
-		Truncated: r.URL.Query().Get("truncated") == "1",
-		Binary:    r.URL.Query().Get("bin") == "1",
-	}
-	if opts.Binary {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-	}
-	if err := s.ledger.WriteDump(w, opts); err != nil {
-		// Headers are gone; the truncated body will fail to parse, which
-		// is the correct failure mode for a verifier.
-		return
-	}
+	opts := accounting.DumpOptions{Truncated: r.URL.Query().Get("truncated") == "1"}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	// On error the headers are gone; the truncated body will fail to
+	// parse, which is the correct failure mode for a verifier.
+	_ = s.ledger.WriteDump(w, opts)
 }
 
 // serveCompact runs one bounded-retention compaction on request: sign a

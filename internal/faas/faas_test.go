@@ -291,7 +291,9 @@ func TestReceiptsAndLedgerEndpoints(t *testing.T) {
 		t.Errorf("checkpoint signature: %v", err)
 	}
 
-	// /ledger replays offline (the acctee-verify flow over HTTP).
+	// /ledger replays offline (the acctee-verify flow over HTTP). The
+	// body is the dump container whatever the query says: ?bin=1, which
+	// once selected it, is ignored.
 	lr, err := http.Get(ts.URL + faas.LedgerPath)
 	if err != nil {
 		t.Fatal(err)
@@ -300,6 +302,21 @@ func TestReceiptsAndLedgerEndpoints(t *testing.T) {
 	_ = lr.Body.Close()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ct := lr.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("/ledger Content-Type %q, want application/octet-stream", ct)
+	}
+	br, err := http.Get(ts.URL + faas.LedgerPath + "?bin=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	binBody, err := io.ReadAll(br.Body)
+	_ = br.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(binBody, body) {
+		t.Errorf("/ledger?bin=1 (%d bytes) differs from /ledger (%d bytes)", len(binBody), len(body))
 	}
 	vr, err := accounting.VerifyReader(bytes.NewReader(body),
 		accounting.VerifyOptions{Key: srv.Enclave().PublicKey()})
@@ -723,7 +740,7 @@ func TestGatewayBoundedRetention100k(t *testing.T) {
 	if lw.Code != http.StatusOK {
 		t.Fatalf("/ledger?truncated=1: status %d", lw.Code)
 	}
-	vr, err := accounting.VerifyStream(bytes.NewReader(lw.Body.Bytes()),
+	vr, err := accounting.VerifyReader(bytes.NewReader(lw.Body.Bytes()),
 		accounting.VerifyOptions{Key: srv.Enclave().PublicKey()})
 	if err != nil {
 		t.Fatalf("truncated dump verification: %v", err)
