@@ -166,14 +166,19 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		inst, err := bench.RunInstrumented(*trials)
+		if err != nil {
+			return err
+		}
 		calls, err := bench.RunCalls(*trials)
 		if err != nil {
 			return err
 		}
 		bench.PrintDispatch(os.Stdout, rows, micro)
+		bench.PrintInstrumented(os.Stdout, inst)
 		bench.PrintCalls(os.Stdout, calls)
 		if *jsonOut != "" {
-			if err := bench.WriteDispatchJSON(*jsonOut, rows, micro, calls); err != nil {
+			if err := bench.WriteDispatchJSON(*jsonOut, rows, micro, inst, calls); err != nil {
 				return err
 			}
 			fmt.Println("wrote", *jsonOut)
@@ -190,8 +195,13 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		inst, err := bench.RunInstrumented(*trials)
+		if err != nil {
+			return err
+		}
 		bench.PrintDispatch(os.Stdout, nil, micro)
-		if err := bench.CheckMicroGate(micro, bench.MicroSmokeFloor); err != nil {
+		bench.PrintInstrumented(os.Stdout, inst)
+		if err := bench.CheckMicroGate(micro, bench.MicroSmokeFloor, inst, bench.InstrumentedSmokeCeiling); err != nil {
 			return err
 		}
 		fmt.Println("gate passed")

@@ -2,6 +2,7 @@ package accounting_test
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -313,5 +314,32 @@ func TestTruncatedDumpTamperDetection(t *testing.T) {
 	}
 	if res.PrunedCheckpointGaps != 1 {
 		t.Fatalf("pruned dump reported %d checkpoint gaps, want 1", res.PrunedCheckpointGaps)
+	}
+}
+
+// TestFreshLedgerAllocBudget pins what a per-deployment ledger costs: a
+// lane's first segment starts small, so creating a ledger, appending one
+// record and closing it allocates a few KB, not a whole 1,024-record
+// segment (~200 KB) per lane touched.
+func TestFreshLedgerAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the ledger's")
+	}
+	e := newEnclave(t)
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		l := newTestLedger(t, e, accounting.LedgerOptions{})
+		if _, _, err := l.Append(sampleLog()); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / rounds
+	t.Logf("%d B allocated per fresh ledger with one record", per)
+	if per >= 16<<10 {
+		t.Errorf("%d B allocated per NewLedger + Append + Close, budget 16 KiB", per)
 	}
 }

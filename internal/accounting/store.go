@@ -183,6 +183,9 @@ type frameIndex struct {
 	size  int64 // full frame length on disk (prefix + payload + CRC)
 }
 
+// firstSegRecords is the starting capacity of a lane's first segment.
+const firstSegRecords = 8
+
 // segStore is the shared segmented core of both stores.
 type segStore struct {
 	segRecords int
@@ -207,9 +210,18 @@ func (s *segStore) Append(rec Record) error {
 	}
 	n := len(sh.segs)
 	if n == 0 || len(sh.segs[n-1].recs) >= s.segRecords {
+		// A lane's first segment starts small and grows by append up to
+		// segRecords: a whole segment is ~200 KB, and a per-deployment ledger
+		// holds a handful of records. Later segments are allocated whole, so
+		// a steady appender pays the doubling once. Records are never mutated
+		// after append, so a reader holding the pre-growth slice stays valid.
+		c := s.segRecords
+		if sh.next == 0 {
+			c = min(c, firstSegRecords)
+		}
 		sh.segs = append(sh.segs, &segment{
 			base: sh.next,
-			recs: make([]Record, 0, s.segRecords),
+			recs: make([]Record, 0, c),
 		})
 		n++
 	}

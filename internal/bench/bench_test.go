@@ -171,3 +171,27 @@ func TestRunAblation(t *testing.T) {
 		t.Error("print output missing summary")
 	}
 }
+
+// TestInstrumentedRowAndGate: the instrumented-resize row is measured (the
+// counter costs something, the instruction count is the plain module's) and
+// the smoke gate fails on either of its two conditions.
+func TestInstrumentedRowAndGate(t *testing.T) {
+	row, err := bench.RunInstrumented(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.PlainNs <= 0 || row.InstrumentedNs <= 0 || row.Instructions == 0 || row.Overhead <= 0 {
+		t.Fatalf("unmeasured row: %+v", row)
+	}
+	micro := []bench.MicroRow{{Name: "m", RegSpeedup: 4}}
+	ok := bench.InstrumentedRow{Name: "r", Overhead: 1.2}
+	if err := bench.CheckMicroGate(micro, 3, ok, 1.4); err != nil {
+		t.Errorf("gate failed inside both bounds: %v", err)
+	}
+	if err := bench.CheckMicroGate(micro, 5, ok, 1.4); err == nil {
+		t.Error("gate passed a micro geomean below its floor")
+	}
+	if err := bench.CheckMicroGate(micro, 3, bench.InstrumentedRow{Name: "r", Overhead: 1.5}, 1.4); err == nil {
+		t.Error("gate passed an instrumented/plain ratio above its ceiling")
+	}
+}

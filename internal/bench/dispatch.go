@@ -8,11 +8,14 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"time"
 
+	"acctee/internal/instrument"
 	"acctee/internal/interp"
 	"acctee/internal/polybench"
 	"acctee/internal/wasm"
+	"acctee/internal/workloads"
 )
 
 // DispatchKernels is the PolyBench subset used for the interpreter
@@ -40,6 +43,21 @@ type MicroRow struct {
 	StructuredNs int64   `json:"structured_ns"`
 	RegNs        int64   `json:"reg_ns"`
 	RegSpeedup   float64 `json:"reg_speedup"`
+}
+
+// InstrumentedRow is the price of the injected counter on the register
+// engine: the gateway's resize function (128x128 in, the gw-resize request)
+// with the paper's naive placement — one `counter += k` per basic block, so
+// every loop header and every branch carries one — against the same module
+// plain, both compiled and run in this process.
+type InstrumentedRow struct {
+	Name           string `json:"name"`
+	Instructions   uint64 `json:"instructions"`
+	PlainNs        int64  `json:"plain_ns"`
+	InstrumentedNs int64  `json:"instrumented_ns"`
+	// Overhead is instrumented/plain: the median over back-to-back pairs
+	// of runs, not the quotient of the two best times above.
+	Overhead float64 `json:"overhead"`
 }
 
 // Stamp records where a BENCH_*.json came from, so numbers from different
@@ -92,7 +110,9 @@ type DispatchReport struct {
 	CallGeomean  float64       `json:"call_geomean"`
 	Rows         []DispatchRow `json:"rows"`
 	Micro        []MicroRow    `json:"micro"`
-	Calls        []CallRow     `json:"calls"`
+	// Instrumented is the instrumented-over-plain resize row (reg engine).
+	Instrumented InstrumentedRow `json:"instrumented"`
+	Calls        []CallRow       `json:"calls"`
 }
 
 // bestRun instantiates the artifact under cfg once per trial (at least
@@ -303,6 +323,56 @@ func RunMicro(trials int) ([]MicroRow, error) {
 	return rows, nil
 }
 
+// RunInstrumented measures the resize function plain and instrumented
+// (naive) on the register engine, 8 x trials pairs of runs, one after
+// the other. A shared host runs whole stretches of tens of milliseconds at
+// two thirds of its speed, so neither best-of nor mean times give a stable
+// quotient; Overhead is the median over the pairs of instrumented/plain,
+// whose two runs (~5 ms each) share their stretch. The times reported are
+// each side's best. The input image stays zeroed: resize's control flow does
+// not depend on pixel values.
+func RunInstrumented(trials int) (InstrumentedRow, error) {
+	row := InstrumentedRow{Name: "resize-128/naive"}
+	m, err := workloads.BuildResize()
+	if err != nil {
+		return row, err
+	}
+	inst, err := instrument.Instrument(m, instrument.Options{Level: instrument.Naive})
+	if err != nil {
+		return row, err
+	}
+	plain, err := interp.Compile(m, interp.CompileOptions{})
+	if err != nil {
+		return row, err
+	}
+	counted, err := interp.Compile(inst.Module, interp.CompileOptions{})
+	if err != nil {
+		return row, err
+	}
+	pairs := make([]float64, 8*max(trials, 1))
+	for t := range pairs {
+		p, instr, err := bestRun(plain, interp.Config{}, "run", 1, 128, 128)
+		if err != nil {
+			return row, err
+		}
+		c, _, err := bestRun(counted, interp.Config{}, "run", 1, 128, 128)
+		if err != nil {
+			return row, err
+		}
+		if t == 0 || p < row.PlainNs {
+			row.PlainNs = p
+		}
+		if t == 0 || c < row.InstrumentedNs {
+			row.InstrumentedNs = c
+		}
+		row.Instructions = instr
+		pairs[t] = ratio(c, p)
+	}
+	sort.Float64s(pairs)
+	row.Overhead = pairs[len(pairs)/2]
+	return row, nil
+}
+
 // MicroSmokeFloor is the CI gate on the microbenchmarks: the register
 // engine must hold at least this geomean speedup over the structured
 // reference. The committed BENCH_interp.json rows sit well above 4x; the
@@ -310,17 +380,31 @@ func RunMicro(trials int) ([]MicroRow, error) {
 // default engine losing its lead.
 const MicroSmokeFloor = 3.0
 
-// CheckMicroGate fails when the microbenchmark geomean drops below floor.
-func CheckMicroGate(rows []MicroRow, floor float64) error {
+// InstrumentedSmokeCeiling is the CI gate on the instrumented-resize row:
+// 15% above the committed BENCH_interp.json ratio (1.29; runs on the shared
+// reference host read 1.24 to 1.32). The register lowering carries the
+// injected `counter += k` inside the statement it lands in, so a loop header
+// stays one compare-and-branch closure. When it does not — the update ended
+// the statement before PR 16 — the same row reads 1.50 to 1.53, above this
+// ceiling; regalloc's white-box tests pin the fusion itself, this gate its
+// price.
+const InstrumentedSmokeCeiling = 1.48
+
+// CheckMicroGate fails when the microbenchmark geomean drops below floor or
+// the instrumented-over-plain resize ratio rises above ceiling.
+func CheckMicroGate(rows []MicroRow, floor float64, inst InstrumentedRow, ceiling float64) error {
 	if g := MicroGeomean(rows); g < floor {
 		return fmt.Errorf("bench gate: reg over structured micro geomean %.2fx below floor %.2fx", g, floor)
+	}
+	if inst.Overhead > ceiling {
+		return fmt.Errorf("bench gate: instrumented over plain %s %.2fx above ceiling %.2fx", inst.Name, inst.Overhead, ceiling)
 	}
 	return nil
 }
 
 // WriteDispatchJSON writes the report consumed by the perf-trajectory
 // tracking (BENCH_interp.json).
-func WriteDispatchJSON(path string, rows []DispatchRow, micro []MicroRow, calls []CallRow) error {
+func WriteDispatchJSON(path string, rows []DispatchRow, micro []MicroRow, inst InstrumentedRow, calls []CallRow) error {
 	rep := DispatchReport{
 		Stamp:        NewStamp(),
 		Baseline:     "structured (label-stack, per-instruction accounting)",
@@ -330,6 +414,7 @@ func WriteDispatchJSON(path string, rows []DispatchRow, micro []MicroRow, calls 
 		CallGeomean:  CallGeomean(calls),
 		Rows:         rows,
 		Micro:        micro,
+		Instrumented: inst,
 		Calls:        calls,
 	}
 	b, err := json.MarshalIndent(rep, "", "  ")
@@ -360,4 +445,10 @@ func PrintDispatch(w io.Writer, rows []DispatchRow, micro []MicroRow) {
 	if len(micro) > 0 {
 		fmt.Fprintf(w, "reg geomean over structured (micro): %s\n", fmtRatio(MicroGeomean(micro)))
 	}
+}
+
+// PrintInstrumented renders the instrumented-over-plain row.
+func PrintInstrumented(w io.Writer, r InstrumentedRow) {
+	fmt.Fprintf(w, "%s on reg: plain %s, instrumented %s, instrumented/plain %s\n",
+		r.Name, time.Duration(r.PlainNs), time.Duration(r.InstrumentedNs), fmtRatio(r.Overhead))
 }

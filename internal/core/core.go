@@ -150,19 +150,26 @@ func (ie *InstrumentationEnclave) Instrument(m *wasm.Module) (*wasm.Module, Evid
 // VerifyEvidence checks that the instrumented module matches the evidence
 // and that the evidence was signed by the attested IE key.
 func VerifyEvidence(m *wasm.Module, ev Evidence, iePub *ecdsa.PublicKey) error {
+	_, err := verifiedHash(m, ev, iePub)
+	return err
+}
+
+// verifiedHash is VerifyEvidence handing back the module hash it computed,
+// so a caller that needs the hash does not encode and hash the module again.
+func verifiedHash(m *wasm.Module, ev Evidence, iePub *ecdsa.PublicKey) ([32]byte, error) {
 	h, err := ModuleHash(m)
 	if err != nil {
-		return err
+		return h, err
 	}
 	if h != ev.InstrumentedHash {
-		return ErrEvidenceMismatch
+		return h, ErrEvidenceMismatch
 	}
 	probe := ev
 	probe.Signature = nil
 	if !sgx.VerifyBy(iePub, probe.marshalForSig(), ev.Signature) {
-		return ErrEvidenceSignature
+		return h, ErrEvidenceSignature
 	}
-	return nil
+	return h, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -239,19 +246,22 @@ func NewAccountingEnclave(mode sgx.Mode, costs sgx.CostParams, tbl *weights.Tabl
 	if tbl.Hash() != ev.WeightsHash {
 		return nil, errors.New("core: weight table does not match evidence")
 	}
+	// One encode + SHA-256 per deployment: the evidence check hands back the
+	// hash it computed; without an IE key nothing has computed it yet.
+	var h [32]byte
+	var err error
 	if iePub != nil {
-		if err := VerifyEvidence(m, ev, iePub); err != nil {
-			return nil, err
-		}
+		h, err = verifiedHash(m, ev, iePub)
+	} else {
+		h, err = ModuleHash(m)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := validate.Module(m); err != nil {
 		return nil, fmt.Errorf("core: instrumented module invalid: %w", err)
 	}
 	encl, err := sgx.NewEnclave([]byte(aeCodeIdentity), mode, costs)
-	if err != nil {
-		return nil, err
-	}
-	h, err := ModuleHash(m)
 	if err != nil {
 		return nil, err
 	}

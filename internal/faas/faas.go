@@ -491,7 +491,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	// The ceiling applies to the read itself: an oversize body is cut off
 	// at MaxPayload+1 bytes instead of being buffered whole and measured.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, workloads.MaxPayload))
+	// A declared length within the ceiling is read into one buffer of that
+	// size (ReadAll regrows from 512 B: ~3x the payload in throwaway
+	// buffers); a body that ends short of it is a bad payload as before.
+	limited := http.MaxBytesReader(w, r.Body, workloads.MaxPayload)
+	var body []byte
+	var err error
+	if n := r.ContentLength; n > 0 && n <= workloads.MaxPayload {
+		body = make([]byte, n)
+		_, err = io.ReadFull(limited, body)
+	} else {
+		body, err = io.ReadAll(limited)
+	}
 	if err != nil {
 		if errors.As(err, new(*http.MaxBytesError)) {
 			writeError(w, http.StatusRequestEntityTooLarge, ErrCodePayloadTooLarge, nil)

@@ -1,11 +1,14 @@
 package faas_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -129,6 +132,41 @@ func TestOversizedPayloadRejected(t *testing.T) {
 	resp, _ = post(t, ts.URL, big[:workloads.MaxPayload], 0, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("MaxPayload-sized body: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestShortBodyRejected: a body that ends before its declared length is a
+// bad payload (400), on the single-allocation read path as on ReadAll's.
+func TestShortBodyRejected(t *testing.T) {
+	srv, err := faas.NewServer(faas.Echo, faas.SetupWASM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(make([]byte, 10)))
+	r.ContentLength = 100
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, r)
+	if w.Code != http.StatusBadRequest {
+		t.Errorf("10 bytes of a declared 100: status %d, want 400", w.Code)
+	}
+	// Over a real connection the server itself reports the short body.
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\nConnection: close\r\n\r\n0123456789")
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("short body over TCP: status %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -760,19 +798,40 @@ func TestGatewayBoundedRetention100k(t *testing.T) {
 // cost 769 KB per request. Allocated bytes are deterministic up to the
 // ledger's amortised growth, so this runs in tier-1.
 func TestEchoRequestAllocBudget(t *testing.T) {
+	payload := bytes.Repeat([]byte("x"), 64)
+	requestAllocBudget(t, faas.Echo, payload, 0, 0, payload, 64<<10)
+}
+
+// TestResizeRequestAllocBudget is the same pin for a request with a real
+// payload: a 64 KiB body with a declared length is read into one buffer of
+// that size, so the request allocates the body, the 16 KiB response and the
+// page table — not the ~200 KB of regrown buffers io.ReadAll left behind.
+func TestResizeRequestAllocBudget(t *testing.T) {
+	const edge = 128
+	payload := make([]byte, edge*edge*4)
+	rand.New(rand.NewSource(1)).Read(payload)
+	requestAllocBudget(t, faas.Resize, payload, edge, edge, workloads.NativeResize(payload, edge, edge), 160<<10)
+}
+
+// requestAllocBudget serves 200 requests through ServeHTTP under the full
+// AccTEE configuration and fails if the mean allocation per request reaches
+// budget bytes.
+func requestAllocBudget(t *testing.T, fn faas.Function, payload []byte, width, height int, want []byte, budget uint64) {
 	// A prewarmed instance lives on the pool's owned free-list; the overflow
 	// sync.Pool may drop instances (a collection; at random under -race).
-	srv, err := faas.NewServerWithOptions(faas.Echo, faas.SetupSGXHWIO, faas.ServerOptions{PoolPrewarm: 1})
+	srv, err := faas.NewServerWithOptions(fn, faas.SetupSGXHWIO, faas.ServerOptions{PoolPrewarm: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	payload := bytes.Repeat([]byte("x"), 64)
 	serve := func() {
 		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(payload)))
-		if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), payload) {
-			t.Fatalf("status %d, body %q", w.Code, w.Body.Bytes())
+		r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(payload))
+		r.Header.Set("X-Width", strconv.Itoa(width))
+		r.Header.Set("X-Height", strconv.Itoa(height))
+		srv.ServeHTTP(w, r)
+		if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
+			t.Fatalf("status %d, %d-byte body differs from the %d expected", w.Code, w.Body.Len(), len(want))
 		}
 	}
 	const requests = 200
@@ -783,8 +842,8 @@ func TestEchoRequestAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRequest := (after.TotalAlloc - before.TotalAlloc) / requests
-	t.Logf("%d B allocated per echo request", perRequest)
-	if perRequest >= 64<<10 {
-		t.Errorf("%d B allocated per echo request, budget 64 KiB", perRequest)
+	t.Logf("%d B allocated per %v request", perRequest, fn)
+	if perRequest >= budget {
+		t.Errorf("%d B allocated per %v request, budget %d KiB", perRequest, fn, budget>>10)
 	}
 }

@@ -112,9 +112,8 @@ type regLowering struct {
 	cf     *compiledFunc
 	fi     int // defined-function index (cost-table lookup in closures)
 	numLoc int
-	ops    []regFn
-	spec   []bool
-	wid    []int32
+	// The artifact under construction: ops, spec, wid and the counters.
+	*regCode
 }
 
 // regLower builds the register-form artifact for compiled function fi.
@@ -123,7 +122,7 @@ type regLowering struct {
 // descriptors and the host-function and call_indirect site indices).
 func regLower(cm *CompiledModule, fi int) {
 	cf := &cm.funcs[fi]
-	rl := &regLowering{cm: cm, cf: cf, fi: fi, numLoc: cf.numLoc}
+	rl := &regLowering{cm: cm, cf: cf, fi: fi, numLoc: cf.numLoc, regCode: &regCode{regs: cf.numLoc + cf.maxStack}}
 	n := len(cf.body)
 	rl.ops = make([]regFn, n)
 	rl.spec = make([]bool, n)
@@ -135,11 +134,38 @@ func regLower(cm *CompiledModule, fi int) {
 			rl.ops[q] = regInteriorFn(q)
 		}
 		if cnt := cf.flat[pc].segCnt; cnt != 0 {
-			rl.ops[pc] = rl.wrapLeader(pc, rl.ops[pc], cnt)
+			inner, tgt := rl.ops[pc], rl.thread(pc, true)
+			if tgt != pc {
+				inner = nil // charge-only: nothing to run but the jump
+			}
+			rl.ops[pc] = rl.wrapLeader(pc, inner, tgt, cnt)
 		}
 		pc += w
 	}
-	cf.reg = &regCode{ops: rl.ops, spec: rl.spec, wid: rl.wid, regs: cf.numLoc + cf.maxStack}
+	cf.reg = rl.regCode
+}
+
+// thread resolves a continuation through every non-leader pc whose closure
+// would only return another index (a pure jump: nop, block, loop, a block-
+// closing end, a br that copies no results and stays in the function), so the
+// driver is never handed one. Charges, polls and rollback bounds sit at
+// leaders, where the walk stops; every branch target is one, so it cannot
+// cycle. own asks about a leader's own closure: not pc if it is a pure jump.
+func (rl *regLowering) thread(pc int, own bool) int {
+	cf := rl.cf
+	for last := len(cf.body) - 1; pc <= last && !cf.preDead[pc] && (own || cf.flat[pc].segCnt == 0); own = false {
+		switch fl, op := &cf.flat[pc], cf.body[pc].Op; {
+		case op == wasm.OpNop, op == wasm.OpBlock, op == wasm.OpLoop,
+			op == wasm.OpEnd && fl.flags&fInlEnd == 0 && pc != last:
+			pc++
+		case op == wasm.OpBr && fl.arity == 0 && int(fl.target) <= last:
+			pc = int(fl.target)
+		default:
+			return pc
+		}
+		rl.threaded++
+	}
+	return pc
 }
 
 // home returns the register index of the operand-stack slot at height h.
@@ -149,8 +175,9 @@ func (rl *regLowering) home(h int32) int { return rl.numLoc + int(h) }
 // charge: the fuel check (with per-instruction deopt on shortfall),
 // instruction count and per-fingerprint cost sum. At a leader every live
 // stack value is in its home register, so the deopt tail runs the original
-// body against the frame's home window directly.
-func (rl *regLowering) wrapLeader(pc int, inner regFn, cnt int32) regFn {
+// body against the frame's home window directly. A nil inner is a leader
+// that is itself a pure jump: charge, then continue at tgt.
+func (rl *regLowering) wrapLeader(pc int, inner regFn, tgt int, cnt int32) regFn {
 	n := uint64(cnt)
 	numLoc := rl.numLoc
 	sp := int(rl.cf.preH[pc])
@@ -176,6 +203,9 @@ func (rl *regLowering) wrapLeader(pc int, inner regFn, cnt int32) regFn {
 		}
 		if vm.cost != nil {
 			vm.costAcc += vm.costs[fi].segCost[pc]
+		}
+		if inner == nil {
+			return tgt
 		}
 		return inner(vm, fr)
 	}
@@ -298,6 +328,10 @@ type stmtState struct {
 	h       int32   // current virtual stack height
 	fault   bool    // some node in the statement can set the fault latch
 	generic int     // nodes dispatching through applyBin/applyUn/fastLoad
+	// impure: a node touches non-register state (global.get, memory.size,
+	// local.tee). eff: `g += k` updates, run ahead of the flush.
+	impure bool
+	eff    []regVoid
 }
 
 // pop removes the top virtual entry; below the walk's own pushes it
@@ -324,7 +358,8 @@ func (s *stmtState) push(v vnode) {
 // at their home are skipped.
 func (s *stmtState) flush() []regVoid {
 	base := int(s.h) - len(s.pend)
-	var fns []regVoid
+	fns := s.eff
+	s.eff = nil
 	for i, v := range s.pend {
 		d := s.rl.home(int32(base + i))
 		switch v.kind {
@@ -404,10 +439,20 @@ func (rl *regLowering) emitStmt(start int) int {
 		switch op {
 		case wasm.OpGlobalGet:
 			g := int(in.Idx)
+			if !s.fault && !s.impure && rl.updateWindow(pc) {
+				// Nothing pending can trap before `g += k` or observe it: queue it, go on.
+				k := body[pc+1].U64
+				s.eff = append(s.eff, func(vm *VM, fr []uint64) { vm.globals[g] += k })
+				rl.inlineUpd++
+				pc += 4
+				continue
+			}
+			s.impure = true
 			s.push(vnode{kind: vEval, eval: func(vm *VM, fr []uint64) uint64 { return vm.globals[g] }})
 			pc++
 			continue
 		case wasm.OpMemorySize:
+			s.impure = true
 			s.push(vnode{kind: vEval, eval: func(vm *VM, fr []uint64) uint64 {
 				return uint64(uint32(len(vm.memory) / wasm.PageSize))
 			}})
@@ -417,6 +462,7 @@ func (rl *regLowering) emitStmt(start int) int {
 			a := s.pop()
 			l := int(in.Idx)
 			ae := evalOf(a)
+			s.impure = true
 			s.push(vnode{kind: vEval, eval: func(vm *VM, fr []uint64) uint64 {
 				v := ae(vm, fr)
 				fr[l] = v
@@ -441,26 +487,26 @@ func (rl *regLowering) emitStmt(start int) int {
 			continue
 		case wasm.OpDrop:
 			v := s.pop()
-			rl.sealStmt(start, s, rl.dropCommit(v, s, pc+1))
+			rl.sealStmt(start, s, rl.dropCommit(v, s, rl.thread(pc+1, false)))
 			return pc + 1 - start
 		case wasm.OpLocalSet:
 			v := s.pop()
-			rl.sealStmt(start, s, rl.setCommit(v, int(in.Idx), s, pc+1))
+			rl.sealStmt(start, s, rl.setCommit(v, int(in.Idx), s, rl.thread(pc+1, false)))
 			return pc + 1 - start
 		case wasm.OpGlobalSet:
 			v := s.pop()
-			rl.sealStmt(start, s, rl.globalSetCommit(v, int(in.Idx), s, pc+1))
+			rl.sealStmt(start, s, rl.globalSetCommit(v, int(in.Idx), s, rl.thread(pc+1, false)))
 			return pc + 1 - start
 		case wasm.OpBrIf:
 			cond := s.pop()
 			fl := &cf.flat[pc]
 			e := rl.edge(flatTarget{pc: fl.target, height: fl.height, arity: fl.arity}, s.h)
-			rl.sealStmt(start, s, rl.branchCommit(cond, e, false, s, pc+1))
+			rl.sealStmt(start, s, rl.branchCommit(cond, e, false, s, rl.thread(pc+1, false)))
 			return pc + 1 - start
 		case wasm.OpIf:
 			cond := s.pop()
 			e := regEdge{target: int(cf.flat[pc].target)}
-			rl.sealStmt(start, s, rl.branchCommit(cond, e, true, s, pc+1))
+			rl.sealStmt(start, s, rl.branchCommit(cond, e, true, s, rl.thread(pc+1, false)))
 			return pc + 1 - start
 		}
 		switch {
@@ -476,7 +522,7 @@ func (rl *regLowering) emitStmt(start int) int {
 			zbase := rl.home(s.h)
 			nz := int(fl.arity)
 			cpc := int32(pc)
-			next := pc + 1
+			next := rl.thread(pc+1, false)
 			rl.sealStmt(start, s, func(vm *VM, fr []uint64) int {
 				vm.depth++
 				if vm.depth > vm.maxDepth {
@@ -494,7 +540,7 @@ func (rl *regLowering) emitStmt(start int) int {
 			// (skipping the callee-top home entirely) and drop the
 			// logical depth.
 			fl := &cf.flat[pc]
-			next := pc + 1
+			next := rl.thread(pc+1, false)
 			var commit regFn
 			if fl.arity > 0 {
 				commit = rl.inlEndCommit(s.pop(), rl.home(fl.height), s, next)
@@ -510,7 +556,7 @@ func (rl *regLowering) emitStmt(start int) int {
 		case op.IsStore():
 			v := s.pop()
 			a := s.pop()
-			rl.sealStmt(start, s, rl.storeCommit(in, a, v, pc, s, pc+1))
+			rl.sealStmt(start, s, rl.storeCommit(in, a, v, pc, s, rl.thread(pc+1, false)))
 			return pc + 1 - start
 		case regBinLike(op):
 			b := s.pop()
@@ -528,7 +574,7 @@ func (rl *regLowering) emitStmt(start int) int {
 	}
 done:
 	// No sink: materialise everything and fall through to the next closure.
-	next := pc
+	next := rl.thread(pc, false)
 	pre := s.flush()
 	var commit regFn
 	if s.fault {
@@ -544,6 +590,14 @@ done:
 	}
 	rl.sealStmtAt(start, seal(pre, commit), s)
 	return pc - start
+}
+
+// updateWindow reports whether pc starts `global.get g; i64.const k; i64.add;
+// global.set g` (any global, any program) with no segment leader inside.
+func (rl *regLowering) updateWindow(pc int) bool {
+	b, fl := rl.cf.body[pc:], rl.cf.flat[pc:]
+	return len(b) > 3 && b[1].Op == wasm.OpI64Const && b[2].Op == wasm.OpI64Add &&
+		b[3].Op == wasm.OpGlobalSet && b[3].Idx == b[0].Idx && fl[1].segCnt|fl[2].segCnt|fl[3].segCnt == 0
 }
 
 // sealStmt flushes the remaining pending entries (everything below the
@@ -690,6 +744,7 @@ func (rl *regLowering) branchCommit(cond vnode, e regEdge, invert bool, s *stmtS
 	}
 	if !fc && cond.cmp != nil {
 		if fn := rl.cmpBranch(cond.cmp, e, invert, next); fn != nil {
+			rl.cmpBr++
 			return fn
 		}
 	}
@@ -1107,6 +1162,11 @@ func (rl *regLowering) binNode(op wasm.Opcode, a, b vnode, pc int, s *stmtState)
 		n.eval = e
 		return n
 	}
+	if b.kind == vConst && binCanTrap(op) {
+		if v, ok := rl.divConst(op, a, b.c, pc, s); ok {
+			return v
+		}
+	}
 	ae, be := evalOf(a), evalOf(b)
 	if binCanTrap(op) {
 		s.fault = true
@@ -1135,6 +1195,39 @@ func (rl *regLowering) binNode(op wasm.Opcode, a, b vnode, pc int, s *stmtState)
 		return v
 	}
 	return n
+}
+
+// divConst lowers div/rem by a constant that cannot trap (non-zero, not -1
+// for the signed forms) to a node that never latches; x/1 and x%1 fold away.
+func (rl *regLowering) divConst(op wasm.Opcode, a vnode, c uint64, pc int, s *stmtState) (vnode, bool) {
+	ae := evalOf(a)
+	u, i, l := uint32(c), int32(uint32(c)), int64(c)
+	var e regEval
+	switch {
+	case c == 1 && (op == wasm.OpI64DivS || op == wasm.OpI64DivU):
+		return a, true
+	case c == 1 && (op == wasm.OpI32DivS || op == wasm.OpI32DivU):
+		return rl.unNode(wasm.OpI32WrapI64, a, pc, s), true
+	case c == 1 && a.kind == vReg:
+		return vnode{kind: vConst}, true
+	case op == wasm.OpI32DivU && u != 0:
+		e = func(vm *VM, fr []uint64) uint64 { return uint64(uint32(ae(vm, fr)) / u) }
+	case op == wasm.OpI32RemU && u != 0:
+		e = func(vm *VM, fr []uint64) uint64 { return uint64(uint32(ae(vm, fr)) % u) }
+	case op == wasm.OpI32DivS && i != 0 && i != -1:
+		e = func(vm *VM, fr []uint64) uint64 { return i32u(int32(uint32(ae(vm, fr))) / i) }
+	case op == wasm.OpI32RemS && i != 0 && i != -1:
+		e = func(vm *VM, fr []uint64) uint64 { return i32u(int32(uint32(ae(vm, fr))) % i) }
+	case op == wasm.OpI64DivU && c != 0:
+		e = func(vm *VM, fr []uint64) uint64 { return ae(vm, fr) / c }
+	case op == wasm.OpI64RemU && c != 0:
+		e = func(vm *VM, fr []uint64) uint64 { return ae(vm, fr) % c }
+	case op == wasm.OpI64DivS && l != 0 && l != -1:
+		e = func(vm *VM, fr []uint64) uint64 { return uint64(int64(ae(vm, fr)) / l) }
+	case op == wasm.OpI64RemS && l != 0 && l != -1:
+		e = func(vm *VM, fr []uint64) uint64 { return uint64(int64(ae(vm, fr)) % l) }
+	}
+	return vnode{kind: vEval, eval: e}, e != nil
 }
 
 // regBinEvalSpec returns a hand-inlined evaluator for the hot binary ops
@@ -1448,7 +1541,7 @@ func (rl *regLowering) emitSingle(pc int, h int32) int {
 	body := cf.body
 	in := &body[pc]
 	numLoc := rl.numLoc
-	next := pc + 1
+	next := rl.thread(pc+1, false)
 	rl.spec[pc] = true
 
 	switch in.Op {
@@ -1697,6 +1790,9 @@ type RegStats struct {
 	Specialised int
 	// Spans is the number of multi-instruction statement closures emitted.
 	Spans int
+	// Threaded counts the pure-jump pcs continuations were resolved past;
+	// InlineUpdates the `g += k` windows carried inside a statement.
+	Threaded, InlineUpdates int
 }
 
 // RegStats reports how much of the module the register lowering covered
@@ -1710,6 +1806,8 @@ func (cm *CompiledModule) RegStats() RegStats {
 		}
 		s.Registers += cf.reg.regs
 		s.Instrs += len(cf.body)
+		s.Threaded += cf.reg.threaded
+		s.InlineUpdates += cf.reg.inlineUpd
 		for pc := 0; pc < len(cf.body); {
 			w := int(cf.reg.wid[pc])
 			if w == 0 {

@@ -128,6 +128,100 @@ func TestRegStatsHandBuilt(t *testing.T) {
 	if s.Spans != 2 {
 		t.Errorf("expected exactly 2 statement spans (expression + store), got %d", s.Spans)
 	}
+	// Straight-line code without a counter update has neither a pure jump
+	// to thread past nor a window to carry.
+	if s.Threaded != 0 || s.InlineUpdates != 0 {
+		t.Errorf("Threaded = %d, InlineUpdates = %d on a module with neither pattern", s.Threaded, s.InlineUpdates)
+	}
+}
+
+// TestUpdateWindowSplitByLeader re-lowers a function after planting a
+// segment leader inside its `g += k` window. Valid code cannot produce one
+// (none of the window's four instructions ends a basic block), so the
+// artifact is only lowered, never run: the statement must end at the leader
+// and the update must not be carried.
+func TestUpdateWindowSplitByLeader(t *testing.T) {
+	b := wasm.NewModule("split")
+	g := b.Global("g", wasm.I64, true, wasm.ConstI64(0))
+	f := b.Func("f", []wasm.ValueType{wasm.I32}, []wasm.ValueType{wasm.I32})
+	f.LocalGet(0).I32Const(3).Op(wasm.OpI32LtS)
+	f.GlobalGet(g).I64ConstV(5).Op(wasm.OpI64Add).GlobalSet(g) // pcs 3..6
+	b.ExportFunc("f", f.End())
+	cm, err := Compile(b.MustBuild(), CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf := &cm.funcs[0]
+	if cf.reg.inlineUpd != 1 || cf.reg.wid[0] != 7 {
+		t.Fatalf("intact window: inlineUpd = %d, first statement %d wide; want 1 and 7", cf.reg.inlineUpd, cf.reg.wid[0])
+	}
+	for split := 4; split <= 6; split++ {
+		cf.flat[split].segCnt = 1
+		regLower(cm, 0)
+		checkRegInvariants(t, "split", cm)
+		if cf.reg.inlineUpd != 0 {
+			t.Errorf("leader at pc %d: the update was carried across it", split)
+		}
+		if got := int(cf.reg.wid[0]); got != split {
+			t.Errorf("leader at pc %d: first statement is %d wide", split, got)
+		}
+		cf.flat[split].segCnt = 0
+	}
+}
+
+// TestDivConstMatchesApplyBin checks the fault-free div/rem-by-constant
+// evaluators against applyBin over the edge values, for all eight opcodes:
+// a divisor that cannot trap must be lowered (never setting the statement's
+// fault flag) and agree with applyBin on every dividend; one that can must
+// stay on the trapping arm.
+func TestDivConstMatchesApplyBin(t *testing.T) {
+	edges := []uint64{0, 1, 2, 3, 7, 0x7fffffff, 0x80000000, 0xffffffff, 0xfffffff9,
+		1 << 32, 0x7fffffffffffffff, 1 << 63, ^uint64(0), ^uint64(6)}
+	ops := []struct {
+		op     wasm.Opcode
+		is32   bool
+		signed bool
+	}{
+		{wasm.OpI32DivS, true, true}, {wasm.OpI32DivU, true, false},
+		{wasm.OpI32RemS, true, true}, {wasm.OpI32RemU, true, false},
+		{wasm.OpI64DivS, false, true}, {wasm.OpI64DivU, false, false},
+		{wasm.OpI64RemS, false, true}, {wasm.OpI64RemU, false, false},
+	}
+	rl := &regLowering{}
+	fr := make([]uint64, 1)
+	for _, o := range ops {
+		for _, c := range edges {
+			if o.is32 {
+				c = uint64(uint32(c)) // i32.const carries zero-extended bits
+			}
+			minusOne := c == ^uint64(0) || (o.is32 && c == 0xffffffff)
+			s := &stmtState{rl: rl}
+			// A register leaf, and a subtree (which x%1 may not drop).
+			for _, a := range []vnode{{kind: vReg, reg: 0}, {kind: vEval, eval: func(vm *VM, fr []uint64) uint64 { return fr[0] }}} {
+				v, ok := rl.divConst(o.op, a, c, 0, s)
+				if want := c != 0 && !(o.signed && minusOne); ok != want {
+					t.Errorf("%v by %#x: lowered = %v, want %v", o.op, c, ok, want)
+				}
+				if !ok {
+					continue
+				}
+				if s.fault {
+					t.Errorf("%v by %#x: marked the statement fault-capable", o.op, c)
+				}
+				eval := evalOf(v)
+				for _, x := range edges {
+					fr[0] = x
+					want, err := applyBin(o.op, x, c)
+					if err != nil {
+						t.Fatalf("%v %#x by %#x traps (%v) but was lowered fault-free", o.op, x, c, err)
+					}
+					if got := eval(nil, fr); got != want {
+						t.Errorf("%v %#x by %#x = %#x, applyBin says %#x", o.op, x, c, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestZeroEngineIsReg pins the zero value: an instantiation that names no

@@ -50,6 +50,8 @@ type regCode struct {
 	wid  []int32
 	// regs is the register-file size: numLoc locals + maxStack stack homes.
 	regs int
+	// RegStats' Threaded and InlineUpdates, and the branches cmpBranch built.
+	threaded, inlineUpd, cmpBr int
 }
 
 // execReg runs a compiled function on the register engine. fi is the
