@@ -30,10 +30,11 @@ chaos:
 
 # fuzz-smoke runs each fuzz target for 20 s on top of its committed seed
 # corpus: the EPC residency model against its map+FIFO reference, the
-# spill frame decoder, and the dump-container verifier (mutated honest
+# spill frame decoder, the dump-container verifier (mutated honest
 # containers: no panic, allocation bounded by the input, nothing attested
-# changeable). go test takes one -fuzz target and one package per
-# invocation. The accounting targets cap input minimisation at one
+# changeable), and generated programs on the register engine against the
+# structured oracle under a fuel budget and an interrupt point. go test
+# takes one -fuzz target and one package per invocation. The accounting targets cap input minimisation at one
 # execution: with the default (60 s per interesting input) a 20 s run
 # spends all of it minimising the first input it finds and executes a few
 # dozen inputs instead of a hundred thousand.
@@ -41,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEPCModel -fuzztime 20s ./internal/sgx
 	$(GO) test -run '^$$' -fuzz FuzzBinFrameDecode -fuzztime 20s -fuzzminimizetime 1x ./internal/accounting
 	$(GO) test -run '^$$' -fuzz FuzzVerifyReader -fuzztime 20s -fuzzminimizetime 1x ./internal/accounting
+	$(GO) test -run '^$$' -fuzz FuzzEngineDifferential -fuzztime 20s ./internal/interp
 
 # verify-ledger is the tier-2 smoke path for the verifiable ledger: the
 # faas example serves instrumented requests under bounded retention
@@ -93,8 +95,10 @@ bench:
 
 # bench-smoke is the CI perf gate: the default register engine must hold
 # >= 3.0x geomean over the structured reference on the dispatch/memory
-# microbenchmarks, the call-heavy suite must beat its DisableInline
-# baseline by >= 1.15x geomean where the inliner fires, spill-mode
+# microbenchmarks, the naive-instrumented resize function must run within
+# bench.InstrumentedSmokeCeiling of the plain one on the register engine
+# (the median over back-to-back pairs), the call-heavy suite must beat its
+# DisableInline baseline by >= 1.15x geomean where the inliner fires, spill-mode
 # retention must keep up with bounded, and on hosts with >= 4 CPUs the
 # pooled gateway and bounded ledger must reach >= 1.8x their single-proc
 # throughput at GOMAXPROCS=4 (generous noise tolerance; the gate exits

@@ -381,14 +381,13 @@ func RunInstrumented(trials int) (InstrumentedRow, error) {
 const MicroSmokeFloor = 3.0
 
 // InstrumentedSmokeCeiling is the CI gate on the instrumented-resize row:
-// 15% above the committed BENCH_interp.json ratio (1.29; runs on the shared
-// reference host read 1.24 to 1.32). The register lowering carries the
+// 15% above the measured ratio (median 1.38 of seven runs on the shared
+// reference host, which read 1.25 to 1.42). The register lowering carries the
 // injected `counter += k` inside the statement it lands in, so a loop header
-// stays one compare-and-branch closure. When it does not — the update ended
-// the statement before PR 16 — the same row reads 1.50 to 1.53, above this
-// ceiling; regalloc's white-box tests pin the fusion itself, this gate its
-// price.
-const InstrumentedSmokeCeiling = 1.48
+// stays one compare-and-branch closure. When it does not, the same row reads
+// 1.84 to 1.94, above this ceiling; regalloc's white-box tests pin the fusion
+// itself, this gate its price.
+const InstrumentedSmokeCeiling = 1.59
 
 // CheckMicroGate fails when the microbenchmark geomean drops below floor or
 // the instrumented-over-plain resize ratio rises above ceiling.

@@ -10,8 +10,8 @@ import (
 // This file holds the accounting-exactness machinery the register engine
 // (regalloc.go, regexec.go) falls back on. Fuel, CostModel cycles and the
 // ground-truth instruction counter are charged once per straight-line
-// segment at its leader; the two paths that must undo or refine that batched
-// charge live here:
+// segment, by the register driver at the segment's leader (chargeSeg); the
+// two paths that must undo or refine that batched charge live here:
 //
 //   - a trap rolls the not-executed suffix of its segment back, from the
 //     trapping instruction's original body pc (rollback);

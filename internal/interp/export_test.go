@@ -8,7 +8,7 @@ import "acctee/internal/wasm"
 // RegSpan describes the closure at one span-leading pc of a function.
 type RegSpan struct {
 	PC, Width int
-	Leader    bool // segment leader: the closure is wrapped with the charge
+	Leader    bool // segment leader: the driver charges the segment before it
 	Op        wasm.Opcode
 }
 
@@ -36,9 +36,21 @@ func (cm *CompiledModule) RegCmpBranches() int {
 	return n
 }
 
+// RegLeafOperands re-lowers the statement of function fi that starts at pc
+// and reports how many leaf evaluators it builds (its share of
+// RegStats.LeafOperands).
+func (cm *CompiledModule) RegLeafOperands(fi, pc int) int {
+	cf := &cm.funcs[fi]
+	n := len(cf.body)
+	rl := &regLowering{cm: cm, cf: cf, numLoc: cf.numLoc, regCode: &regCode{ops: make([]regFn, n), spec: make([]bool, n)}}
+	rl.emit(pc)
+	return rl.leafOps
+}
+
 // TraceReg runs defined function fi on the register engine with execReg's
-// driver loop, recording every index the driver dispatches. Calls made from
-// inside the function run untraced.
+// driver loop and its leader step (segAcct, chargeSeg, stopSeg), recording
+// every index the driver dispatches. Calls made from inside the function run
+// untraced.
 func (vm *VM) TraceReg(fi int, args ...uint64) (pcs []int, err error) {
 	f := &vm.funcs[fi]
 	frame := vm.getFrame(f.numLoc+f.maxStack, f.nparams, f.numLoc)
@@ -46,10 +58,16 @@ func (vm *VM) TraceReg(fi int, args ...uint64) (pcs []int, err error) {
 	d0 := vm.depth
 	vm.depth++
 	defer func() { vm.depth = d0 }()
-	ops := f.reg.ops
+	ops, seg := f.reg.ops, f.reg.seg
+	intr, limited, segCost := vm.segAcct(fi)
 	pc := 0
 	for uint(pc) < uint(len(ops)) {
 		pcs = append(pcs, pc)
+		if n := seg[pc]; n != 0 {
+			if ok, interrupted := vm.chargeSeg(intr, limited, segCost, pc, uint64(n)); !ok {
+				return pcs, vm.stopSeg(interrupted, f, frame, pc)
+			}
+		}
 		pc = ops[pc](vm, frame)
 	}
 	if pc == regTrapRet {

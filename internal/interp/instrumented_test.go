@@ -473,6 +473,26 @@ func TestRegSeesThroughInstrumentation(t *testing.T) {
 			if s := cm.RegStats(); s.InlineUpdates == 0 || s.Threaded == 0 {
 				t.Errorf("RegStats %+v: want inline updates and threaded continuations", s)
 			}
+			// What still reads a register through a leaf evaluator: the
+			// div/rem by a variable, the box-size divisions' operands and
+			// the store's value. The inner loop's 21-instruction address-
+			// and-accumulate statement — five register operands beside
+			// subtrees — builds none.
+			if got := cm.RegStats().LeafOperands; got != 8 {
+				t.Errorf("LeafOperands = %d, want 8", got)
+			}
+			inner := 0
+			for _, sp := range cm.RegSpans(0) {
+				if sp.Width == 21 {
+					inner++
+					if got := cm.RegLeafOperands(0, sp.PC); got != 0 {
+						t.Errorf("the inner-loop statement at pc %d builds %d leaf evaluators", sp.PC, got)
+					}
+				}
+			}
+			if inner != 1 {
+				t.Errorf("%d statements of 21 instructions, want the inner loop's one", inner)
+			}
 
 			vm, err := cm.Instantiate(interp.Config{})
 			if err != nil {

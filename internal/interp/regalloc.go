@@ -41,11 +41,13 @@ import (
 // point converts the latch into the driver's regTrapRet, which performs the
 // suffix rollback (exec.go). Accounting is bit-identical to the structured
 // reference engine by construction:
-//   - segment leaders (flat[pc].segCnt != 0) get their closure wrapped with
-//     the block-batched fuel/cost/InstrCount charge, reading the
-//     per-fingerprint segCost tables;
-//   - a fuel shortfall deoptimises to the per-instruction tail
-//     (execFuelTail) over the original body;
+//   - segment leaders (flat[pc].segCnt != 0) are data, not closures: the
+//     lowering records each pc's segment instruction count (regCode.seg) and
+//     the driver itself makes the block-batched fuel/cost/InstrCount charge
+//     before it dispatches a leader's closure (execReg, chargeSeg), reading
+//     the per-fingerprint segCost table once per activation;
+//   - a fuel shortfall deoptimises, in the driver, to the per-instruction
+//     tail (execFuelTail) over the original body;
 //   - traps report the trapping constituent's original body pc through
 //     vm.regTrapPC and the driver performs the same suffix rollback.
 
@@ -110,7 +112,6 @@ func (e *regEdge) take(vm *VM, fr []uint64) int {
 type regLowering struct {
 	cm     *CompiledModule // for pre-resolving residual-call descriptors
 	cf     *compiledFunc
-	fi     int // defined-function index (cost-table lookup in closures)
 	numLoc int
 	// The artifact under construction: ops, spec, wid and the counters.
 	*regCode
@@ -122,9 +123,10 @@ type regLowering struct {
 // descriptors and the host-function and call_indirect site indices).
 func regLower(cm *CompiledModule, fi int) {
 	cf := &cm.funcs[fi]
-	rl := &regLowering{cm: cm, cf: cf, fi: fi, numLoc: cf.numLoc, regCode: &regCode{regs: cf.numLoc + cf.maxStack}}
+	rl := &regLowering{cm: cm, cf: cf, numLoc: cf.numLoc, regCode: &regCode{regs: cf.numLoc + cf.maxStack}}
 	n := len(cf.body)
 	rl.ops = make([]regFn, n)
+	rl.seg = make([]uint32, n)
 	rl.spec = make([]bool, n)
 	rl.wid = make([]int32, n)
 	for pc := 0; pc < n; {
@@ -133,13 +135,7 @@ func regLower(cm *CompiledModule, fi int) {
 		for q := pc + 1; q < pc+w; q++ {
 			rl.ops[q] = regInteriorFn(q)
 		}
-		if cnt := cf.flat[pc].segCnt; cnt != 0 {
-			inner, tgt := rl.ops[pc], rl.thread(pc, true)
-			if tgt != pc {
-				inner = nil // charge-only: nothing to run but the jump
-			}
-			rl.ops[pc] = rl.wrapLeader(pc, inner, tgt, cnt)
-		}
+		rl.seg[pc] = uint32(cf.flat[pc].segCnt)
 		pc += w
 	}
 	cf.reg = rl.regCode
@@ -150,10 +146,10 @@ func regLower(cm *CompiledModule, fi int) {
 // closing end, a br that copies no results and stays in the function), so the
 // driver is never handed one. Charges, polls and rollback bounds sit at
 // leaders, where the walk stops; every branch target is one, so it cannot
-// cycle. own asks about a leader's own closure: not pc if it is a pure jump.
-func (rl *regLowering) thread(pc int, own bool) int {
+// cycle. (A leader that is a pure jump is dispatched: the driver charges there.)
+func (rl *regLowering) thread(pc int) int {
 	cf := rl.cf
-	for last := len(cf.body) - 1; pc <= last && !cf.preDead[pc] && (own || cf.flat[pc].segCnt == 0); own = false {
+	for last := len(cf.body) - 1; pc <= last && !cf.preDead[pc] && cf.flat[pc].segCnt == 0; {
 		switch fl, op := &cf.flat[pc], cf.body[pc].Op; {
 		case op == wasm.OpNop, op == wasm.OpBlock, op == wasm.OpLoop,
 			op == wasm.OpEnd && fl.flags&fInlEnd == 0 && pc != last:
@@ -170,46 +166,6 @@ func (rl *regLowering) thread(pc int, own bool) int {
 
 // home returns the register index of the operand-stack slot at height h.
 func (rl *regLowering) home(h int32) int { return rl.numLoc + int(h) }
-
-// wrapLeader prefixes a closure with the segment's batched accounting
-// charge: the fuel check (with per-instruction deopt on shortfall),
-// instruction count and per-fingerprint cost sum. At a leader every live
-// stack value is in its home register, so the deopt tail runs the original
-// body against the frame's home window directly. A nil inner is a leader
-// that is itself a pure jump: charge, then continue at tgt.
-func (rl *regLowering) wrapLeader(pc int, inner regFn, tgt int, cnt int32) regFn {
-	n := uint64(cnt)
-	numLoc := rl.numLoc
-	sp := int(rl.cf.preH[pc])
-	body := rl.cf.body
-	fi := rl.fi
-	return func(vm *VM, fr []uint64) int {
-		// Cooperative cancellation, polled before the charge: nothing of
-		// this segment has run, so accounting is already exact and the
-		// driver must not roll back (regErrRet, not regTrapRet).
-		if vm.intr != nil && vm.intr.Load() {
-			vm.regErr = ErrInterrupted
-			return regErrRet
-		}
-		if vm.fuelLimited && vm.fuel < n {
-			// The full frame doubles as the locals array: inlined callee
-			// bodies address their locals at shifted indices >= numLoc.
-			vm.regErr = vm.execFuelTail(body, fr, fr[numLoc:], sp, pc)
-			return regErrRet
-		}
-		vm.instrCount += n
-		if vm.fuelLimited {
-			vm.fuel -= n
-		}
-		if vm.cost != nil {
-			vm.costAcc += vm.costs[fi].segCost[pc]
-		}
-		if inner == nil {
-			return tgt
-		}
-		return inner(vm, fr)
-	}
-}
 
 // regInteriorFn guards a statement-interior pc. It can never be dispatched
 // (statements never cross segment leaders, the only possible jump targets);
@@ -328,10 +284,17 @@ type stmtState struct {
 	h       int32   // current virtual stack height
 	fault   bool    // some node in the statement can set the fault latch
 	generic int     // nodes dispatching through applyBin/applyUn/fastLoad
+	leaf    int     // register/constant operands that needed a leaf evaluator
 	// impure: a node touches non-register state (global.get, memory.size,
-	// local.tee). eff: `g += k` updates, run ahead of the flush.
+	// local.tee). eff: `g += k` updates, applied ahead of the flush.
 	impure bool
-	eff    []regVoid
+	eff    []globalAdd
+}
+
+// globalAdd is one carried counter update, vm.globals[g] += k.
+type globalAdd struct {
+	g int
+	k uint64
 }
 
 // pop removes the top virtual entry; below the walk's own pushes it
@@ -358,8 +321,7 @@ func (s *stmtState) push(v vnode) {
 // at their home are skipped.
 func (s *stmtState) flush() []regVoid {
 	base := int(s.h) - len(s.pend)
-	fns := s.eff
-	s.eff = nil
+	var fns []regVoid
 	for i, v := range s.pend {
 		d := s.rl.home(int32(base + i))
 		switch v.kind {
@@ -381,24 +343,34 @@ func (s *stmtState) flush() []regVoid {
 	return fns
 }
 
-// seal composes the materialisation prefix with a commit closure.
-func seal(pre []regVoid, commit regFn) regFn {
-	switch len(pre) {
-	case 0:
+// seal composes the carried updates and the materialisation prefix with a
+// commit closure, in that order. The updates are applied inline, not called;
+// one update and no prefix is the instrumented loop header and block entry.
+func seal(eff []globalAdd, pre []regVoid, commit regFn) regFn {
+	switch {
+	case len(eff) == 0 && len(pre) == 0:
 		return commit
-	case 1:
+	case len(eff) == 0 && len(pre) == 1:
 		p := pre[0]
 		return func(vm *VM, fr []uint64) int {
 			p(vm, fr)
 			return commit(vm, fr)
 		}
-	default:
+	case len(eff) == 1 && len(pre) == 0:
+		g, k := eff[0].g, eff[0].k
 		return func(vm *VM, fr []uint64) int {
-			for _, p := range pre {
-				p(vm, fr)
-			}
+			vm.globals[g] += k
 			return commit(vm, fr)
 		}
+	}
+	return func(vm *VM, fr []uint64) int {
+		for _, e := range eff {
+			vm.globals[e.g] += e.k
+		}
+		for _, p := range pre {
+			p(vm, fr)
+		}
+		return commit(vm, fr)
 	}
 }
 
@@ -413,6 +385,15 @@ func evalOf(v vnode) regEval {
 		return func(vm *VM, fr []uint64) uint64 { return fr[r] }
 	}
 	return v.eval
+}
+
+// evalOf lowers an operand of the statement, counting the register and
+// constant leaves that needed a closure of their own (RegStats.LeafOperands).
+func (s *stmtState) evalOf(v vnode) regEval {
+	if v.kind != vEval {
+		s.leaf++
+	}
+	return evalOf(v)
 }
 
 // emitStmt simulates the operand stack from start until a sink or a
@@ -441,8 +422,7 @@ func (rl *regLowering) emitStmt(start int) int {
 			g := int(in.Idx)
 			if !s.fault && !s.impure && rl.updateWindow(pc) {
 				// Nothing pending can trap before `g += k` or observe it: queue it, go on.
-				k := body[pc+1].U64
-				s.eff = append(s.eff, func(vm *VM, fr []uint64) { vm.globals[g] += k })
+				s.eff = append(s.eff, globalAdd{g, body[pc+1].U64})
 				rl.inlineUpd++
 				pc += 4
 				continue
@@ -461,7 +441,7 @@ func (rl *regLowering) emitStmt(start int) int {
 		case wasm.OpLocalTee:
 			a := s.pop()
 			l := int(in.Idx)
-			ae := evalOf(a)
+			ae := s.evalOf(a)
 			s.impure = true
 			s.push(vnode{kind: vEval, eval: func(vm *VM, fr []uint64) uint64 {
 				v := ae(vm, fr)
@@ -474,7 +454,7 @@ func (rl *regLowering) emitStmt(start int) int {
 			c := s.pop()
 			b := s.pop()
 			a := s.pop()
-			ae, be, ce := evalOf(a), evalOf(b), evalOf(c)
+			ae, be, ce := s.evalOf(a), s.evalOf(b), s.evalOf(c)
 			s.push(vnode{kind: vEval, eval: func(vm *VM, fr []uint64) uint64 {
 				x := ae(vm, fr)
 				y := be(vm, fr)
@@ -487,26 +467,26 @@ func (rl *regLowering) emitStmt(start int) int {
 			continue
 		case wasm.OpDrop:
 			v := s.pop()
-			rl.sealStmt(start, s, rl.dropCommit(v, s, rl.thread(pc+1, false)))
+			rl.sealStmt(start, s, rl.dropCommit(v, s, rl.thread(pc+1)))
 			return pc + 1 - start
 		case wasm.OpLocalSet:
 			v := s.pop()
-			rl.sealStmt(start, s, rl.setCommit(v, int(in.Idx), s, rl.thread(pc+1, false)))
+			rl.sealStmt(start, s, rl.setCommit(v, int(in.Idx), s, rl.thread(pc+1)))
 			return pc + 1 - start
 		case wasm.OpGlobalSet:
 			v := s.pop()
-			rl.sealStmt(start, s, rl.globalSetCommit(v, int(in.Idx), s, rl.thread(pc+1, false)))
+			rl.sealStmt(start, s, rl.globalSetCommit(v, int(in.Idx), s, rl.thread(pc+1)))
 			return pc + 1 - start
 		case wasm.OpBrIf:
 			cond := s.pop()
 			fl := &cf.flat[pc]
 			e := rl.edge(flatTarget{pc: fl.target, height: fl.height, arity: fl.arity}, s.h)
-			rl.sealStmt(start, s, rl.branchCommit(cond, e, false, s, rl.thread(pc+1, false)))
+			rl.sealStmt(start, s, rl.branchCommit(cond, e, false, s, rl.thread(pc+1)))
 			return pc + 1 - start
 		case wasm.OpIf:
 			cond := s.pop()
 			e := regEdge{target: int(cf.flat[pc].target)}
-			rl.sealStmt(start, s, rl.branchCommit(cond, e, true, s, rl.thread(pc+1, false)))
+			rl.sealStmt(start, s, rl.branchCommit(cond, e, true, s, rl.thread(pc+1)))
 			return pc + 1 - start
 		}
 		switch {
@@ -522,7 +502,7 @@ func (rl *regLowering) emitStmt(start int) int {
 			zbase := rl.home(s.h)
 			nz := int(fl.arity)
 			cpc := int32(pc)
-			next := rl.thread(pc+1, false)
+			next := rl.thread(pc + 1)
 			rl.sealStmt(start, s, func(vm *VM, fr []uint64) int {
 				vm.depth++
 				if vm.depth > vm.maxDepth {
@@ -540,7 +520,7 @@ func (rl *regLowering) emitStmt(start int) int {
 			// (skipping the callee-top home entirely) and drop the
 			// logical depth.
 			fl := &cf.flat[pc]
-			next := rl.thread(pc+1, false)
+			next := rl.thread(pc + 1)
 			var commit regFn
 			if fl.arity > 0 {
 				commit = rl.inlEndCommit(s.pop(), rl.home(fl.height), s, next)
@@ -556,7 +536,7 @@ func (rl *regLowering) emitStmt(start int) int {
 		case op.IsStore():
 			v := s.pop()
 			a := s.pop()
-			rl.sealStmt(start, s, rl.storeCommit(in, a, v, pc, s, rl.thread(pc+1, false)))
+			rl.sealStmt(start, s, rl.storeCommit(in, a, v, pc, s, rl.thread(pc+1)))
 			return pc + 1 - start
 		case regBinLike(op):
 			b := s.pop()
@@ -574,7 +554,7 @@ func (rl *regLowering) emitStmt(start int) int {
 	}
 done:
 	// No sink: materialise everything and fall through to the next closure.
-	next := rl.thread(pc, false)
+	next := rl.thread(pc)
 	pre := s.flush()
 	var commit regFn
 	if s.fault {
@@ -588,7 +568,7 @@ done:
 	} else {
 		commit = func(vm *VM, fr []uint64) int { return next }
 	}
-	rl.sealStmtAt(start, seal(pre, commit), s)
+	rl.sealStmtAt(start, seal(s.eff, pre, commit), s)
 	return pc - start
 }
 
@@ -617,12 +597,13 @@ func (rl *regLowering) sealStmt(start int, s *stmtState, commit regFn) {
 			return inner(vm, fr)
 		}
 	}
-	rl.sealStmtAt(start, seal(pre, fn), s)
+	rl.sealStmtAt(start, seal(s.eff, pre, fn), s)
 }
 
 func (rl *regLowering) sealStmtAt(start int, fn regFn, s *stmtState) {
 	rl.ops[start] = fn
 	rl.spec[start] = s.generic == 0
+	rl.leafOps += s.leaf
 }
 
 // ---------------------------------------------------------------------------
@@ -707,7 +688,7 @@ func (rl *regLowering) inlEndCommit(v vnode, dst int, s *stmtState, next int) re
 // globalSetCommit writes the operand into global g. Globals survive the
 // frame, so the fault check always precedes the write.
 func (rl *regLowering) globalSetCommit(v vnode, g int, s *stmtState, next int) regFn {
-	e := evalOf(v)
+	e := s.evalOf(v)
 	if !s.fault {
 		return func(vm *VM, fr []uint64) int {
 			vm.globals[g] = e(vm, fr)
@@ -743,12 +724,12 @@ func (rl *regLowering) branchCommit(cond vnode, e regEdge, invert bool, s *stmtS
 		return func(vm *VM, fr []uint64) int { return next }
 	}
 	if !fc && cond.cmp != nil {
-		if fn := rl.cmpBranch(cond.cmp, e, invert, next); fn != nil {
+		if fn := rl.cmpBranch(cond.cmp, e, invert, s, next); fn != nil {
 			rl.cmpBr++
 			return fn
 		}
 	}
-	test := evalOf(cond)
+	test := s.evalOf(cond)
 	ed := e
 	return func(vm *VM, fr []uint64) int {
 		v := test(vm, fr)
@@ -770,20 +751,20 @@ func (rl *regLowering) branchCommit(cond vnode, e regEdge, invert bool, s *stmtS
 // relation is tested directly, no 0/1 value is ever produced. Returns nil
 // when the comparison isn't in the hand-inlined set. Only called for
 // fault-free statements, so no latch check is needed.
-func (rl *regLowering) cmpBranch(m *cmpMeta, e regEdge, invert bool, next int) regFn {
+func (rl *regLowering) cmpBranch(m *cmpMeta, e regEdge, invert bool, s *stmtState, next int) regFn {
 	simple := e.n == 0 && !e.exit
 	tgt := e.target
 	ed := e
 	var pred func(vm *VM, fr []uint64) bool
 	switch m.op {
 	case wasm.OpI32Eqz:
-		a := evalOf(m.a)
+		a := s.evalOf(m.a)
 		pred = func(vm *VM, fr []uint64) bool { return uint32(a(vm, fr)) == 0 }
 	case wasm.OpI64Eqz:
-		a := evalOf(m.a)
+		a := s.evalOf(m.a)
 		pred = func(vm *VM, fr []uint64) bool { return a(vm, fr) == 0 }
 	default:
-		pred = i32CmpPred(m.op, m.a, m.b)
+		pred = i32CmpPred(m.op, m.a, m.b, s)
 	}
 	if pred == nil {
 		return nil
@@ -815,7 +796,7 @@ func (rl *regLowering) cmpBranch(m *cmpMeta, e regEdge, invert bool, next int) r
 // i32CmpPred builds an inlined predicate for the i32 comparisons over the
 // common operand layouts (register/subtree against register/subtree/
 // constant). Returns nil for anything outside the hand-inlined set.
-func i32CmpPred(op wasm.Opcode, a, b vnode) func(vm *VM, fr []uint64) bool {
+func i32CmpPred(op wasm.Opcode, a, b vnode, s *stmtState) func(vm *VM, fr []uint64) bool {
 	if a.kind == vConst {
 		// Normalise the constant to the right by flipping the relation.
 		switch op {
@@ -846,7 +827,7 @@ func i32CmpPred(op wasm.Opcode, a, b vnode) func(vm *VM, fr []uint64) bool {
 	}
 	if b.kind == vConst {
 		c := b.c
-		ae := evalOf(a)
+		ae := a.eval
 		if a.kind == vReg {
 			r := a.reg
 			switch op {
@@ -933,7 +914,7 @@ func i32CmpPred(op wasm.Opcode, a, b vnode) func(vm *VM, fr []uint64) bool {
 		}
 		return nil
 	}
-	ae, be := evalOf(a), evalOf(b)
+	ae, be := s.evalOf(a), s.evalOf(b)
 	switch op {
 	case wasm.OpI32Eq:
 		return func(vm *VM, fr []uint64) bool { return uint32(ae(vm, fr)) == uint32(be(vm, fr)) }
@@ -969,8 +950,8 @@ func (rl *regLowering) storeCommit(in *wasm.Instr, a, v vnode, pc int, s *stmtSt
 	tp := int32(pc)
 	off := uint64(in.Off)
 	fc := s.fault
-	ae := evalOf(a)
-	ve := evalOf(v)
+	ae := s.evalOf(a)
+	ve := s.evalOf(v)
 	if width == 8 {
 		return func(vm *VM, fr []uint64) int {
 			ad := ae(vm, fr)
@@ -1051,7 +1032,7 @@ func (rl *regLowering) loadNode(in *wasm.Instr, a vnode, pc int, s *stmtState) v
 	}
 	tp := int32(pc)
 	off := uint64(in.Off)
-	ae := evalOf(a)
+	ae := s.evalOf(a)
 	if ext == extNone && width == 8 {
 		return vnode{kind: vEval, eval: func(vm *VM, fr []uint64) uint64 {
 			if vm.regFault {
@@ -1167,7 +1148,7 @@ func (rl *regLowering) binNode(op wasm.Opcode, a, b vnode, pc int, s *stmtState)
 			return v
 		}
 	}
-	ae, be := evalOf(a), evalOf(b)
+	ae, be := s.evalOf(a), s.evalOf(b)
 	if binCanTrap(op) {
 		s.fault = true
 		s.generic++
@@ -1200,7 +1181,7 @@ func (rl *regLowering) binNode(op wasm.Opcode, a, b vnode, pc int, s *stmtState)
 // divConst lowers div/rem by a constant that cannot trap (non-zero, not -1
 // for the signed forms) to a node that never latches; x/1 and x%1 fold away.
 func (rl *regLowering) divConst(op wasm.Opcode, a vnode, c uint64, pc int, s *stmtState) (vnode, bool) {
-	ae := evalOf(a)
+	ae := s.evalOf(a)
 	u, i, l := uint32(c), int32(uint32(c)), int64(c)
 	var e regEval
 	switch {
@@ -1425,7 +1406,82 @@ func regBinEvalSpec(op wasm.Opcode, a, b vnode) regEval {
 		}
 		return nil
 	}
-	ae, be := evalOf(a), evalOf(b)
+	// The mixed layouts read the left operand into a temporary first: a tee in
+	// the subtree may write the register, and Go does not order an index
+	// expression against a call in the same expression.
+	if a.kind == vReg {
+		r, be := a.reg, b.eval
+		switch op {
+		case wasm.OpI32Add:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return uint64(uint32(x) + uint32(be(vm, fr))) }
+		case wasm.OpI32Sub:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return uint64(uint32(x) - uint32(be(vm, fr))) }
+		case wasm.OpI32Mul:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return uint64(uint32(x) * uint32(be(vm, fr))) }
+		case wasm.OpI32And:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return uint64(uint32(x) & uint32(be(vm, fr))) }
+		case wasm.OpI32Or:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return uint64(uint32(x) | uint32(be(vm, fr))) }
+		case wasm.OpI32Xor:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return uint64(uint32(x) ^ uint32(be(vm, fr))) }
+		case wasm.OpI64Add:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return x + be(vm, fr) }
+		case wasm.OpI64Sub:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return x - be(vm, fr) }
+		case wasm.OpI64Mul:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return x * be(vm, fr) }
+		case wasm.OpF64Add:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return f64u(uf64(x) + uf64(be(vm, fr))) }
+		case wasm.OpF64Sub:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return f64u(uf64(x) - uf64(be(vm, fr))) }
+		case wasm.OpF64Mul:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return f64u(uf64(x) * uf64(be(vm, fr))) }
+		case wasm.OpF64Div:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return f64u(uf64(x) / uf64(be(vm, fr))) }
+		case wasm.OpF32Add:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return f32u(uf32(x) + uf32(be(vm, fr))) }
+		case wasm.OpF32Mul:
+			return func(vm *VM, fr []uint64) uint64 { x := fr[r]; return f32u(uf32(x) * uf32(be(vm, fr))) }
+		}
+		return nil
+	}
+	if b.kind == vReg {
+		ae, r := a.eval, b.reg
+		switch op {
+		case wasm.OpI32Add:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return uint64(uint32(x) + uint32(fr[r])) }
+		case wasm.OpI32Sub:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return uint64(uint32(x) - uint32(fr[r])) }
+		case wasm.OpI32Mul:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return uint64(uint32(x) * uint32(fr[r])) }
+		case wasm.OpI32And:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return uint64(uint32(x) & uint32(fr[r])) }
+		case wasm.OpI32Or:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return uint64(uint32(x) | uint32(fr[r])) }
+		case wasm.OpI32Xor:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return uint64(uint32(x) ^ uint32(fr[r])) }
+		case wasm.OpI64Add:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return x + fr[r] }
+		case wasm.OpI64Sub:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return x - fr[r] }
+		case wasm.OpI64Mul:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return x * fr[r] }
+		case wasm.OpF64Add:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return f64u(uf64(x) + uf64(fr[r])) }
+		case wasm.OpF64Sub:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return f64u(uf64(x) - uf64(fr[r])) }
+		case wasm.OpF64Mul:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return f64u(uf64(x) * uf64(fr[r])) }
+		case wasm.OpF64Div:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return f64u(uf64(x) / uf64(fr[r])) }
+		case wasm.OpF32Add:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return f32u(uf32(x) + uf32(fr[r])) }
+		case wasm.OpF32Mul:
+			return func(vm *VM, fr []uint64) uint64 { x := ae(vm, fr); return f32u(uf32(x) * uf32(fr[r])) }
+		}
+		return nil
+	}
+	ae, be := a.eval, b.eval
 	switch op {
 	case wasm.OpI32Add:
 		return func(vm *VM, fr []uint64) uint64 { return uint64(uint32(ae(vm, fr)) + uint32(be(vm, fr))) }
@@ -1477,7 +1533,7 @@ func (rl *regLowering) unNode(op wasm.Opcode, a vnode, pc int, s *stmtState) vno
 	if op == wasm.OpI32Eqz || op == wasm.OpI64Eqz {
 		n.cmp = &cmpMeta{op: op, a: a}
 	}
-	ae := evalOf(a)
+	ae := s.evalOf(a)
 	switch op {
 	case wasm.OpI32Eqz:
 		n.eval = func(vm *VM, fr []uint64) uint64 { return b2u(uint32(ae(vm, fr)) == 0) }
@@ -1541,7 +1597,7 @@ func (rl *regLowering) emitSingle(pc int, h int32) int {
 	body := cf.body
 	in := &body[pc]
 	numLoc := rl.numLoc
-	next := rl.thread(pc+1, false)
+	next := rl.thread(pc + 1)
 	rl.spec[pc] = true
 
 	switch in.Op {
@@ -1791,8 +1847,10 @@ type RegStats struct {
 	// Spans is the number of multi-instruction statement closures emitted.
 	Spans int
 	// Threaded counts the pure-jump pcs continuations were resolved past;
-	// InlineUpdates the `g += k` windows carried inside a statement.
-	Threaded, InlineUpdates int
+	// InlineUpdates the `g += k` windows carried inside a statement;
+	// LeafOperands the register and constant operands read through a leaf
+	// evaluator (a closure call per read), not inside their consumer's closure.
+	Threaded, InlineUpdates, LeafOperands int
 }
 
 // RegStats reports how much of the module the register lowering covered
@@ -1808,6 +1866,7 @@ func (cm *CompiledModule) RegStats() RegStats {
 		s.Instrs += len(cf.body)
 		s.Threaded += cf.reg.threaded
 		s.InlineUpdates += cf.reg.inlineUpd
+		s.LeafOperands += cf.reg.leafOps
 		for pc := 0; pc < len(cf.body); {
 			w := int(cf.reg.wid[pc])
 			if w == 0 {

@@ -133,6 +133,12 @@ func TestRegStatsHandBuilt(t *testing.T) {
 	if s.Threaded != 0 || s.InlineUpdates != 0 {
 		t.Errorf("Threaded = %d, InlineUpdates = %d on a module with neither pattern", s.Threaded, s.InlineUpdates)
 	}
+	// f64.mul and f64.add are subtree ⊕ register, read inside the operator's
+	// closure; the two leaf evaluators left are the store's address and
+	// value, both bare registers (storeCommit has no register arms).
+	if s.LeafOperands != 2 {
+		t.Errorf("LeafOperands = %d, want 2", s.LeafOperands)
+	}
 }
 
 // TestUpdateWindowSplitByLeader re-lowers a function after planting a
@@ -217,6 +223,48 @@ func TestDivConstMatchesApplyBin(t *testing.T) {
 					}
 					if got := eval(nil, fr); got != want {
 						t.Errorf("%v %#x by %#x = %#x, applyBin says %#x", o.op, x, c, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMixedLayoutsMatchApplyBin checks the register ⊕ subtree and subtree ⊕
+// register closures of regBinEvalSpec against applyBin over the integer edge
+// values and, bit for bit, the float ones (both zeros and infinities, a quiet
+// and a signalling NaN pattern, in f64 and f32 positions).
+func TestMixedLayoutsMatchApplyBin(t *testing.T) {
+	vals := []uint64{0, 1, ^uint64(0), // 0, 1, -1
+		0x80000000, 0xffffffff, 1 << 63, // MinInt32 (-0.0 as f32), MaxUint32, MinInt64 (-0.0 as f64)
+		0x7ff0000000000000, 0xfff0000000000000, 0x7ff8000000000001, 0x7ff0000000000001, // f64 ±Inf, quiet NaN, signalling NaN
+		0x7f800000, 0xff800000, 0x7fc00001, 0x7f800001, // the same four as f32
+		0x3ff8000000000000, 0x3fc00000} // 1.5 as f64 and as f32
+	ops := []wasm.Opcode{wasm.OpI32Add, wasm.OpI32Sub, wasm.OpI32Mul, wasm.OpI32And, wasm.OpI32Or, wasm.OpI32Xor,
+		wasm.OpI64Add, wasm.OpI64Sub, wasm.OpI64Mul, wasm.OpF64Add, wasm.OpF64Sub, wasm.OpF64Mul, wasm.OpF64Div,
+		wasm.OpF32Add, wasm.OpF32Mul}
+	fr := make([]uint64, 2)
+	reg := vnode{kind: vReg, reg: 0}
+	sub := vnode{kind: vEval, eval: func(vm *VM, fr []uint64) uint64 { return fr[1] }}
+	for _, op := range ops {
+		for _, regLeft := range []bool{true, false} {
+			a, b := reg, sub
+			if !regLeft {
+				a, b = sub, reg
+			}
+			eval := regBinEvalSpec(op, a, b)
+			if eval == nil {
+				t.Fatalf("%v regLeft=%v: no inline closure", op, regLeft)
+			}
+			for _, x := range vals {
+				for _, y := range vals {
+					fr[0], fr[1] = x, y
+					if !regLeft {
+						fr[0], fr[1] = y, x
+					}
+					want, _ := applyBin(op, x, y)
+					if got := eval(nil, fr); got != want {
+						t.Errorf("%v regLeft=%v: %#x op %#x = %#x, applyBin says %#x", op, regLeft, x, y, got, want)
 					}
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"acctee/internal/wasm"
 )
@@ -14,15 +15,21 @@ import (
 //
 // Execution model: a compiled function body is an array of closures,
 // ops[i] = func(vm, frame) int, each returning the index of the next closure
-// to run. The driver is the two-line loop
+// to run, beside an array of segment instruction counts, seg[i], non-zero at
+// segment leaders. The driver is the loop
 //
-//	for uint(pc) < uint(len(ops)) { pc = ops[pc](vm, frame) }
+//	for uint(pc) < uint(len(ops)) {
+//		if n := seg[pc]; n != 0 { poll the interrupt, test fuel, charge n }
+//		pc = ops[pc](vm, frame)
+//	}
 //
 // so there is no big-switch dispatch, no decoded instruction stream and —
 // because every operand-stack slot has a fixed home register — no runtime
-// stack pointer. Negative returns (regTrapRet/regErrRet) convert to huge
-// uints and exit the loop; regDone is a large positive index past any real
-// stream, distinguishing normal completion from a trap.
+// stack pointer. The accounting is the driver's own step (chargeSeg), not a
+// closure around the leader's, so a leader costs one indirect call like any
+// other pc. Negative returns (regTrapRet/regErrRet) convert to huge uints and
+// exit the loop; regDone is a large positive index past any real stream,
+// distinguishing normal completion from a trap.
 
 // regFn is one direct-threaded handler: execute, return the next index.
 type regFn func(vm *VM, fr []uint64) int
@@ -34,14 +41,17 @@ const (
 	// regTrapRet signals a trap: vm.regErr and vm.regTrapPC (original
 	// body-pc space) are set and the driver performs segment rollback.
 	regTrapRet = -1
-	// regErrRet signals an error with accounting already exact (the
-	// fuel-shortfall deopt tail, which charges per instruction): no rollback.
+	// regErrRet signals an error that leaves accounting as it is, with no
+	// rollback: the guards on statement-interior and dead pcs.
 	regErrRet = -2
 )
 
 // regCode is one function's register-form artifact.
 type regCode struct {
 	ops []regFn
+	// seg[pc]: the instruction count the driver charges before ops[pc], the
+	// segment pc leads; 0 where pc leads none.
+	seg []uint32
 	// spec flags each emitted closure as specialised (a dedicated handler
 	// with inline operation) vs generic (dispatching through applyBin/
 	// applyUn/fastLoad at runtime); wid records how many original body
@@ -50,8 +60,8 @@ type regCode struct {
 	wid  []int32
 	// regs is the register-file size: numLoc locals + maxStack stack homes.
 	regs int
-	// RegStats' Threaded and InlineUpdates, and the branches cmpBranch built.
-	threaded, inlineUpd, cmpBr int
+	// RegStats' counters, and the branches cmpBranch built.
+	threaded, inlineUpd, leafOps, cmpBr int
 }
 
 // execReg runs a compiled function on the register engine. fi is the
@@ -67,9 +77,15 @@ func (vm *VM) execReg(f *compiledFunc, fi int, frame []uint64) (uint64, error) {
 		return 0, ErrCallStackExhausted
 	}
 
-	ops := f.reg.ops
+	ops, seg := f.reg.ops, f.reg.seg
+	intr, limited, segCost := vm.segAcct(fi)
 	pc := 0
 	for uint(pc) < uint(len(ops)) {
+		if n := seg[pc]; n != 0 {
+			if ok, interrupted := vm.chargeSeg(intr, limited, segCost, pc, uint64(n)); !ok {
+				return 0, vm.stopSeg(interrupted, f, frame, pc)
+			}
+		}
 		pc = ops[pc](vm, frame)
 	}
 	if pc >= 0 {
@@ -86,8 +102,53 @@ func (vm *VM) execReg(f *compiledFunc, fi int, frame []uint64) (uint64, error) {
 		vm.rollback(f, fc, int(vm.regTrapPC))
 		return 0, vm.regErr
 	}
-	// regErrRet: the per-instruction fuel tail already settled accounting.
+	// regErrRet: nothing to roll back.
 	return 0, vm.regErr
+}
+
+// segAcct reads what chargeSeg needs and no run changes: the interrupt flag's
+// address, whether fuel is limited and function fi's segment costs (nil
+// without a cost model). Only Reset, binding a run, and InstancePool.Put,
+// after it, write them, so an activation reads them once.
+func (vm *VM) segAcct(fi int) (intr *atomic.Bool, limited bool, segCost []uint64) {
+	if vm.cost != nil {
+		segCost = vm.costs[fi].segCost
+	}
+	return vm.intr, vm.fuelLimited, segCost
+}
+
+// chargeSeg is the driver's step at a segment leader, before the leader's
+// closure runs, in a fixed order: poll the interrupt, test fuel — either
+// stops the run (stopSeg) with nothing of the segment run or charged — then
+// make the segment's batched InstrCount, fuel and cost charge of n
+// instructions. It has no calls, so it inlines into the driver loop.
+func (vm *VM) chargeSeg(intr *atomic.Bool, limited bool, segCost []uint64, pc int, n uint64) (ok, interrupted bool) {
+	if intr != nil && intr.Load() {
+		return false, true
+	}
+	if limited && vm.fuel < n {
+		return false, false
+	}
+	vm.instrCount += n
+	if limited {
+		vm.fuel -= n
+	}
+	if segCost != nil {
+		vm.costAcc += segCost[pc]
+	}
+	return true, false
+}
+
+// stopSeg ends the run at a leader chargeSeg refused, accounting exact and so
+// without rollback. A fuel shortfall deoptimises to the per-instruction tail:
+// at a leader every live stack value is in its home register, so the tail
+// runs the original body against the frame's home window, and the full frame
+// is its locals array (inlined callee bodies address their locals at >= numLoc).
+func (vm *VM) stopSeg(interrupted bool, f *compiledFunc, fr []uint64, pc int) error {
+	if interrupted {
+		return ErrInterrupted
+	}
+	return vm.execFuelTail(f.body, fr, fr[f.numLoc:], int(f.preH[pc]), pc)
 }
 
 // invokeAtReg calls function idx (combined index space) from a register-
