@@ -76,7 +76,8 @@ fmt-check:
 # BENCH_interp.json, the compile-once/run-many FaaS gateway figures
 # (sandbox setup latency, pooled throughput) in BENCH_faas.json, and — both in
 # BENCH_ledger.json — the eager vs checkpoint-batched ledger signing
-# comparison (plus 10k-record offline-verification cost) and the bounded
+# comparison (plus 10k-record offline-verification cost and the audit row:
+# a 100k-record spilled ledger's read side beside its write side) and the bounded
 # vs unbounded retention sweep (resident records + heap + append rate at
 # 10k/100k/1M records × GOMAXPROCS 1/4/16), and the multi-core scaling
 # matrix (pooled gateway + bounded ledger at GOMAXPROCS 1/4/16, written
@@ -99,7 +100,10 @@ bench:
 # bench.InstrumentedSmokeCeiling of the plain one on the register engine
 # (the median over back-to-back pairs), the call-heavy suite must beat its
 # DisableInline baseline by >= 1.15x geomean where the inliner fires, spill-mode
-# retention must keep up with bounded, and on hosts with >= 4 CPUs the
+# retention must keep up with bounded, reading a 100,000-record spilled
+# ledger back (reopen + VerifySpillDir + WriteDump + VerifyReader) must cost
+# at most bench.AuditSmokeCeiling times writing it (append + Compact + Close;
+# the median over five ledgers), and on hosts with >= 4 CPUs the
 # pooled gateway and bounded ledger must reach >= 1.8x their single-proc
 # throughput at GOMAXPROCS=4 (generous noise tolerance; the gate exits
 # non-zero on regression and skips the scaling check on smaller hosts).

@@ -230,6 +230,17 @@ func run() error {
 		}
 		fmt.Println("gate passed")
 		fmt.Println()
+		fmt.Println("== Bench smoke gate: reading a spilled ledger back must stay near the cost of writing it ==")
+		audit, err := bench.RunAudit(bench.AuditSmokeRecords)
+		if err != nil {
+			return err
+		}
+		bench.PrintAudit(os.Stdout, audit)
+		if err := bench.CheckAuditGate(audit, bench.AuditSmokeCeiling); err != nil {
+			return err
+		}
+		fmt.Printf("gate passed (ceiling %.2fx)\n", bench.AuditSmokeCeiling)
+		fmt.Println()
 		fmt.Println("== Bench smoke gate: GOMAXPROCS=4 must beat GOMAXPROCS=1 ==")
 		sres, err := bench.RunScalingSmoke()
 		if err != nil {

@@ -86,24 +86,22 @@ func (u *UsageLog) AppendMarshal(buf []byte) []byte {
 
 // UnmarshalUsageLog is Marshal's inverse.
 func UnmarshalUsageLog(b []byte) (UsageLog, error) {
-	if len(b) != MarshalSize {
-		return UsageLog{}, fmt.Errorf("accounting: usage log is %d bytes, want %d", len(b), MarshalSize)
-	}
 	var u UsageLog
+	return u, u.unmarshal(b)
+}
+
+// unmarshal fills u from a marshalled log, overwriting every field — the
+// form the frame and container decoders use on records they reuse.
+func (u *UsageLog) unmarshal(b []byte) error {
+	if len(b) != MarshalSize {
+		return fmt.Errorf("accounting: usage log is %d bytes, want %d", len(b), MarshalSize)
+	}
 	copy(u.WorkloadHash[:], b[:32])
-	fields := [8]*uint64{
-		&u.WeightedInstructions, &u.PeakMemoryBytes, &u.MemoryIntegral,
-		&u.IOBytesIn, &u.IOBytesOut, &u.SimulatedCycles, nil, &u.Sequence,
-	}
-	for i, p := range fields {
-		v := binary.LittleEndian.Uint64(b[32+8*i:])
-		if p != nil {
-			*p = v
-		} else {
-			u.Policy = MemoryPolicy(v)
-		}
-	}
-	return u, nil
+	f := func(i int) uint64 { return binary.LittleEndian.Uint64(b[32+8*i:]) }
+	u.WeightedInstructions, u.PeakMemoryBytes, u.MemoryIntegral = f(0), f(1), f(2)
+	u.IOBytesIn, u.IOBytesOut, u.SimulatedCycles = f(3), f(4), f(5)
+	u.Policy, u.Sequence = MemoryPolicy(f(6)), f(7)
+	return nil
 }
 
 // ErrBadLogSignature indicates a forged or corrupted usage record

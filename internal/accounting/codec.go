@@ -1,9 +1,22 @@
 // Wire codecs: the spill frame (format "acctee-spill/v2") and the dump
 // container (format "acctee-ledger/v3"). This file is the only place that
 // knows either byte layout — the store, crash recovery and the offline
-// verifier read frames through walkFrames / readFrameAt and containers
-// through readDumpContainer, and write them through encodeBinFrame /
+// verifier read frames through a frameReader (walkFrames for a whole
+// file, frameReader.at for an indexed frame) and containers through
+// readDumpContainer, and write them through appendBinFrame /
 // writeDumpContainer.
+//
+// Ownership. Decoding reuses storage: a frameReader owns one body buffer
+// and one []Record and refills both for every frame, and readDumpContainer
+// decodes every record into one Record. What a callback is handed — the
+// *spillFrame of walkFrames, the *Record of readDumpContainer and of a
+// Snapshot replay — is therefore the decoder's, valid until the callback
+// returns; a caller that keeps a record copies the struct. The copy is
+// then whole: a decoded Signature is a fresh allocation, never a view of
+// the read buffer. So recovery, both verifiers and the dump allocate in
+// proportion to the largest frame, not to the record count. readFrameAt,
+// readBinFrame and decodeBinFramePayload decode through a reader of their
+// own and so return a frame the caller owns (Get, and the white-box tests).
 //
 // Both layouts reuse the pinned serialisations the hash chain is already
 // built on (Record.Marshal, UsageLog.AppendMarshal — guarded by
@@ -55,6 +68,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // SpillFormatV2 is the one spill layout, stamped into every manifest. A
@@ -92,32 +106,32 @@ func appendRecordBin(buf []byte, r *Record) []byte {
 	return append(buf, r.Signature...)
 }
 
-// decodeRecordBin decodes one record, returning the bytes consumed.
-func decodeRecordBin(b []byte) (Record, int, error) {
-	var r Record
+// decodeRecordBin decodes one record into r, returning the bytes consumed.
+// Every field of r is overwritten — r may be reused storage — and a
+// signature is always a fresh allocation, never a view of b, so a caller
+// may keep a copy of *r after b is refilled.
+func decodeRecordBin(b []byte, r *Record) (int, error) {
 	if len(b) < recordMarshalSize+32+2 {
-		return r, 0, fmt.Errorf("accounting: binary record truncated (%d bytes)", len(b))
+		return 0, fmt.Errorf("accounting: binary record truncated (%d bytes)", len(b))
 	}
 	r.Shard = binary.LittleEndian.Uint32(b)
 	copy(r.PrevHash[:], b[4:36])
-	log, err := UnmarshalUsageLog(b[36 : 36+MarshalSize])
-	if err != nil {
-		return r, 0, err
+	if err := r.Log.unmarshal(b[36 : 36+MarshalSize]); err != nil {
+		return 0, err
 	}
-	r.Log = log
 	off := recordMarshalSize
 	copy(r.Hash[:], b[off:off+32])
 	off += 32
 	sigLen := int(binary.LittleEndian.Uint16(b[off:]))
 	off += 2
 	if len(b) < off+sigLen {
-		return r, 0, fmt.Errorf("accounting: binary record signature truncated")
+		return 0, fmt.Errorf("accounting: binary record signature truncated")
 	}
+	r.Signature = nil
 	if sigLen > 0 {
 		r.Signature = append([]byte(nil), b[off:off+sigLen]...)
 	}
-	off += sigLen
-	return r, off, nil
+	return off + sigLen, nil
 }
 
 // maxBinFramePayload bounds a frame's declared payload length so a
@@ -126,37 +140,52 @@ const maxBinFramePayload = 1 << 30
 
 // encodeBinFrame serialises a spill frame (length prefix + payload + CRC).
 func encodeBinFrame(fr *spillFrame) []byte {
-	size := 4 + 8 + 4 + 32 + MarshalSize
-	for i := range fr.Records {
-		size += binRecordSize(&fr.Records[i])
+	return appendBinFrame(nil, fr, fr.Records)
+}
+
+// appendBinFrame appends the encoding of the frame whose header fields are
+// fr's and whose records are the concatenation of runs (fr.Records is not
+// consulted: a seal encodes straight from the resident segments' slices).
+func appendBinFrame(buf []byte, fr *spillFrame, runs ...[]Record) []byte {
+	size, count := 4+8+4+32+MarshalSize, 0
+	for _, run := range runs {
+		count += len(run)
+		for i := range run {
+			size += binRecordSize(&run[i])
+		}
 	}
-	buf := make([]byte, 4, 4+size+4)
-	binary.LittleEndian.PutUint32(buf, uint32(size))
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:4], fr.Shard)
-	buf = append(buf, b[:4]...)
-	binary.LittleEndian.PutUint64(b[:], fr.Base)
-	buf = append(buf, b[:]...)
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(fr.Records)))
-	buf = append(buf, b[:4]...)
-	for i := range fr.Records {
-		buf = appendRecordBin(buf, &fr.Records[i])
+	start := len(buf)
+	buf = slices.Grow(buf, 4+size+4)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(size))
+	buf = binary.LittleEndian.AppendUint32(buf, fr.Shard)
+	buf = binary.LittleEndian.AppendUint64(buf, fr.Base)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
+	for _, run := range runs {
+		for i := range run {
+			buf = appendRecordBin(buf, &run[i])
+		}
 	}
 	buf = append(buf, fr.Head[:]...)
 	buf = fr.Totals.AppendMarshal(buf)
-	binary.LittleEndian.PutUint32(b[:4], crc32.Checksum(buf[4:], castagnoli))
-	return append(buf, b[:4]...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start+4:], castagnoli))
 }
 
-// decodeBinFramePayload decodes a frame payload (CRC already checked).
-func decodeBinFramePayload(payload []byte) (*spillFrame, error) {
+// frameReader decodes spill frames into storage it owns and refills: one
+// body buffer and one []Record, both grown to the largest frame seen. The
+// frame a method returns is valid until the reader's next call.
+type frameReader struct {
+	body []byte // read buffer: the bytes of the frame fr was decoded from
+	fr   spillFrame
+}
+
+// decodePayload decodes a frame payload (CRC already checked).
+func (d *frameReader) decodePayload(payload []byte) (*spillFrame, error) {
 	if len(payload) < 4+8+4+32+MarshalSize {
 		return nil, fmt.Errorf("accounting: binary frame payload too short (%d bytes)", len(payload))
 	}
-	fr := &spillFrame{
-		Shard: binary.LittleEndian.Uint32(payload),
-		Base:  binary.LittleEndian.Uint64(payload[4:]),
-	}
+	fr := &d.fr
+	fr.Shard = binary.LittleEndian.Uint32(payload)
+	fr.Base = binary.LittleEndian.Uint64(payload[4:])
 	count := binary.LittleEndian.Uint32(payload[12:])
 	if count == 0 {
 		return nil, fmt.Errorf("accounting: binary frame declares zero records")
@@ -165,46 +194,45 @@ func decodeBinFramePayload(payload []byte) (*spillFrame, error) {
 	if uint64(count) > uint64(len(rest))/uint64(recordMarshalSize+32+2) {
 		return nil, fmt.Errorf("accounting: binary frame declares %d records in %d bytes", count, len(rest))
 	}
-	fr.Records = make([]Record, 0, count)
-	for i := uint32(0); i < count; i++ {
-		rec, n, err := decodeRecordBin(rest)
+	fr.Records = slices.Grow(fr.Records[:0], int(count))[:count]
+	for i := range fr.Records {
+		n, err := decodeRecordBin(rest, &fr.Records[i])
 		if err != nil {
 			return nil, err
 		}
-		fr.Records = append(fr.Records, rec)
 		rest = rest[n:]
 	}
 	if len(rest) != 32+MarshalSize {
 		return nil, fmt.Errorf("accounting: binary frame has %d trailing bytes, want %d", len(rest), 32+MarshalSize)
 	}
 	copy(fr.Head[:], rest[:32])
-	totals, err := UnmarshalUsageLog(rest[32:])
-	if err != nil {
+	if err := fr.Totals.unmarshal(rest[32:]); err != nil {
 		return nil, err
 	}
-	fr.Totals = totals
 	return fr, nil
 }
 
-// decodeBinFrameBody checks a complete frame's CRC and decodes it; body
-// is everything after the length prefix (payload, then the CRC).
-func decodeBinFrameBody(body []byte) (*spillFrame, error) {
+// decodeBody checks a complete frame's CRC and decodes it; body is
+// everything after the length prefix (payload, then the CRC).
+func (d *frameReader) decodeBody(body []byte) (*spillFrame, error) {
 	payload := body[:len(body)-4]
 	wantCRC := binary.LittleEndian.Uint32(body[len(payload):])
 	if got := crc32.Checksum(payload, castagnoli); got != wantCRC {
 		return nil, fmt.Errorf("accounting: binary frame CRC mismatch (stored %08x, computed %08x)", wantCRC, got)
 	}
-	return decodeBinFramePayload(payload)
+	return d.decodePayload(payload)
 }
 
 // errTornFrame marks a frame cut short by the end of the file — the honest
 // residue of a crash mid-append, distinct from corruption.
 var errTornFrame = fmt.Errorf("accounting: torn binary frame at end of file")
 
-// readBinFrame reads the next frame off r. It returns io.EOF cleanly
-// between frames, errTornFrame when the file ends inside a frame, and a
-// hard error for a complete frame whose CRC or structure is wrong.
-func readBinFrame(r *bufio.Reader) (*spillFrame, int64, error) {
+// next reads the next frame off r. It returns io.EOF cleanly between
+// frames, errTornFrame when the file ends inside a frame, and a hard error
+// for a complete frame whose CRC or structure is wrong. The body buffer
+// grows only as input arrives (readExactly), so a length prefix the file
+// does not back sizes no allocation.
+func (d *frameReader) next(r *bufio.Reader) (*spillFrame, int64, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		if err == io.EOF {
@@ -216,24 +244,56 @@ func readBinFrame(r *bufio.Reader) (*spillFrame, int64, error) {
 	if payloadLen == 0 || payloadLen > maxBinFramePayload {
 		return nil, 0, fmt.Errorf("accounting: binary frame declares %d-byte payload", payloadLen)
 	}
-	body := make([]byte, int(payloadLen)+4)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readExactly(r, int(payloadLen)+4, d.body)
+	if err != nil {
 		return nil, 0, errTornFrame // file ends before the advertised frame end
 	}
-	fr, err := decodeBinFrameBody(body)
+	d.body = body
+	fr, err := d.decodeBody(body)
 	if err != nil {
 		return nil, 0, err
 	}
 	return fr, int64(4 + payloadLen + 4), nil
 }
 
+// at decodes the frame an index entry locates.
+func (d *frameReader) at(f *os.File, fi frameIndex) (*spillFrame, error) {
+	if fi.size < 8 {
+		return nil, fmt.Errorf("accounting: spill frame index names a %d-byte frame", fi.size)
+	}
+	buf := slices.Grow(d.body[:0], int(fi.size))[:fi.size]
+	d.body = buf
+	if _, err := f.ReadAt(buf, fi.off); err != nil {
+		return nil, fmt.Errorf("accounting: read spill frame: %w", err)
+	}
+	if payloadLen := binary.LittleEndian.Uint32(buf); int64(payloadLen)+8 != fi.size {
+		return nil, fmt.Errorf("accounting: spill frame length drifted (payload %d in a %d-byte frame)", payloadLen, fi.size)
+	}
+	return d.decodeBody(buf[4:])
+}
+
+// The fresh-allocating forms: each decodes through a reader of its own, so
+// the frame it returns is the caller's to keep. Get uses readFrameAt; the
+// other two serve the white-box tests and the fuzz target.
+func decodeBinFramePayload(payload []byte) (*spillFrame, error) {
+	return new(frameReader).decodePayload(payload)
+}
+
+func readBinFrame(r *bufio.Reader) (*spillFrame, int64, error) {
+	return new(frameReader).next(r)
+}
+
+func readFrameAt(f *os.File, fi frameIndex) (*spillFrame, error) {
+	return new(frameReader).at(f, fi)
+}
+
 // walkFrames streams one shard's segment file through fn, frame by frame,
-// with each frame's byte offset and on-disk size. It is where the
-// torn-tail rule lives: the walk ends cleanly at the end of the file or
-// at a torn trailing frame, returning the offset just past the last whole
-// frame (where recovery cuts); a complete frame that fails its CRC or
-// decode, or an error from fn, ends it with that error. A missing file is
-// an empty one.
+// with each frame's byte offset and on-disk size; the frame is reused
+// storage, valid for the call only. It is where the torn-tail rule lives:
+// the walk ends cleanly at the end of the file or at a torn trailing
+// frame, returning the offset just past the last whole frame (where
+// recovery cuts); a complete frame that fails its CRC or decode, or an
+// error from fn, ends it with that error. A missing file is an empty one.
 func walkFrames(path string, fn func(fr *spillFrame, off, size int64) error) (goodEnd int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -243,10 +303,13 @@ func walkFrames(path string, fn func(fr *spillFrame, off, size int64) error) (go
 		return 0, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	// A frame body longer than the buffer is read straight into the frame
+	// reader's own, so the buffer only has to cover prefixes and small frames.
+	br := bufio.NewReaderSize(f, 1<<16)
+	var d frameReader
 	var off int64
 	for {
-		fr, size, err := readBinFrame(br)
+		fr, size, err := d.next(br)
 		if err == io.EOF || err == errTornFrame {
 			return off, nil
 		}
@@ -258,21 +321,6 @@ func walkFrames(path string, fn func(fr *spillFrame, off, size int64) error) (go
 		}
 		off += size
 	}
-}
-
-// readFrameAt decodes the frame an index entry locates.
-func readFrameAt(f *os.File, fi frameIndex) (*spillFrame, error) {
-	if fi.size < 8 {
-		return nil, fmt.Errorf("accounting: spill frame index names a %d-byte frame", fi.size)
-	}
-	buf := make([]byte, fi.size)
-	if _, err := f.ReadAt(buf, fi.off); err != nil {
-		return nil, fmt.Errorf("accounting: read spill frame: %w", err)
-	}
-	if payloadLen := binary.LittleEndian.Uint32(buf); int64(payloadLen)+8 != fi.size {
-		return nil, fmt.Errorf("accounting: spill frame length drifted (payload %d in a %d-byte frame)", payloadLen, fi.size)
-	}
-	return decodeBinFrameBody(buf[4:])
 }
 
 // dumpMagicV3 opens every dump container.
@@ -416,8 +464,8 @@ func readDumpContainer(r io.Reader, header func(*Dump) error, record func(*Recor
 		if rbuf, err = readExactly(br, rlen, rbuf); err != nil {
 			return fmt.Errorf("accounting: ledger dump truncated: %w", err)
 		}
-		var n int
-		if rec, n, err = decodeRecordBin(rbuf); err != nil {
+		n, err := decodeRecordBin(rbuf, &rec)
+		if err != nil {
 			return err
 		}
 		if n != rlen {

@@ -23,6 +23,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -122,6 +123,13 @@ func FuzzBinFrameDecode(f *testing.F) {
 	}
 	// Two frames back to back, second one torn.
 	f.Add(append(append([]byte(nil), full...), full[:7]...))
+	// A good frame, then a length prefix just under the cap backed by one
+	// byte: torn, and nothing near the declared gigabyte allocated.
+	f.Add(append(append([]byte(nil), full...), hugeLengthTail...))
+	// Frames that shrink, grow and alternate signed with unsigned, through
+	// one reused reader.
+	_, shapes := reuseFrames()
+	f.Add(bytes.Join(shapes, nil))
 	// Degenerate inputs.
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -129,14 +137,24 @@ func FuzzBinFrameDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
+		// The same bytes through one reader that refills its storage frame
+		// after frame: it must agree with the fresh decode at every step.
+		reusedBr := bufio.NewReader(bytes.NewReader(data))
+		var reused frameReader
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		var consumed int64
 		for {
 			fr, n, err := readBinFrame(br)
+			rfr, rn, rerr := reused.next(reusedBr)
+			if rn != n || (err == nil) != (rerr == nil) || (err != nil && err.Error() != rerr.Error()) {
+				t.Fatalf("fresh decode: %d bytes, %v; reused reader: %d bytes, %v", n, err, rn, rerr)
+			}
 			if err != nil {
 				// Whatever the input, the decoder must terminate with
 				// io.EOF (clean), errTornFrame (cut short), or a hard
 				// decode error — never a panic (caught by the harness)
-				// and never an unbounded allocation (caught by OOM).
+				// and never an allocation the input does not back.
 				if err != io.EOF && err != errTornFrame && err == nil {
 					t.Fatalf("impossible error state: %v", err)
 				}
@@ -144,6 +162,9 @@ func FuzzBinFrameDecode(f *testing.F) {
 			}
 			if fr == nil || len(fr.Records) == 0 {
 				t.Fatal("nil or empty frame returned without error")
+			}
+			if !reflect.DeepEqual(fr, rfr) {
+				t.Fatalf("reused reader's frame differs from the fresh decode:\nreused %+v\nfresh  %+v", rfr, fr)
 			}
 			if n <= 8 {
 				t.Fatalf("frame of %d records consumed only %d bytes", len(fr.Records), n)
@@ -162,6 +183,13 @@ func FuzzBinFrameDecode(f *testing.F) {
 			if !framesEqual(fr, rt) {
 				t.Fatal("accepted frame does not round-trip through the codec")
 			}
+		}
+		runtime.ReadMemStats(&after)
+		// Two bufio readers, the 64 KiB read step on either side, and
+		// decoded records at 192 B per 166 B of input, several times over
+		// (fresh decode, reused decode, re-encode, its decode).
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(data)+(4<<20)); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), got, limit)
 		}
 	})
 }

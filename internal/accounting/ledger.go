@@ -74,7 +74,10 @@ func (r *Record) appendMarshal(buf []byte) []byte {
 }
 
 // ComputeHash recomputes the record's chain hash from its contents.
-func (r *Record) ComputeHash() [32]byte { return sha256.Sum256(r.Marshal()) }
+func (r *Record) ComputeHash() [32]byte {
+	var b [recordMarshalSize]byte // stays on the stack: a verifier calls this per record
+	return sha256.Sum256(r.appendMarshal(b[:0]))
+}
 
 // Receipt is what a caller holds after appending a record: enough to locate
 // the record and to later check it is covered by a signed checkpoint.
@@ -197,13 +200,14 @@ var ErrNoRecordSignature = errors.New("accounting: record carries no per-record 
 // carry no signature and are rejected with ErrNoRecordSignature — their
 // authenticity comes from a covering checkpoint instead.
 func VerifyRecordSig(r Record, pub *ecdsa.PublicKey) error {
-	if r.Hash != r.ComputeHash() {
+	m := r.Marshal() // the hash and the signature cover the same bytes
+	if r.Hash != sha256.Sum256(m) {
 		return fmt.Errorf("accounting: record %d/%d hash mismatch", r.Shard, r.Log.Sequence)
 	}
 	if len(r.Signature) == 0 {
 		return ErrNoRecordSignature
 	}
-	if !sgx.VerifyBy(pub, r.Marshal(), r.Signature) {
+	if !sgx.VerifyBy(pub, m, r.Signature) {
 		return ErrBadLogSignature
 	}
 	return nil

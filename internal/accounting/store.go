@@ -28,7 +28,14 @@
 // Spill I/O is asynchronous (PR 7): Seal builds and encodes the frame,
 // publishes it on the shard's pending queue, and hands it to a per-shard
 // writer goroutine through a bounded channel — backpressure blocks the
-// compaction path, never Append. The writer group-commits: it drains
+// compaction path, never Append. A pending frame holds the sealed range as
+// slices of the resident segments it came from, not a copy: records are
+// immutable once appended, so the slices stay what they were when the
+// segment grows, takes more appends or leaves the resident list. Its wire
+// encoding lives in a buffer drawn from a sync.Pool at the seal and handed
+// back by the writer once the group commit has landed (or been given up),
+// at which point the queue slot is cleared too: a drained store holds no
+// reference to anything it spilled. The writer group-commits: it drains
 // whatever frames are queued (up to spillGroupCommitMax) and lands the
 // batch with one write. Durability is deferred to sync points — every
 // spillSyncBytes of frame data, and always on Drain — where the
@@ -60,6 +67,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -106,6 +114,10 @@ type RecordStore interface {
 	// records after the snapshot, and the closure must still replay the
 	// pinned range (spilled frames are immutable in the append-only file;
 	// pending frames and the resident suffix are copied at snapshot time).
+	// The *Record handed to fn is valid for that call only — spilled
+	// records are decoded into storage the next frame overwrites, and a
+	// resident record's Signature is the store's own — so fn copies what
+	// it keeps, signature bytes included.
 	// Snapshot fails if [from, to) reaches below the earliest reachable
 	// sequence.
 	Snapshot(shard uint32, from, to uint64) (func(fn func(*Record) error) error, error)
@@ -136,12 +148,22 @@ type segment struct {
 
 // pendingFrame is a sealed frame travelling through the async spill
 // pipeline: built and encoded under the shard lock at seal time, written
-// and committed by the shard's writer goroutine. Its record slice keeps
-// the sealed range readable until the frame index takes over.
+// and committed by the shard's writer goroutine. runs keeps the sealed
+// range readable until the frame index takes over: the resident segments'
+// own slices, in order — records are immutable once appended, so no copy.
 type pendingFrame struct {
-	fr  *spillFrame
-	enc []byte // wire encoding (encodeBinFrame)
+	base, count uint64
+	runs        [][]Record
+	// enc is the wire encoding (appendBinFrame) in a buffer from encBufs;
+	// only the shard's writer touches it after the seal, and commitBatch
+	// hands it back.
+	enc *[]byte
 }
+
+// encBufs recycles frame encode buffers between seals. A pool, not a
+// per-shard free list: an idle ledger must not pin a frame-sized buffer
+// per shard, and the collector empties a pool nobody is drawing from.
+var encBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // shardSegs is one shard's resident segment list plus its spill state.
 type shardSegs struct {
@@ -268,9 +290,15 @@ func (sh *shardSegs) getResident(seq uint64) (Record, bool) {
 // sh.mu; pending entries are immutable once published).
 func (sh *shardSegs) getPending(seq uint64) (Record, bool) {
 	for _, pf := range sh.pending {
-		end := pf.fr.Base + uint64(len(pf.fr.Records))
-		if seq >= pf.fr.Base && seq < end {
-			return pf.fr.Records[seq-pf.fr.Base], true
+		if seq < pf.base || seq >= pf.base+pf.count {
+			continue
+		}
+		i := seq - pf.base
+		for _, run := range pf.runs {
+			if i < uint64(len(run)) {
+				return run[i], true
+			}
+			i -= uint64(len(run))
 		}
 	}
 	return Record{}, false
@@ -536,9 +564,6 @@ type fileStore struct {
 	closed   bool
 	chans    []chan *pendingFrame
 	wg       sync.WaitGroup
-	// wbufs holds one reusable batch-concatenation buffer per shard
-	// (only shard i's writer goroutine touches wbufs[i], under fs.mu).
-	wbufs [][]byte
 }
 
 // checkpointPruner is implemented by stores that persist the checkpoint
@@ -582,7 +607,6 @@ func openFileStore(dir string, shards, segRecords int, meas sgx.Measurement, pub
 			Measurement: meas, PublicKey: pubDER, Pruned: pruned,
 		},
 		files: make([]*os.File, shards),
-		wbufs: make([][]byte, shards),
 	}
 	fs.dataDirty = make([]bool, shards)
 	fs.unhinted = make([]int64, shards)
@@ -757,11 +781,24 @@ func scanShardFile(path string, shard uint32) (s shardScan, err error) {
 // persisted checkpoint whose coverage the spill fully contains, and
 // checkpoints past the spill horizon).
 func (fs *fileStore) recover() (*recoveredState, error) {
+	// The per-shard chains are independent, so the files are scanned
+	// concurrently, GOMAXPROCS at a time (each scan holds one frame).
 	scans := make([]shardScan, len(fs.shards))
+	errs := make([]error, len(fs.shards))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
 	for i := range fs.shards {
-		var err error
-		if scans[i], err = scanShardFile(filepath.Join(fs.dir, shardFileName(i)), uint32(i)); err != nil {
-			return nil, err
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			scans[i], errs[i] = scanShardFile(filepath.Join(fs.dir, shardFileName(i)), uint32(i))
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err // the lowest failing shard's, whichever scan finished first
 		}
 	}
 	cps, err := readSpillCheckpoints(fs.dir, len(fs.shards), fs.manifest.Pruned)
@@ -909,7 +946,7 @@ func readSpillCheckpoints(dir string, shards int, pruned bool) ([]SignedCheckpoi
 	defer f.Close()
 	var cps []SignedCheckpoint
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<30)
+	sc.Buffer(nil, 1<<30) // grows from 4 KiB as lines demand; a line is a few hundred bytes per shard
 	for sc.Scan() {
 		var c SignedCheckpoint
 		if err := json.Unmarshal(sc.Bytes(), &c); err != nil {
@@ -1204,47 +1241,40 @@ func (fs *fileStore) Seal(sc *SignedCheckpoint) (int, error) {
 		var pf *pendingFrame
 		if h.Count > sh.sealed {
 			// Build the frame — and its running head/totals stamps — in
-			// locals; shard state commits only after the frame is encoded
-			// and a writer slot reserved, so a failed seal leaves the
-			// stamps consistent and the next Seal retries the same range
-			// instead of double-counting it.
-			frame := &spillFrame{Shard: h.Shard, Base: sh.sealed,
+			// locals; shard state commits only once a writer slot is
+			// reserved, so a failed seal leaves the stamps consistent and the
+			// next Seal retries the same range instead of double-counting it.
+			frame := spillFrame{Shard: h.Shard, Base: sh.sealed,
 				Head: sh.spillHead, Totals: sh.spillTotals}
-			// Bulk-copy whole segment ranges instead of a per-sequence
-			// lookup: the seal range is contiguous, so one binary search
-			// finds the first segment and the rest append slice-at-a-time
-			// (this path runs on the compaction caller — often the
-			// appender that tripped the retention trigger — so per-record
-			// overhead here is paid at wire speed).
-			frame.Records = make([]Record, 0, h.Count-sh.sealed)
-			for seq := sh.sealed; seq < h.Count; {
-				i := sort.Search(len(sh.segs), func(i int) bool {
-					seg := sh.segs[i]
-					return seq < seg.base+uint64(len(seg.recs))
-				})
-				if i >= len(sh.segs) || seq < sh.segs[i].base {
+			// The seal range is contiguous, so one binary search finds the
+			// first segment and the frame takes the rest a slice at a time,
+			// uncopied (this path runs on the compaction caller — often the
+			// appender that tripped the retention trigger).
+			si := sort.Search(len(sh.segs), func(i int) bool {
+				seg := sh.segs[i]
+				return sh.sealed < seg.base+uint64(len(seg.recs))
+			})
+			var runs [][]Record
+			for seq := sh.sealed; seq < h.Count; si++ {
+				if si >= len(sh.segs) || seq < sh.segs[si].base {
 					sh.mu.Unlock()
 					return released, fmt.Errorf("accounting: seal lost shard %d record %d before spilling", h.Shard, seq)
 				}
-				seg := sh.segs[i]
-				lo := seq - seg.base
-				hi := uint64(len(seg.recs))
-				if end := h.Count - seg.base; end < hi {
-					hi = end
+				seg := sh.segs[si]
+				run := seg.recs[seq-seg.base : min(uint64(len(seg.recs)), h.Count-seg.base)]
+				for j := range run {
+					aggregate(&frame.Totals, &run[j].Log)
 				}
-				frame.Records = append(frame.Records, seg.recs[lo:hi]...)
-				seq = seg.base + hi
+				frame.Head = run[len(run)-1].Hash
+				runs = append(runs, run)
+				seq += uint64(len(run))
 			}
-			for i := range frame.Records {
-				aggregate(&frame.Totals, &frame.Records[i].Log)
-			}
-			frame.Head = frame.Records[len(frame.Records)-1].Hash
-			enc := encodeBinFrame(frame)
 			if err := fs.reserve(); err != nil {
 				sh.mu.Unlock()
 				return released, err
 			}
-			pf = &pendingFrame{fr: frame, enc: enc}
+			pf = &pendingFrame{base: sh.sealed, count: h.Count - sh.sealed, runs: runs, enc: encBufs.Get().(*[]byte)}
+			*pf.enc = appendBinFrame((*pf.enc)[:0], &frame, runs...)
 			sh.pending = append(sh.pending, pf)
 			sh.sealed = h.Count
 			sh.spillHead, sh.spillTotals = frame.Head, frame.Totals
@@ -1309,13 +1339,23 @@ func (fs *fileStore) commitBatch(shard int, batch []*pendingFrame) {
 			sh := &fs.shards[shard]
 			sh.mu.Lock()
 			sh.frames = append(sh.frames, idx...)
-			last := batch[len(batch)-1].fr
-			sh.spilled = last.Base + uint64(len(last.Records))
-			sh.pending = sh.pending[len(batch):]
+			last := batch[len(batch)-1]
+			sh.spilled = last.base + last.count
+			// Shift down and clear the vacated slots: the queue keeps its
+			// backing array, and a committed frame left in it would pin the
+			// segments it spilled.
+			n := copy(sh.pending, sh.pending[len(batch):])
+			clear(sh.pending[n:])
+			sh.pending = sh.pending[:n]
 			sh.mu.Unlock()
 		} else {
 			fs.degrade(err)
 		}
+	}
+	// Written or abandoned, the encodings have no reader left.
+	for _, pf := range batch {
+		encBufs.Put(pf.enc)
+		pf.enc = nil
 	}
 	fs.qmu.Lock()
 	fs.inflight -= len(batch)
@@ -1348,23 +1388,23 @@ func (fs *fileStore) writeBatch(shard int, batch []*pendingFrame) ([]frameIndex,
 	if err != nil {
 		return nil, err
 	}
-	size := 0
-	for _, pf := range batch {
-		size += len(pf.enc)
-	}
-	if cap(fs.wbufs[shard]) < size {
-		fs.wbufs[shard] = make([]byte, 0, size)
-	}
-	buf := fs.wbufs[shard][:0]
-	idx := make([]frameIndex, len(batch))
-	for i, pf := range batch {
-		idx[i] = frameIndex{
-			base:  pf.fr.Base,
-			count: uint64(len(pf.fr.Records)),
-			off:   off + int64(len(buf)),
-			size:  int64(len(pf.enc)),
+	// One write per batch: a lone frame goes out as encoded, several are
+	// concatenated in a pooled buffer first.
+	buf := *batch[0].enc
+	if len(batch) > 1 {
+		cat := encBufs.Get().(*[]byte)
+		defer encBufs.Put(cat)
+		buf = (*cat)[:0]
+		for _, pf := range batch {
+			buf = append(buf, *pf.enc...)
 		}
-		buf = append(buf, pf.enc...)
+		*cat = buf
+	}
+	idx := make([]frameIndex, len(batch))
+	end := off
+	for i, pf := range batch {
+		idx[i] = frameIndex{base: pf.base, count: pf.count, off: end, size: int64(len(*pf.enc))}
+		end += idx[i].size
 	}
 	if n, werr := fs.faults.Write(f, buf); werr != nil {
 		if n > 0 {
@@ -1386,7 +1426,6 @@ func (fs *fileStore) writeBatch(shard int, batch []*pendingFrame) ([]frameIndex,
 	// kernel flushes behind the appends and the next hard sync point
 	// (Drain) has little left to block on.
 	if fs.unhinted[shard] += int64(len(buf)); fs.unhinted[shard] >= spillHintBytes {
-		end := off + int64(len(buf))
 		hintWriteback(f, fs.hintOff[shard], end-fs.hintOff[shard])
 		fs.hintOff[shard] = end
 		fs.unhinted[shard] = 0
@@ -1480,10 +1519,13 @@ func (fs *fileStore) Snapshot(shard uint32, from, to uint64) (func(fn func(*Reco
 	// the pending queue) mid-replay.
 	var pend []Record
 	for _, pf := range sh.pending {
-		for i := range pf.fr.Records {
-			if seq := pf.fr.Base + uint64(i); seq >= from && seq < to {
-				pend = append(pend, pf.fr.Records[i])
+		seq := pf.base
+		for _, run := range pf.runs {
+			lo, hi := max(from, seq), min(to, seq+uint64(len(run)))
+			if lo < hi {
+				pend = append(pend, run[lo-seq:hi-seq]...)
 			}
+			seq += uint64(len(run))
 		}
 	}
 	lo := from
@@ -1503,6 +1545,7 @@ func (fs *fileStore) Snapshot(shard uint32, from, to uint64) (func(fn func(*Reco
 				return fmt.Errorf("accounting: open spill shard %d: %w", shard, err)
 			}
 			defer f.Close()
+			var d frameReader // one frame in memory, refilled per frame
 			for _, fi := range frames {
 				if fi.base+fi.count <= from {
 					continue
@@ -1510,7 +1553,7 @@ func (fs *fileStore) Snapshot(shard uint32, from, to uint64) (func(fn func(*Reco
 				if fi.base >= to {
 					return nil
 				}
-				frame, err := readFrameAt(f, fi)
+				frame, err := d.at(f, fi)
 				if err != nil {
 					return err
 				}

@@ -113,10 +113,23 @@ func TestRunLedgerBenchSmall(t *testing.T) {
 	if rep.VerifyRecords != 200 || rep.VerifyNs <= 0 || rep.VerifyNsPerRecord <= 0 {
 		t.Errorf("verification stats %+v", rep)
 	}
+	// The audit row rides on the same run: a 2,000-record spilled ledger
+	// written, reopened, verified twice and dumped, every phase timed.
+	a := rep.Audit
+	if a == nil || a.Records != 2000 || a.Pairs != bench.AuditPairs || a.ReadOverWrite <= 0 ||
+		a.WriteMs <= 0 || a.RecoverMs <= 0 || a.VerifySpillMs <= 0 || a.DumpMs <= 0 || a.VerifyStreamMs <= 0 {
+		t.Errorf("audit row %+v", a)
+	}
+	if err := bench.CheckAuditGate(bench.AuditRow{ReadOverWrite: 1.5}, 1.95); err != nil {
+		t.Errorf("a row under the ceiling failed the gate: %v", err)
+	}
+	if err := bench.CheckAuditGate(bench.AuditRow{ReadOverWrite: 2.4}, 1.95); err == nil {
+		t.Error("a row over the ceiling passed the gate")
+	}
 	var sb strings.Builder
 	bench.PrintLedgerBench(&sb, rep)
-	if !strings.Contains(sb.String(), "offline verification") {
-		t.Error("print output missing verification summary")
+	if !strings.Contains(sb.String(), "offline verification") || !strings.Contains(sb.String(), "read/write") {
+		t.Error("print output missing the verification summary or the audit row")
 	}
 }
 

@@ -17,8 +17,9 @@ import (
 
 // This file measures the sharded, hash-chained ledger (PR 3): how much
 // gateway throughput checkpoint-batched signing recovers over per-request
-// eager signatures at 1/4/16 concurrent clients, and what offline
-// verification of a 10k-record dump costs. The report lands in
+// eager signatures at 1/4/16 concurrent clients, what offline
+// verification of a 10k-record dump costs, and (auditbench.go) what reading
+// a 100k-record spilled ledger back costs beside writing it. The report lands in
 // BENCH_ledger.json next to BENCH_interp.json / BENCH_faas.json.
 
 // LedgerClientCounts is the default concurrency sweep.
@@ -65,6 +66,9 @@ type LedgerReport struct {
 	// DumpBytes is the size of the same ledger as a dump container
 	// (Ledger.WriteDump).
 	DumpBytes int `json:"dump_bytes"`
+	// Audit is the read side against the write side of one spilled ledger
+	// (auditbench.go), measured by the same -fig ledger run.
+	Audit *AuditRow `json:"audit,omitempty"`
 	// Retention holds the bounded-retention sweep (acctee-bench -fig
 	// retention) and Scaling the GOMAXPROCS matrix (-fig scaling); the
 	// figures update their own sections of BENCH_ledger.json without
@@ -238,6 +242,13 @@ func RunLedgerBench(requests, verifyRecords int, clientCounts []int) (*LedgerRep
 		return nil, fmt.Errorf("bench: verified %d records, want %d", vr.Records, verifyRecords)
 	}
 	rep.VerifyNsPerRecord = float64(rep.VerifyNs) / float64(verifyRecords)
+
+	// 3) Read side over write side of a spilled ledger ten times that size.
+	audit, err := RunAudit(10 * verifyRecords)
+	if err != nil {
+		return nil, err
+	}
+	rep.Audit = &audit
 	return rep, nil
 }
 
@@ -264,4 +275,7 @@ func PrintLedgerBench(w io.Writer, rep *LedgerReport) {
 	fmt.Fprintf(w, "offline verification: %d records (%d checkpoints, %d B dump) in %s (%.0f ns/record)\n",
 		rep.VerifyRecords, rep.VerifyCheckpoints, rep.DumpBytes,
 		time.Duration(rep.VerifyNs), rep.VerifyNsPerRecord)
+	if rep.Audit != nil {
+		PrintAudit(w, *rep.Audit)
+	}
 }

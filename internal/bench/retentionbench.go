@@ -79,10 +79,10 @@ type RetentionRow struct {
 
 // RetentionReport is the BENCH_ledger.json "retention" section.
 type RetentionReport struct {
-	GeneratedAt string         `json:"generated_at"`
-	GOMAXPROCS  int            `json:"gomaxprocs"`
-	Shards      int            `json:"shards"`
-	Rows        []RetentionRow `json:"rows"`
+	Stamp
+	GOMAXPROCS int            `json:"gomaxprocs"`
+	Shards     int            `json:"shards"`
+	Rows       []RetentionRow `json:"rows"`
 }
 
 // runRetentionCell appends `records` records to a fresh ledger in the
@@ -214,11 +214,7 @@ func RunRetentionBench(sizes []int) (*RetentionReport, error) {
 	}
 	ambient := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(ambient)
-	rep := &RetentionReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GOMAXPROCS:  ambient,
-		Shards:      4,
-	}
+	rep := &RetentionReport{Stamp: NewStamp(), GOMAXPROCS: ambient, Shards: 4}
 	for _, n := range sizes {
 		for _, procs := range RetentionProcs {
 			runtime.GOMAXPROCS(procs)
