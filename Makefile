@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race chaos fuzz-smoke vet fmt-check bench bench-smoke verify-ledger clean
+.PHONY: all build test race chaos fuzz-smoke vet fmt-check loc bench bench-smoke verify-ledger clean
 
 all: build test
 
@@ -20,8 +20,9 @@ race:
 # chaos runs the fault-injection and overload suite under the race
 # detector: injected disk faults (transient heal-via-retry, permanent
 # degrade-not-wedge, scripted mid-group-commit crash + recovery, and the
-# exhaustive sweep that crashes the spill workload at every write with
-# every tear length, TestSpillCrashSweep), deadline
+# exhaustive sweeps that crash the spill workload at every write, and a
+# pruning workload around its checkpoint-log rewrite, with every tear
+# length: TestSpillCrashSweep, TestSpillCrashSweepReachesLogRewrite), deadline
 # interrupts with exact partial-work accounting, admission-control
 # shedding, and the create/close leak matrix across all of them.
 chaos:
@@ -32,8 +33,10 @@ chaos:
 # corpus: the EPC residency model against its map+FIFO reference, the
 # spill frame decoder, the dump-container verifier (mutated honest
 # containers: no panic, allocation bounded by the input, nothing attested
-# changeable), and generated programs on the register engine against the
-# structured oracle under a fuel budget and an interrupt point. go test
+# changeable), crash recovery on a damaged spill directory (refused and
+# untouched, or open, anchored and idempotent), and generated programs on
+# the register engine against the structured oracle under a fuel budget
+# and an interrupt point. go test
 # takes one -fuzz target and one package per invocation. The accounting targets cap input minimisation at one
 # execution: with the default (60 s per interesting input) a 20 s run
 # spends all of it minimising the first input it finds and executes a few
@@ -42,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEPCModel -fuzztime 20s ./internal/sgx
 	$(GO) test -run '^$$' -fuzz FuzzBinFrameDecode -fuzztime 20s -fuzzminimizetime 1x ./internal/accounting
 	$(GO) test -run '^$$' -fuzz FuzzVerifyReader -fuzztime 20s -fuzzminimizetime 1x ./internal/accounting
+	$(GO) test -run '^$$' -fuzz FuzzRecoverDir -fuzztime 20s -fuzzminimizetime 1x ./internal/accounting
 	$(GO) test -run '^$$' -fuzz FuzzEngineDifferential -fuzztime 20s ./internal/interp
 
 # verify-ledger is the tier-2 smoke path for the verifiable ledger: the
@@ -69,6 +73,13 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# loc prints non-test Go lines per package outside benchmark/ (the count
+# every simplicity PR reports) and their total.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 # bench records the perf trajectory: the PolyBench interpreter dispatch
 # comparison (structured reference vs the default register engine, plus

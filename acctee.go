@@ -174,8 +174,8 @@ type LedgerOptions = accounting.LedgerOptions
 // files (RetentionPolicy.SpillDir), with per-shard heads carried forward.
 type RetentionPolicy = accounting.RetentionPolicy
 
-// RecordStore is the retention layer behind a ledger (see
-// LedgerOptions.Store for injecting a custom one).
+// RecordStore is the retention layer behind a ledger: resident segments,
+// plus a spill directory when RetentionPolicy.SpillDir names one.
 type RecordStore = accounting.RecordStore
 
 // CompactResult summarises one ledger compaction: the anchoring

@@ -1,7 +1,6 @@
 package accounting_test
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,8 +13,10 @@ import (
 
 // reopenAndContinue is what every crash image must survive: the offline
 // verifier accepts it as it lies, NewLedger reopens it anchored at exactly
-// what is spilled, and the reopened ledger appends, compacts and closes
-// into a directory that verifies again. It returns the reopened ledger's
+// what is spilled, the reopened ledger appends and compacts twice and
+// closes into a directory that verifies again — and a second reopen finds
+// everything the first one sealed: whatever the crash tore, the recovery
+// that found it also cut it. It returns the first reopened ledger's
 // dropped-checkpoint count.
 func reopenAndContinue(t *testing.T, e *sgx.Enclave, opts accounting.LedgerOptions) int {
 	t.Helper()
@@ -47,20 +48,36 @@ func reopenAndContinue(t *testing.T, e *sgx.Enclave, opts accounting.LedgerOptio
 		if _, _, err := l.AppendShard(uint32(i%2), logFor(99, i)); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
-	}
-	if _, err := l.Compact(); err != nil {
-		t.Fatalf("compact after recovery: %v", err)
+		if i == 4 || i == more-1 {
+			if _, err := l.Compact(); err != nil {
+				t.Fatalf("compact after recovery: %v", err)
+			}
+		}
 	}
 	dropped := l.Recovered()
 	l.Close()
-	res, err := accounting.VerifySpillDir(dir, verify)
+	verified := func(when string) {
+		t.Helper()
+		res, err := accounting.VerifySpillDir(dir, verify)
+		if err != nil {
+			t.Fatalf("VerifySpillDir %s: %v", when, err)
+		}
+		if uint64(res.Records) != spilled+more || res.BeyondHorizon != 0 {
+			t.Fatalf("%s the directory replays %d records (%d checkpoints beyond the horizon), want %d and 0",
+				when, res.Records, res.BeyondHorizon, spilled+more)
+		}
+	}
+	verified("after recovery and two more seals")
+	l2, err := accounting.NewLedger(e, opts)
 	if err != nil {
-		t.Fatalf("VerifySpillDir after recovery and another seal: %v", err)
+		t.Fatalf("second reopen: %v", err)
 	}
-	if uint64(res.Records) != spilled+more || res.BeyondHorizon != 0 {
-		t.Fatalf("after recovery the directory replays %d records (%d checkpoints beyond the horizon), want %d and 0",
-			res.Records, res.BeyondHorizon, spilled+more)
+	if got := l2.SpilledRecords(); got != spilled+more || l2.Recovered() != 0 {
+		t.Fatalf("second reopen finds %d spilled records and drops %d checkpoints, want %d (what the first reopen sealed) and 0",
+			got, l2.Recovered(), spilled+more)
 	}
+	l2.Close()
+	verified("after the second reopen")
 	return dropped
 }
 
@@ -140,14 +157,91 @@ func TestSpillCrashSweep(t *testing.T) {
 	}
 }
 
+// TestSpillCrashSweepReachesLogRewrite sweeps the one spill write the
+// workload above never makes: the checkpoint-log rewrite of a prune. One
+// append per compaction until the prune has its pruneDrainMin droppable
+// checkpoints and the log holds more than twice the survivors plus 16
+// lines; keep-every 4, because at keep-every 2 half the log survives and
+// that second condition never holds. A counting run learns the rewrite's
+// write ordinal (the log is shorter after the compaction that made it);
+// the sweep then crashes at that write, the two before it (the
+// compaction's checkpoint line and frame) and the three after, with every
+// tear length, and requires reopenAndContinue of each image — which prunes
+// and rewrites again.
+func TestSpillCrashSweepReachesLogRewrite(t *testing.T) {
+	e := newEnclave(t)
+	opts := func(dir string, inj *fault.Injector) accounting.LedgerOptions {
+		return accounting.LedgerOptions{
+			Shards:    2,
+			Retention: accounting.RetentionPolicy{SegmentRecords: 4, SpillDir: dir, CheckpointKeepEvery: 4},
+			Faults:    inj,
+		}
+	}
+	// workload compacts after every append until the injector has crashed
+	// or the log has been rewritten and two more compactions have followed;
+	// it returns the write count right after the rewrite (0 if none).
+	workload := func(t *testing.T, l *accounting.Ledger, inj *fault.Injector) (rewriteAt uint64) {
+		logPath := filepath.Join(l.Options().Retention.SpillDir, "checkpoints.jsonl")
+		var size int64
+		for i, after := 0, 0; i < 400 && after < 2 && !inj.Crashed(); i++ {
+			if _, _, err := l.AppendShard(uint32(i%2), logFor(i, i)); err != nil {
+				t.Fatal(err)
+			}
+			_, _ = l.Compact() // fails once crashed
+			_ = l.Store().Drain()
+			fi, err := os.Stat(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case rewriteAt > 0:
+				after++
+			case fi.Size() < size:
+				rewriteAt = inj.Writes()
+			}
+			size = fi.Size()
+		}
+		return rewriteAt
+	}
+	counter := fault.New()
+	l, err := accounting.NewLedger(e, opts(t.TempDir(), counter))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewriteAt := workload(t, l, counter)
+	l.Close()
+	if rewriteAt < 3 || counter.Writes() < rewriteAt+3 {
+		t.Fatalf("the workload rewrote the log at write %d of %d, want a rewrite with two writes before and three after it", rewriteAt, counter.Writes())
+	}
+	for k := rewriteAt - 2; k <= rewriteAt+3; k++ {
+		for _, tear := range []int{0, 1, 3, 7, 64, 1 << 30} {
+			t.Run(fmt.Sprintf("rewrite%+d/tear%d", int(k)-int(rewriteAt), tear), func(t *testing.T) {
+				dir := t.TempDir()
+				inj := fault.New()
+				inj.CrashOnWrite(k, tear)
+				l, err := accounting.NewLedger(e, opts(dir, inj))
+				if err != nil {
+					t.Fatal(err)
+				}
+				workload(t, l, inj)
+				l.Close()
+				if !inj.Crashed() {
+					t.Fatalf("write %d never happened", k)
+				}
+				reopenAndContinue(t, e, opts(dir, nil))
+			})
+		}
+	}
+}
+
 // TestCrashInsideFirstSealRecovers: a crash inside the very first seal
 // leaves a checkpoint line and the frames of only some shards. There is no
 // earlier anchor to fall back to, but nothing durable is lost by cutting
 // back to genesis either — recovery must do that and report the dropped
 // checkpoints, not refuse the directory forever. The images are built by
 // cutting a shard file of a cleanly sealed directory, which covers both
-// orders the two shard writers can land in. A log that does not cover the
-// frames on disk is still refused, with every file untouched.
+// orders the two shard writers can land in. (A log that does not cover the
+// frames on disk is still refused: TestRefusedRecoveryTouchesNothing.)
 func TestCrashInsideFirstSealRecovers(t *testing.T) {
 	e := newEnclave(t)
 	// seal returns a directory holding one completed first seal; with
@@ -198,39 +292,6 @@ func TestCrashInsideFirstSealRecovers(t *testing.T) {
 			}
 		}
 	}
-
-	t.Run("log-does-not-cover-the-frames", func(t *testing.T) {
-		// The sealing checkpoint's line is gone; the mid-round one that is
-		// left covers fewer records than the frames hold.
-		opts := seal(t, true)
-		dir := opts.Retention.SpillDir
-		cpPath := filepath.Join(dir, "checkpoints.jsonl")
-		raw, err := os.ReadFile(cpPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first := raw[:bytes.IndexByte(raw, '\n')+1]
-		if len(first) == len(raw) {
-			t.Fatal("checkpoint log holds one line, want the mid-round and the sealing checkpoint")
-		}
-		if err := os.WriteFile(cpPath, first, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		before := readDir(t, dir)
-		if l, err := accounting.NewLedger(e, opts); err == nil {
-			l.Close()
-			t.Fatal("recovery cut frames no persisted checkpoint covers")
-		}
-		for name, want := range before {
-			got, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s modified by a REFUSED recovery", name)
-			}
-		}
-	})
 }
 
 // readDir returns every file of dir by name.

@@ -166,7 +166,7 @@ func TestSpillPermanentWriteFaultDegrades(t *testing.T) {
 
 	// The ledger stays live: appends chain, checkpoints sign, and a
 	// degraded compaction still bounds retention by dropping covered
-	// records (memStore semantics).
+	// records (as a store without a directory does).
 	for i := 0; i < n; i++ {
 		if _, _, err := l.Append(logFor(2, i)); err != nil {
 			t.Fatalf("append after degradation: %v", err)

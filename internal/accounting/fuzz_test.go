@@ -4,11 +4,14 @@ package accounting
 // decoder, which fronts every byte crash recovery and the offline
 // verifier read off disk, and the dump-container verifier, which is
 // handed whatever a provider chooses to serve. Neither may panic or
-// over-allocate, whatever a hostile or half-written input feeds it. Run
+// over-allocate, whatever a hostile or half-written input feeds it. A
+// third harness damages a whole spill directory and holds recovery to its
+// contract: refuse and touch nothing, or open, anchored, for good. Run
 // with:
 //
 //	go test -fuzz=FuzzBinFrameDecode -fuzztime=30s ./internal/accounting
 //	go test -fuzz=FuzzVerifyReader -fuzztime=30s ./internal/accounting
+//	go test -fuzz=FuzzRecoverDir -fuzztime=30s ./internal/accounting
 //
 // The committed seed corpora (testdata/fuzz/<target>) cover, for frames,
 // a valid single-record frame, a signed batch, truncations at interesting
@@ -25,7 +28,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
+
+	"acctee/internal/sgx"
 )
 
 // FuzzVerifyReader mutates honest dump containers. The honest ones are the
@@ -190,6 +196,145 @@ func FuzzBinFrameDecode(f *testing.F) {
 		// (fresh decode, reused decode, re-encode, its decode).
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(data)+(4<<20)); got > limit {
 			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), got, limit)
+		}
+	})
+}
+
+// FuzzRecoverDir damages one file of a small honest spill directory — two
+// shards, three seals, shard 0 sealed at 3, 6 and 9 records, shard 1 at 2,
+// 4 and 6 — and reopens it. The input picks the file (in name order:
+// manifest, checkpoint log, the two segment files), a position in it, and
+// a byte to XOR in there; a zero byte cuts the file at the position
+// instead. The directory is rebuilt by every process that runs the target
+// (its key does not outlive the process), so a corpus entry names a place,
+// not bytes. Whatever the damage, NewLedger never panics and either
+//
+//   - refuses, and the directory is byte for byte what it was handed; or
+//   - opens a ledger whose anchor covers exactly what is spilled, which
+//     seals one more record and closes into a directory that a second open
+//     finds all of and leaves unchanged — and that VerifySpillDir accepts,
+//     if it accepted the damaged image. (Recovery replays structure and
+//     leaves signatures to the verifier: a checkpoint line with a flipped
+//     signature byte reopens, and stays as unverifiable as it was.)
+func FuzzRecoverDir(f *testing.F) {
+	e, err := sgx.NewEnclave([]byte("acctee recovery fuzz"), sgx.ModeSimulation, sgx.DefaultCostParams())
+	if err != nil {
+		f.Fatal(err)
+	}
+	opts := func(dir string) LedgerOptions {
+		return LedgerOptions{Shards: 2, Retention: RetentionPolicy{SegmentRecords: 4, SpillDir: dir}}
+	}
+	readAll := func(t testing.TB, dir string) map[string][]byte {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		for _, ent := range entries {
+			if files[ent.Name()], err = os.ReadFile(filepath.Join(dir, ent.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return files
+	}
+	honestDir := f.TempDir()
+	l, err := NewLedger(e, opts(honestDir))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 15; i++ {
+		if _, _, err := l.AppendShard(uint32(i%5%2), codecLog(i)); err != nil {
+			f.Fatal(err)
+		}
+		if i%5 == 4 {
+			if _, err := l.Compact(); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	l.Close()
+	honest := readAll(f, honestDir)
+	var names []string
+	for name := range honest {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	const log, seg1 = 1, 3
+	if len(names) != 4 || names[log] != checkpointsName || names[seg1] != shardFileName(1) {
+		f.Fatalf("the honest directory holds %v", names)
+	}
+
+	// The two defects this target was written after, placed exactly: a
+	// checkpoint log torn seven bytes short, and the last line's shard-0
+	// count rotted from 9 to 6 — the frame boundary of the seal before.
+	// The committed corpus (testdata/fuzz/FuzzRecoverDir) holds them too,
+	// at the offsets they usually have (a signature is now and then a byte
+	// shorter), beside a log cut to nothing and to its first line; a
+	// segment file cut mid-frame, flipped in its first length prefix (a
+	// torn first frame: no checkpoint is anchored), in a record and in its
+	// last CRC byte; and a manifest cut short and rotted.
+	cps := honest[checkpointsName]
+	f.Add(uint8(log), uint32(len(cps)-7), uint8(0))
+	lastLine := bytes.LastIndexByte(cps[:len(cps)-1], '\n') + 1
+	count := lastLine + bytes.Index(cps[lastLine:], []byte(`"count":9`)) + len(`"count":`)
+	f.Add(uint8(log), uint32(count), uint8('9'^'6'))
+
+	f.Fuzz(func(t *testing.T, file uint8, pos uint32, xor uint8) {
+		dir := t.TempDir()
+		for name, raw := range honest {
+			if name == names[int(file)%len(names)] {
+				raw = append([]byte(nil), raw...)
+				if at := int(pos) % len(raw); xor == 0 {
+					raw = raw[:at]
+				} else {
+					raw[at] ^= xor
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		damaged := readAll(t, dir)
+		verify := VerifyOptions{Key: e.PublicKey()}
+		_, unverifiable := VerifySpillDir(dir, verify)
+		l, err := NewLedger(e, opts(dir))
+		if err != nil {
+			if !reflect.DeepEqual(readAll(t, dir), damaged) {
+				t.Fatalf("NewLedger refused (%v) a directory it had already modified", err)
+			}
+			return
+		}
+		defer l.Close()
+		spilled := l.SpilledRecords()
+		var covered uint64
+		if a, ok := l.Anchor(); ok {
+			covered = a.Checkpoint.Covered()
+		}
+		if covered != spilled {
+			t.Fatalf("recovered anchor covers %d records, %d are spilled", covered, spilled)
+		}
+		// One more seal, so that whatever the recovery left behind has
+		// something appended onto it.
+		if _, _, err := l.AppendShard(0, codecLog(99)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Compact(); err != nil {
+			t.Fatalf("compact after recovery: %v", err)
+		}
+		l.Close()
+		recovered := readAll(t, dir)
+		if _, err := VerifySpillDir(dir, verify); err != nil && unverifiable == nil {
+			t.Fatalf("the damaged directory verified; recovered, sealed once more and closed it does not: %v", err)
+		}
+		l2, err := NewLedger(e, opts(dir))
+		if err != nil {
+			t.Fatalf("second open of a directory the first recovered: %v", err)
+		}
+		again := l2.SpilledRecords()
+		l2.Close()
+		if again != spilled+1 || !reflect.DeepEqual(readAll(t, dir), recovered) {
+			t.Fatalf("second open finds %d spilled records (the first left %d) or changed the directory", again, spilled+1)
 		}
 	})
 }

@@ -280,14 +280,10 @@ type LedgerOptions struct {
 	// make covered prefixes independently verifiable, so sealed records
 	// can leave memory without weakening the trust guarantee.
 	Retention RetentionPolicy
-	// Store overrides the record store entirely (nil picks a memory store,
-	// or a file store when Retention.SpillDir is set). A custom store is
-	// adopted as-is: no crash recovery is attempted and Close closes it.
-	Store RecordStore
 	// Faults, when non-nil, interposes the fault-injection harness
-	// (internal/fault) on the file store's write/sync/truncate calls.
+	// (internal/fault) on the record store's write/sync/truncate calls.
 	// Chaos tests only; leave nil in production. It has no effect unless
-	// Retention.SpillDir selects the file store.
+	// Retention.SpillDir gives the store a directory.
 	Faults *fault.Injector
 }
 
@@ -323,7 +319,7 @@ type Ledger struct {
 	enclave *sgx.Enclave
 	opts    LedgerOptions
 	lanes   []lane
-	store   RecordStore
+	store   *RecordStore
 	// picker assigns appends to lanes with processor affinity: sticky
 	// assignments with periodic round-robin rebalance, instead of a shared
 	// per-append atomic counter (a cache-line ping-pong at high core
@@ -369,25 +365,19 @@ func NewLedger(e *sgx.Enclave, opts LedgerOptions) (*Ledger, error) {
 		picker:  affinity.NewPicker(opts.Shards, 0),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
+		store:   newStore(opts.Shards, opts.Retention.segmentRecords(opts.Shards)),
 	}
 	var recovered *recoveredState
-	switch {
-	case opts.Store != nil:
-		l.store = opts.Store
-	case opts.Retention.SpillDir != "":
+	if dir := opts.Retention.SpillDir; dir != "" {
 		pubDER, err := MarshalPublicKey(e.PublicKey())
 		if err != nil {
 			return nil, err
 		}
-		fs, rec, err := openFileStore(opts.Retention.SpillDir, opts.Shards,
-			opts.Retention.segmentRecords(opts.Shards), e.Measurement(), pubDER,
+		recovered, err = l.store.openSpill(dir, e.Measurement(), pubDER,
 			opts.Retention.CheckpointKeepEvery > 1, opts.Faults)
 		if err != nil {
 			return nil, err
 		}
-		l.store, recovered = fs, rec
-	default:
-		l.store = NewMemoryStore(opts.Shards, opts.Retention.segmentRecords(opts.Shards))
 	}
 	if recovered != nil {
 		for i := range l.lanes {
@@ -469,7 +459,7 @@ func (l *Ledger) Options() LedgerOptions { return l.opts }
 func (l *Ledger) Shards() int { return len(l.lanes) }
 
 // Store exposes the ledger's record store.
-func (l *Ledger) Store() RecordStore { return l.store }
+func (l *Ledger) Store() *RecordStore { return l.store }
 
 // Resident returns how many records are currently held in memory.
 func (l *Ledger) Resident() int { return l.store.Resident() }
@@ -482,7 +472,7 @@ func (l *Ledger) Degraded() (bool, error) { return l.store.Degraded() }
 
 // SpilledRecords returns how many records have been sealed out of the
 // resident tail into the spill pipeline across all shards (0 without a
-// file store). Sealed frames become durable asynchronously; Anchor or
+// spill directory). Sealed frames become durable asynchronously; Anchor or
 // WriteDump act as drain barriers when durability matters.
 func (l *Ledger) SpilledRecords() uint64 {
 	var n uint64
@@ -604,7 +594,7 @@ func (l *Ledger) AppendShard(shard uint32, log UsageLog) (Receipt, Record, error
 
 // Record returns a reachable record by shard and lane-local sequence —
 // resident in memory, or read back from a spilled segment when the ledger
-// runs with a file store.
+// has a spill directory.
 func (l *Ledger) Record(shard uint32, seq uint64) (Record, bool) {
 	if int(shard) >= len(l.lanes) {
 		return Record{}, false
@@ -695,9 +685,9 @@ type CompactResult struct {
 // Compact bounds retention: it signs a checkpoint covering the current
 // state of every lane (reusing the latest one when nothing advanced) and
 // seals everything the checkpoint covers — sealed segments are spilled to
-// the store's segment files or, for a memory store, dropped. The
-// checkpoint becomes the ledger's truncation anchor: truncated dumps start
-// at its per-shard counts and chain from its heads.
+// the store's segment files or, without a live spill directory, dropped.
+// The checkpoint becomes the ledger's truncation anchor: truncated dumps
+// start at its per-shard counts and chain from its heads.
 func (l *Ledger) Compact() (CompactResult, error) {
 	sc, err := l.Checkpoint()
 	if err != nil {
@@ -797,11 +787,9 @@ func (l *Ledger) pruneCheckpointsLocked() {
 		return
 	}
 	l.checkpoints = retained
-	if p, ok := l.store.(checkpointPruner); ok {
-		if err := p.pruneCheckpoints(retained); err != nil {
-			l.cpFailures++
-			l.cpLastErr = err
-		}
+	if err := l.store.pruneCheckpoints(retained); err != nil {
+		l.cpFailures++
+		l.cpLastErr = err
 	}
 }
 
@@ -874,8 +862,8 @@ func (l *Ledger) capture(opts DumpOptions) dumpCapture {
 	l.cpMu.Lock()
 	anchored := opts.Truncated && l.anchor != nil
 	if !anchored && l.anchor != nil && !l.store.Persistent() {
-		// A memory store already dropped sealed records: a from-genesis
-		// dump is no longer possible, so every dump is anchored.
+		// The store has dropped sealed records: a from-genesis dump is no
+		// longer possible, so every dump is anchored.
 		anchored = true
 	}
 	if anchored {
@@ -907,11 +895,11 @@ func (l *Ledger) capture(opts DumpOptions) dumpCapture {
 // Dump serialises the ledger for offline verification: the dumped records
 // in deterministic merge order (ascending shard, then lane-local
 // sequence), the checkpoints covering them, and the attested identity
-// (public key and measurement) verification runs against. With a file
-// store the dump is the full from-genesis ledger (spilled segments are
-// read back); a memory store that has compacted produces a truncated dump
-// anchored at the compaction checkpoint. Dump materialises every record —
-// use WriteDump to stream a large ledger in O(segment) memory.
+// (public key and measurement) verification runs against. With a spill
+// directory the dump is the full from-genesis ledger (spilled segments are
+// read back); a ledger that has dropped what it sealed produces a
+// truncated dump anchored at the compaction checkpoint. Dump materialises
+// every record — use WriteDump to stream a large ledger in O(segment) memory.
 func (l *Ledger) Dump() (*Dump, error) {
 	return l.dump(DumpOptions{})
 }

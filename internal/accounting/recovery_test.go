@@ -3,12 +3,16 @@ package accounting_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"acctee/internal/accounting"
 	"acctee/internal/fault"
+	"acctee/internal/sgx"
 )
 
 // TestCrashRecoveryDifferential pins the crash path: write records with
@@ -361,5 +365,200 @@ func TestRecoveryFallsBackToFrameAlignedAnchor(t *testing.T) {
 	// And the surviving spill still verifies end to end.
 	if _, err := accounting.VerifySpillDir(dir, accounting.VerifyOptions{Key: e.PublicKey()}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// twoSeals returns a cleanly closed two-shard directory holding two seals:
+// shard 0 spilled to 4 then 8 records, shard 1 to 3 then 6, and the log a
+// mid-round checkpoint (2, 2) ahead of the two sealing ones.
+func twoSeals(t *testing.T, e *sgx.Enclave) accounting.LedgerOptions {
+	t.Helper()
+	opts := accounting.LedgerOptions{
+		Shards:    2,
+		Retention: accounting.RetentionPolicy{SegmentRecords: 4, SpillDir: t.TempDir()},
+	}
+	l, err := accounting.NewLedger(e, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 14; i++ {
+		if _, _, err := l.AppendShard(uint32(i%7%2), logFor(i/7, i)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 3 {
+			if _, err := l.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%7 == 6 {
+			if _, err := l.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	l.Close()
+	return opts
+}
+
+// rewriteLastCheckpoint rots the last line of dir's checkpoint log.
+func rewriteLastCheckpoint(t *testing.T, dir string, rot func(*accounting.SignedCheckpoint)) {
+	t.Helper()
+	path := filepath.Join(dir, "checkpoints.jsonl")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := bytes.LastIndexByte(raw[:len(raw)-1], '\n') + 1
+	var sc accounting.SignedCheckpoint
+	if err := json.Unmarshal(raw[start:], &sc); err != nil {
+		t.Fatal(err)
+	}
+	rot(&sc)
+	line, err := json.Marshal(&sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(append(raw[:start:start], line...), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRefusedRecoveryTouchesNothing: recovery decides before it writes, so
+// a directory NewLedger refuses is byte for byte the directory it was
+// handed — segment files uncut, log unrewritten, and the manifest not yet
+// declaring the pruning the refused ledger asked for.
+func TestRefusedRecoveryTouchesNothing(t *testing.T) {
+	e := newEnclave(t)
+	for _, row := range []struct {
+		name    string
+		damage  func(t *testing.T, dir string)
+		foreign bool
+		refusal string
+	}{
+		{name: "count-rotted-to-an-earlier-frame-boundary", damage: func(t *testing.T, dir string) {
+			rewriteLastCheckpoint(t, dir, func(sc *accounting.SignedCheckpoint) { sc.Checkpoint.Heads[0].Count = 4 })
+		}, refusal: "recovered head of shard 0 does not match the anchoring checkpoint"},
+		{name: "head-rotted", damage: func(t *testing.T, dir string) {
+			rewriteLastCheckpoint(t, dir, func(sc *accounting.SignedCheckpoint) { sc.Checkpoint.Heads[1].Head[0] ^= 1 })
+		}, refusal: "recovered head of shard 1 does not match the anchoring checkpoint"},
+		{name: "totals-rotted", damage: func(t *testing.T, dir string) {
+			rewriteLastCheckpoint(t, dir, func(sc *accounting.SignedCheckpoint) { sc.Checkpoint.Totals.WeightedInstructions++ })
+		}, refusal: "recovered totals do not match the anchoring checkpoint"},
+		{name: "log-does-not-cover-the-frames", damage: func(t *testing.T, dir string) {
+			// Only the mid-round checkpoint is left: it reaches back to
+			// sequence 0 but covers fewer records than the frames hold.
+			path := filepath.Join(dir, "checkpoints.jsonl")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw[:bytes.IndexByte(raw, '\n')+1], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, refusal: "no persisted checkpoint anchors them"},
+		{name: "log-deleted", damage: func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(dir, "checkpoints.jsonl")); err != nil {
+				t.Fatal(err)
+			}
+		}, refusal: "no persisted checkpoint anchors them"},
+		{name: "foreign-identity", damage: func(*testing.T, string) {}, foreign: true,
+			refusal: "different enclave identity"},
+		{name: "v1-manifest", damage: func(t *testing.T, dir string) {
+			path := filepath.Join(dir, "MANIFEST.json")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v1 := bytes.Replace(raw, []byte(accounting.SpillFormatV2), []byte("acctee-spill/v1"), 1)
+			if err := os.WriteFile(path, v1, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, refusal: "only \"" + accounting.SpillFormatV2 + "\" is supported"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			opts := twoSeals(t, e)
+			dir := opts.Retention.SpillDir
+			row.damage(t, dir)
+			before := readDir(t, dir)
+			opener := e
+			if row.foreign {
+				opener = newEnclave(t)
+			}
+			opts.Retention.CheckpointKeepEvery = 2 // a refused open declares nothing either
+			l, err := accounting.NewLedger(opener, opts)
+			if err == nil {
+				l.Close()
+				t.Fatal("NewLedger opened the directory")
+			}
+			if !strings.Contains(err.Error(), row.refusal) {
+				t.Fatalf("refused with %q, want %q", err, row.refusal)
+			}
+			if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
+				for name := range after {
+					if !bytes.Equal(after[name], before[name]) {
+						t.Errorf("%s: %d bytes before the refused recovery, %d after", name, len(before[name]), len(after[name]))
+					}
+				}
+				t.Fatal("a REFUSED recovery modified the directory")
+			}
+		})
+	}
+}
+
+// TestReopenChangesNothing: recovery is idempotent. Reopening a cleanly
+// closed directory writes no byte of any file, and neither does reopening
+// one a recovery has just cut: a directory whose log ends in half a line
+// (which the recovery cuts, leaving exactly the directory before the
+// tear), and one whose second seal also lost a shard's frame.
+func TestReopenChangesNothing(t *testing.T) {
+	e := newEnclave(t)
+	const tornLine = `{"checkpoint":{"sequence":3,"pr`
+	for _, row := range []struct {
+		name      string
+		tornFrame bool
+		tornLog   bool
+		spilled   uint64
+	}{
+		{name: "cleanly-closed", spilled: 14},
+		{name: "torn-log-line", tornLog: true, spilled: 14},
+		{name: "torn-frame-and-log-line", tornFrame: true, tornLog: true, spilled: 7},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			opts := twoSeals(t, e)
+			dir := opts.Retention.SpillDir
+			clean := readDir(t, dir)
+			if row.tornFrame {
+				if err := os.Truncate(filepath.Join(dir, "shard-0001.seg"), int64(len(clean["shard-0001.seg"])-9)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if row.tornLog {
+				torn := append(append([]byte(nil), clean["checkpoints.jsonl"]...), tornLine...)
+				if err := os.WriteFile(filepath.Join(dir, "checkpoints.jsonl"), torn, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			crashed := readDir(t, dir)
+			for _, when := range []string{"first", "second"} {
+				l, err := accounting.NewLedger(e, opts)
+				if err != nil {
+					t.Fatalf("%s reopen: %v", when, err)
+				}
+				if got := l.SpilledRecords(); got != row.spilled {
+					t.Fatalf("%s reopen finds %d spilled records, want %d", when, got, row.spilled)
+				}
+				l.Close()
+				now := readDir(t, dir)
+				switch same := reflect.DeepEqual(now, crashed); {
+				case when == "second" && !same:
+					t.Fatal("reopening a just-opened directory changed it")
+				case when == "first" && row.tornLog && same:
+					t.Fatal("the recovery that found a torn log line left it in place")
+				case !row.tornFrame && !reflect.DeepEqual(now, clean):
+					t.Fatal("reopening did not leave exactly the cleanly closed directory")
+				}
+				crashed = now
+			}
+		})
 	}
 }

@@ -61,8 +61,9 @@ func TestRetentionBoundedResident100k(t *testing.T) {
 	if sc.Checkpoint.Covered() != total {
 		t.Fatalf("checkpoint covers %d, want %d", sc.Checkpoint.Covered(), total)
 	}
-	// A memory store dropped the sealed records, so the dump is anchored:
-	// a non-zero starting sequence verified against the anchor signature.
+	// Without a spill directory the sealed records were dropped, so the dump
+	// is anchored: a non-zero starting sequence verified against the anchor
+	// signature.
 	d, err := l.Dump()
 	if err != nil {
 		t.Fatal(err)
@@ -85,8 +86,8 @@ func TestRetentionBoundedResident100k(t *testing.T) {
 	}
 }
 
-// TestRetentionSpillRoundTrip exercises the file store end to end under
-// concurrent appends: spill on compaction, receipt lookup of spilled
+// TestRetentionSpillRoundTrip exercises the spill directory end to end
+// under concurrent appends: spill on compaction, receipt lookup of spilled
 // records, the streaming full dump (spilled frames + resident tail), the
 // truncated dump, and spill-directory verification.
 func TestRetentionSpillRoundTrip(t *testing.T) {

@@ -236,7 +236,7 @@ func TestSealedRangeReadableWhileUncommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	fs := l.store.(*fileStore)
+	fs := l.store
 	sh := &fs.shards[0]
 	var want []Record
 	add := func(n int) {

@@ -585,7 +585,7 @@ func TestCrashedProcessCannotRewriteCheckpointLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := l.store.(*fileStore)
+	fs := l.store
 	inj.CrashOnWrite(inj.Writes()+1, 7)
 	for attempt, wantTmp := range []int{7, 0} { // crashing in the rewrite, then already crashed
 		fs.mu.Lock()

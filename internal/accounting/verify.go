@@ -500,7 +500,7 @@ func VerifySpillDir(dir string, opts VerifyOptions) (*VerifyResult, error) {
 	if m.Shards <= 0 || m.Shards > MaxDumpShards {
 		return nil, fmt.Errorf("accounting: spill declares %d shards (want 1..%d)", m.Shards, MaxDumpShards)
 	}
-	cps, err := readSpillCheckpoints(dir, m.Shards, m.Pruned)
+	cps, _, err := readSpillCheckpoints(dir, m.Shards, m.Pruned) // a torn tail is crash residue, as a torn frame is
 	if err != nil {
 		return nil, err
 	}

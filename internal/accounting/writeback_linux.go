@@ -14,7 +14,7 @@ const syncFileRangeWrite = 2
 // hintWriteback asks the kernel to begin writing [off, off+n) of the
 // spill file back to disk without blocking the caller: group-committed
 // batches then stream to disk continuously behind the appends, and the
-// next hard sync point (fileStore.syncLocked, reached via Drain) has
+// next hard sync point (spill.syncLocked, reached via Drain) has
 // little left to wait for. Purely advisory — errors are ignored, and a
 // filesystem without sync_file_range support just makes the hint free.
 func hintWriteback(f *os.File, off, n int64) {

@@ -308,6 +308,10 @@ const (
 	ErrCodeCheckpointFailed = "checkpoint_failed"
 	ErrCodeCompactFailed    = "compact_failed"
 	ErrCodePayloadTooLarge  = "payload_too_large"
+	ErrCodeBadRequest       = "bad_request"
+	ErrCodeNotFound         = "not_found"
+	ErrCodeMethodNotAllowed = "method_not_allowed"
+	ErrCodeInternal         = "internal"
 )
 
 // writeError responds with a stable machine-readable error code and logs
@@ -421,14 +425,7 @@ func (s *Server) serveHealth(w http.ResponseWriter, ready bool) {
 	if ready && h.Ledger != nil && h.Ledger.Degraded {
 		status = http.StatusServiceUnavailable
 	}
-	b, err := json.Marshal(h)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, ErrCodeInvokeFailed, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(b)
+	writeJSON(w, status, h)
 }
 
 // Shed returns how many requests were rejected with 429 by admission
@@ -470,7 +467,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// spills segments, advances the truncation anchor): POST only, so
 		// crawlers and monitoring probes issuing GETs can never trigger it.
 		if r.Method != http.MethodPost {
-			http.Error(w, "compaction is POST-only", http.StatusMethodNotAllowed)
+			writeError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, nil)
 			return
 		}
 		s.serveCompact(w)
@@ -507,7 +504,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, new(*http.MaxBytesError)) {
 			writeError(w, http.StatusRequestEntityTooLarge, ErrCodePayloadTooLarge, nil)
 		} else {
-			http.Error(w, "bad payload", http.StatusBadRequest)
+			writeError(w, http.StatusBadRequest, ErrCodeBadRequest, nil)
 		}
 		return
 	}
@@ -566,28 +563,28 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // serveReceipt returns the ledger record named by ?shard=S&seq=N.
 func (s *Server) serveReceipt(w http.ResponseWriter, r *http.Request) {
 	if s.ledger == nil {
-		http.Error(w, "no ledger in this setup", http.StatusNotFound)
+		writeError(w, http.StatusNotFound, ErrCodeNotFound, nil)
 		return
 	}
 	shard, err1 := strconv.ParseUint(r.URL.Query().Get("shard"), 10, 32)
 	seq, err2 := strconv.ParseUint(r.URL.Query().Get("seq"), 10, 64)
 	if err1 != nil || err2 != nil {
-		http.Error(w, "want ?shard=S&seq=N", http.StatusBadRequest)
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, nil)
 		return
 	}
 	rec, ok := s.ledger.Record(uint32(shard), seq)
 	if !ok {
-		http.Error(w, "no such record", http.StatusNotFound)
+		writeError(w, http.StatusNotFound, ErrCodeNotFound, nil)
 		return
 	}
-	writeJSON(w, rec)
+	writeJSON(w, http.StatusOK, rec)
 }
 
 // serveCheckpoint batch-signs the ledger's current state on request (the
 // paper's "upon request" log) and returns the signed checkpoint.
 func (s *Server) serveCheckpoint(w http.ResponseWriter) {
 	if s.ledger == nil {
-		http.Error(w, "no ledger in this setup", http.StatusNotFound)
+		writeError(w, http.StatusNotFound, ErrCodeNotFound, nil)
 		return
 	}
 	sc, err := s.ledger.Checkpoint()
@@ -595,7 +592,7 @@ func (s *Server) serveCheckpoint(w http.ResponseWriter) {
 		writeError(w, http.StatusInternalServerError, ErrCodeCheckpointFailed, err)
 		return
 	}
-	writeJSON(w, sc)
+	writeJSON(w, http.StatusOK, sc)
 }
 
 // serveLedger streams the offline-verifiable dump (acctee-verify input)
@@ -608,7 +605,7 @@ func (s *Server) serveCheckpoint(w http.ResponseWriter) {
 // earlier clients is ignored.
 func (s *Server) serveLedger(w http.ResponseWriter, r *http.Request) {
 	if s.ledger == nil {
-		http.Error(w, "no ledger in this setup", http.StatusNotFound)
+		writeError(w, http.StatusNotFound, ErrCodeNotFound, nil)
 		return
 	}
 	opts := accounting.DumpOptions{Truncated: r.URL.Query().Get("truncated") == "1"}
@@ -625,7 +622,7 @@ func (s *Server) serveLedger(w http.ResponseWriter, r *http.Request) {
 // trigger.
 func (s *Server) serveCompact(w http.ResponseWriter) {
 	if s.ledger == nil {
-		http.Error(w, "no ledger in this setup", http.StatusNotFound)
+		writeError(w, http.StatusNotFound, ErrCodeNotFound, nil)
 		return
 	}
 	res, err := s.ledger.Compact()
@@ -633,16 +630,17 @@ func (s *Server) serveCompact(w http.ResponseWriter) {
 		writeError(w, http.StatusInternalServerError, ErrCodeCompactFailed, err)
 		return
 	}
-	writeJSON(w, res)
+	writeJSON(w, http.StatusOK, res)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		writeError(w, http.StatusInternalServerError, ErrCodeInternal, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	_, _ = w.Write(b)
 }
 

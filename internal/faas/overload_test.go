@@ -1,7 +1,9 @@
 package faas_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +15,8 @@ import (
 
 	"acctee/internal/accounting"
 	"acctee/internal/faas"
+	"acctee/internal/fault"
+	"acctee/internal/workloads"
 )
 
 // TestAdmissionControlShedsUnderOverload: with one execution slot, no
@@ -257,4 +261,94 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 	}
 	_ = resp.Body.Close()
 	return resp, body
+}
+
+// TestErrorBodiesCarryOnlyACode drives every error path of ServeHTTP and
+// holds each non-2xx body to {"error":{"code":…}} and nothing else:
+// details go to the server log, never onto the wire — error strings are
+// not an API, and they name internal paths. (The readiness probe's 503 is
+// no error path: it answers with the same health body as its 200.)
+func TestErrorBodiesCarryOnlyACode(t *testing.T) {
+	old := faas.JSDispatchCost
+	faas.JSDispatchCost = 200 * time.Millisecond
+	defer func() { faas.JSDispatchCost = old }()
+	server := func(fn faas.Function, setup faas.Setup, opts faas.ServerOptions) *faas.Server {
+		srv, err := faas.NewServerWithOptions(fn, setup, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv
+	}
+	plain := server(faas.Echo, faas.SetupWASM, faas.ServerOptions{})
+	resize := server(faas.Resize, faas.SetupWASM, faas.ServerOptions{})
+	ledger := server(faas.Echo, faas.SetupSGXHWInstr, faas.ServerOptions{Ledger: accounting.LedgerOptions{Shards: 1}})
+	late := server(faas.Echo, faas.SetupSGXHWInstr, faas.ServerOptions{
+		RequestTimeout: time.Nanosecond, Ledger: accounting.LedgerOptions{Shards: 1},
+	})
+	busy := server(faas.Echo, faas.SetupJS, faas.ServerOptions{MaxInFlight: 1})
+	// A ledger whose disk refuses every write: checkpoints cannot persist.
+	inj := fault.New()
+	inj.FailWrites(1, 1<<40, nil)
+	deadDisk := server(faas.Echo, faas.SetupSGXHWInstr, faas.ServerOptions{Ledger: accounting.LedgerOptions{
+		Shards: 1, Retention: accounting.RetentionPolicy{SpillDir: t.TempDir()}, Faults: inj,
+	}})
+
+	req := func(method, target string, body []byte) *http.Request {
+		return httptest.NewRequest(method, target, bytes.NewReader(body))
+	}
+	short := req(http.MethodPost, "/", make([]byte, 10))
+	short.ContentLength = 100
+	badDims := req(http.MethodPost, "/", make([]byte, 16))
+	badDims.Header.Set("X-Width", "100000")
+	badDims.Header.Set("X-Height", "100000")
+	for _, row := range []struct {
+		name   string
+		srv    http.Handler
+		req    *http.Request
+		status int
+		code   string
+	}{
+		{"receipt-without-a-ledger", plain, req(http.MethodGet, faas.ReceiptPath+"?shard=0&seq=0", nil), 404, faas.ErrCodeNotFound},
+		{"checkpoint-without-a-ledger", plain, req(http.MethodGet, faas.CheckpointPath, nil), 404, faas.ErrCodeNotFound},
+		{"ledger-without-a-ledger", plain, req(http.MethodGet, faas.LedgerPath, nil), 404, faas.ErrCodeNotFound},
+		{"compact-without-a-ledger", plain, req(http.MethodPost, faas.CompactPath, nil), 404, faas.ErrCodeNotFound},
+		{"compact-by-get", ledger, req(http.MethodGet, faas.CompactPath, nil), 405, faas.ErrCodeMethodNotAllowed},
+		{"receipt-without-coordinates", ledger, req(http.MethodGet, faas.ReceiptPath+"?shard=x", nil), 400, faas.ErrCodeBadRequest},
+		{"receipt-of-no-record", ledger, req(http.MethodGet, faas.ReceiptPath+"?shard=0&seq=999", nil), 404, faas.ErrCodeNotFound},
+		{"short-body", plain, short, 400, faas.ErrCodeBadRequest},
+		{"oversized-body", plain, req(http.MethodPost, "/", make([]byte, workloads.MaxPayload+1)), 413, faas.ErrCodePayloadTooLarge},
+		{"invocation-traps", resize, badDims, 500, faas.ErrCodeInvokeFailed},
+		{"deadline", late, req(http.MethodPost, "/", []byte("hello")), 504, faas.ErrCodeDeadlineExceeded},
+		{"checkpoint-cannot-persist", deadDisk, req(http.MethodGet, faas.CheckpointPath, nil), 500, faas.ErrCodeCheckpointFailed},
+		{"compact-cannot-persist", deadDisk, req(http.MethodPost, faas.CompactPath, nil), 500, faas.ErrCodeCompactFailed},
+		{"overloaded", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			// Hold the only slot with one slow request, then knock.
+			held := make(chan struct{})
+			go func() {
+				defer close(held)
+				busy.ServeHTTP(httptest.NewRecorder(), req(http.MethodPost, "/", []byte("x")))
+			}()
+			for busy.Health().InFlight == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			busy.ServeHTTP(w, r)
+			<-held
+		}), req(http.MethodPost, "/", []byte("x")), 429, faas.ErrCodeOverloaded},
+		{"unmarshalable-response", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			faas.WriteJSON(w, http.StatusOK, make(chan int))
+		}), req(http.MethodGet, "/", nil), 500, faas.ErrCodeInternal},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			w := httptest.NewRecorder()
+			row.srv.ServeHTTP(w, row.req)
+			want := fmt.Sprintf("{\"error\":{\"code\":%q}}\n", row.code)
+			if w.Code != row.status || w.Body.String() != want {
+				t.Fatalf("status %d, body %q; want %d, %q", w.Code, w.Body.String(), row.status, want)
+			}
+			if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+				t.Errorf("Content-Type %q, want application/json", ct)
+			}
+		})
+	}
 }

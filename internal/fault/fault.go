@@ -1,5 +1,5 @@
 // Package fault is the spill pipeline's fault-injection harness: an
-// Injector interposes on the file store's write/sync/truncate calls and,
+// Injector interposes on the record store's write/sync/truncate calls and,
 // per a test-scripted schedule, fails the nth write, fails fsync, slows
 // writes down, tears a write mid-frame, or "crashes" at a named point —
 // after which every injected I/O fails without touching the files again,
