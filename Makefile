@@ -81,29 +81,18 @@ loc:
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
-# bench records the perf trajectory: the PolyBench interpreter dispatch
-# comparison (structured reference vs the default register engine, plus
-# the ALU and memory-traffic microbenchmarks and the call-heavy suite) in
-# BENCH_interp.json, the compile-once/run-many FaaS gateway figures
-# (sandbox setup latency, pooled throughput) in BENCH_faas.json, and — both in
-# BENCH_ledger.json — the eager vs checkpoint-batched ledger signing
-# comparison (plus 10k-record offline-verification cost and the audit row:
-# a 100k-record spilled ledger's read side beside its write side) and the bounded
-# vs unbounded retention sweep (resident records + heap + append rate at
-# 10k/100k/1M records × GOMAXPROCS 1/4/16), and the multi-core scaling
-# matrix (pooled gateway + bounded ledger at GOMAXPROCS 1/4/16, written
-# into the scaling sections of BENCH_faas.json / BENCH_ledger.json).
-# Every figure runs from one built binary: `go build` stamps it with the
-# VCS revision (`go run` does not), which BENCH_interp.json and
-# BENCH_faas.json record as `commit` next to `host_cpus` and `go_version`.
+# bench regenerates BENCH.json in one run of one built binary: the paper's
+# figures (6-10, §5.4 size, ablation), the interp rows (microbenchmarks,
+# instrumented resize, call suite), the ledger rows (audit, retention
+# sweep) and the GOMAXPROCS scaling matrices — or, on a host with fewer
+# than 4 CPUs, the reason they were skipped — under one stamp. `go build`
+# stamps the binary with the VCS revision (`go run` does not), which the
+# manifest records as `commit`. About 70 s on the 2-vCPU reference host,
+# where scaling is skipped.
 bench:
 	@mkdir -p build
 	$(GO) build -o build/acctee-bench ./cmd/acctee-bench
-	build/acctee-bench -fig dispatch -trials 3 -json BENCH_interp.json
-	build/acctee-bench -fig faas -requests 60 -json BENCH_faas.json
-	build/acctee-bench -fig ledger -requests 400 -json BENCH_ledger.json
-	build/acctee-bench -fig retention -json BENCH_ledger.json
-	build/acctee-bench -fig scaling -json BENCH_faas.json -json-ledger BENCH_ledger.json
+	build/acctee-bench -fig all -json BENCH.json
 
 # bench-smoke is the CI perf gate: the default register engine must hold
 # >= 3.0x geomean over the structured reference on the dispatch/memory

@@ -22,7 +22,7 @@ import (
 // on the two verifiers, the write syscall on the dump — and whatever the
 // codec allocates per frame and per record, which is what the row is for.
 
-// AuditSmokeRecords sizes the bench-smoke and BENCH_ledger.json audit row.
+// AuditSmokeRecords sizes the bench-smoke and BENCH.json audit row.
 const AuditSmokeRecords = 100_000
 
 // auditMaxResident is the ledger-audit workload's retention budget.

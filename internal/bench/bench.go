@@ -1,8 +1,8 @@
 // Package bench is AccTEE's evaluation harness: one runner per figure and
 // table of the paper's §5, each reproducing the corresponding experiment on
-// this repository's substrates and printing rows in the paper's format.
-// The experiment index lives in DESIGN.md §3; paper-vs-measured results are
-// recorded in EXPERIMENTS.md.
+// this repository's substrates and printing rows in the paper's format,
+// plus the rows `make bench-smoke` gates on. One run writes one Manifest
+// (BENCH.json); README's "Paper versus measured" reads it against the paper.
 package bench
 
 import (

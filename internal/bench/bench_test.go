@@ -1,6 +1,7 @@
 package bench_test
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -10,14 +11,14 @@ import (
 )
 
 func TestRunFig6SubsetShape(t *testing.T) {
-	rows, err := bench.RunFig6([]string{"gemm", "jacobi-1d", "doitgen"}, 1)
+	fig, err := bench.RunFig6([]string{"gemm", "jacobi-1d", "doitgen"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(fig.Rows) != 3 {
+		t.Fatalf("rows = %d", len(fig.Rows))
 	}
-	for _, r := range rows {
+	for _, r := range fig.Rows {
 		if r.WASM <= 0 {
 			t.Errorf("%s: nonsensical WASM ratio %v", r.Kernel, r.WASM)
 		}
@@ -28,7 +29,7 @@ func TestRunFig6SubsetShape(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	bench.PrintFig6(&sb, rows)
+	bench.PrintFig6(&sb, fig)
 	if !strings.Contains(sb.String(), "gemm") {
 		t.Error("print output missing kernel name")
 	}
@@ -39,8 +40,8 @@ func TestRunFig7Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Results) != 127 {
-		t.Errorf("measured %d instructions, want 127", len(r.Results))
+	if len(r.Rows) != 127 {
+		t.Errorf("measured %d instructions, want 127", len(r.Rows))
 	}
 	var sb strings.Builder
 	bench.PrintFig7(&sb, r)
@@ -54,8 +55,8 @@ func TestRunFig8Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Points) != 16 { // 4 types x load/store x linear/random
-		t.Errorf("points = %d, want 16", len(r.Points))
+	if len(r.Rows) != 16 { // 4 types x load/store x linear/random
+		t.Errorf("points = %d, want 16", len(r.Rows))
 	}
 	var sb strings.Builder
 	bench.PrintFig8(&sb, r)
@@ -68,7 +69,7 @@ func TestRunFig9Small(t *testing.T) {
 	old := faas.JSDispatchCost
 	faas.JSDispatchCost = time.Millisecond
 	defer func() { faas.JSDispatchCost = old }()
-	rows, err := bench.RunFig9(bench.Fig9Options{
+	fig, err := bench.RunFig9(bench.Fig9Options{
 		Sizes:     []int{64},
 		Clients:   4,
 		Requests:  4,
@@ -77,46 +78,42 @@ func TestRunFig9Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6 setups", len(rows))
+	if len(fig.Rows) != 6 {
+		t.Fatalf("rows = %d, want 6 setups", len(fig.Rows))
 	}
-	for _, r := range rows {
+	for _, r := range fig.Rows {
 		if r.ReqPerSec <= 0 {
 			t.Errorf("%v: req/s = %v", r.Setup, r.ReqPerSec)
 		}
 	}
+	// In JSON the function and the setup are their names, not enum values.
+	raw, err := json.Marshal(fig.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []map[string]any
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back[2]["function"] != "echo" || back[2]["setup"] != "WASM-SGX HW" {
+		t.Errorf("row 2 round-trips as %v, want echo under WASM-SGX HW by name", back[2])
+	}
 	var sb strings.Builder
-	bench.PrintFig9(&sb, rows)
+	bench.PrintFig9(&sb, fig)
 	if !strings.Contains(sb.String(), "echo") {
 		t.Error("print output missing function")
 	}
 }
 
 func TestRunLedgerBenchSmall(t *testing.T) {
-	old := bench.LedgerBenchTrials
-	bench.LedgerBenchTrials = 1
-	defer func() { bench.LedgerBenchTrials = old }()
-	rep, err := bench.RunLedgerBench(8, 200, []int{2})
+	led, err := bench.RunLedger(2000, []int{1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 1 || rep.Rows[0].Clients != 2 {
-		t.Fatalf("rows = %+v", rep.Rows)
-	}
-	r := rep.Rows[0]
-	if r.EagerRPS <= 0 || r.BatchedRPS <= 0 {
-		t.Errorf("nonsensical throughput %+v", r)
-	}
-	if r.EagerP99Ns < r.EagerP50Ns || r.BatchedP99Ns < r.BatchedP50Ns {
-		t.Errorf("latency percentiles not ordered: %+v", r)
-	}
-	if rep.VerifyRecords != 200 || rep.VerifyNs <= 0 || rep.VerifyNsPerRecord <= 0 {
-		t.Errorf("verification stats %+v", rep)
-	}
-	// The audit row rides on the same run: a 2,000-record spilled ledger
-	// written, reopened, verified twice and dumped, every phase timed.
-	a := rep.Audit
-	if a == nil || a.Records != 2000 || a.Pairs != bench.AuditPairs || a.ReadOverWrite <= 0 ||
+	// The audit row: a 2,000-record spilled ledger written, reopened,
+	// verified twice and dumped, every phase timed.
+	a := led.Audit
+	if a.Records != 2000 || a.Pairs != bench.AuditPairs || a.ReadOverWrite <= 0 ||
 		a.WriteMs <= 0 || a.RecoverMs <= 0 || a.VerifySpillMs <= 0 || a.DumpMs <= 0 || a.VerifyStreamMs <= 0 {
 		t.Errorf("audit row %+v", a)
 	}
@@ -126,10 +123,15 @@ func TestRunLedgerBenchSmall(t *testing.T) {
 	if err := bench.CheckAuditGate(bench.AuditRow{ReadOverWrite: 2.4}, 1.95); err == nil {
 		t.Error("a row over the ceiling passed the gate")
 	}
+	// The retention sweep: three modes at each of RetentionProcs.
+	if want := 3 * len(bench.RetentionProcs); len(led.Retention) != want {
+		t.Errorf("retention rows = %d, want %d", len(led.Retention), want)
+	}
 	var sb strings.Builder
-	bench.PrintLedgerBench(&sb, rep)
-	if !strings.Contains(sb.String(), "offline verification") || !strings.Contains(sb.String(), "read/write") {
-		t.Error("print output missing the verification summary or the audit row")
+	bench.PrintAudit(&sb, a)
+	bench.PrintRetentionBench(&sb, led.Retention)
+	if !strings.Contains(sb.String(), "read/write") || !strings.Contains(sb.String(), "bounded+spill") {
+		t.Error("print output missing the audit row or the retention sweep")
 	}
 }
 
@@ -138,11 +140,11 @@ func TestRunSizeTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 35 { // 29 kernels + 6 scenario modules
-		t.Fatalf("rows = %d, want 35", len(rows))
+	if len(rows.Rows) != 35 { // 29 kernels + 6 scenario modules
+		t.Fatalf("rows = %d, want 35", len(rows.Rows))
 	}
 	var totNaive, totOpt int
-	for _, r := range rows {
+	for _, r := range rows.Rows {
 		if r.NaiveBytes <= r.OriginalBytes {
 			t.Errorf("%s: naive instrumentation did not grow the binary", r.Name)
 		}
@@ -167,10 +169,10 @@ func TestRunAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 33 { // 29 kernels + 4 Fig. 10 workloads
-		t.Fatalf("rows = %d, want 33", len(rows))
+	if len(rows.Rows) != 33 { // 29 kernels + 4 Fig. 10 workloads
+		t.Fatalf("rows = %d, want 33", len(rows.Rows))
 	}
-	for _, r := range rows {
+	for _, r := range rows.Rows {
 		if r.IncrementsFlow > r.IncrementsNaive {
 			t.Errorf("%s: flow-based (%d) above naive (%d)", r.Module, r.IncrementsFlow, r.IncrementsNaive)
 		}

@@ -15,7 +15,7 @@ import (
 // indirect-dispatch loop and a leaf-call-saturated kernel — and measures
 // the inlining pass by comparing the register engine against a
 // DisableInline compile of the same module. That ratio, over the workloads
-// the inliner changes, feeds the call_geomean field of BENCH_interp.json
+// the inliner changes, feeds the call_geomean field of BENCH.json
 // and the CI smoke gate.
 
 // CallRow is one call-heavy workload's measurement. The two engine columns
@@ -199,7 +199,7 @@ func RunCalls(trials int) ([]CallRow, error) {
 // CallGeomean returns the geometric-mean inline speedup (register engine,
 // inlined over DisableInline) across the call-heavy workloads in which the
 // inliner spliced at least one site — the call_geomean field of
-// BENCH_interp.json. Recursive and indirect-only workloads have nothing to
+// BENCH.json. Recursive and indirect-only workloads have nothing to
 // inline; their rows record the residual call path's absolute times.
 func CallGeomean(rows []CallRow) float64 {
 	var xs []float64

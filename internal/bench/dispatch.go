@@ -1,38 +1,17 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"time"
 
 	"acctee/internal/instrument"
 	"acctee/internal/interp"
-	"acctee/internal/polybench"
 	"acctee/internal/wasm"
 	"acctee/internal/workloads"
 )
-
-// DispatchKernels is the PolyBench subset used for the interpreter
-// dispatch comparison (the Fig. 6 per-commit subset).
-var DispatchKernels = []string{"gemm", "2mm", "atax", "jacobi-2d", "cholesky", "nussinov", "doitgen", "durbin"}
-
-// DispatchRow is one kernel's measurement under the structured reference
-// engine and the default register engine.
-type DispatchRow struct {
-	Kernel       string `json:"kernel"`
-	N            int    `json:"n"`
-	Instructions uint64 `json:"instructions"`
-	StructuredNs int64  `json:"structured_ns"`
-	RegNs        int64  `json:"reg_ns"`
-	// RegSpeedup is structured/reg.
-	RegSpeedup float64 `json:"reg_speedup"`
-}
 
 // MicroRow is one microbenchmark's measurement. The ALU row isolates raw
 // dispatch on a tight arithmetic loop; the memory-traffic row isolates the
@@ -58,61 +37,6 @@ type InstrumentedRow struct {
 	// Overhead is instrumented/plain: the median over back-to-back pairs
 	// of runs, not the quotient of the two best times above.
 	Overhead float64 `json:"overhead"`
-}
-
-// Stamp records where a BENCH_*.json came from, so numbers from different
-// commits, hosts or toolchains are never compared unknowingly.
-type Stamp struct {
-	GeneratedAt string `json:"generated_at"`
-	// Commit is the VCS revision the binary was built from ("+dirty" when
-	// the tree had uncommitted changes; "unknown" under `go run`, which
-	// does not stamp — `make bench` builds the binary for this reason).
-	Commit    string `json:"commit"`
-	HostCPUs  int    `json:"host_cpus"`
-	GoVersion string `json:"go_version"`
-}
-
-// NewStamp stamps a report with the current time, build and host.
-func NewStamp() Stamp {
-	st := Stamp{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Commit:      "unknown",
-		HostCPUs:    runtime.NumCPU(),
-		GoVersion:   runtime.Version(),
-	}
-	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range info.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				st.Commit = s.Value
-			case "vcs.modified":
-				if s.Value == "true" {
-					st.Commit += "+dirty"
-				}
-			}
-		}
-	}
-	return st
-}
-
-// DispatchReport is the BENCH_interp.json payload tracking the interpreter
-// performance trajectory across commits.
-type DispatchReport struct {
-	Stamp
-	Baseline  string `json:"baseline"`
-	Candidate string `json:"candidate"`
-	// RegGeomean and MicroGeomean are the geometric-mean register-over-
-	// structured speedups across the PolyBench and microbenchmark rows.
-	// CallGeomean is the call-heavy suite's inlined-over-DisableInline
-	// speedup on the register engine (callbench.go).
-	RegGeomean   float64       `json:"reg_geomean"`
-	MicroGeomean float64       `json:"micro_geomean"`
-	CallGeomean  float64       `json:"call_geomean"`
-	Rows         []DispatchRow `json:"rows"`
-	Micro        []MicroRow    `json:"micro"`
-	// Instrumented is the instrumented-over-plain resize row (reg engine).
-	Instrumented InstrumentedRow `json:"instrumented"`
-	Calls        []CallRow       `json:"calls"`
 }
 
 // bestRun instantiates the artifact under cfg once per trial (at least
@@ -176,53 +100,6 @@ func geomean(xs []float64) float64 {
 		sum += math.Log(x)
 	}
 	return math.Exp(sum / float64(len(xs)))
-}
-
-// RunDispatch measures each kernel under both engines (best of trials), at
-// 2/3 of the kernel's default problem size like the Fig. 6 per-commit
-// harness.
-func RunDispatch(kernels []string, trials int) ([]DispatchRow, error) {
-	if len(kernels) == 0 {
-		kernels = DispatchKernels
-	}
-	rows := make([]DispatchRow, 0, len(kernels))
-	for _, name := range kernels {
-		k, err := polybench.Get(name)
-		if err != nil {
-			return nil, err
-		}
-		n := k.DefaultN * 2 / 3
-		if n < 8 {
-			n = 8
-		}
-		m, err := k.Build(n)
-		if err != nil {
-			return nil, err
-		}
-		sNs, rNs, instr, _, err := measureEngines(m, "run", trials)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", name, err)
-		}
-		rows = append(rows, DispatchRow{
-			Kernel:       name,
-			N:            n,
-			Instructions: instr,
-			StructuredNs: sNs,
-			RegNs:        rNs,
-			RegSpeedup:   ratio(sNs, rNs),
-		})
-	}
-	return rows, nil
-}
-
-// RegGeomean returns the geometric mean of the register-over-structured
-// speedups across the PolyBench rows.
-func RegGeomean(rows []DispatchRow) float64 {
-	xs := make([]float64, len(rows))
-	for i, r := range rows {
-		xs[i] = r.RegSpeedup
-	}
-	return geomean(xs)
 }
 
 // MicroGeomean returns the geometric mean of the register-over-structured
@@ -323,39 +200,28 @@ func RunMicro(trials int) ([]MicroRow, error) {
 	return rows, nil
 }
 
-// RunInstrumented measures the resize function plain and instrumented
-// (naive) on the register engine, 8 x trials pairs of runs, one after
-// the other. A shared host runs whole stretches of tens of milliseconds at
-// two thirds of its speed, so neither best-of nor mean times give a stable
-// quotient; Overhead is the median over the pairs of instrumented/plain,
-// whose two runs (~5 ms each) share their stretch. The times reported are
-// each side's best. The input image stays zeroed: resize's control flow does
-// not depend on pixel values.
-func RunInstrumented(trials int) (InstrumentedRow, error) {
-	row := InstrumentedRow{Name: "resize-128/naive"}
-	m, err := workloads.BuildResize()
+// pairedOverhead runs plain and counted on the register engine in `pairs`
+// back-to-back pairs, each module compiled once and instantiated per run. A
+// shared host runs whole stretches of tens of milliseconds at two thirds of
+// its speed, so neither best-of nor mean times give a stable quotient;
+// Overhead is the median over the pairs of counted/plain, whose two runs
+// share their stretch. The times reported are each side's best.
+func pairedOverhead(plain, counted *wasm.Module, pairs int, args ...uint64) (row InstrumentedRow, err error) {
+	pcm, err := interp.Compile(plain, interp.CompileOptions{})
 	if err != nil {
 		return row, err
 	}
-	inst, err := instrument.Instrument(m, instrument.Options{Level: instrument.Naive})
+	ccm, err := interp.Compile(counted, interp.CompileOptions{})
 	if err != nil {
 		return row, err
 	}
-	plain, err := interp.Compile(m, interp.CompileOptions{})
-	if err != nil {
-		return row, err
-	}
-	counted, err := interp.Compile(inst.Module, interp.CompileOptions{})
-	if err != nil {
-		return row, err
-	}
-	pairs := make([]float64, 8*max(trials, 1))
-	for t := range pairs {
-		p, instr, err := bestRun(plain, interp.Config{}, "run", 1, 128, 128)
+	ratios := make([]float64, pairs)
+	for t := range ratios {
+		p, instr, err := bestRun(pcm, interp.Config{}, "run", 1, args...)
 		if err != nil {
 			return row, err
 		}
-		c, _, err := bestRun(counted, interp.Config{}, "run", 1, 128, 128)
+		c, _, err := bestRun(ccm, interp.Config{}, "run", 1, args...)
 		if err != nil {
 			return row, err
 		}
@@ -366,16 +232,33 @@ func RunInstrumented(trials int) (InstrumentedRow, error) {
 			row.InstrumentedNs = c
 		}
 		row.Instructions = instr
-		pairs[t] = ratio(c, p)
+		ratios[t] = ratio(c, p)
 	}
-	sort.Float64s(pairs)
-	row.Overhead = pairs[len(pairs)/2]
+	sort.Float64s(ratios)
+	row.Overhead = ratios[len(ratios)/2]
 	return row, nil
+}
+
+// RunInstrumented measures the resize function plain and instrumented
+// (naive) over 8 x trials pairs of runs (~5 ms each). The input image stays
+// zeroed: resize's control flow does not depend on pixel values.
+func RunInstrumented(trials int) (InstrumentedRow, error) {
+	m, err := workloads.BuildResize()
+	if err != nil {
+		return InstrumentedRow{}, err
+	}
+	inst, err := instrument.Instrument(m, instrument.Options{Level: instrument.Naive})
+	if err != nil {
+		return InstrumentedRow{}, err
+	}
+	row, err := pairedOverhead(m, inst.Module, 8*max(trials, 1), 128, 128)
+	row.Name = "resize-128/naive"
+	return row, err
 }
 
 // MicroSmokeFloor is the CI gate on the microbenchmarks: the register
 // engine must hold at least this geomean speedup over the structured
-// reference. The committed BENCH_interp.json rows sit well above 4x; the
+// reference. The committed BENCH.json rows sit well above 4x; the
 // floor leaves headroom for shared CI runners while still catching the
 // default engine losing its lead.
 const MicroSmokeFloor = 3.0
@@ -401,53 +284,21 @@ func CheckMicroGate(rows []MicroRow, floor float64, inst InstrumentedRow, ceilin
 	return nil
 }
 
-// WriteDispatchJSON writes the report consumed by the perf-trajectory
-// tracking (BENCH_interp.json).
-func WriteDispatchJSON(path string, rows []DispatchRow, micro []MicroRow, inst InstrumentedRow, calls []CallRow) error {
-	rep := DispatchReport{
-		Stamp:        NewStamp(),
-		Baseline:     "structured (label-stack, per-instruction accounting)",
-		Candidate:    "reg (register-form IR, direct-threaded closures) with call inlining + indirect-call inline cache",
-		RegGeomean:   RegGeomean(rows),
-		MicroGeomean: MicroGeomean(micro),
-		CallGeomean:  CallGeomean(calls),
-		Rows:         rows,
-		Micro:        micro,
-		Instrumented: inst,
-		Calls:        calls,
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// PrintDispatch renders the two-engine comparison as a table.
-func PrintDispatch(w io.Writer, rows []DispatchRow, micro []MicroRow) {
-	tw := newTab(w)
-	fmt.Fprintln(tw, "kernel\tN\tinstr\tstructured\treg\treg/structured")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%s\n",
-			r.Kernel, r.N, r.Instructions,
-			time.Duration(r.StructuredNs), time.Duration(r.RegNs), fmtRatio(r.RegSpeedup))
-	}
-	for _, r := range micro {
-		fmt.Fprintf(tw, "%s\t\t%d\t%s\t%s\t%s\n",
-			r.Name, r.Instructions,
-			time.Duration(r.StructuredNs), time.Duration(r.RegNs), fmtRatio(r.RegSpeedup))
-	}
-	tw.Flush()
-	if len(rows) > 0 {
-		fmt.Fprintf(w, "reg geomean over structured (polybench): %s\n", fmtRatio(RegGeomean(rows)))
-	}
-	if len(micro) > 0 {
-		fmt.Fprintf(w, "reg geomean over structured (micro): %s\n", fmtRatio(MicroGeomean(micro)))
-	}
-}
-
 // PrintInstrumented renders the instrumented-over-plain row.
 func PrintInstrumented(w io.Writer, r InstrumentedRow) {
 	fmt.Fprintf(w, "%s on reg: plain %s, instrumented %s, instrumented/plain %s\n",
 		r.Name, time.Duration(r.PlainNs), time.Duration(r.InstrumentedNs), fmtRatio(r.Overhead))
+}
+
+// PrintMicro renders the two-engine microbenchmark comparison as a table.
+func PrintMicro(w io.Writer, micro []MicroRow) {
+	tw := newTab(w)
+	fmt.Fprintln(tw, "microbenchmark\tinstr\tstructured\treg\treg/structured")
+	for _, r := range micro {
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\n",
+			r.Name, r.Instructions,
+			time.Duration(r.StructuredNs), time.Duration(r.RegNs), fmtRatio(r.RegSpeedup))
+	}
+	tw.Flush()
+	fmt.Fprintf(w, "reg geomean over structured (micro): %s\n", fmtRatio(MicroGeomean(micro)))
 }

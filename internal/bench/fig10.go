@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"acctee/internal/instrument"
 	"acctee/internal/interp"
@@ -31,58 +30,77 @@ func Fig10Workloads() []Fig10Workload {
 	}
 }
 
-// Fig10Row is one workload's normalised runtimes per instrumentation level
-// and platform (Fig. 10: normalised to no instrumentation on the same
-// platform).
-type Fig10Row struct {
-	Workload string
-	// Normalised runtimes on plain WASM.
-	WASMNaive, WASMFlow, WASMLoop float64
-	// Normalised runtimes on WASM-SGX (hardware mode).
-	SGXNaive, SGXFlow, SGXLoop float64
+// Fig10Levels is one quantity at the three instrumentation levels,
+// normalised to no instrumentation on the same platform.
+type Fig10Levels struct {
+	Naive float64 `json:"naive"`
+	Flow  float64 `json:"flow"`
+	Loop  float64 `json:"loop"`
 }
 
-// RunFig10 reproduces the instrumentation-optimisation comparison.
-func RunFig10(trials int) ([]Fig10Row, error) {
-	if trials < 1 {
-		trials = 1
-	}
-	var rows []Fig10Row
+// Fig10Row is one workload's normalised runtimes per instrumentation level
+// and platform (Fig. 10).
+type Fig10Row struct {
+	Workload string `json:"workload"`
+	// WASMWallClock is measured on plain WASM: the median over back-to-back
+	// pairs of instrumented/plain runs on the register engine
+	// (pairedOverhead, the measurement `make bench-smoke` gates resize on).
+	WASMWallClock Fig10Levels `json:"wasm_wall_clock"`
+	// WASMInstrCount is the ratio of dynamic instruction counts, which
+	// prices the injected global.get; i64.const; i64.add; global.set as
+	// four ordinary instructions: deterministic, and what an engine that
+	// does not fuse the update pays.
+	WASMInstrCount Fig10Levels `json:"wasm_instr_count"`
+	// SGXModelled is WASM-SGX hardware mode: instruction counts at the
+	// plain module's calibrated ns/instruction plus simulated enclave
+	// cycles, which have no wall clock.
+	SGXModelled Fig10Levels `json:"sgx_modelled"`
+}
+
+// Fig10Result is the instrumentation-optimisation comparison (Fig. 10).
+type Fig10Result struct {
+	Paper string     `json:"paper"`
+	Rows  []Fig10Row `json:"rows"`
+}
+
+// RunFig10 reproduces the instrumentation-optimisation comparison over
+// 8 x trials pairs per workload and level.
+func RunFig10(trials int) (*Fig10Result, error) {
+	fig := &Fig10Result{Paper: "naive worst (Darknet +34%), loop-based best (-7%..+10%; Darknet +3-4%)"}
 	for _, wl := range Fig10Workloads() {
 		m, err := wl.Build()
 		if err != nil {
 			return nil, fmt.Errorf("fig10 %s: %w", wl.Name, err)
 		}
-		variants := map[instrument.Level]*wasm.Module{}
-		for _, lvl := range []instrument.Level{instrument.Naive, instrument.FlowBased, instrument.LoopBased} {
+		var variants [3]*wasm.Module
+		for i, lvl := range []instrument.Level{instrument.Naive, instrument.FlowBased, instrument.LoopBased} {
 			res, err := instrument.Instrument(m, instrument.Options{Level: lvl})
 			if err != nil {
 				return nil, fmt.Errorf("fig10 %s %v: %w", wl.Name, lvl, err)
 			}
-			variants[lvl] = res.Module
+			variants[i] = res.Module
 		}
-		// Calibrate the interpreter's ns/instruction once per workload from
-		// a wall-clock run of the uninstrumented module; all variants are
-		// then compared on deterministic dynamic instruction counts (plus
-		// simulated enclave cycles), which reproduces identically across
-		// runs — wall-clock ratios on a contended host do not.
-		baseWall, _, err := bestOf(trials, func() (time.Duration, uint64, error) {
-			d, _, err := timeWasm(m, interp.Config{}, "run", wl.Args...)
-			return d, 0, err
+		perLevel := func(f func(*wasm.Module) (float64, error)) (l Fig10Levels, err error) {
+			for i, dst := range []*float64{&l.Naive, &l.Flow, &l.Loop} {
+				if *dst, err = f(variants[i]); err != nil {
+					return l, fmt.Errorf("fig10 %s: %w", wl.Name, err)
+				}
+			}
+			return l, nil
+		}
+		row := Fig10Row{Workload: wl.Name}
+		// The plain module's ns/instruction (best run of the last pairing)
+		// prices instructions in the modelled columns below.
+		var nsPerInstr float64
+		row.WASMWallClock, err = perLevel(func(v *wasm.Module) (float64, error) {
+			r, err := pairedOverhead(m, v, 8*max(trials, 1), wl.Args...)
+			nsPerInstr = float64(r.PlainNs) / float64(max(r.Instructions, 1))
+			return r.Overhead, err
 		})
 		if err != nil {
-			return nil, fmt.Errorf("fig10 %s calibrate: %w", wl.Name, err)
-		}
-		baseVM, err := interp.Instantiate(m, interp.Config{})
-		if err != nil {
 			return nil, err
 		}
-		if _, err := baseVM.InvokeExport("run", wl.Args...); err != nil {
-			return nil, err
-		}
-		nsPerInstr := float64(baseWall.Nanoseconds()) / float64(baseVM.InstrCount())
-
-		run := func(mod *wasm.Module, hw bool) (float64, error) {
+		modelled := func(mod *wasm.Module, hw bool) (float64, error) {
 			var cfg interp.Config
 			if hw {
 				cfg.CostModel = sgx.NewEPCModel(sgx.ModeHardware, hwParams(), nil)
@@ -96,51 +114,39 @@ func RunFig10(trials int) ([]Fig10Row, error) {
 			}
 			return float64(vm.InstrCount())*nsPerInstr + float64(vm.Cost())/CyclesPerNs, nil
 		}
-		row := Fig10Row{Workload: wl.Name}
-		for _, hw := range []bool{false, true} {
-			base, err := run(m, hw)
+		for _, c := range []struct {
+			hw  bool
+			dst *Fig10Levels
+		}{{false, &row.WASMInstrCount}, {true, &row.SGXModelled}} {
+			base, err := modelled(m, c.hw)
 			if err != nil {
 				return nil, fmt.Errorf("fig10 %s base: %w", wl.Name, err)
 			}
-			if base <= 0 {
-				base = 1
-			}
-			norm := func(lvl instrument.Level) (float64, error) {
-				v, err := run(variants[lvl], hw)
-				return v / base, err
-			}
-			na, err := norm(instrument.Naive)
+			*c.dst, err = perLevel(func(v *wasm.Module) (float64, error) {
+				t, err := modelled(v, c.hw)
+				return t / base, err
+			})
 			if err != nil {
 				return nil, err
-			}
-			fl, err := norm(instrument.FlowBased)
-			if err != nil {
-				return nil, err
-			}
-			lo, err := norm(instrument.LoopBased)
-			if err != nil {
-				return nil, err
-			}
-			if hw {
-				row.SGXNaive, row.SGXFlow, row.SGXLoop = na, fl, lo
-			} else {
-				row.WASMNaive, row.WASMFlow, row.WASMLoop = na, fl, lo
 			}
 		}
-		rows = append(rows, row)
+		fig.Rows = append(fig.Rows, row)
 	}
-	return rows, nil
+	return fig, nil
 }
 
 // PrintFig10 renders the normalised-overhead table.
-func PrintFig10(w io.Writer, rows []Fig10Row) {
+func PrintFig10(w io.Writer, fig *Fig10Result) {
 	tw := newTab(w)
-	fmt.Fprintln(tw, "workload\tWASM naive\tWASM flow\tWASM loop\tSGX naive\tSGX flow\tSGX loop")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n", r.Workload,
-			fmtRatio(r.WASMNaive), fmtRatio(r.WASMFlow), fmtRatio(r.WASMLoop),
-			fmtRatio(r.SGXNaive), fmtRatio(r.SGXFlow), fmtRatio(r.SGXLoop))
+	fmt.Fprintln(tw, "workload\twall naive\twall flow\twall loop\tinstr naive\tinstr flow\tinstr loop\tSGX naive\tSGX flow\tSGX loop")
+	for _, r := range fig.Rows {
+		fmt.Fprintf(tw, "%s", r.Workload)
+		for _, l := range []Fig10Levels{r.WASMWallClock, r.WASMInstrCount, r.SGXModelled} {
+			fmt.Fprintf(tw, "\t%s\t%s\t%s", fmtRatio(l.Naive), fmtRatio(l.Flow), fmtRatio(l.Loop))
+		}
+		fmt.Fprintln(tw)
 	}
 	_ = tw.Flush()
-	fmt.Fprintln(w, "paper shape: naive worst (Darknet +34%), loop-based best (-7%..+10%; Darknet +3-4%)")
+	fmt.Fprintln(w, "(wall: plain WASM, median of back-to-back instrumented/plain pairs; instr: dynamic instruction-count ratio; SGX: modelled, hardware mode)")
+	fmt.Fprintf(w, "paper: %s\n", fig.Paper)
 }

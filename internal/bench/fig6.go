@@ -12,30 +12,41 @@ import (
 )
 
 // Fig6Row is one PolyBench kernel's runtimes across the paper's setups,
-// normalised to native execution (Fig. 6).
+// normalised to native execution (Fig. 6; 1.0 == native).
 type Fig6Row struct {
-	Kernel string
-	// Normalised runtimes (1.0 == native).
-	WASM         float64
-	WASMSGXSim   float64
-	WASMSGXHW    float64
-	Instrumented float64
+	Kernel       string  `json:"kernel"`
+	WASM         float64 `json:"wasm"`
+	WASMSGXSim   float64 `json:"wasm_sgx_sim"`
+	WASMSGXHW    float64 `json:"wasm_sgx_hw"`
+	Instrumented float64 `json:"wasm_sgx_hw_instrumented"`
 	// EPCFaults is the hardware-mode page-fault count (explains blow-ups).
-	EPCFaults uint64
+	EPCFaults uint64 `json:"epc_faults"`
+}
+
+// Fig6Result is Fig. 6 with the means §5.1 quotes.
+type Fig6Result struct {
+	Paper          string  `json:"paper"`
+	MeanWASM       float64 `json:"mean_wasm"`
+	MeanWASMSGXHW  float64 `json:"mean_wasm_sgx_hw"`
+	MeanHWOverWASM float64 `json:"mean_hw_over_wasm"`
+	// InstrOverHWPct is the mean of instrumented/HW per kernel, as a
+	// percentage over HW.
+	InstrOverHWPct float64   `json:"instr_over_hw_pct"`
+	Rows           []Fig6Row `json:"rows"`
 }
 
 // RunFig6 reproduces Fig. 6: the 29 PolyBench kernels under WASM,
 // WASM-SGX SIM, WASM-SGX HW and WASM-SGX HW + loop-based instrumentation,
 // normalised to native runtime. kernels limits the set (nil = all);
 // trials >= 1 selects best-of-n timing.
-func RunFig6(kernels []string, trials int) ([]Fig6Row, error) {
+func RunFig6(kernels []string, trials int) (*Fig6Result, error) {
 	if kernels == nil {
 		kernels = polybench.Names()
 	}
 	if trials < 1 {
 		trials = 1
 	}
-	rows := make([]Fig6Row, 0, len(kernels))
+	fig := &Fig6Result{Paper: "WASM 1.1x native, WASM-SGX HW 2.1x native (~1.9x WASM), instrumentation +4% avg / +9% worst case"}
 	for _, name := range kernels {
 		k, err := polybench.Get(name)
 		if err != nil {
@@ -117,7 +128,7 @@ func RunFig6(kernels []string, trials int) ([]Fig6Row, error) {
 		if nat <= 0 {
 			nat = 1
 		}
-		rows = append(rows, Fig6Row{
+		fig.Rows = append(fig.Rows, Fig6Row{
 			Kernel:       name,
 			WASM:         float64(wasmD.Nanoseconds()) / nat,
 			WASMSGXSim:   effectiveNs(simD, simC) / nat,
@@ -126,37 +137,38 @@ func RunFig6(kernels []string, trials int) ([]Fig6Row, error) {
 			EPCFaults:    faults,
 		})
 	}
-	return rows, nil
+	for _, r := range fig.Rows {
+		fig.MeanWASM += r.WASM
+		fig.MeanWASMSGXHW += r.WASMSGXHW
+		if r.WASM > 0 {
+			fig.MeanHWOverWASM += r.WASMSGXHW / r.WASM
+		}
+		if r.WASMSGXHW > 0 {
+			fig.InstrOverHWPct += r.Instrumented / r.WASMSGXHW
+		}
+	}
+	if n := float64(len(fig.Rows)); n > 0 {
+		fig.MeanWASM /= n
+		fig.MeanWASMSGXHW /= n
+		fig.MeanHWOverWASM /= n
+		fig.InstrOverHWPct = (fig.InstrOverHWPct/n - 1) * 100
+	}
+	return fig, nil
 }
 
 // PrintFig6 renders the rows in the figure's layout plus the summary
 // statistics quoted in §5.1.
-func PrintFig6(w io.Writer, rows []Fig6Row) {
+func PrintFig6(w io.Writer, fig *Fig6Result) {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "kernel\tWASM\tWASM-SGX SIM\tWASM-SGX HW\tHW instrumented\tEPC faults")
-	var sumWasm, sumHW, sumInstrOverHW float64
-	for _, r := range rows {
+	for _, r := range fig.Rows {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%d\n",
 			r.Kernel, fmtRatio(r.WASM), fmtRatio(r.WASMSGXSim),
 			fmtRatio(r.WASMSGXHW), fmtRatio(r.Instrumented), r.EPCFaults)
-		sumWasm += r.WASM
-		sumHW += r.WASMSGXHW
-		if r.WASMSGXHW > 0 {
-			sumInstrOverHW += r.Instrumented / r.WASMSGXHW
-		}
 	}
 	_ = tw.Flush()
-	n := float64(len(rows))
-	if n > 0 {
-		var sumHWOverWasm float64
-		for _, r := range rows {
-			if r.WASM > 0 {
-				sumHWOverWasm += r.WASMSGXHW / r.WASM
-			}
-		}
-		fmt.Fprintf(w, "mean: WASM %.2fx native; WASM-SGX HW %.2fx native (%.2fx WASM); instrumentation +%.1f%% over HW\n",
-			sumWasm/n, sumHW/n, sumHWOverWasm/n, (sumInstrOverHW/n-1)*100)
-		fmt.Fprintf(w, "paper: WASM 1.1x native, WASM-SGX HW 2.1x native (~1.9x WASM), instrumentation +4%% avg / +9%% worst case\n")
-		fmt.Fprintf(w, "note: the absolute WASM/native ratio reflects interpreter-vs-JIT speed; the reproduced shape is the per-setup comparison (see EXPERIMENTS.md)\n")
-	}
+	fmt.Fprintf(w, "mean: WASM %.2fx native; WASM-SGX HW %.2fx native (%.2fx WASM); instrumentation %+.1f%% over HW\n",
+		fig.MeanWASM, fig.MeanWASMSGXHW, fig.MeanHWOverWASM, fig.InstrOverHWPct)
+	fmt.Fprintf(w, "paper: %s\n", fig.Paper)
+	fmt.Fprintf(w, "note: the absolute WASM/native ratio reflects interpreter-vs-JIT speed; the reproduced shape is the per-setup comparison (README, \"Paper versus measured\")\n")
 }

@@ -18,9 +18,8 @@ import (
 // bounded (drop) vs bounded with spill-to-disk. Since the binary spill
 // codec and async group-commit writer, the spill variant runs at every
 // size (the old JSON codec capped it at 100k to spare CI's disk) and each
-// size sweeps GOMAXPROCS 1 and 4 so the upcoming multi-core work has a
-// baseline. The rows land in BENCH_ledger.json next to the eager-vs-
-// batched signing comparison.
+// size sweeps GOMAXPROCS 1, 4 and 16. The rows land in BENCH.json's ledger
+// section next to the audit row.
 
 // RetentionSizes is the default record-count sweep.
 var RetentionSizes = []int{10_000, 100_000, 1_000_000}
@@ -75,14 +74,6 @@ type RetentionRow struct {
 	// The tentpole target is ≥ 0.5 at the 1M row; the smoke gate floor
 	// is RetentionSmokeRatio.
 	SpillVsBounded float64 `json:"spill_vs_bounded,omitempty"`
-}
-
-// RetentionReport is the BENCH_ledger.json "retention" section.
-type RetentionReport struct {
-	Stamp
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	Shards     int            `json:"shards"`
-	Rows       []RetentionRow `json:"rows"`
 }
 
 // runRetentionCell appends `records` records to a fresh ledger in the
@@ -206,15 +197,15 @@ func runRetentionModes(n int) ([]RetentionRow, error) {
 }
 
 // RunRetentionBench sweeps record counts across retention modes and
-// GOMAXPROCS settings. It temporarily overrides GOMAXPROCS per cell and
-// restores the ambient value before returning.
-func RunRetentionBench(sizes []int) (*RetentionReport, error) {
+// GOMAXPROCS settings on a 4-shard ledger. It temporarily overrides
+// GOMAXPROCS per cell and restores the ambient value before returning.
+func RunRetentionBench(sizes []int) ([]RetentionRow, error) {
 	if len(sizes) == 0 {
 		sizes = RetentionSizes
 	}
 	ambient := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(ambient)
-	rep := &RetentionReport{Stamp: NewStamp(), GOMAXPROCS: ambient, Shards: 4}
+	var all []RetentionRow
 	for _, n := range sizes {
 		for _, procs := range RetentionProcs {
 			runtime.GOMAXPROCS(procs)
@@ -223,10 +214,10 @@ func RunRetentionBench(sizes []int) (*RetentionReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			rep.Rows = append(rep.Rows, rows...)
+			all = append(all, rows...)
 		}
 	}
-	return rep, nil
+	return all, nil
 }
 
 // RunRetentionSmoke runs the bench-smoke retention gate: one bounded and
@@ -253,11 +244,11 @@ func RunRetentionSmoke() (float64, error) {
 	return spill.AppendsPerSec / bounded.AppendsPerSec, nil
 }
 
-// PrintRetentionBench renders the report as a table.
-func PrintRetentionBench(w io.Writer, rep *RetentionReport) {
+// PrintRetentionBench renders the sweep as a table.
+func PrintRetentionBench(w io.Writer, rows []RetentionRow) {
 	tw := newTab(w)
 	fmt.Fprintf(tw, "records\tmode\tprocs\tresident peak\tresident end\tspilled\theap after GC\tappends/s\tvs bounded\tcheckpoints\n")
-	for _, r := range rep.Rows {
+	for _, r := range rows {
 		ratio := ""
 		if r.SpillVsBounded > 0 {
 			ratio = fmt.Sprintf("%.2fx", r.SpillVsBounded)

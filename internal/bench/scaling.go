@@ -21,14 +21,14 @@ import (
 // (lane affinity on the ledger's shard pick, striped instance free-lists,
 // padded shard state, atomic gateway counters) the ratios are the figure
 // that shows the hot path actually spreads across cores instead of
-// serialising on shared locks. The rows land in the `scaling` sections of
-// BENCH_faas.json and BENCH_ledger.json.
+// serialising on shared locks. The rows land in BENCH.json's scaling
+// section.
 //
 // The ratios are only meaningful up to the host's physical parallelism:
 // GOMAXPROCS 16 on a 4-core box measures scheduler pressure, not speedup,
-// and on a single-core host every cell collapses to ~1.0x. HostCPUs is
-// recorded in the report so a reader (and the smoke gate) can tell a
-// contention regression from a small machine.
+// and on a single-core host every cell collapses to ~1.0x. A host with
+// fewer than 4 CPUs records the section as skipped, and the smoke gate
+// skips, so nobody mistakes a small machine for a contention regression.
 
 // ScalingProcs is the GOMAXPROCS matrix.
 var ScalingProcs = []int{1, 4, 16}
@@ -48,18 +48,47 @@ type ScalingRow struct {
 	// appender goroutines) — identical in every row, so the only variable
 	// across rows is available parallelism.
 	Workers int `json:"workers"`
-	// Value is the cell's throughput in the report's Metric unit.
+	// Value is the cell's throughput (gateway req/s or ledger appends/s).
 	Value float64 `json:"value"`
 	// Scaling is Value over the GOMAXPROCS=1 row's Value.
 	Scaling float64 `json:"scaling_vs_1proc"`
 }
 
-// ScalingReport is the `scaling` section of a bench JSON.
-type ScalingReport struct {
-	// Stamp.HostCPUs is the ceiling on honest speedup.
-	Stamp
-	Metric string       `json:"metric"`
-	Rows   []ScalingRow `json:"rows"`
+// Scaling is the manifest's scaling section: both GOMAXPROCS matrices, or
+// the reason this host cannot run them. Never both, never carried over
+// from another run.
+type Scaling struct {
+	Skipped             string       `json:"skipped,omitempty"`
+	GatewayReqPerSec    []ScalingRow `json:"gateway_req_per_sec,omitempty"`
+	LedgerAppendsPerSec []ScalingRow `json:"ledger_appends_per_sec,omitempty"`
+}
+
+// ScalingSkipped says why a host with this many CPUs cannot show a 4-proc
+// speedup, or "" when it can: the one threshold the manifest section and
+// the smoke gate share.
+func ScalingSkipped(cpus int) string {
+	if cpus >= 4 {
+		return ""
+	}
+	return fmt.Sprintf("host has %d CPUs; GOMAXPROCS=4 cannot exceed one core's throughput", cpus)
+}
+
+// RunScaling measures both matrices, the gateway at faasRequests resize
+// requests per cell and the ledger at ledgerRecords appends, on a host
+// with at least 4 CPUs.
+func RunScaling(faasRequests, ledgerRecords int) (*Scaling, error) {
+	if reason := ScalingSkipped(runtime.NumCPU()); reason != "" {
+		return &Scaling{Skipped: reason}, nil
+	}
+	gw, err := RunFaaSScaling(faasRequests, nil)
+	if err != nil {
+		return nil, err
+	}
+	led, err := RunLedgerScaling(ledgerRecords, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Scaling{GatewayReqPerSec: gw, LedgerAppendsPerSec: led}, nil
 }
 
 // stampScaling fills each row's ratio over the procs=1 row.
@@ -122,23 +151,23 @@ func runFaaSScalingCell(requests int) (float64, error) {
 
 // RunFaaSScaling measures pooled-gateway throughput across the GOMAXPROCS
 // matrix at a fixed 16-client load.
-func RunFaaSScaling(requests int, procs []int) (*ScalingReport, error) {
+func RunFaaSScaling(requests int, procs []int) ([]ScalingRow, error) {
 	if requests < 1 {
 		requests = 1
 	}
 	if len(procs) == 0 {
 		procs = ScalingProcs
 	}
-	rep := &ScalingReport{Stamp: NewStamp(), Metric: "req_per_sec"}
+	var rows []ScalingRow
 	for _, p := range procs {
 		v, err := bestOfProcs(p, func() (float64, error) { return runFaaSScalingCell(requests) })
 		if err != nil {
 			return nil, fmt.Errorf("bench: faas scaling at %d procs: %w", p, err)
 		}
-		rep.Rows = append(rep.Rows, ScalingRow{GoMaxProcs: p, Workers: FaaSScalingClients, Value: v})
+		rows = append(rows, ScalingRow{GoMaxProcs: p, Workers: FaaSScalingClients, Value: v})
 	}
-	stampScaling(rep.Rows)
-	return rep, nil
+	stampScaling(rows)
+	return rows, nil
 }
 
 // LedgerScalingAppenders is the fixed appender concurrency of the matrix.
@@ -196,23 +225,23 @@ func runLedgerScalingCell(records int) (float64, error) {
 
 // RunLedgerScaling measures bounded-ledger append throughput across the
 // GOMAXPROCS matrix at a fixed 8-appender load.
-func RunLedgerScaling(records int, procs []int) (*ScalingReport, error) {
+func RunLedgerScaling(records int, procs []int) ([]ScalingRow, error) {
 	if records < LedgerScalingAppenders {
 		records = LedgerScalingAppenders
 	}
 	if len(procs) == 0 {
 		procs = ScalingProcs
 	}
-	rep := &ScalingReport{Stamp: NewStamp(), Metric: "appends_per_sec"}
+	var rows []ScalingRow
 	for _, p := range procs {
 		v, err := bestOfProcs(p, func() (float64, error) { return runLedgerScalingCell(records) })
 		if err != nil {
 			return nil, fmt.Errorf("bench: ledger scaling at %d procs: %w", p, err)
 		}
-		rep.Rows = append(rep.Rows, ScalingRow{GoMaxProcs: p, Workers: LedgerScalingAppenders, Value: v})
+		rows = append(rows, ScalingRow{GoMaxProcs: p, Workers: LedgerScalingAppenders, Value: v})
 	}
-	stampScaling(rep.Rows)
-	return rep, nil
+	stampScaling(rows)
+	return rows, nil
 }
 
 // ScalingSmokeResult is the bench-smoke scaling gate's measurement.
@@ -227,7 +256,7 @@ type ScalingSmokeResult struct {
 }
 
 // Enforceable reports whether the host has the parallelism the gate needs.
-func (r ScalingSmokeResult) Enforceable() bool { return r.HostCPUs >= 4 }
+func (r ScalingSmokeResult) Enforceable() bool { return ScalingSkipped(r.HostCPUs) == "" }
 
 // Pass applies the ScalingSmokeFloor to both ratios.
 func (r ScalingSmokeResult) Pass() bool {
@@ -239,20 +268,20 @@ func (r ScalingSmokeResult) Pass() bool {
 // Pass() only when Enforceable().
 func RunScalingSmoke() (ScalingSmokeResult, error) {
 	res := ScalingSmokeResult{HostCPUs: runtime.NumCPU()}
-	faasRep, err := RunFaaSScaling(300, []int{1, 4})
+	faasRows, err := RunFaaSScaling(300, []int{1, 4})
 	if err != nil {
 		return res, err
 	}
-	ledgerRep, err := RunLedgerScaling(100_000, []int{1, 4})
+	ledgerRows, err := RunLedgerScaling(100_000, []int{1, 4})
 	if err != nil {
 		return res, err
 	}
-	for _, r := range faasRep.Rows {
+	for _, r := range faasRows {
 		if r.GoMaxProcs == 4 {
 			res.FaaS = r.Scaling
 		}
 	}
-	for _, r := range ledgerRep.Rows {
+	for _, r := range ledgerRows {
 		if r.GoMaxProcs == 4 {
 			res.Ledger = r.Scaling
 		}
@@ -260,13 +289,22 @@ func RunScalingSmoke() (ScalingSmokeResult, error) {
 	return res, nil
 }
 
-// PrintScaling renders one scaling matrix as a table.
-func PrintScaling(w io.Writer, label string, rep *ScalingReport) {
-	fmt.Fprintf(w, "%s (host CPUs: %d, workers: %d)\n", label, rep.HostCPUs, rep.Rows[0].Workers)
-	tw := newTab(w)
-	fmt.Fprintf(tw, "gomaxprocs\t%s\tvs 1 proc\n", rep.Metric)
-	for _, r := range rep.Rows {
-		fmt.Fprintf(tw, "%d\t%.0f\t%s\n", r.GoMaxProcs, r.Value, fmtRatio(r.Scaling))
+// PrintScaling renders the section: the two matrices, or why not.
+func PrintScaling(w io.Writer, s *Scaling) {
+	if s.Skipped != "" {
+		fmt.Fprintf(w, "skipped: %s\n", s.Skipped)
+		return
 	}
-	tw.Flush()
+	for _, m := range []struct {
+		label string
+		rows  []ScalingRow
+	}{{"pooled resize gateway, req/s", s.GatewayReqPerSec}, {"bounded 4-shard ledger, appends/s", s.LedgerAppendsPerSec}} {
+		fmt.Fprintf(w, "%s (workers: %d)\n", m.label, m.rows[0].Workers)
+		tw := newTab(w)
+		fmt.Fprintln(tw, "gomaxprocs\tthroughput\tvs 1 proc")
+		for _, r := range m.rows {
+			fmt.Fprintf(tw, "%d\t%.0f\t%s\n", r.GoMaxProcs, r.Value, fmtRatio(r.Scaling))
+		}
+		tw.Flush()
+	}
 }

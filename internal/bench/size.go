@@ -13,18 +13,28 @@ import (
 
 // SizeRow is one module's binary-size overhead (paper §5.4).
 type SizeRow struct {
-	Name          string
-	OriginalBytes int
-	NaiveBytes    int
-	OptBytes      int // loop-based (all optimisations)
-	NaivePct      float64
-	OptPct        float64
+	Name          string  `json:"name"`
+	OriginalBytes int     `json:"original_bytes"`
+	NaiveBytes    int     `json:"naive_bytes"`
+	OptBytes      int     `json:"opt_bytes"` // loop-based (all optimisations)
+	NaivePct      float64 `json:"naive_pct"`
+	OptPct        float64 `json:"opt_pct"`
+}
+
+// SizeResult is the §5.4 table with the min/max summary the paper reports.
+type SizeResult struct {
+	Paper       string    `json:"paper"`
+	NaiveMinPct float64   `json:"naive_min_pct"`
+	NaiveMaxPct float64   `json:"naive_max_pct"`
+	OptMinPct   float64   `json:"opt_min_pct"`
+	OptMaxPct   float64   `json:"opt_max_pct"`
+	Rows        []SizeRow `json:"rows"`
 }
 
 // RunSizeTable reproduces the §5.4 binary-size experiment over every
 // evaluation module: all 29 PolyBench kernels plus the six scenario
 // workloads, encoded to wasm binaries before and after instrumentation.
-func RunSizeTable() ([]SizeRow, error) {
+func RunSizeTable() (*SizeResult, error) {
 	type namedModule struct {
 		name string
 		mod  *wasm.Module
@@ -60,7 +70,7 @@ func RunSizeTable() ([]SizeRow, error) {
 		mods = append(mods, namedModule{s.name, m})
 	}
 
-	var rows []SizeRow
+	fig := &SizeResult{Paper: "naive +4%..+39%, optimised +4%..+27%"}
 	for _, nm := range mods {
 		orig, err := wasmbin.Encode(nm.mod)
 		if err != nil {
@@ -82,16 +92,22 @@ func RunSizeTable() ([]SizeRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, SizeRow{
+		r := SizeRow{
 			Name:          nm.name,
 			OriginalBytes: len(orig),
 			NaiveBytes:    len(naiveBin),
 			OptBytes:      len(optBin),
 			NaivePct:      pct(len(orig), len(naiveBin)),
 			OptPct:        pct(len(orig), len(optBin)),
-		})
+		}
+		if len(fig.Rows) == 0 {
+			fig.NaiveMinPct, fig.NaiveMaxPct, fig.OptMinPct, fig.OptMaxPct = r.NaivePct, r.NaivePct, r.OptPct, r.OptPct
+		}
+		fig.NaiveMinPct, fig.NaiveMaxPct = min(fig.NaiveMinPct, r.NaivePct), max(fig.NaiveMaxPct, r.NaivePct)
+		fig.OptMinPct, fig.OptMaxPct = min(fig.OptMinPct, r.OptPct), max(fig.OptMaxPct, r.OptPct)
+		fig.Rows = append(fig.Rows, r)
 	}
-	return rows, nil
+	return fig, nil
 }
 
 func pct(before, after int) float64 {
@@ -101,30 +117,16 @@ func pct(before, after int) float64 {
 	return (float64(after)/float64(before) - 1) * 100
 }
 
-// PrintSizeTable renders the rows plus the min/max summary the paper
-// reports (naive +4..39%, optimised +4..27%).
-func PrintSizeTable(w io.Writer, rows []SizeRow) {
+// PrintSizeTable renders the rows plus the min/max summary.
+func PrintSizeTable(w io.Writer, fig *SizeResult) {
 	tw := newTab(w)
 	fmt.Fprintln(tw, "module\toriginal\tnaive\topt\tnaive%\topt%")
-	minN, maxN := rows[0].NaivePct, rows[0].NaivePct
-	minO, maxO := rows[0].OptPct, rows[0].OptPct
-	for _, r := range rows {
+	for _, r := range fig.Rows {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%+.1f%%\t%+.1f%%\n",
 			r.Name, r.OriginalBytes, r.NaiveBytes, r.OptBytes, r.NaivePct, r.OptPct)
-		if r.NaivePct < minN {
-			minN = r.NaivePct
-		}
-		if r.NaivePct > maxN {
-			maxN = r.NaivePct
-		}
-		if r.OptPct < minO {
-			minO = r.OptPct
-		}
-		if r.OptPct > maxO {
-			maxO = r.OptPct
-		}
 	}
 	_ = tw.Flush()
-	fmt.Fprintf(w, "naive: %+.1f%% .. %+.1f%% (paper: +4%%..+39%%); optimised: %+.1f%% .. %+.1f%% (paper: +4%%..+27%%)\n",
-		minN, maxN, minO, maxO)
+	fmt.Fprintf(w, "naive: %+.1f%% .. %+.1f%%; optimised: %+.1f%% .. %+.1f%%\n",
+		fig.NaiveMinPct, fig.NaiveMaxPct, fig.OptMinPct, fig.OptMaxPct)
+	fmt.Fprintf(w, "paper: %s\n", fig.Paper)
 }

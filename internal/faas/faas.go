@@ -82,9 +82,9 @@ func (s Setup) String() string {
 }
 
 // JSDispatchCost models the OpenFaaS classic-watchdog fork/exec plus Docker
-// network hop the paper's JS baseline pays on every request (DESIGN.md §1:
-// modelled, since Docker is unavailable here). It is busy-waited, not
-// slept, because the watchdog burns CPU on fork+exec.
+// network hop the paper's JS baseline pays on every request (modelled, since
+// Docker is unavailable here: README, "Paper versus measured"). It is
+// busy-waited, not slept, because the watchdog burns CPU on fork+exec.
 var JSDispatchCost = 12 * time.Millisecond
 
 // Server is the FaaS gateway for one function in one setup. The function

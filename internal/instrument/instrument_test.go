@@ -46,8 +46,8 @@ func instrumentedCount(t *testing.T, m *wasm.Module, lvl instrument.Level, tbl *
 	return c
 }
 
-// checkAllLevels asserts the exactness invariant (DESIGN.md §4.1) for one
-// module/entry/args combination.
+// checkAllLevels asserts the exactness invariant (README, "Where accounting
+// exactness is enforced") for one module/entry/args combination.
 func checkAllLevels(t *testing.T, m *wasm.Module, export string, args ...uint64) {
 	t.Helper()
 	for _, tbl := range []*weights.Table{weights.Unit(), weights.Calibrated()} {

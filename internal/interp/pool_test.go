@@ -24,7 +24,7 @@ import (
 // arbitrarily dirtied by previous runs.
 
 // collectObs runs entry on an existing VM and captures the observation
-// (the pooled-path counterpart of observe in flat_test.go).
+// (the pooled-path counterpart of observe in differential_test.go).
 func collectObs(t *testing.T, vm *interp.VM, entry string, args ...uint64) obs {
 	t.Helper()
 	res, err := vm.InvokeExport(entry, args...)

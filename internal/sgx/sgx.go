@@ -4,11 +4,12 @@
 // reproduces the performance cliff of hardware enclaves whose working set
 // exceeds the enclave page cache.
 //
-// Substitution note (DESIGN.md §1): real SGX hardware is unavailable in
-// this environment. The simulation preserves the property the paper relies
-// on — both parties can cryptographically verify *which code* produced an
-// artefact before trusting it — using SHA-256 measurements and ECDSA-P256
-// signatures, and it preserves the performance *shape* via the EPC model.
+// Substitution note (README, "Paper versus measured"): real SGX hardware is
+// unavailable in this environment. The simulation preserves the property
+// the paper relies on — both parties can cryptographically verify *which
+// code* produced an artefact before trusting it — using SHA-256
+// measurements and ECDSA-P256 signatures, and it preserves the performance
+// *shape* via the EPC model.
 package sgx
 
 import (

@@ -2,6 +2,8 @@ package binary_test
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -124,3 +126,67 @@ func TestFloatConstRoundTrip(t *testing.T) {
 
 func mathFloat32bits(f float32) uint32 { return uint32(wasm.ConstF32(f).U64) }
 func mathFloat64bits(f float64) uint64 { return wasm.ConstF64(f).U64 }
+
+// uleb is the unsigned LEB128 encoding of v.
+func uleb(v uint32) []byte {
+	var out []byte
+	for {
+		b := byte(v & 0x7f)
+		if v >>= 7; v == 0 {
+			return append(out, b)
+		}
+		out = append(out, b|0x80)
+	}
+}
+
+// TestDecodeLocalsCeiling: locals are run-length encoded, so a function
+// body of eight bytes can declare 2^32-1 of them. The decoder refuses a
+// function past MaxLocals before it appends anything for the offending
+// run, and a refused module costs less than 1 MiB to refuse.
+func TestDecodeLocalsCeiling(t *testing.T) {
+	type run struct {
+		n  uint32
+		vt wasm.ValueType
+	}
+	for _, tc := range []struct {
+		name    string
+		runs    []run
+		wantErr bool
+	}{
+		{"eight-byte body, 2^32-1 locals", []run{{1<<32 - 1, wasm.I32}}, true},
+		{"2^24 locals in one run", []run{{1 << 24, wasm.I32}}, true},
+		{"second run crosses the limit", []run{{binary.MaxLocals, wasm.I32}, {1, wasm.I64}}, true},
+		{"exactly at the limit", []run{{binary.MaxLocals, wasm.I32}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := uleb(uint32(len(tc.runs)))
+			for _, r := range tc.runs {
+				body = append(append(body, uleb(r.n)...), byte(r.vt))
+			}
+			body = append(body, 0x0B) // end
+			code := append(append([]byte{1}, uleb(uint32(len(body)))...), body...)
+			mod := []byte{0, 'a', 's', 'm', 1, 0, 0, 0,
+				1, 4, 1, 0x60, 0, 0, // one type: () -> ()
+				3, 2, 1, 0, // one function of that type
+				10}
+			mod = append(append(mod, uleb(uint32(len(code)))...), code...)
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := binary.Decode(mod)
+			runtime.ReadMemStats(&after)
+			if !tc.wantErr {
+				if err != nil || len(m.Funcs[0].Locals) != binary.MaxLocals {
+					t.Fatalf("a function with exactly MaxLocals locals: %v", err)
+				}
+				return
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Errorf("decoding a %d-byte module allocated %d bytes", len(mod), got)
+			}
+			if err == nil || !strings.Contains(err.Error(), "too many locals (limit 50000)") {
+				t.Errorf("err = %v, want the locals ceiling", err)
+			}
+		})
+	}
+}

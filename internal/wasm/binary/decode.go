@@ -390,6 +390,11 @@ func decodeElements(r *reader, m *wasm.Module) error {
 	return nil
 }
 
+// MaxLocals is the most locals one function may declare (the ceiling
+// browsers' engines apply). Locals are run-length encoded, so without it a
+// few bytes of function body ask the decoder for 2^32-1 entries.
+const MaxLocals = 50_000
+
 func decodeCode(r *reader, m *wasm.Module) error {
 	n, err := r.u32()
 	if err != nil {
@@ -421,6 +426,9 @@ func decodeCode(r *reader, m *wasm.Module) error {
 			vt, err := br.byte()
 			if err != nil {
 				return err
+			}
+			if uint64(len(f.Locals))+uint64(cnt) > MaxLocals {
+				return fmt.Errorf("func %d: too many locals (limit %d)", i, MaxLocals)
 			}
 			for k := uint32(0); k < cnt; k++ {
 				f.Locals = append(f.Locals, wasm.ValueType(vt))
