@@ -18,6 +18,8 @@
 //	                               # structured on the microbenchmarks,
 //	                               # call inlining must beat the no-inline
 //	                               # baseline by ≥ 1.15x geomean,
+//	                               # a compiled module must keep ≤ 160 B per
+//	                               # instrumented instruction,
 //	                               # spill-mode retention must hold ≥ 0.35x bounded,
 //	                               # GOMAXPROCS=4 must reach ≥ 1.8x GOMAXPROCS=1
 //	                               # on hosts with ≥ 4 CPUs
@@ -203,6 +205,7 @@ func printInterp(in *bench.Interp) {
 	bench.PrintMicro(os.Stdout, in.Micro)
 	bench.PrintInstrumented(os.Stdout, in.Instrumented)
 	bench.PrintCalls(os.Stdout, in.Calls)
+	bench.PrintCompiled(os.Stdout, in.Compiled)
 }
 
 // smoke runs the CI gates and fails on the first one that does not hold.
@@ -217,6 +220,9 @@ func smoke(trials int) error {
 		return err
 	}
 	if err := bench.CheckCallGate(in.Calls, bench.CallSmokeFloor); err != nil {
+		return err
+	}
+	if err := bench.CheckCompiledGate(in.Compiled, bench.CompiledSmokeCeiling); err != nil {
 		return err
 	}
 	fmt.Println("gates passed")

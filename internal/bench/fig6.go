@@ -21,6 +21,11 @@ type Fig6Row struct {
 	Instrumented float64 `json:"wasm_sgx_hw_instrumented"`
 	// EPCFaults is the hardware-mode page-fault count (explains blow-ups).
 	EPCFaults uint64 `json:"epc_faults"`
+	// SimCycles and HWCycles are the simulated enclave cycles of the SIM and
+	// HW runs, which WASMSGXSim and WASMSGXHW add to wall time: modelled, so
+	// no scheduler hiccup moves them, and paging only ever adds to them.
+	SimCycles uint64 `json:"sim_cycles"`
+	HWCycles  uint64 `json:"hw_cycles"`
 }
 
 // Fig6Result is Fig. 6 with the means §5.1 quotes.
@@ -135,6 +140,8 @@ func RunFig6(kernels []string, trials int) (*Fig6Result, error) {
 			WASMSGXHW:    effectiveNs(hwD, hwC) / nat,
 			Instrumented: effectiveNs(instD, instC) / nat,
 			EPCFaults:    faults,
+			SimCycles:    simC,
+			HWCycles:     hwC,
 		})
 	}
 	for _, r := range fig.Rows {

@@ -73,16 +73,18 @@ type Paper struct {
 
 // Interp holds the rows `make bench-smoke` gates the engine on: register
 // over structured on the microbenchmarks, instrumented over plain resize,
-// inlined over DisableInline on the call suite.
+// inlined over DisableInline on the call suite, and the heap a compiled
+// module keeps.
 type Interp struct {
 	MicroGeomean float64         `json:"micro_geomean"`
 	CallGeomean  float64         `json:"call_geomean"`
 	Micro        []MicroRow      `json:"micro"`
 	Instrumented InstrumentedRow `json:"instrumented"`
 	Calls        []CallRow       `json:"calls"`
+	Compiled     CompiledRow     `json:"compiled"`
 }
 
-// RunInterp measures the interp section (best of trials per row).
+// RunInterp measures the interp section (best of trials per timed row).
 func RunInterp(trials int) (*Interp, error) {
 	micro, err := RunMicro(trials)
 	if err != nil {
@@ -96,9 +98,13 @@ func RunInterp(trials int) (*Interp, error) {
 	if err != nil {
 		return nil, err
 	}
+	compiled, err := RunCompiled()
+	if err != nil {
+		return nil, err
+	}
 	return &Interp{
 		MicroGeomean: MicroGeomean(micro), CallGeomean: CallGeomean(calls),
-		Micro: micro, Instrumented: inst, Calls: calls,
+		Micro: micro, Instrumented: inst, Calls: calls, Compiled: compiled,
 	}, nil
 }
 

@@ -74,7 +74,8 @@ func TestManifestOneRunOneStamp(t *testing.T) {
 		t.Error("a figure lost the paper's stated shape")
 	}
 	if len(m.Interp.Micro) != 2 || len(m.Interp.Calls) != 4 || m.Interp.Instrumented.Overhead <= 0 ||
-		m.Interp.MicroGeomean <= 0 || m.Interp.CallGeomean <= 0 {
+		m.Interp.MicroGeomean <= 0 || m.Interp.CallGeomean <= 0 || m.Interp.Compiled.Modules != 33 ||
+		m.Interp.Compiled.BytesPerInstr <= 0 {
 		t.Errorf("interp section %+v", m.Interp)
 	}
 	if m.Ledger.Audit.Records != 1000 || len(m.Ledger.Retention) != 3*len(bench.RetentionProcs) {

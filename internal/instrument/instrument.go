@@ -186,7 +186,11 @@ func instrumentFunc(m *wasm.Module, f *wasm.Func, counter uint32, opts Options, 
 	if len(inserts) == 0 {
 		return nil
 	}
-	newBody := make([]wasm.Instr, 0, len(f.Body)+len(inserts)*4)
+	n := len(f.Body)
+	for _, extra := range inserts {
+		n += len(extra)
+	}
+	newBody := make([]wasm.Instr, 0, n)
 	for pc, in := range f.Body {
 		if extra, ok := inserts[pc]; ok {
 			newBody = append(newBody, extra...)

@@ -31,15 +31,17 @@ import (
 //
 // The pass is cost-model-independent: per-segment cost sums live in the
 // CompiledModule's per-fingerprint cache (module.go), not in the flat IR,
-// so one artifact serves instantiations under any cost model.
+// so one artifact serves instantiations under any cost model. The flat IR
+// lives only as long as Compile: once the register stream is built, trim
+// (module.go) drops it.
 
-// ctrlMeta holds the pre-resolved structure for a pc: for block/loop/if the
-// matching end (and else); for end/else the header. The structured reference
-// engine interprets branches through it.
+// ctrlMeta holds the pre-resolved structure for a pc of the pre-inline body:
+// for block/loop/if the matching end (and else); for end/else the header.
+// The structured reference engine interprets branches through it.
 type ctrlMeta struct {
-	end   int // pc of matching end (for block/loop/if); for end/else: start pc
-	els   int // pc of else for if, or -1
-	arity int // number of values the label yields
+	end   int32 // pc of matching end (for block/loop/if); for end/else: start pc
+	els   int32 // pc of else for if, or -1
+	arity int32 // number of values the label yields
 }
 
 // flatTarget is one precompiled branch edge: continuation pc, the stack
@@ -52,17 +54,15 @@ type flatTarget struct {
 
 // flatOp is the per-pc lowered metadata the register lowering compiles from.
 // target/height/arity describe the taken-branch edge of br/br_if, the
-// false edge of if, and the end-continuation of else. segEnd is the pc of
-// the enclosing segment's last instruction (trap rollback bound). segCnt is
-// non-zero exactly at segment leaders and holds the segment's instruction
-// count; the segment's InstrCost sum is looked up in the artifact's
-// per-cost-model tables.
+// false edge of if, and the end-continuation of else. segCnt is non-zero
+// exactly at segment leaders and holds the segment's instruction count; the
+// segment's last pc is in compiledFunc.segEnd, and its InstrCost sum is
+// looked up in the artifact's per-cost-model tables.
 type flatOp struct {
 	table  []flatTarget // br_table edges; last entry is the default
 	target int32
 	height int32
 	segCnt int32
-	segEnd int32
 	arity  int32
 	flags  uint8 // call-path metadata, see fInl*/fCallDef
 }
@@ -92,7 +92,7 @@ const (
 )
 
 // compile builds both engines' front-end representations for one function:
-// the ctrl sidetable (structured reference engine) and the flat IR (which
+// the sctrl sidetable (structured reference engine) and the flat IR (which
 // the default engine's register lowering consumes).
 // One cfg.Build provides the control matching, the segment boundaries and
 // the structural validation for both.
@@ -123,23 +123,23 @@ func compile(m *wasm.Module, f *wasm.Func) (compiledFunc, error) {
 // the shared CFG matching.
 func buildCtrl(cf *compiledFunc, g *cfg.Graph) {
 	body := cf.body
-	cf.ctrl = make([]ctrlMeta, len(body))
+	cf.sctrl = make([]ctrlMeta, len(body))
 	for pc, in := range body {
 		switch in.Op {
 		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
 			mi := g.Match[pc]
-			arity := 0
+			var arity int32
 			if _, ok := in.BT.Value(); ok {
 				arity = 1
 			}
-			cf.ctrl[pc] = ctrlMeta{end: mi.EndPC, els: mi.ElsePC, arity: arity}
+			cf.sctrl[pc] = ctrlMeta{end: int32(mi.EndPC), els: int32(mi.ElsePC), arity: arity}
 		case wasm.OpElse:
-			cf.ctrl[pc] = ctrlMeta{end: g.Match[pc].EndPC, els: -1}
+			cf.sctrl[pc] = ctrlMeta{end: int32(g.Match[pc].EndPC), els: -1}
 		case wasm.OpEnd:
 			if mi, ok := g.Match[pc]; ok {
-				cf.ctrl[pc] = ctrlMeta{end: mi.HdrPC, els: -1}
+				cf.sctrl[pc] = ctrlMeta{end: int32(mi.HdrPC), els: -1}
 			} else {
-				cf.ctrl[pc] = ctrlMeta{end: -1, els: -1} // function-final end
+				cf.sctrl[pc] = ctrlMeta{end: -1, els: -1} // function-final end
 			}
 		}
 	}
@@ -169,9 +169,10 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph) error {
 
 	// Accounting tables: per-segment instruction counts charged at leaders
 	// (cost sums are derived per cost-model fingerprint in module.go).
+	cf.segEnd = make([]int32, len(body))
 	end := int32(len(body) - 1)
 	for pc := len(body) - 1; pc >= 0; pc-- {
-		flat[pc].segEnd = end
+		cf.segEnd[pc] = end
 		if leader[pc] {
 			flat[pc].segCnt = end - int32(pc) + 1
 			end = int32(pc) - 1
@@ -203,7 +204,7 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph) error {
 		case fr.opener == wasm.OpLoop: // backward edge, no results
 			return flatTarget{pc: int32(fr.hdr + 1), height: fr.height, arity: 0}, nil
 		default:
-			return flatTarget{pc: int32(cf.ctrl[fr.hdr].end + 1), height: fr.height, arity: fr.results}, nil
+			return flatTarget{pc: cf.sctrl[fr.hdr].end + 1, height: fr.height, arity: fr.results}, nil
 		}
 	}
 
@@ -214,7 +215,7 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph) error {
 		case wasm.OpBlock, wasm.OpLoop:
 			frames = append(frames, lframe{
 				opener: in.Op, hdr: pc, height: h,
-				results: int32(cf.ctrl[pc].arity), dead: dead,
+				results: cf.sctrl[pc].arity, dead: dead,
 			})
 		case wasm.OpIf:
 			if !dead {
@@ -222,12 +223,12 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph) error {
 			}
 			frames = append(frames, lframe{
 				opener: in.Op, hdr: pc, height: h,
-				results: int32(cf.ctrl[pc].arity), dead: dead,
+				results: cf.sctrl[pc].arity, dead: dead,
 			})
-			if els := cf.ctrl[pc].els; els >= 0 {
-				flat[pc].target = int32(els + 1)
+			if els := cf.sctrl[pc].els; els >= 0 {
+				flat[pc].target = els + 1
 			} else {
-				flat[pc].target = int32(cf.ctrl[pc].end + 1)
+				flat[pc].target = cf.sctrl[pc].end + 1
 			}
 		case wasm.OpElse:
 			fr := &frames[len(frames)-1]
@@ -235,7 +236,7 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph) error {
 			dead = fr.dead
 			// Fallthrough from the then-arm continues after the matching
 			// end; the end it skips is charged by the engine inline.
-			flat[pc].target = int32(cf.ctrl[pc].end + 1)
+			flat[pc].target = cf.sctrl[pc].end + 1
 		case wasm.OpEnd:
 			if len(frames) > 1 {
 				fr := frames[len(frames)-1]

@@ -2,12 +2,14 @@ package interp
 
 import (
 	"testing"
+	"unsafe"
 
+	"acctee/internal/polybench"
 	"acctee/internal/wasm"
 )
 
-// TestLoweredSidetable pins the lowering pass output on a hand-checked
-// body: branch targets, truncation heights, copy arities, segment leaders
+// TestLoweredSidetable pins the lowering pass output (lowerModule: Compile
+// drops these tables) on a hand-checked body: branch targets, truncation heights, copy arities, segment leaders
 // and the stack high-water mark.
 func TestLoweredSidetable(t *testing.T) {
 	b := wasm.NewModule("st")
@@ -46,11 +48,11 @@ func TestLoweredSidetable(t *testing.T) {
 		}
 	}
 
-	vm, err := Instantiate(m, Config{})
+	cm, err := lowerModule(m, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := &vm.funcs[0]
+	cf := &cm.funcs[0]
 
 	// br_if 0 (pc 4) targets past the inner block's end, truncating to the
 	// operand height at inner-block entry (1: the const 1000), copying
@@ -93,11 +95,11 @@ func TestLoweredIfElseTargets(t *testing.T) {
 	m := b.MustBuild()
 	// 0: local.get  1: if  2: i32.const 1  3: else  4: i32.const 2
 	// 5: end  6: end(function)
-	vm, err := Instantiate(m, Config{})
+	cm, err := lowerModule(m, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf := &vm.funcs[0]
+	cf := &cm.funcs[0]
 	if got := cf.flat[1].target; got != 4 {
 		t.Errorf("if false-edge target = %d, want 4 (after else)", got)
 	}
@@ -114,11 +116,57 @@ func TestLoweredIfElseTargets(t *testing.T) {
 	}, nil)
 	b2.ExportFunc("f", g.End())
 	// 0: local.get  1: if  2: nop  3: end  4: end(function)
-	vm2, err := Instantiate(b2.MustBuild(), Config{})
+	cm2, err := lowerModule(b2.MustBuild(), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := vm2.funcs[0].flat[1].target; got != 4 {
+	if got := cm2.funcs[0].flat[1].target; got != 4 {
 		t.Errorf("if-without-else false-edge target = %d, want 4", got)
+	}
+}
+
+// funcID is the identity of a func value: the closure object it points to.
+// Every use of one top-level function shares one; two closures made by the
+// same literal do not.
+func funcID(f regFn) uintptr { return *(*uintptr)(unsafe.Pointer(&f)) }
+
+// TestCompileTrimsLoweringTables checks what a compiled artifact keeps: no
+// function retains the lowering passes' flat sidetables or reachability map,
+// and every statement-interior pc holds the one shared guard rather than a
+// closure of its own.
+func TestCompileTrimsLoweringTables(t *testing.T) {
+	k, err := polybench.Get("gemm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gemm, err := k.Build(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*wasm.Module{"wb": wbModule(), "gemm": gemm} {
+		cm, err := Compile(m, CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		interior := 0
+		for fi := range cm.funcs {
+			cf := &cm.funcs[fi]
+			if cf.flat != nil || cf.sflat != nil || cf.preDead != nil {
+				t.Errorf("%s func %d: lowering tables kept (flat %v, sflat %v, preDead %v)",
+					name, fi, cf.flat != nil, cf.sflat != nil, cf.preDead != nil)
+			}
+			for pc := range cf.body {
+				if cf.reg.wid[pc] != 0 {
+					continue
+				}
+				interior++
+				if funcID(cf.reg.ops[pc]) != funcID(regInterior) {
+					t.Errorf("%s func %d pc %d: interior pc holds its own closure", name, fi, pc)
+				}
+			}
+		}
+		if interior == 0 {
+			t.Errorf("%s: no statement-interior pc: nothing checked", name)
+		}
 	}
 }

@@ -41,7 +41,7 @@ func i32u(v int32) uint64   { return uint64(uint32(v)) }
 // per-instruction totals (the trapping instruction itself stays charged,
 // matching the reference engine).
 func (vm *VM) rollback(f *compiledFunc, fc *funcCosts, pc int) {
-	end := int(f.flat[pc].segEnd)
+	end := int(f.segEnd[pc])
 	n := uint64(end - pc)
 	if n == 0 {
 		return

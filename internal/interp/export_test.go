@@ -17,7 +17,7 @@ func (cm *CompiledModule) RegSpans(fi int) []RegSpan {
 	cf := &cm.funcs[fi]
 	var out []RegSpan
 	for pc := 0; pc < len(cf.body); pc += int(cf.reg.wid[pc]) {
-		out = append(out, RegSpan{PC: pc, Width: int(cf.reg.wid[pc]), Leader: cf.flat[pc].segCnt != 0, Op: cf.body[pc].Op})
+		out = append(out, RegSpan{PC: pc, Width: int(cf.reg.wid[pc]), Leader: cf.reg.seg[pc] != 0, Op: cf.body[pc].Op})
 	}
 	return out
 }
@@ -38,11 +38,15 @@ func (cm *CompiledModule) RegCmpBranches() int {
 
 // RegLeafOperands re-lowers the statement of function fi that starts at pc
 // and reports how many leaf evaluators it builds (its share of
-// RegStats.LeafOperands).
+// RegStats.LeafOperands). The statement is lowered again from an untrimmed
+// lowering of the module (default options): Compile keeps no flat IR.
 func (cm *CompiledModule) RegLeafOperands(fi, pc int) int {
-	cf := &cm.funcs[fi]
-	n := len(cf.body)
-	rl := &regLowering{cm: cm, cf: cf, numLoc: cf.numLoc, regCode: &regCode{ops: make([]regFn, n), spec: make([]bool, n)}}
+	lm, err := lowerModule(cm.m, CompileOptions{})
+	if err != nil {
+		panic(err)
+	}
+	cf := &lm.funcs[fi]
+	rl := &regLowering{cm: lm, cf: cf, numLoc: cf.numLoc, regCode: &regCode{ops: make([]regFn, len(cf.body))}}
 	rl.emit(pc)
 	return rl.leafOps
 }

@@ -189,8 +189,8 @@ func inlineInto(cm *CompiledModule, i, nimp int, grown []int, st *InlineStats) b
 // correct: their stored heights shift with everything else.
 func spliceSites(cm *CompiledModule, i int, sites []inlineSite) {
 	cf := &cm.funcs[i]
-	oldBody, oldFlat := cf.body, cf.flat
-	oldCtrl, oldPreH, oldPreDead := cf.ctrl, cf.preH, cf.preDead
+	oldBody, oldFlat, oldSegEnd := cf.body, cf.flat, cf.segEnd
+	oldPreH, oldPreDead := cf.preH, cf.preDead
 
 	extra := 0
 	for _, s := range sites {
@@ -199,7 +199,7 @@ func spliceSites(cm *CompiledModule, i int, sites []inlineSite) {
 	n := len(oldBody) + extra
 	nb := make([]wasm.Instr, 0, n)
 	nf := make([]flatOp, 0, n)
-	nc := make([]ctrlMeta, 0, n)
+	ne := make([]int32, 0, n)
 	nh := make([]int32, 0, n)
 	nd := make([]bool, 0, n)
 	// pcMap[old pc] = new pc, including the virtual function-exit pc
@@ -216,7 +216,7 @@ func spliceSites(cm *CompiledModule, i int, sites []inlineSite) {
 		pcMap[pc] = int32(len(nb))
 		nb = append(nb, oldBody[pc])
 		nf = append(nf, oldFlat[pc])
-		nc = append(nc, oldCtrl[pc])
+		ne = append(ne, oldSegEnd[pc])
 		nh = append(nh, oldPreH[pc])
 		nd = append(nd, oldPreDead[pc])
 		fromCaller = append(fromCaller, true)
@@ -239,12 +239,11 @@ func spliceSites(cm *CompiledModule, i int, sites []inlineSite) {
 				}
 				nb = append(nb, in)
 				fo := ce.flat[q]
-				fo.segEnd += base
 				if fo.flags&fInlEnd != 0 {
 					fo.height += heightShift
 				}
 				nf = append(nf, fo)
-				nc = append(nc, ce.ctrl[q])
+				ne = append(ne, ce.segEnd[q]+base)
 				nh = append(nh, ce.preH[q]+heightShift)
 				nd = append(nd, false)
 				fromCaller = append(fromCaller, false)
@@ -269,7 +268,7 @@ func spliceSites(cm *CompiledModule, i int, sites []inlineSite) {
 			continue
 		}
 		fo := &nf[npc]
-		fo.segEnd = pcMap[fo.segEnd]
+		ne[npc] = pcMap[ne[npc]]
 		switch nb[npc].Op {
 		case wasm.OpIf, wasm.OpElse, wasm.OpBr, wasm.OpBrIf:
 			fo.target = pcMap[fo.target]
@@ -281,22 +280,9 @@ func spliceSites(cm *CompiledModule, i int, sites []inlineSite) {
 			}
 			fo.table = tbl
 		}
-		switch nb[npc].Op {
-		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf, wasm.OpElse:
-			co := &nc[npc]
-			co.end = int(pcMap[co.end])
-			if co.els >= 0 {
-				co.els = int(pcMap[co.els])
-			}
-		case wasm.OpEnd:
-			co := &nc[npc]
-			if co.end >= 0 {
-				co.end = int(pcMap[co.end])
-			}
-		}
 	}
 
-	cf.body, cf.flat, cf.ctrl = nb, nf, nc
+	cf.body, cf.flat, cf.segEnd = nb, nf, ne
 	cf.preH, cf.preDead = nh, nd
 	cf.maxStack = maxStack
 }

@@ -6,7 +6,8 @@ import (
 	"acctee/internal/wasm"
 )
 
-// White-box invariants for the inlining pass and finalizeCalls: the spliced
+// White-box invariants for the inlining pass and finalizeCalls, read from an
+// untrimmed lowering (lowerModule): the spliced
 // flat IR must keep the structural properties the engines rely on — segments
 // tile the body, markers and inline-ends are segment-final, call flags are
 // mutually exclusive and total, inline-cache site ids are dense — and
@@ -46,7 +47,7 @@ func wbModule() *wasm.Module {
 }
 
 func TestInlineArtifactInvariants(t *testing.T) {
-	cm, err := Compile(wbModule(), CompileOptions{})
+	cm, err := lowerModule(wbModule(), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +75,12 @@ func TestInlineArtifactInvariants(t *testing.T) {
 			if fl.segCnt == 0 {
 				t.Fatalf("func %d: pc %d expected a segment leader", fi, pc)
 			}
-			if int(fl.segEnd) != pc+int(fl.segCnt)-1 {
+			if int(cf.segEnd[pc]) != pc+int(fl.segCnt)-1 {
 				t.Errorf("func %d: leader %d segEnd %d != leader+cnt-1 %d",
-					fi, pc, fl.segEnd, pc+int(fl.segCnt)-1)
+					fi, pc, cf.segEnd[pc], pc+int(fl.segCnt)-1)
 			}
 			sum += int(fl.segCnt)
-			pc = int(fl.segEnd) + 1
+			pc = int(cf.segEnd[pc]) + 1
 		}
 		if sum != len(cf.body) {
 			t.Errorf("func %d: segment counts sum %d != body len %d", fi, sum, len(cf.body))
@@ -96,7 +97,7 @@ func TestInlineArtifactInvariants(t *testing.T) {
 				if fl.flags&fCallDef != 0 {
 					t.Errorf("func %d pc %d: marker also flagged as residual call", fi, pc)
 				}
-				if int(fl.segEnd) != pc {
+				if int(cf.segEnd[pc]) != pc {
 					t.Errorf("func %d pc %d: marker not segment-final", fi, pc)
 				}
 			}
@@ -105,7 +106,7 @@ func TestInlineArtifactInvariants(t *testing.T) {
 				if op != wasm.OpEnd {
 					t.Errorf("func %d pc %d: fInlEnd on %v", fi, pc, op)
 				}
-				if int(fl.segEnd) != pc {
+				if int(cf.segEnd[pc]) != pc {
 					t.Errorf("func %d pc %d: inline end not segment-final", fi, pc)
 				}
 			}
@@ -172,7 +173,7 @@ func TestInlineOversizedCalleeSkipped(t *testing.T) {
 }
 
 func TestDisableInlineLeavesNoMarkers(t *testing.T) {
-	cm, err := Compile(wbModule(), CompileOptions{DisableInline: true})
+	cm, err := lowerModule(wbModule(), CompileOptions{DisableInline: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -426,9 +426,16 @@ func pureJumpOp(body []wasm.Instr, pc int) bool {
 // at every level, what the two lowering changes buy: every `compare;
 // update; br_if/if` is one statement, as many branches test their compare
 // directly as in the plain module, and a whole run never dispatches a
-// closure that would only have returned another index. It logs the
-// dispatches per output channel (128x128 in: 16,384 channels).
+// closure that would only have returned another index. It pins the
+// dispatches of a 128x128 run (16,384 output channels; 42.5 per channel at
+// the loop level) and its InstrCount, which no change to what an artifact
+// keeps may move.
 func TestRegSeesThroughInstrumentation(t *testing.T) {
+	want := map[string]struct{ dispatches, count int }{
+		"naive": {750_026, 5_003_632},
+		"flow":  {663_945, 4_511_592},
+		"loop":  {696_713, 4_478_824},
+	}
 	plainM, err := workloads.BuildResize()
 	if err != nil {
 		t.Fatal(err)
@@ -510,6 +517,9 @@ func TestRegSeesThroughInstrumentation(t *testing.T) {
 				if pureJumpOp(body, pc) && !leader[pc] {
 					t.Fatalf("dispatched pc %d (%v): a non-leader pure jump", pc, body[pc].Op)
 				}
+			}
+			if w := want[lv.name]; len(pcs) != w.dispatches || vm.InstrCount() != uint64(w.count) {
+				t.Errorf("%d dispatches, InstrCount %d; want %d and %d", len(pcs), vm.InstrCount(), w.dispatches, w.count)
 			}
 			t.Logf("%d headers in one statement, %.1f dispatches per output channel", headers, float64(len(pcs))/16384)
 		})

@@ -86,7 +86,9 @@ type Config struct {
 	Imports map[string]HostFunc
 	// Engine selects the execution strategy (default EngineReg).
 	Engine Engine
-	// MaxPages caps linear memory growth regardless of the module's limit.
+	// MaxPages caps linear memory regardless of the module's limit: growth
+	// past it fails, and an instantiation whose module declares more initial
+	// pages is refused with ErrMemoryTooLarge.
 	MaxPages uint32
 	// Fuel, when >0, bounds the number of executed instructions; execution
 	// traps with ErrFuelExhausted when spent. Used by the two-way sandbox to
@@ -195,6 +197,9 @@ type VM struct {
 	dirtyAll   bool
 }
 
+// compiledFunc is one function of the artifact. After Compile it keeps what
+// the engines read; flat, sflat and preDead are the lowering passes' tables
+// and Compile drops them (trim) once the register stream is built.
 type compiledFunc struct {
 	typeIdx  uint32
 	numLoc   int // params + locals
@@ -202,21 +207,24 @@ type compiledFunc struct {
 	nresults int
 	maxStack int // operand-stack high-water mark (stack-home registers per frame)
 	body     []wasm.Instr
-	ctrl     []ctrlMeta // structured-engine control metadata
-	flat     []flatOp   // branch sidetable + segment accounting
-	preH     []int32    // static operand-stack height before each pc
-	preDead  []bool     // pc statically unreachable (after unconditional transfer)
-	reg      *regCode   // register-form direct-threaded stream (EngineReg)
+	preH     []int32  // static operand-stack height before each pc (fuel-tail entry)
+	segEnd   []int32  // last pc of each pc's segment (trap rollback bound)
+	reg      *regCode // register-form direct-threaded stream (EngineReg)
 	name     string
+
+	flat    []flatOp // branch sidetable + segment leaders; lowering only
+	preDead []bool   // pc statically unreachable (after unconditional transfer); lowering only
 
 	// Original (pre-inlining) views, used by the structured reference
 	// engine: the oracle must execute real call frames so differential
 	// tests compare inlined execution against the ground-truth call path.
-	// When the inlining pass leaves a function untouched these alias
-	// body/ctrl/flat.
+	// sseg holds the oracle's segment instruction counts (non-zero at the
+	// leaders where it polls); when the inlining pass leaves a function
+	// untouched sbody aliases body and sseg the register stream's seg.
 	sbody []wasm.Instr
 	sctrl []ctrlMeta
-	sflat []flatOp
+	sseg  []uint32
+	sflat []flatOp // pre-inline flat sidetable; lowering only
 }
 
 // Instantiate compiles and instantiates a module in one step. Callers that

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -14,15 +15,17 @@ import (
 // This file implements the compile-once/run-many split (paper §3.3:
 // "instrument once, execute many times", and the FaaS gateway of §5.3 that
 // spins up a fresh sandbox per request). Compile produces an immutable
-// CompiledModule — the lowered flat IR, the register-form closure stream,
-// branch/segment sidetables and initialiser templates — that any number of
-// VMs instantiate from without repeating the lowering passes. Per-CostModel
-// segment cost sums are cached on the artifact keyed by the model's
-// per-opcode cost fingerprint, so a fresh stateful model per run (e.g. a new
-// EPC paging model per request) still hits the cache. InstancePool recycles
-// VM slabs (memory, globals, table, call frames) across runs with a
-// deterministic Reset that is observationally identical to a fresh
-// instantiation.
+// CompiledModule — the register-form closure stream with its segment
+// tables, the oracle's pre-inline views and initialiser templates — that any
+// number of VMs instantiate from without repeating the lowering passes. The
+// passes' own tables (the flat IR) are dropped once the stream is built: an
+// artifact stays resident while its module is deployed, inside an enclave in
+// EPC. Per-CostModel segment cost sums are cached on the artifact keyed by
+// the model's per-opcode cost fingerprint, so a fresh stateful model per run
+// (e.g. a new EPC paging model per request) still hits the cache.
+// InstancePool recycles VM slabs (memory, globals, table, call frames) across
+// runs with a deterministic Reset that is observationally identical to a
+// fresh instantiation.
 
 // CompileOptions parameterise Compile.
 type CompileOptions struct {
@@ -96,11 +99,48 @@ type costTables struct {
 	funcs   []funcCosts
 }
 
-// Compile runs the lowering pass once over every function and returns the
+// MaxTableEntries is the largest table minimum Compile accepts, the limit
+// browser engines apply. A few bytes of table section can declare 2^32-1
+// entries, and the table template is allocated at the minimum.
+const MaxTableEntries = 10_000_000
+
+// Errors for declared minimums above a ceiling, returned before anything is
+// allocated for them.
+var (
+	ErrTableTooLarge  = fmt.Errorf("interp: table minimum above %d entries", MaxTableEntries)
+	ErrMemoryTooLarge = errors.New("interp: memory minimum above Config.MaxPages")
+)
+
+// Compile runs the lowering passes once over every function and returns the
 // shared artifact. The module must already be validated; structural errors
 // (unmatched control, bad branch depths, out-of-bounds data or element
 // segments) are still reported here.
 func Compile(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
+	cm, err := lowerModule(m, opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, model := range opts.CostModels {
+		if model != nil {
+			cm.costTablesFor(model)
+		}
+	}
+	cm.trim()
+	return cm, nil
+}
+
+// trim drops what only the lowering passes read: the flat sidetables (the
+// executable one and the frozen pre-inline one) and the reachability map.
+func (cm *CompiledModule) trim() {
+	for i := range cm.funcs {
+		cf := &cm.funcs[i]
+		cf.flat, cf.sflat, cf.preDead = nil, nil, nil
+	}
+}
+
+// lowerModule is Compile without the trim: every pass runs and every
+// lowering table is kept, which the white-box tests inspect.
+func lowerModule(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 	cm := &CompiledModule{m: m}
 
 	// Imports: record resolution keys; host functions bind per instantiation.
@@ -138,6 +178,9 @@ func Compile(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 
 	// Table template.
 	if len(m.Tables) > 0 {
+		if m.Tables[0].Limits.Min > MaxTableEntries {
+			return nil, ErrTableTooLarge
+		}
 		cm.tableInit = make([]int32, m.Tables[0].Limits.Min)
 		for i := range cm.tableInit {
 			cm.tableInit[i] = -1
@@ -178,7 +221,7 @@ func Compile(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 	// leaves alone these keep aliasing the same arrays.
 	for i := range cm.funcs {
 		cf := &cm.funcs[i]
-		cf.sbody, cf.sctrl, cf.sflat = cf.body, cf.ctrl, cf.flat
+		cf.sbody, cf.sflat = cf.body, cf.flat
 	}
 
 	// Cross-function inlining, then residual-call finalization (fast-path
@@ -191,11 +234,16 @@ func Compile(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 	finalizeCalls(cm)
 	for i := range cm.funcs {
 		regLower(cm, i)
-	}
-
-	for _, model := range opts.CostModels {
-		if model != nil {
-			cm.costTablesFor(model)
+		cf := &cm.funcs[i]
+		// The oracle polls at its pre-inline leaders: the register stream's
+		// where the inliner left the function alone (splicing always grows
+		// a body), the frozen flat's counts where it did not.
+		cf.sseg = cf.reg.seg
+		if len(cf.sbody) != len(cf.body) {
+			cf.sseg = make([]uint32, len(cf.sbody))
+			for pc := range cf.sflat {
+				cf.sseg[pc] = uint32(cf.sflat[pc].segCnt)
+			}
 		}
 	}
 	return cm, nil
@@ -251,9 +299,9 @@ func (cm *CompiledModule) costTablesFor(model CostModel) *costTables {
 			pfx[pc+1] = pfx[pc] + model.InstrCost(in.Op)
 		}
 		seg := make([]uint64, len(cf.body))
-		for pc := range cf.body {
-			if fl := &cf.flat[pc]; fl.segCnt != 0 {
-				seg[pc] = pfx[fl.segEnd+1] - pfx[pc]
+		for pc, n := range cf.reg.seg {
+			if n != 0 {
+				seg[pc] = pfx[pc+int(n)] - pfx[pc]
 			}
 		}
 		t.funcs[i] = funcCosts{segCost: seg, costPfx: pfx}
@@ -298,6 +346,9 @@ func (cm *CompiledModule) instantiate(cfg Config, track bool) (*VM, error) {
 // identical to a newly instantiated one.
 func (vm *VM) Reset(cfg Config) error {
 	cm := vm.cm
+	if cfg.MaxPages > 0 && cm.minMemBytes > int(cfg.MaxPages)*wasm.PageSize {
+		return ErrMemoryTooLarge
+	}
 
 	// Bind the configuration.
 	vm.engine = cfg.Engine

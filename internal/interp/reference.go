@@ -30,7 +30,7 @@ func (vm *VM) execStructured(f *compiledFunc, locals []uint64, stack []uint64) (
 		return nil, ErrCallStackExhausted
 	}
 
-	// The oracle runs the frozen pre-inline views (sbody/sctrl/sflat): every
+	// The oracle runs the frozen pre-inline views (sbody/sctrl/sseg): every
 	// call is a real frame, so the differential suite checks the inliner's
 	// accounting-exactness claim on every run.
 	labels := make([]labelRT, 0, 16)
@@ -49,10 +49,10 @@ func (vm *VM) execStructured(f *compiledFunc, locals []uint64, stack []uint64) (
 		op := in.Op
 
 		// Poll cooperative cancellation at the same program points the
-		// register engine does — segment leaders (flat sidetable segCnt != 0)
-		// — and before charging this instruction, so the abort pc and the
-		// counters are bit-identical across engines.
-		if vm.intr != nil && f.sflat[pc].segCnt != 0 && vm.intr.Load() {
+		// register engine does — segment leaders (sseg[pc] != 0) — and
+		// before charging this instruction, so the abort pc and the counters
+		// are bit-identical across engines.
+		if vm.intr != nil && f.sseg[pc] != 0 && vm.intr.Load() {
 			return nil, ErrInterrupted
 		}
 
@@ -76,9 +76,9 @@ func (vm *VM) execStructured(f *compiledFunc, locals []uint64, stack []uint64) (
 			meta := f.sctrl[pc]
 			l := labelRT{
 				headerPC: pc,
-				endPC:    meta.end,
+				endPC:    int(meta.end),
 				height:   len(stack),
-				arity:    meta.arity,
+				arity:    int(meta.arity),
 				isLoop:   op == wasm.OpLoop,
 			}
 			if op == wasm.OpIf {
@@ -87,11 +87,11 @@ func (vm *VM) execStructured(f *compiledFunc, locals []uint64, stack []uint64) (
 				if cond == 0 {
 					if meta.els >= 0 {
 						labels = append(labels, l)
-						pc = meta.els + 1
+						pc = int(meta.els) + 1
 						continue
 					}
 					// no else: skip past end entirely
-					pc = meta.end + 1
+					pc = int(meta.end) + 1
 					continue
 				}
 			}
@@ -99,7 +99,7 @@ func (vm *VM) execStructured(f *compiledFunc, locals []uint64, stack []uint64) (
 		case wasm.OpElse:
 			// Reached by falling off the then-branch: jump to matching end,
 			// which pops the label.
-			pc = f.sctrl[pc].end
+			pc = int(f.sctrl[pc].end)
 			continue
 		case wasm.OpEnd:
 			if f.sctrl[pc].end == -1 && len(labels) == 0 {

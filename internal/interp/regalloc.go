@@ -2,7 +2,7 @@ package interp
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 
 	"acctee/internal/wasm"
 )
@@ -113,7 +113,11 @@ type regLowering struct {
 	cm     *CompiledModule // for pre-resolving residual-call descriptors
 	cf     *compiledFunc
 	numLoc int
-	// The artifact under construction: ops, spec, wid and the counters.
+	// spec: the closure just emitted is specialised (dedicated handlers with
+	// inline operations) rather than generic (dispatching through applyBin/
+	// applyUn/fastLoad at runtime).
+	spec bool
+	// The artifact under construction: ops, seg, wid and the counters.
 	*regCode
 }
 
@@ -127,13 +131,19 @@ func regLower(cm *CompiledModule, fi int) {
 	n := len(cf.body)
 	rl.ops = make([]regFn, n)
 	rl.seg = make([]uint32, n)
-	rl.spec = make([]bool, n)
 	rl.wid = make([]int32, n)
 	for pc := 0; pc < n; {
+		rl.spec = false
 		w := rl.emit(pc)
 		rl.wid[pc] = int32(w)
+		if rl.spec {
+			rl.specialised += w
+		}
+		if w > 1 {
+			rl.spans++
+		}
 		for q := pc + 1; q < pc+w; q++ {
-			rl.ops[q] = regInteriorFn(q)
+			rl.ops[q] = regInterior
 		}
 		rl.seg[pc] = uint32(cf.flat[pc].segCnt)
 		pc += w
@@ -167,23 +177,25 @@ func (rl *regLowering) thread(pc int) int {
 // home returns the register index of the operand-stack slot at height h.
 func (rl *regLowering) home(h int32) int { return rl.numLoc + int(h) }
 
-// regInteriorFn guards a statement-interior pc. It can never be dispatched
-// (statements never cross segment leaders, the only possible jump targets);
-// reaching one means a lowering bug, reported loudly instead of corrupting.
-func regInteriorFn(pc int) regFn {
-	return func(vm *VM, fr []uint64) int {
-		vm.regErr = fmt.Errorf("interp: internal: jump into register statement interior at pc %d", pc)
-		return regErrRet
-	}
+// regInterior guards every statement-interior pc, one handler shared by all
+// of them. It can never be dispatched (statements never cross segment
+// leaders, the only possible jump targets); reaching one means a lowering
+// bug, reported loudly instead of corrupting.
+func regInterior(vm *VM, fr []uint64) int {
+	vm.regErr = errRegInterior
+	return regErrRet
 }
 
-// regDeadFn guards a statically unreachable pc (preDead).
-func regDeadFn(pc int) regFn {
-	return func(vm *VM, fr []uint64) int {
-		vm.regErr = fmt.Errorf("interp: internal: register engine entered dead code at pc %d", pc)
-		return regErrRet
-	}
+// regDead guards every statically unreachable pc (preDead).
+func regDead(vm *VM, fr []uint64) int {
+	vm.regErr = errRegDead
+	return regErrRet
 }
+
+var (
+	errRegInterior = errors.New("interp: internal: jump into register statement interior")
+	errRegDead     = errors.New("interp: internal: register engine entered dead code")
+)
 
 // regTrapAlways is an instruction whose operands prove it traps on every
 // execution (e.g. a constant-folded division by zero).
@@ -265,7 +277,7 @@ func (rl *regLowering) edge(t flatTarget, hAfter int32) regEdge {
 func (rl *regLowering) emit(pc int) int {
 	cf := rl.cf
 	if cf.preDead[pc] {
-		rl.ops[pc] = regDeadFn(pc)
+		rl.ops[pc] = regDead
 		return 1
 	}
 	if stmtOp(cf.body[pc].Op) {
@@ -602,7 +614,7 @@ func (rl *regLowering) sealStmt(start int, s *stmtState, commit regFn) {
 
 func (rl *regLowering) sealStmtAt(start int, fn regFn, s *stmtState) {
 	rl.ops[start] = fn
-	rl.spec[start] = s.generic == 0
+	rl.spec = s.generic == 0
 	rl.leafOps += s.leaf
 }
 
@@ -1598,7 +1610,7 @@ func (rl *regLowering) emitSingle(pc int, h int32) int {
 	in := &body[pc]
 	numLoc := rl.numLoc
 	next := rl.thread(pc + 1)
-	rl.spec[pc] = true
+	rl.spec = true
 
 	switch in.Op {
 	case wasm.OpUnreachable:
@@ -1825,7 +1837,7 @@ func (rl *regLowering) emitSingle(pc int, h int32) int {
 
 	default:
 		rl.ops[pc] = regTrapAlways(&UnknownOpcodeError{Op: in.Op}, pc)
-		rl.spec[pc] = false
+		rl.spec = false
 	}
 	return 1
 }
@@ -1864,23 +1876,11 @@ func (cm *CompiledModule) RegStats() RegStats {
 		}
 		s.Registers += cf.reg.regs
 		s.Instrs += len(cf.body)
+		s.Specialised += cf.reg.specialised
+		s.Spans += cf.reg.spans
 		s.Threaded += cf.reg.threaded
 		s.InlineUpdates += cf.reg.inlineUpd
 		s.LeafOperands += cf.reg.leafOps
-		for pc := 0; pc < len(cf.body); {
-			w := int(cf.reg.wid[pc])
-			if w == 0 {
-				pc++
-				continue
-			}
-			if cf.reg.spec[pc] {
-				s.Specialised += w
-			}
-			if w > 1 {
-				s.Spans++
-			}
-			pc += w
-		}
 	}
 	return s
 }

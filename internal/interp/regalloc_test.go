@@ -11,7 +11,9 @@ import (
 // closure stream (the properties the accounting-exactness and dispatch
 // arguments rest on) and the coverage the pass achieves on real kernels.
 
-// checkRegInvariants walks every function's register stream and asserts:
+// checkRegInvariants walks every function's register stream of an untrimmed
+// lowering (lowerModule, which keeps the flat IR it is checked against) and
+// asserts:
 //
 //   - every pc has a closure (interior and dead pcs get defensive guards,
 //     so a lowering bug can never dispatch a nil);
@@ -31,7 +33,7 @@ func checkRegInvariants(t *testing.T, name string, cm *CompiledModule) {
 			t.Fatalf("%s func %d: no register stream", name, fi)
 		}
 		rc := cf.reg
-		if len(rc.ops) != len(cf.body) || len(rc.wid) != len(cf.body) || len(rc.spec) != len(cf.body) {
+		if len(rc.ops) != len(cf.body) || len(rc.wid) != len(cf.body) || len(rc.seg) != len(cf.body) {
 			t.Fatalf("%s func %d: stream length mismatch", name, fi)
 		}
 		if rc.regs != cf.numLoc+cf.maxStack {
@@ -59,7 +61,7 @@ func checkRegInvariants(t *testing.T, name string, cm *CompiledModule) {
 					t.Errorf("%s func %d pc %d: interior pc %d is a segment leader", name, fi, pc, q)
 				}
 			}
-			if end := int(cf.flat[pc].segEnd); w > 1 && pc+w-1 > end {
+			if end := int(cf.segEnd[pc]); w > 1 && pc+w-1 > end {
 				t.Errorf("%s func %d pc %d: span [%d,%d] crosses segment end %d", name, fi, pc, pc, pc+w-1, end)
 			}
 			pc += w
@@ -81,7 +83,7 @@ func TestRegInvariantsPolybench(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cm, err := Compile(m, CompileOptions{})
+		cm, err := lowerModule(m, CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +118,7 @@ func TestRegStatsHandBuilt(t *testing.T) {
 	f.LocalGet(2).Op(wasm.OpF64Add).LocalSet(val)
 	f.LocalGet(addr).LocalGet(val).Store(wasm.OpF64Store, 0)
 	b.ExportFunc("f", f.End())
-	cm, err := Compile(b.MustBuild(), CompileOptions{})
+	cm, err := lowerModule(b.MustBuild(), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestUpdateWindowSplitByLeader(t *testing.T) {
 	f.LocalGet(0).I32Const(3).Op(wasm.OpI32LtS)
 	f.GlobalGet(g).I64ConstV(5).Op(wasm.OpI64Add).GlobalSet(g) // pcs 3..6
 	b.ExportFunc("f", f.End())
-	cm, err := Compile(b.MustBuild(), CompileOptions{})
+	cm, err := lowerModule(b.MustBuild(), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

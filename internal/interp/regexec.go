@@ -52,16 +52,14 @@ type regCode struct {
 	// seg[pc]: the instruction count the driver charges before ops[pc], the
 	// segment pc leads; 0 where pc leads none.
 	seg []uint32
-	// spec flags each emitted closure as specialised (a dedicated handler
-	// with inline operation) vs generic (dispatching through applyBin/
-	// applyUn/fastLoad at runtime); wid records how many original body
-	// instructions the closure covers. Both feed RegStats only.
-	spec []bool
-	wid  []int32
+	// wid records how many original body instructions the closure at each
+	// pc covers (0 at statement-interior pcs).
+	wid []int32
 	// regs is the register-file size: numLoc locals + maxStack stack homes.
 	regs int
-	// RegStats' counters, and the branches cmpBranch built.
-	threaded, inlineUpd, leafOps, cmpBr int
+	// RegStats' counters, taken while lowering, and the branches cmpBranch
+	// built.
+	specialised, spans, threaded, inlineUpd, leafOps, cmpBr int
 }
 
 // execReg runs a compiled function on the register engine. fi is the
