@@ -101,7 +101,9 @@ bench:
 # (the median over back-to-back pairs), the call-heavy suite must beat its
 # DisableInline baseline by >= 1.15x geomean where the inliner fires, the
 # compiled footprint set must keep at most bench.CompiledSmokeCeiling retained
-# heap bytes per loop-instrumented instruction (160; deterministic), spill-mode
+# heap bytes per loop-instrumented instruction (160; deterministic), a warm
+# pooled echo or resize instance must keep at most bench.PooledSmokeCeiling of
+# the memory its module declares (0.6; deterministic), spill-mode
 # retention must keep up with bounded, reading a 100,000-record spilled
 # ledger back (reopen + VerifySpillDir + WriteDump + VerifyReader) must cost
 # at most bench.AuditSmokeCeiling times writing it (append + Compact + Close;

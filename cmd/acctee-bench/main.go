@@ -20,6 +20,8 @@
 //	                               # baseline by ≥ 1.15x geomean,
 //	                               # a compiled module must keep ≤ 160 B per
 //	                               # instrumented instruction,
+//	                               # a warm pooled instance ≤ 0.6 of the
+//	                               # memory its module declares,
 //	                               # spill-mode retention must hold ≥ 0.35x bounded,
 //	                               # GOMAXPROCS=4 must reach ≥ 1.8x GOMAXPROCS=1
 //	                               # on hosts with ≥ 4 CPUs
@@ -206,6 +208,7 @@ func printInterp(in *bench.Interp) {
 	bench.PrintInstrumented(os.Stdout, in.Instrumented)
 	bench.PrintCalls(os.Stdout, in.Calls)
 	bench.PrintCompiled(os.Stdout, in.Compiled)
+	bench.PrintPooled(os.Stdout, in.Pooled)
 }
 
 // smoke runs the CI gates and fails on the first one that does not hold.
@@ -223,6 +226,9 @@ func smoke(trials int) error {
 		return err
 	}
 	if err := bench.CheckCompiledGate(in.Compiled, bench.CompiledSmokeCeiling); err != nil {
+		return err
+	}
+	if err := bench.CheckPooledGate(in.Pooled, bench.PooledSmokeCeiling); err != nil {
 		return err
 	}
 	fmt.Println("gates passed")

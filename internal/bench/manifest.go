@@ -73,8 +73,8 @@ type Paper struct {
 
 // Interp holds the rows `make bench-smoke` gates the engine on: register
 // over structured on the microbenchmarks, instrumented over plain resize,
-// inlined over DisableInline on the call suite, and the heap a compiled
-// module keeps.
+// inlined over DisableInline on the call suite, the heap a compiled
+// module keeps, and the heap a warm pooled instance keeps.
 type Interp struct {
 	MicroGeomean float64         `json:"micro_geomean"`
 	CallGeomean  float64         `json:"call_geomean"`
@@ -82,6 +82,7 @@ type Interp struct {
 	Instrumented InstrumentedRow `json:"instrumented"`
 	Calls        []CallRow       `json:"calls"`
 	Compiled     CompiledRow     `json:"compiled"`
+	Pooled       []PooledRow     `json:"pooled"`
 }
 
 // RunInterp measures the interp section (best of trials per timed row).
@@ -102,9 +103,13 @@ func RunInterp(trials int) (*Interp, error) {
 	if err != nil {
 		return nil, err
 	}
+	pooled, err := RunPooled()
+	if err != nil {
+		return nil, err
+	}
 	return &Interp{
 		MicroGeomean: MicroGeomean(micro), CallGeomean: CallGeomean(calls),
-		Micro: micro, Instrumented: inst, Calls: calls, Compiled: compiled,
+		Micro: micro, Instrumented: inst, Calls: calls, Compiled: compiled, Pooled: pooled,
 	}, nil
 }
 

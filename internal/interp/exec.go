@@ -121,7 +121,7 @@ func (vm *VM) execFuelTail(body []wasm.Instr, locals, st []uint64, sp, pc int) e
 			sp--
 			vm.globals[in.Idx] = st[sp]
 		case wasm.OpMemorySize:
-			st[sp] = uint64(uint32(len(vm.memory) / wasm.PageSize))
+			st[sp] = uint64(vm.memPages)
 			sp++
 		case wasm.OpI32Const, wasm.OpI64Const, wasm.OpF32Const, wasm.OpF64Const:
 			st[sp] = in.U64

@@ -1,6 +1,10 @@
 package interp
 
-import "acctee/internal/wasm"
+import (
+	"math/bits"
+
+	"acctee/internal/wasm"
+)
 
 // White-box views of the register stream for the external (interp_test)
 // suites, which can import the instrumenter where this package cannot.
@@ -85,4 +89,17 @@ func (vm *VM) TraceReg(fi int, args ...uint64) (pcs []int, err error) {
 		err = vm.regErr
 	}
 	return pcs, err
+}
+
+// Backed is the capacity of the backing behind linear memory: the bytes
+// the instance holds for it, against MemorySize declared.
+func (vm *VM) Backed() int { return cap(vm.memory) }
+
+// DirtyBlocks counts the blocks the next pooled Reset re-zeroes.
+func (vm *VM) DirtyBlocks() int {
+	n := 0
+	for _, w := range vm.dirty {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }

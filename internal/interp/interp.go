@@ -17,6 +17,7 @@ package interp
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"acctee/internal/wasm"
@@ -139,7 +140,14 @@ type VM struct {
 	hostFns  []HostFunc     // imported functions
 	hostSigs []wasm.FuncType
 	globals  []uint64
+	// memory backs linear memory as a grown prefix: it holds the first
+	// len(memory) of the memPages pages the instance has, and everything
+	// above reads as zero until an access touches it (back). len(memory) is
+	// min(cap(memory), memPages*PageSize), so the engines' one bounds check
+	// against len(memory) stays the fast path and back is reached only when
+	// it fails. memory.grow moves memPages and copies nothing.
 	memory   []byte
+	memPages uint32
 	maxPages uint32
 	table    []int32 // function indices; -1 = undefined
 
@@ -185,14 +193,14 @@ type VM struct {
 	// point converts it into a regTrapRet. Always false between statements.
 	regFault bool
 
-	// dirtyPages is a bitmap over linear-memory pages (wasm.PageSize
-	// granularity) written since the last reset; Reset re-zeroes only those
-	// pages instead of the whole memory. Tracking is enabled only for
-	// pool-managed instances (trackDirty), so one-shot instantiations pay
-	// nothing per store; untracked VMs fall back to a full clear on Reset.
-	// dirtyAll records an escape hatch: the caller took an unscoped
-	// Memory() alias, so everything may have been written.
-	dirtyPages []uint64
+	// dirty is a bitmap over dirtyBlock-sized blocks of the backing written
+	// since the last reset; Reset re-zeroes only those blocks instead of the
+	// whole backing. Tracking is enabled only for pool-managed instances
+	// (trackDirty), so one-shot instantiations pay nothing per store;
+	// untracked VMs fall back to a full clear on Reset. dirtyAll records an
+	// escape hatch: the caller took an unscoped Memory() alias, so everything
+	// may have been written.
+	dirty      []uint64
 	trackDirty bool
 	dirtyAll   bool
 }
@@ -262,33 +270,40 @@ func (vm *VM) AddIOBytes(n uint64) { vm.ioBytes += n }
 func (vm *VM) FuelRemaining() uint64 { return vm.fuel }
 
 // MemorySize returns the current linear memory size in bytes.
-func (vm *VM) MemorySize() uint32 { return uint32(len(vm.memory)) }
+func (vm *VM) MemorySize() uint32 { return vm.memSize() }
 
-// Memory exposes the whole linear memory for host functions. The returned
-// slice aliases the VM's memory; it is invalidated by memory.grow. Because
-// the caller may write through the alias, the entire memory is
-// conservatively treated as dirty for pooled reset — hot paths should
-// prefer MemoryView (reads) and MemoryDirty (writes).
+// memSize is the memory size in bytes as the cost model sees it: uint32, so
+// a full 4 GiB memory reads 0.
+func (vm *VM) memSize() uint32 { return vm.memPages * wasm.PageSize }
+
+// Memory exposes the whole linear memory for host functions, backing all of
+// it first. The returned slice aliases the VM's memory; it is invalidated by
+// memory.grow and by any access that extends the backing. Because the
+// caller may write through the alias, the entire memory is conservatively
+// treated as dirty for pooled reset — hot paths should prefer MemoryView
+// (reads) and MemoryDirty (writes), which back only the range they return.
 func (vm *VM) Memory() []byte {
+	vm.back(uint64(vm.memPages) * wasm.PageSize)
 	vm.dirtyAll = true
 	return vm.memory
 }
 
 // MemoryView returns memory[off:off+n] for reading. Writing through the
 // view is not allowed: such writes are invisible to the dirty tracking that
-// pooled Reset relies on. The view is invalidated by memory.grow.
+// pooled Reset relies on. The view is invalidated by memory.grow and by any
+// access that extends the backing.
 func (vm *VM) MemoryView(off, n uint32) ([]byte, error) {
-	if uint64(off)+uint64(n) > uint64(len(vm.memory)) {
+	if end := uint64(off) + uint64(n); end > uint64(len(vm.memory)) && !vm.back(end) {
 		return nil, ErrOutOfBounds
 	}
 	return vm.memory[off : off+n : off+n], nil
 }
 
 // MemoryDirty returns memory[off:off+n] for host-side writes, recording the
-// range as dirty so pooled Reset re-zeroes it. The view is invalidated by
-// memory.grow.
+// range as dirty so pooled Reset re-zeroes it. The view is invalidated as
+// MemoryView's is.
 func (vm *VM) MemoryDirty(off, n uint32) ([]byte, error) {
-	if uint64(off)+uint64(n) > uint64(len(vm.memory)) {
+	if end := uint64(off) + uint64(n); end > uint64(len(vm.memory)) && !vm.back(end) {
 		return nil, ErrOutOfBounds
 	}
 	if n > 0 {
@@ -297,6 +312,58 @@ func (vm *VM) MemoryDirty(off, n uint32) ([]byte, error) {
 	return vm.memory[off : off+n : off+n], nil
 }
 
+// back extends the backed prefix to cover memory[:end]. It reports false,
+// allocating nothing, when end lies beyond the memory's size: the access is
+// out of bounds. A new backing is the larger of end and twice the old one,
+// rounded up to a page, so memory touched bottom-up is copied at most once
+// per byte on average, while one touch far above the rest costs only the
+// pages below it. A backing that would leave less than a quarter of the
+// memory unbacked backs all of it: a random walk over a large memory pays
+// two or three copies where it would pay four or five.
+func (vm *VM) back(end uint64) bool {
+	size := uint64(vm.memPages) * wasm.PageSize
+	if end > size {
+		return false
+	}
+	if end <= uint64(len(vm.memory)) {
+		return true
+	}
+	n := (max(end, 2*uint64(cap(vm.memory))) + wasm.PageSize - 1) / wasm.PageSize * wasm.PageSize
+	if n > size/4*3 {
+		n = size
+	}
+	grown := make([]byte, n)
+	copy(grown, vm.memory)
+	vm.memory = grown
+	if words := int(((n+dirtyBlock-1)/dirtyBlock + 63) / 64); vm.trackDirty && words > len(vm.dirty) {
+		vm.dirty = append(vm.dirty, make([]uint64, words-len(vm.dirty))...)
+	}
+	return true
+}
+
+// grow is memory.grow on both engines: it returns the old page count, or
+// 0xFFFFFFFF when the memory cannot grow by delta pages. Nothing is
+// allocated or copied: the new pages lie above the backed prefix until
+// touched, or inside a backing kept from an earlier run, which Reset left
+// zeroed.
+func (vm *VM) grow(delta uint32) uint32 {
+	old := vm.memPages
+	if delta > vm.maxPages || old+delta > vm.maxPages {
+		return 0xFFFFFFFF
+	}
+	vm.memPages = old + delta
+	vm.memory = vm.memory[:min(cap(vm.memory), int(vm.memPages)*wasm.PageSize)]
+	if vm.growHook != nil {
+		vm.growHook(vm, old, old+delta)
+	}
+	return old
+}
+
+// dirtyBlock is the granularity of the dirty bitmap and so of pooled reset:
+// a request that writes a few bytes costs Reset one 4 KiB clear, not a
+// 64 KiB wasm page.
+const dirtyBlock = 4 << 10
+
 // markDirty records that memory[a:a+n) is about to be written (n >= 1; the
 // caller has already bounds-checked the range). It is a no-op unless the
 // instance is pool-managed.
@@ -304,59 +371,38 @@ func (vm *VM) markDirty(a, n int) {
 	if !vm.trackDirty {
 		return
 	}
-	p0 := a / wasm.PageSize
-	p1 := (a + n - 1) / wasm.PageSize
-	vm.dirtyPages[p0>>6] |= 1 << (p0 & 63)
-	vm.dirtyPages[p1>>6] |= 1 << (p1 & 63)
-	for p := p0 + 1; p < p1; p++ {
-		vm.dirtyPages[p>>6] |= 1 << (p & 63)
+	b0 := a / dirtyBlock
+	b1 := (a + n - 1) / dirtyBlock
+	vm.dirty[b0>>6] |= 1 << (b0 & 63)
+	vm.dirty[b1>>6] |= 1 << (b1 & 63)
+	for b := b0 + 1; b < b1; b++ {
+		vm.dirty[b>>6] |= 1 << (b & 63)
 	}
 }
 
-// clearDirtyMemory re-zeroes the dirty pages of vm.memory (already resliced
-// to the target length) and resets the dirty tracking. Untracked instances
-// and instances with an unscoped Memory() alias outstanding fall back to
-// zeroing everything.
+// clearDirtyMemory re-zeroes the dirty blocks of the backing, one clear per
+// run of adjacent blocks, and resets the dirty tracking. Reset calls it
+// before it reslices memory to the initial size, while memory still covers
+// every byte the run could write; what lies between len and cap was zeroed
+// by the Reset that last shrank it, so a later memory.grow re-exposes only
+// zeros. Untracked instances and instances with an unscoped Memory() alias
+// outstanding fall back to zeroing everything.
 func (vm *VM) clearDirtyMemory() {
-	n := len(vm.memory)
 	if !vm.trackDirty || vm.dirtyAll {
 		clear(vm.memory)
 	} else {
-		pages := (n + wasm.PageSize - 1) / wasm.PageSize
-		for w, word := range vm.dirtyPages {
-			if word == 0 || w*64 >= pages {
-				continue
-			}
-			for b := 0; b < 64; b++ {
-				if word&(1<<b) == 0 {
-					continue
-				}
-				p := w*64 + b
-				if p >= pages {
-					break
-				}
-				lo := p * wasm.PageSize
-				hi := lo + wasm.PageSize
-				if hi > n {
-					hi = n
-				}
-				clear(vm.memory[lo:hi])
+		for w, word := range vm.dirty {
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				run := bits.TrailingZeros64(^(word >> b))
+				word &^= (1<<run - 1) << b
+				lo := (w*64 + b) * dirtyBlock
+				clear(vm.memory[lo:min(lo+run*dirtyBlock, len(vm.memory))])
 			}
 		}
 	}
 	vm.dirtyAll = false
-	clear(vm.dirtyPages)
-}
-
-// sizeDirtyMap (re)sizes the dirty bitmap to cover n bytes of memory,
-// preserving existing bits (memory.grow keeps old offsets valid and the
-// freshly allocated tail starts zeroed, i.e. clean).
-func (vm *VM) sizeDirtyMap(n int) {
-	pages := (n + wasm.PageSize - 1) / wasm.PageSize
-	words := (pages + 63) / 64
-	for len(vm.dirtyPages) < words {
-		vm.dirtyPages = append(vm.dirtyPages, 0)
-	}
+	clear(vm.dirty)
 }
 
 // Global reads a global by index.

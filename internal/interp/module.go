@@ -51,6 +51,7 @@ type CompiledModule struct {
 
 	hasMemory   bool
 	minMemBytes int
+	dataEnd     int // end of the highest data segment: what Reset backs
 	memMaxPages uint32
 	globalInit  []uint64
 	tableInit   []int32
@@ -167,6 +168,9 @@ func lowerModule(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 		off := int(d.Offset.I32Val())
 		if off < 0 || off+len(d.Bytes) > cm.minMemBytes {
 			return nil, fmt.Errorf("interp: data segment out of bounds")
+		}
+		if len(d.Bytes) > 0 {
+			cm.dataEnd = max(cm.dataEnd, off+len(d.Bytes))
 		}
 	}
 
@@ -326,9 +330,9 @@ func (cm *CompiledModule) Instantiate(cfg Config) (*VM, error) {
 	return cm.instantiate(cfg, false)
 }
 
-// instantiate creates a VM, optionally with dirty-page tracking enabled
+// instantiate creates a VM, optionally with dirty-block tracking enabled
 // from the very first Reset — pool-managed instances need the initial data
-// segments and any start-function stores marked, or a later page-granular
+// segments and any start-function stores marked, or a later block-granular
 // reset would skip them.
 func (cm *CompiledModule) instantiate(cfg Config, track bool) (*VM, error) {
 	vm := &VM{cm: cm, module: cm.m, funcs: cm.funcs, trackDirty: track}
@@ -395,23 +399,18 @@ func (vm *VM) Reset(cfg Config) error {
 	vm.globals = vm.globals[:len(cm.globalInit)]
 	copy(vm.globals, cm.globalInit)
 
-	// Memory: reuse the retained slab when large enough, re-zeroing only
-	// the pages the previous run dirtied, then re-apply the data segments.
+	// Memory: keep the backing the previous runs grew, re-zeroing only the
+	// blocks they dirtied, back what the data segments need and re-apply
+	// them. Pages no segment covers stay unbacked until touched.
 	if cm.hasMemory {
 		vm.maxPages = cm.memMaxPages
 		if cfg.MaxPages > 0 && cfg.MaxPages < vm.maxPages {
 			vm.maxPages = cfg.MaxPages
 		}
-		n := cm.minMemBytes
-		if cap(vm.memory) >= n {
-			vm.memory = vm.memory[:n]
-			vm.clearDirtyMemory()
-		} else {
-			vm.memory = make([]byte, n)
-			vm.dirtyPages = vm.dirtyPages[:0]
-			vm.dirtyAll = false
-		}
-		vm.sizeDirtyMap(n)
+		vm.clearDirtyMemory()
+		vm.memPages = uint32(cm.minMemBytes / wasm.PageSize)
+		vm.memory = vm.memory[:min(cap(vm.memory), cm.minMemBytes)]
+		vm.back(uint64(cm.dataEnd))
 		for _, d := range cm.m.Data {
 			if len(d.Bytes) == 0 {
 				continue
@@ -422,7 +421,7 @@ func (vm *VM) Reset(cfg Config) error {
 		}
 	} else {
 		vm.memory = nil
-		vm.maxPages = 0
+		vm.memPages, vm.maxPages = 0, 0
 	}
 
 	// Table.
@@ -531,8 +530,8 @@ func (cm *CompiledModule) NewPool(base Config, pc PoolConfig) (*InstancePool, er
 
 // Get returns a VM bound to cfg: a recycled instance after a deterministic
 // Reset, or a fresh instantiation when the pool is empty.
-// Pool-managed instances carry dirty-page tracking from their very first
-// instantiation, so every Reset re-zeroes exactly the written pages —
+// Pool-managed instances carry dirty-block tracking from their very first
+// instantiation, so every Reset re-zeroes exactly the written blocks —
 // including data segments and start-function stores.
 func (p *InstancePool) Get(cfg Config) (*VM, error) {
 	vm := p.take()

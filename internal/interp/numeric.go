@@ -16,7 +16,7 @@ import (
 
 func (vm *VM) effAddr(base uint32, off uint32, width uint32) (int, error) {
 	addr := uint64(base) + uint64(off)
-	if addr+uint64(width) > uint64(len(vm.memory)) {
+	if end := addr + uint64(width); end > uint64(len(vm.memory)) && !vm.back(end) {
 		return 0, ErrOutOfBounds
 	}
 	return int(addr), nil
@@ -28,7 +28,7 @@ func (vm *VM) loadBits(base, off, width uint32, store bool) (uint64, error) {
 		return 0, err
 	}
 	if vm.cost != nil {
-		vm.costAcc += vm.cost.MemCost(uint32(a), width, store, uint32(len(vm.memory)))
+		vm.costAcc += vm.cost.MemCost(uint32(a), width, store, vm.memSize())
 	}
 	var v uint64
 	for i := int(width) - 1; i >= 0; i-- {
@@ -43,7 +43,7 @@ func (vm *VM) storeBits(base, off, width uint32, v uint64) error {
 		return err
 	}
 	if vm.cost != nil {
-		vm.costAcc += vm.cost.MemCost(uint32(a), width, true, uint32(len(vm.memory)))
+		vm.costAcc += vm.cost.MemCost(uint32(a), width, true, vm.memSize())
 	}
 	vm.markDirty(a, int(width))
 	for i := 0; i < int(width); i++ {

@@ -78,7 +78,7 @@ func compareObs(t *testing.T, label string, got, want obs) {
 }
 
 // reusedObs dirties a pool-managed instance with one throwaway run,
-// recycles it through Put/Get (a tracked, page-granular reset), and
+// recycles it through Put/Get (a tracked, block-granular reset), and
 // observes a second run on the recycled instance.
 func reusedObs(t *testing.T, cm *interp.CompiledModule, cfg interp.Config, entry string, args ...uint64) obs {
 	t.Helper()
@@ -323,7 +323,7 @@ func TestPoolGetPutCycles(t *testing.T) {
 		}
 		if cycle%2 == 0 {
 			// Light check: results and counters only, so the next Reset
-			// exercises the page-granular dirty path, not the conservative
+			// exercises the block-granular dirty path, not the conservative
 			// full clear that Memory() forces.
 			res, err := vm.InvokeExport("f", 6)
 			if err != nil {

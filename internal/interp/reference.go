@@ -188,22 +188,9 @@ func (vm *VM) execStructured(f *compiledFunc, locals []uint64, stack []uint64) (
 		case wasm.OpGlobalSet:
 			vm.globals[in.Idx] = pop()
 		case wasm.OpMemorySize:
-			push(uint64(uint32(len(vm.memory) / wasm.PageSize)))
+			push(uint64(vm.memPages))
 		case wasm.OpMemoryGrow:
-			delta := uint32(pop())
-			old := uint32(len(vm.memory) / wasm.PageSize)
-			if delta > vm.maxPages || old+delta > vm.maxPages {
-				push(uint64(uint32(0xFFFFFFFF)))
-				break
-			}
-			grown := make([]byte, int(old+delta)*wasm.PageSize)
-			copy(grown, vm.memory)
-			vm.memory = grown
-			vm.sizeDirtyMap(len(grown))
-			push(uint64(old))
-			if vm.growHook != nil {
-				vm.growHook(vm, old, old+delta)
-			}
+			push(uint64(vm.grow(uint32(pop()))))
 		case wasm.OpI32Const, wasm.OpI64Const, wasm.OpF32Const, wasm.OpF64Const:
 			push(in.U64)
 

@@ -446,7 +446,7 @@ func (rl *regLowering) emitStmt(start int) int {
 		case wasm.OpMemorySize:
 			s.impure = true
 			s.push(vnode{kind: vEval, eval: func(vm *VM, fr []uint64) uint64 {
-				return uint64(uint32(len(vm.memory) / wasm.PageSize))
+				return uint64(vm.memPages)
 			}})
 			pc++
 			continue
@@ -952,7 +952,7 @@ func i32CmpPred(op wasm.Opcode, a, b vnode, s *stmtState) func(vm *VM, fr []uint
 // memory nodes
 
 // storeCommit builds a store sink: evaluate address then value (program
-// order), fault-check, one bounds check, MemCost charge, dirty-page
+// order), fault-check, one bounds check, MemCost charge, dirty-block
 // tracking, word-at-a-time write. Natural-width stores get dedicated arms.
 func (rl *regLowering) storeCommit(in *wasm.Instr, a, v vnode, pc int, s *stmtState, next int) regFn {
 	width, ok := storeSpec(in.Op)
@@ -973,13 +973,13 @@ func (rl *regLowering) storeCommit(in *wasm.Instr, a, v vnode, pc int, s *stmtSt
 				return regTrapRet
 			}
 			ea := uint64(uint32(ad)) + off
-			if ea+8 > uint64(len(vm.memory)) {
+			if ea+8 > uint64(len(vm.memory)) && !vm.back(ea+8) {
 				vm.regErr = ErrOutOfBounds
 				vm.regTrapPC = tp
 				return regTrapRet
 			}
 			if vm.cost != nil {
-				vm.costAcc += vm.cost.MemCost(uint32(ea), 8, true, uint32(len(vm.memory)))
+				vm.costAcc += vm.cost.MemCost(uint32(ea), 8, true, vm.memSize())
 			}
 			vm.markDirty(int(ea), 8)
 			binary.LittleEndian.PutUint64(vm.memory[ea:], x)
@@ -995,13 +995,13 @@ func (rl *regLowering) storeCommit(in *wasm.Instr, a, v vnode, pc int, s *stmtSt
 				return regTrapRet
 			}
 			ea := uint64(uint32(ad)) + off
-			if ea+4 > uint64(len(vm.memory)) {
+			if ea+4 > uint64(len(vm.memory)) && !vm.back(ea+4) {
 				vm.regErr = ErrOutOfBounds
 				vm.regTrapPC = tp
 				return regTrapRet
 			}
 			if vm.cost != nil {
-				vm.costAcc += vm.cost.MemCost(uint32(ea), 4, true, uint32(len(vm.memory)))
+				vm.costAcc += vm.cost.MemCost(uint32(ea), 4, true, vm.memSize())
 			}
 			vm.markDirty(int(ea), 4)
 			binary.LittleEndian.PutUint32(vm.memory[ea:], uint32(x))
@@ -1018,13 +1018,13 @@ func (rl *regLowering) storeCommit(in *wasm.Instr, a, v vnode, pc int, s *stmtSt
 			return regTrapRet
 		}
 		ea := uint64(uint32(ad)) + off
-		if ea+wd > uint64(len(vm.memory)) {
+		if ea+wd > uint64(len(vm.memory)) && !vm.back(ea+wd) {
 			vm.regErr = ErrOutOfBounds
 			vm.regTrapPC = tp
 			return regTrapRet
 		}
 		if vm.cost != nil {
-			vm.costAcc += vm.cost.MemCost(uint32(ea), width, true, uint32(len(vm.memory)))
+			vm.costAcc += vm.cost.MemCost(uint32(ea), width, true, vm.memSize())
 		}
 		vm.markDirty(int(ea), int(width))
 		fastStore(vm.memory, ea, width, x)
@@ -1051,14 +1051,14 @@ func (rl *regLowering) loadNode(in *wasm.Instr, a vnode, pc int, s *stmtState) v
 				return 0
 			}
 			ea := uint64(uint32(ae(vm, fr))) + off
-			if ea+8 > uint64(len(vm.memory)) {
+			if ea+8 > uint64(len(vm.memory)) && !vm.back(ea+8) {
 				vm.regFault = true
 				vm.regErr = ErrOutOfBounds
 				vm.regTrapPC = tp
 				return 0
 			}
 			if vm.cost != nil {
-				vm.costAcc += vm.cost.MemCost(uint32(ea), 8, false, uint32(len(vm.memory)))
+				vm.costAcc += vm.cost.MemCost(uint32(ea), 8, false, vm.memSize())
 			}
 			return binary.LittleEndian.Uint64(vm.memory[ea:])
 		}}
@@ -1069,14 +1069,14 @@ func (rl *regLowering) loadNode(in *wasm.Instr, a vnode, pc int, s *stmtState) v
 				return 0
 			}
 			ea := uint64(uint32(ae(vm, fr))) + off
-			if ea+4 > uint64(len(vm.memory)) {
+			if ea+4 > uint64(len(vm.memory)) && !vm.back(ea+4) {
 				vm.regFault = true
 				vm.regErr = ErrOutOfBounds
 				vm.regTrapPC = tp
 				return 0
 			}
 			if vm.cost != nil {
-				vm.costAcc += vm.cost.MemCost(uint32(ea), 4, false, uint32(len(vm.memory)))
+				vm.costAcc += vm.cost.MemCost(uint32(ea), 4, false, vm.memSize())
 			}
 			return uint64(binary.LittleEndian.Uint32(vm.memory[ea:]))
 		}}
@@ -1088,14 +1088,14 @@ func (rl *regLowering) loadNode(in *wasm.Instr, a vnode, pc int, s *stmtState) v
 			return 0
 		}
 		ea := uint64(uint32(ae(vm, fr))) + off
-		if ea+wd > uint64(len(vm.memory)) {
+		if ea+wd > uint64(len(vm.memory)) && !vm.back(ea+wd) {
 			vm.regFault = true
 			vm.regErr = ErrOutOfBounds
 			vm.regTrapPC = tp
 			return 0
 		}
 		if vm.cost != nil {
-			vm.costAcc += vm.cost.MemCost(uint32(ea), width, false, uint32(len(vm.memory)))
+			vm.costAcc += vm.cost.MemCost(uint32(ea), width, false, vm.memSize())
 		}
 		return fastLoad(vm.memory, ea, width, ext)
 	}}
@@ -1818,20 +1818,7 @@ func (rl *regLowering) emitSingle(pc int, h int32) int {
 	case wasm.OpMemoryGrow:
 		s := rl.home(h - 1)
 		rl.ops[pc] = func(vm *VM, fr []uint64) int {
-			delta := uint32(fr[s])
-			old := uint32(len(vm.memory) / wasm.PageSize)
-			if delta > vm.maxPages || old+delta > vm.maxPages {
-				fr[s] = uint64(uint32(0xFFFFFFFF))
-				return next
-			}
-			grown := make([]byte, int(old+delta)*wasm.PageSize)
-			copy(grown, vm.memory)
-			vm.memory = grown
-			vm.sizeDirtyMap(len(grown))
-			fr[s] = uint64(old)
-			if vm.growHook != nil {
-				vm.growHook(vm, old, old+delta)
-			}
+			fr[s] = uint64(vm.grow(uint32(fr[s])))
 			return next
 		}
 
