@@ -56,16 +56,20 @@ fuzz-smoke:
 # truncated (checkpoint-anchored, non-zero starting sequence) dump
 # containers into build/ (never the repo root); acctee-verify then
 # replays all three offline — full dump, truncated dump, and the spill
-# directory itself.
+# directory itself — pinned to the accounting enclave's measurement, which
+# is computed here from the AE's code identity as an auditor computes it
+# (§3.3), not read from the code that runs.
+AE_MEASUREMENT = $(shell printf '%s' 'acctee/accounting-enclave v1.0 (sgx-lkl + wasm interpreter)' | sha256sum | cut -d' ' -f1)
+
 verify-ledger:
 	@mkdir -p build
 	rm -rf build/spill
 	$(GO) run ./examples/faas -dump build/ledger.bin -spill-dir build/spill \
 		-retention 8 -keep-every 2 -dump-truncated build/ledger-trunc.bin \
 		-prove-tamper
-	$(GO) run ./cmd/acctee-verify -dump build/ledger.bin
-	$(GO) run ./cmd/acctee-verify -dump build/ledger-trunc.bin
-	$(GO) run ./cmd/acctee-verify -spill build/spill
+	$(GO) run ./cmd/acctee-verify -measurement $(AE_MEASUREMENT) -dump build/ledger.bin
+	$(GO) run ./cmd/acctee-verify -measurement $(AE_MEASUREMENT) -dump build/ledger-trunc.bin
+	$(GO) run ./cmd/acctee-verify -measurement $(AE_MEASUREMENT) -spill build/spill
 
 vet:
 	$(GO) vet ./...

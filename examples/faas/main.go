@@ -29,6 +29,7 @@ import (
 	"strconv"
 
 	"acctee/internal/accounting"
+	"acctee/internal/core"
 	"acctee/internal/faas"
 	"acctee/internal/workloads"
 )
@@ -120,7 +121,9 @@ func run() error {
 		return err
 	}
 	_ = cr.Body.Close()
-	if err := accounting.VerifyCheckpointSig(sc, srv.Enclave().PublicKey(), srv.Enclave().Measurement()); err != nil {
+	// The gateway is an accounting enclave: its checkpoints verify under the
+	// AE measurement the auditor computed from the enclave code (§3.3).
+	if err := accounting.VerifyCheckpointSig(sc, srv.Enclave().PublicKey(), core.AEMeasurement()); err != nil {
 		return fmt.Errorf("checkpoint verification: %w", err)
 	}
 	fmt.Printf("checkpoint verified: %d records, %d weighted instructions — one signature\n",

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"acctee/internal/accounting"
 	"acctee/internal/instrument"
@@ -190,6 +189,14 @@ type RunOptions struct {
 	Imports map[string]interp.HostFunc
 	// MaxPages caps linear memory growth.
 	MaxPages uint32
+	// Payload, when set, copies a request in before the entry call (an
+	// error ends the run there, unrecorded) and the response out after a
+	// successful return (an error is charged like a trap). The bytes they
+	// report join the record's IOBytesIn and IOBytesOut.
+	Payload interface {
+		CopyIn(vm *interp.VM) (uint64, error)
+		CopyOut(vm *interp.VM, results []uint64) (uint64, error)
+	}
 }
 
 // RunResult is one execution's outcome plus its ledger evidence.
@@ -208,6 +215,10 @@ type RunResult struct {
 	// PageFaults and Transitions expose cost-model detail for evaluation.
 	PageFaults  uint64
 	Transitions uint64
+	// EnclaveCycles is the run's enclave transitions, library-OS crossings
+	// and EPC paging: the record's SimulatedCycles without the instruction
+	// weights.
+	EnclaveCycles uint64
 }
 
 // AccountingEnclave (AE) hosts the execution sandbox under SGX protection.
@@ -226,7 +237,6 @@ type AccountingEnclave struct {
 	mode     sgx.Mode
 	costs    sgx.CostParams
 	weights  *weights.Table
-	module   *wasm.Module
 	compiled *interp.CompiledModule
 	pool     *interp.InstancePool
 	modHash  [32]byte
@@ -284,7 +294,6 @@ func NewAccountingEnclave(mode sgx.Mode, costs sgx.CostParams, tbl *weights.Tabl
 		mode:     mode,
 		costs:    costs,
 		weights:  tbl,
-		module:   m,
 		compiled: compiled,
 		modHash:  h,
 		counter:  ev.CounterGlobal,
@@ -342,6 +351,10 @@ func (ae *AccountingEnclave) SetPoolConfig(pc interp.PoolConfig) error {
 	return nil
 }
 
+// Enclave exposes the AE's simulated enclave: the key that signs the ledger,
+// the measurement attestation checks, and the transition count.
+func (ae *AccountingEnclave) Enclave() *sgx.Enclave { return ae.enclave }
+
 // PublicKey returns the AE key that signs usage logs.
 func (ae *AccountingEnclave) PublicKey() *ecdsa.PublicKey { return ae.enclave.PublicKey() }
 
@@ -382,29 +395,23 @@ func (ae *AccountingEnclave) RunContext(ctx context.Context, opts RunOptions) (R
 	if opts.Policy == 0 {
 		opts.Policy = accounting.PeakMemory
 	}
-	var intr *atomic.Bool
-	if ctx.Done() != nil {
-		intr = new(atomic.Bool)
-		if ctx.Err() != nil {
-			// Already expired: the run aborts at the entry leader, charging
-			// nothing, but still flows through the ledger for a zero-work
-			// record — callers see one uniform cancellation path.
-			intr.Store(true)
-		} else {
-			// AfterFunc registers on the context; it starts no goroutine
-			// unless the context actually ends while the run is in flight.
-			stop := context.AfterFunc(ctx, func() { intr.Store(true) })
-			defer stop()
-		}
-	}
+	// An already expired ctx aborts the run at the entry leader, charging
+	// nothing, but it still flows through the ledger for a zero-work record:
+	// callers see one uniform cancellation path.
+	intr, stop := interp.InterruptOn(ctx)
+	defer stop()
 	model := sgx.NewEPCModel(ae.mode, ae.costs, ae.weights)
 	// Per-run I/O tally: the ledger sums per-record values into signed
 	// checkpoint totals, so every record must carry only this run's bytes,
-	// never the library OS's cumulative counters.
+	// never the library OS's cumulative counters. A module that imports
+	// nothing, like the gateway's functions, needs no shims and no map.
 	var tally ioTally
-	imports := talliedImports(ae.libos, &tally)
-	for k, v := range opts.Imports {
-		imports[k] = v
+	var imports map[string]interp.HostFunc
+	if len(ae.compiled.Module().Imports) > 0 {
+		imports = talliedImports(ae.libos, &tally)
+		for k, v := range opts.Imports {
+			imports[k] = v
+		}
 	}
 	// The meter integrates linear-memory size over the weighted counter:
 	// each growth event closes the interval at the old size (§3.5,
@@ -429,12 +436,23 @@ func (ae *AccountingEnclave) RunContext(ctx context.Context, opts RunOptions) (R
 		return RunResult{}, fmt.Errorf("core: instantiate workload: %w", err)
 	}
 	defer pool.Put(vm)
+	var payloadIn, payloadOut uint64
+	if opts.Payload != nil {
+		if payloadIn, err = opts.Payload.CopyIn(vm); err != nil {
+			return RunResult{}, fmt.Errorf("core: payload: %w", err)
+		}
+	}
 	// Entering the enclave for the call is one transition.
-	vm.AddCost(ae.enclave.Transition())
+	enter := ae.enclave.Transition()
+	vm.AddCost(enter)
 
 	results, runErr := vm.InvokeExport(opts.Entry, opts.Args...)
+	if runErr == nil && opts.Payload != nil {
+		payloadOut, runErr = opts.Payload.CopyOut(vm, results)
+	}
 	// Leaving the enclave with the results is another transition.
-	vm.AddCost(ae.enclave.Transition())
+	leave := ae.enclave.Transition()
+	vm.AddCost(leave)
 
 	counter, err := vm.Global(ae.counter)
 	if err != nil {
@@ -451,8 +469,8 @@ func (ae *AccountingEnclave) RunContext(ctx context.Context, opts RunOptions) (R
 		WeightedInstructions: counter,
 		PeakMemoryBytes:      uint64(vm.MemorySize()),
 		MemoryIntegral:       meter.Integral(),
-		IOBytesIn:            tally.in + vm.IOBytes(),
-		IOBytesOut:           tally.out,
+		IOBytesIn:            tally.in + vm.IOBytes() + payloadIn,
+		IOBytesOut:           tally.out + payloadOut,
 		SimulatedCycles:      vm.Cost(),
 		Policy:               opts.Policy,
 	}
@@ -461,11 +479,12 @@ func (ae *AccountingEnclave) RunContext(ctx context.Context, opts RunOptions) (R
 		return RunResult{}, err
 	}
 	res := RunResult{
-		Results:     results,
-		Receipt:     receipt,
-		Record:      record,
-		PageFaults:  model.PageFaults(),
-		Transitions: ae.enclave.Transitions(),
+		Results:       results,
+		Receipt:       receipt,
+		Record:        record,
+		PageFaults:    model.PageFaults(),
+		Transitions:   ae.enclave.Transitions(),
+		EnclaveCycles: enter + leave + tally.crossings + model.PagingCycles(),
 	}
 	if runErr != nil {
 		// The record is still valid — resources were spent up to the trap.
@@ -493,47 +512,36 @@ func (ae *AccountingEnclave) QuoteCheckpoint(qe *sgx.QuotingEnclave, sc accounti
 	return qe.QuoteReport(rep)
 }
 
-// ioTally accumulates one run's sandbox-boundary I/O by direction. Host
-// functions execute on the run's own goroutine, so no locking is needed.
-type ioTally struct{ in, out uint64 }
+// ioTally accumulates one run's sandbox-boundary I/O by direction and the
+// cycles of its library-OS crossings. Host functions execute on the run's
+// own goroutine, so no locking is needed.
+type ioTally struct{ in, out, crossings uint64 }
 
 // DefaultImports exposes the library OS to workloads as host functions:
 //
 //	env.read(fd, ptr, len) -> n      env.write(fd, ptr, len) -> n
 //	env.clock() -> i64               env.block_read(off, ptr, len) -> errno
 //	env.block_write(off, ptr, len) -> errno
+//
+// A net or block call charges the crossing the library OS records for it to
+// the calling VM's cost, as in a run. Each call returns shims with a tally
+// of their own, for one VM at a time; only RunContext, which binds a fresh
+// set to every run, reads the tally into a record.
 func DefaultImports(l *sgxlkl.LibOS) map[string]interp.HostFunc {
-	return talliedImports(l, nil)
+	return talliedImports(l, new(ioTally))
 }
 
-// talliedImports is DefaultImports with per-run attribution: with a tally,
-// the shims account their bytes there (leaving vm.AddIOBytes to custom
-// imports, so nothing is counted twice) and charge the enclave-transition
-// cycles the library OS records for net/block syscalls into the run's VM —
-// mirroring the LibOS's own accounting, so per-record SimulatedCycles
-// include I/O crossings. Without a tally they fall back to the plain VM
-// byte counter.
+// talliedImports is DefaultImports accounting into t: the shims add their
+// bytes there by direction (leaving vm.AddIOBytes to custom imports, so
+// nothing is counted twice) and their crossings' cycles both there and to
+// the VM's cost, so per-record SimulatedCycles include I/O crossings.
 func talliedImports(l *sgxlkl.LibOS, t *ioTally) map[string]interp.HostFunc {
-	tallyIn := func(vm *interp.VM, n uint64) {
-		if t != nil {
-			t.in += n
-		} else {
-			vm.AddIOBytes(n)
-		}
-	}
-	tallyOut := func(vm *interp.VM, n uint64) {
-		if t != nil {
-			t.out += n
-		} else {
-			vm.AddIOBytes(n)
-		}
-	}
 	// The LibOS records one enclave crossing per net or block syscall
 	// (mem-file I/O stays inside); attribute its cycle cost to this run.
 	crossing := func(vm *interp.VM) {
-		if t != nil {
-			vm.AddCost(l.TransitionCost())
-		}
+		c := l.TransitionCost()
+		t.crossings += c
+		vm.AddCost(c)
 	}
 	return map[string]interp.HostFunc{
 		"env.read": func(vm *interp.VM, args []uint64) ([]uint64, error) {
@@ -549,7 +557,7 @@ func talliedImports(l *sgxlkl.LibOS, t *ioTally) map[string]interp.HostFunc {
 			if fd == sgxlkl.NetFD {
 				crossing(vm)
 			}
-			tallyIn(vm, uint64(got))
+			t.in += uint64(got)
 			return []uint64{uint64(uint32(got))}, nil
 		},
 		"env.write": func(vm *interp.VM, args []uint64) ([]uint64, error) {
@@ -565,7 +573,7 @@ func talliedImports(l *sgxlkl.LibOS, t *ioTally) map[string]interp.HostFunc {
 			if fd == sgxlkl.NetFD {
 				crossing(vm)
 			}
-			tallyOut(vm, uint64(put))
+			t.out += uint64(put)
 			return []uint64{uint64(uint32(put))}, nil
 		},
 		"env.clock": func(vm *interp.VM, args []uint64) ([]uint64, error) {
@@ -581,9 +589,7 @@ func talliedImports(l *sgxlkl.LibOS, t *ioTally) map[string]interp.HostFunc {
 				return []uint64{1}, nil
 			}
 			crossing(vm)
-			if t != nil {
-				t.in += uint64(n)
-			}
+			t.in += uint64(n)
 			return []uint64{0}, nil
 		},
 		"env.block_write": func(vm *interp.VM, args []uint64) ([]uint64, error) {
@@ -596,9 +602,7 @@ func talliedImports(l *sgxlkl.LibOS, t *ioTally) map[string]interp.HostFunc {
 				return []uint64{1}, nil
 			}
 			crossing(vm)
-			if t != nil {
-				t.out += uint64(len(data))
-			}
+			t.out += uint64(len(data))
 			return []uint64{0}, nil
 		},
 	}

@@ -94,24 +94,20 @@ var JSDispatchCost = 12 * time.Millisecond
 // new WebAssembly module for every incoming request" — the reset gives the
 // same isolation without repeating the lowering pass).
 //
-// In the instrumented setups every response additionally chains a usage
-// record onto a sharded hash-chained ledger and returns a receipt in the
-// X-Acct-Shard / X-Acct-Sequence / X-Acct-Chain headers; GET /receipt,
-// GET /checkpoint and GET /ledger expose the record, a freshly batch-signed
-// checkpoint, and the (streamed) offline-verifiable dump
-// (cmd/acctee-verify; ?truncated=1 anchors it at the last compaction
-// checkpoint), and /compact seals everything the current checkpoint covers
-// so a long-running gateway's resident ledger stays bounded
-// (ServerOptions.Ledger.Retention automates the trigger).
+// The instrumented setups deploy the function in AccTEE, as the paper's FaaS
+// evaluation does: a core.AccountingEnclave checks the instrumentation
+// enclave's evidence, runs every request and chains its usage record (a trap
+// or an interrupt too) onto its hash-chained ledger. A response carries the
+// record's receipt in X-Acct-Shard / X-Acct-Sequence / X-Acct-Chain, and the
+// ledger endpoints (serveLedger) serve records, checkpoints, the dump and
+// compaction (ServerOptions.Ledger.Retention automates the last).
 type Server struct {
 	fn      Function
 	setup   Setup
 	opts    ServerOptions
-	pool    *interp.InstancePool // nil for SetupJS
-	counter uint32               // instrumented counter global (instr setups)
-	enclave *sgx.Enclave         // nil for non-SGX setups
-	ledger  *accounting.Ledger   // instrumented setups only
-	modHash [32]byte
+	ae      *core.AccountingEnclave // instrumented setups only
+	pool    *interp.InstancePool    // the other wasm setups
+	enclave *sgx.Enclave            // nil for non-SGX setups
 	costs   sgx.CostParams
 	// Request counters are atomics, not a shared mutex: every response on
 	// every connection bumps them, and a lock here serializes otherwise
@@ -174,7 +170,7 @@ func NewServer(fn Function, setup Setup) (*Server, error) {
 // NewServerWithOptions builds (and, where applicable, instruments) the
 // function module once — the paper's cached-instrumentation deployment —
 // compiles it into the shared execution artifact, and returns the gateway.
-func NewServerWithOptions(fn Function, setup Setup, opts ServerOptions) (srv *Server, err error) {
+func NewServerWithOptions(fn Function, setup Setup, opts ServerOptions) (*Server, error) {
 	s := &Server{fn: fn, setup: setup, opts: opts, costs: sgx.DefaultCostParams()}
 	if opts.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, opts.MaxInFlight)
@@ -182,33 +178,20 @@ func NewServerWithOptions(fn Function, setup Setup, opts ServerOptions) (srv *Se
 	if setup == SetupJS {
 		return s, nil
 	}
-	// A construction failure after the ledger exists must not leak its
-	// periodic-checkpoint goroutine or spill file handles (pinned by
-	// TestServerCreateCloseNoLeak).
-	defer func() {
-		if err != nil && s.ledger != nil {
-			s.ledger.Close()
-		}
-	}()
-	var m *wasm.Module
-	if fn == Echo {
-		m, err = workloads.BuildEcho()
-	} else {
-		m, err = workloads.BuildResize()
+	build := workloads.BuildEcho
+	if fn == Resize {
+		build = workloads.BuildResize
 	}
+	m, err := build()
 	if err != nil {
 		return nil, fmt.Errorf("faas: build function: %w", err)
 	}
 	if setup == SetupSGXHWInstr || setup == SetupSGXHWIO {
-		res, err := instrument.Instrument(m, instrument.Options{Level: instrument.LoopBased})
-		if err != nil {
-			return nil, fmt.Errorf("faas: instrument: %w", err)
+		if s.ae, err = deploy(m, s.costs, opts); err != nil {
+			return nil, err
 		}
-		m = res.Module
-		s.counter = res.CounterGlobal
-	}
-	if s.modHash, err = core.ModuleHash(m); err != nil {
-		return nil, fmt.Errorf("faas: hash function module: %w", err)
+		s.enclave = s.ae.Enclave()
+		return s, nil
 	}
 	if setup != SetupWASM {
 		mode := sgx.ModeSimulation
@@ -220,16 +203,6 @@ func NewServerWithOptions(fn Function, setup Setup, opts ServerOptions) (srv *Se
 			return nil, err
 		}
 		s.enclave = encl
-	}
-	if setup == SetupSGXHWInstr || setup == SetupSGXHWIO {
-		// The instrumented gateways keep the verifiable usage ledger: one
-		// chained record per request, batch-signed at checkpoints and — with
-		// ServerOptions.Ledger.Retention configured — bounded in memory,
-		// sealed segments spilling to disk or being dropped behind signed
-		// checkpoints.
-		if s.ledger, err = accounting.NewLedger(s.enclave, opts.Ledger); err != nil {
-			return nil, fmt.Errorf("faas: ledger: %w", err)
-		}
 	}
 	var warm []interp.CostModel
 	if model := s.requestModel(); model != nil {
@@ -247,6 +220,36 @@ func NewServerWithOptions(fn Function, setup Setup, opts ServerOptions) (srv *Se
 	return s, nil
 }
 
+// deploy runs the instrumented setups' deployment (§3.3): the
+// instrumentation enclave instruments the function and signs the evidence,
+// and the accounting enclave checks it and compiles the module once. Its
+// ledger keeps one chained record per request, batch-signed at checkpoints
+// and, with ServerOptions.Ledger.Retention configured, bounded in memory.
+func deploy(m *wasm.Module, costs sgx.CostParams, opts ServerOptions) (*core.AccountingEnclave, error) {
+	ie, err := core.NewInstrumentationEnclave(instrument.LoopBased, nil)
+	if err != nil {
+		return nil, err
+	}
+	inst, ev, err := ie.Instrument(m)
+	if err != nil {
+		return nil, fmt.Errorf("faas: instrument: %w", err)
+	}
+	ae, err := core.NewAccountingEnclave(sgx.ModeHardware, costs, nil, inst, ev, ie.PublicKey())
+	if err != nil {
+		return nil, fmt.Errorf("faas: %w", err)
+	}
+	if err = ae.SetLedgerOptions(opts.Ledger); err == nil {
+		err = ae.SetPoolConfig(interp.PoolConfig{Prewarm: opts.PoolPrewarm})
+	}
+	if err != nil {
+		// A failed construction must not leak the ledger's checkpoint
+		// goroutine or spill file handles (TestServerCreateCloseNoLeak).
+		ae.Close()
+		return nil, fmt.Errorf("faas: %w", err)
+	}
+	return ae, nil
+}
+
 // requestModel returns a fresh per-request cost model, or nil when the
 // setup charges none. Models are stateful (EPC residency), so each request
 // gets its own; all share one cost fingerprint, so segment sums are cached.
@@ -259,17 +262,23 @@ func (s *Server) requestModel() interp.CostModel {
 
 // Ledger exposes the gateway's usage ledger (nil for uninstrumented
 // setups).
-func (s *Server) Ledger() *accounting.Ledger { return s.ledger }
+func (s *Server) Ledger() *accounting.Ledger {
+	if s.ae == nil {
+		return nil
+	}
+	return s.ae.Ledger()
+}
 
-// Enclave exposes the gateway's accounting enclave (nil for SetupWASM and
-// SetupJS) — its public key verifies ledger records and checkpoints.
+// Enclave exposes the gateway's enclave (nil for SetupWASM and SetupJS). In
+// the instrumented setups it is the accounting enclave's: its public key
+// verifies ledger records and checkpoints, under core.AEMeasurement.
 func (s *Server) Enclave() *sgx.Enclave { return s.enclave }
 
 // Close stops the ledger's periodic checkpoint goroutine, if configured,
 // and closes its spill files. Close is idempotent.
 func (s *Server) Close() {
-	if s.ledger != nil {
-		s.ledger.Close()
+	if s.ae != nil {
+		s.ae.Close()
 	}
 }
 
@@ -399,13 +408,13 @@ func (s *Server) Health() HealthStatus {
 		Shed:        s.shed.Load(),
 		Interrupted: s.interrupted.Load(),
 	}
-	if s.ledger != nil {
+	if l := s.Ledger(); l != nil {
 		lh := &LedgerHealth{
-			Resident: s.ledger.Resident(),
-			Spilled:  s.ledger.SpilledRecords(),
+			Resident: l.Resident(),
+			Spilled:  l.SpilledRecords(),
 		}
-		lh.CheckpointFailures, _ = s.ledger.CheckpointFailures()
-		if deg, cause := s.ledger.Degraded(); deg {
+		lh.CheckpointFailures, _ = l.CheckpointFailures()
+		if deg, cause := l.Degraded(); deg {
 			lh.Degraded = true
 			if cause != nil {
 				lh.DegradedCause = cause.Error()
@@ -452,14 +461,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// Read endpoints are GET-only; a POST to these paths falls through
 		// to function invocation, as before.
 		if r.Method == http.MethodGet {
-			switch r.URL.Path {
-			case ReceiptPath:
-				s.serveReceipt(w, r)
-			case CheckpointPath:
-				s.serveCheckpoint(w)
-			case LedgerPath:
-				s.serveLedger(w, r)
-			}
+			s.serveLedger(w, r)
 			return
 		}
 	case CompactPath:
@@ -470,7 +472,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, nil)
 			return
 		}
-		s.serveCompact(w)
+		s.serveLedger(w, r)
 		return
 	}
 	// Admission control gates only the invocation path, before the body is
@@ -490,15 +492,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// at MaxPayload+1 bytes instead of being buffered whole and measured.
 	// A declared length within the ceiling is read into one buffer of that
 	// size (ReadAll regrows from 512 B: ~3x the payload in throwaway
-	// buffers); a body that ends short of it is a bad payload as before.
-	limited := http.MaxBytesReader(w, r.Body, workloads.MaxPayload)
+	// buffers), and that read stops at the length, so it needs no limit; a
+	// body that ends short of it is a bad payload as before.
 	var body []byte
 	var err error
 	if n := r.ContentLength; n > 0 && n <= workloads.MaxPayload {
 		body = make([]byte, n)
-		_, err = io.ReadFull(limited, body)
+		_, err = io.ReadFull(r.Body, body)
 	} else {
-		body, err = io.ReadAll(limited)
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, workloads.MaxPayload))
 	}
 	if err != nil {
 		if errors.As(err, new(*http.MaxBytesError)) {
@@ -518,33 +520,36 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	var out []byte
-	var counter uint64
-	var rcpt *accounting.Receipt
+	p := &payload{body: body, accounted: s.setup == SetupSGXHWIO}
+	var res core.RunResult
 	switch s.setup {
 	case SetupJS:
-		out = s.serveJS(body, width, height)
+		p.out = s.serveJS(body, width, height)
 	default:
-		out, counter, rcpt, err = s.serveWasm(ctx, body, width, height)
+		res, err = s.serveWasm(ctx, p, width, height)
 	}
-	if counter > 0 {
+	if counter := res.Record.Log.WeightedInstructions; counter > 0 {
 		w.Header().Set("X-Weighted-Instructions", strconv.FormatUint(counter, 10))
 	}
-	if rcpt != nil {
+	if res.Record.Hash != ([32]byte{}) {
 		// The response's ledger receipt: where the request's usage record
 		// landed and the shard chain head it produced.
+		rcpt := res.Receipt
 		w.Header().Set("X-Acct-Shard", strconv.FormatUint(uint64(rcpt.Shard), 10))
 		w.Header().Set("X-Acct-Sequence", strconv.FormatUint(rcpt.Sequence, 10))
-		// hex.EncodeToString, not Sprintf("%x", ...): Sprintf reflects over
-		// the array on every response, an allocation-heavy detour on the
-		// hot path for a fixed 32-byte value.
-		w.Header().Set("X-Acct-Chain", hex.EncodeToString(rcpt.ChainHead[:]))
+		// One string per response for a fixed 32-byte value:
+		// hex.EncodeToString allocates its buffer and the string, and
+		// Sprintf("%x", ...) reflects over the array.
+		var head [64]byte
+		hex.Encode(head[:], rcpt.ChainHead[:])
+		w.Header().Set("X-Acct-Chain", string(head[:]))
 	}
 	if err != nil {
 		if errors.Is(err, interp.ErrInterrupted) {
 			// The deadline cut the run short at a segment boundary. The
 			// work actually executed is already charged — the receipt
-			// headers above point at the partial run's ledger record.
+			// headers above point at the partial run's ledger record, as
+			// they point at a trapped run's below.
 			s.interrupted.Add(1)
 			writeError(w, http.StatusGatewayTimeout, ErrCodeDeadlineExceeded, err)
 			return
@@ -554,83 +559,65 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	s.requests.Add(1)
 	if s.setup == SetupSGXHWIO {
-		s.ioBytes.Add(uint64(len(body) + len(out)))
+		s.ioBytes.Add(uint64(len(body) + len(p.out)))
 	}
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(out)
+	_, _ = w.Write(p.out)
 }
 
-// serveReceipt returns the ledger record named by ?shard=S&seq=N.
-func (s *Server) serveReceipt(w http.ResponseWriter, r *http.Request) {
-	if s.ledger == nil {
-		writeError(w, http.StatusNotFound, ErrCodeNotFound, nil)
-		return
-	}
-	shard, err1 := strconv.ParseUint(r.URL.Query().Get("shard"), 10, 32)
-	seq, err2 := strconv.ParseUint(r.URL.Query().Get("seq"), 10, 64)
-	if err1 != nil || err2 != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, nil)
-		return
-	}
-	rec, ok := s.ledger.Record(uint32(shard), seq)
-	if !ok {
-		writeError(w, http.StatusNotFound, ErrCodeNotFound, nil)
-		return
-	}
-	writeJSON(w, http.StatusOK, rec)
-}
-
-// serveCheckpoint batch-signs the ledger's current state on request (the
-// paper's "upon request" log) and returns the signed checkpoint.
-func (s *Server) serveCheckpoint(w http.ResponseWriter) {
-	if s.ledger == nil {
-		writeError(w, http.StatusNotFound, ErrCodeNotFound, nil)
-		return
-	}
-	sc, err := s.ledger.Checkpoint()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, ErrCodeCheckpointFailed, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, sc)
-}
-
-// serveLedger streams the offline-verifiable dump (acctee-verify input)
-// straight to the response in O(segment) memory — the gateway never
-// materialises the record array, however long it has been running.
-// ?truncated=1 anchors the dump at the last compaction checkpoint: a
-// non-zero starting sequence per shard, heads carried forward from the
-// anchor, verifiable against the anchor's signature alone. The body is
-// always the dump container (application/octet-stream); the ?bin=1 of
-// earlier clients is ignored.
+// serveLedger answers the ledger endpoints, 404 where there is no ledger:
+//   - /receipt?shard=S&seq=N returns the record;
+//   - /checkpoint batch-signs the ledger's current state on request (the
+//     paper's "upon request" log) and returns the signed checkpoint;
+//   - /ledger streams the offline-verifiable dump (acctee-verify input) in
+//     O(segment) memory, never materialising the record array.
+//     ?truncated=1 anchors it at the last compaction checkpoint: a non-zero
+//     starting sequence per shard, verifiable against the anchor's
+//     signature alone. The body is always the dump container; the ?bin=1
+//     of earlier clients is ignored. On a write error the headers are gone,
+//     and the truncated body fails to parse, as a verifier should see it;
+//   - /compact runs one bounded-retention compaction: sign a checkpoint
+//     covering every lane, seal what it covers (spill or drop), and report
+//     what was released — before scraping a truncated dump, or to bound
+//     memory without an automatic retention trigger.
 func (s *Server) serveLedger(w http.ResponseWriter, r *http.Request) {
-	if s.ledger == nil {
+	l := s.Ledger()
+	if l == nil {
 		writeError(w, http.StatusNotFound, ErrCodeNotFound, nil)
 		return
 	}
-	opts := accounting.DumpOptions{Truncated: r.URL.Query().Get("truncated") == "1"}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	// On error the headers are gone; the truncated body will fail to
-	// parse, which is the correct failure mode for a verifier.
-	_ = s.ledger.WriteDump(w, opts)
-}
-
-// serveCompact runs one bounded-retention compaction on request: sign a
-// checkpoint covering every lane, seal what it covers (spill or drop), and
-// report what was released. Operators hit it before scraping a truncated
-// dump, or to bound memory on gateways without an automatic retention
-// trigger.
-func (s *Server) serveCompact(w http.ResponseWriter) {
-	if s.ledger == nil {
-		writeError(w, http.StatusNotFound, ErrCodeNotFound, nil)
-		return
+	switch r.URL.Path {
+	case ReceiptPath:
+		shard, err1 := strconv.ParseUint(r.URL.Query().Get("shard"), 10, 32)
+		seq, err2 := strconv.ParseUint(r.URL.Query().Get("seq"), 10, 64)
+		if err1 != nil || err2 != nil {
+			writeError(w, http.StatusBadRequest, ErrCodeBadRequest, nil)
+			return
+		}
+		rec, ok := l.Record(uint32(shard), seq)
+		if !ok {
+			writeError(w, http.StatusNotFound, ErrCodeNotFound, nil)
+			return
+		}
+		writeJSON(w, http.StatusOK, rec)
+	case CheckpointPath:
+		sc, err := l.Checkpoint()
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, ErrCodeCheckpointFailed, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, sc)
+	case LedgerPath:
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_ = l.WriteDump(w, accounting.DumpOptions{Truncated: r.URL.Query().Get("truncated") == "1"})
+	case CompactPath:
+		res, err := l.Compact()
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, ErrCodeCompactFailed, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, res)
 	}
-	res, err := s.ledger.Compact()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, ErrCodeCompactFailed, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -644,27 +631,29 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(b)
 }
 
-func (s *Server) serveWasm(ctx context.Context, body []byte, width, height int) ([]byte, uint64, *accounting.Receipt, error) {
-	cfg := interp.Config{CostModel: s.requestModel()}
-	// Deadline propagation: a context that can expire arms a cooperative
-	// interrupt flag the engines poll at segment-leader charge points, so
-	// an expired deadline aborts the run with exactly the executed work
-	// accounted (and charged to the ledger below).
-	if ctx.Done() != nil {
-		intr := new(atomic.Bool)
-		if ctx.Err() != nil {
-			intr.Store(true)
-		} else {
-			// AfterFunc registers on the context; it starts no goroutine
-			// unless the context actually ends while the request runs.
-			stop := context.AfterFunc(ctx, func() { intr.Store(true) })
-			defer stop()
-		}
-		cfg.Interrupt = intr
+// serveWasm runs the function once on the request's payload. The
+// instrumented setups run it in the accounting enclave, which charges every
+// run it starts to its ledger, a trap or an interrupt too, and returns the
+// run's result, record and receipt included, with its error. The other
+// setups run it on a pooled instance and charge nothing: no record.
+func (s *Server) serveWasm(ctx context.Context, p *payload, width, height int) (core.RunResult, error) {
+	var args []uint64
+	if s.fn == Echo {
+		args = []uint64{uint64(len(p.body))}
+	} else {
+		args = []uint64{uint64(width), uint64(height)}
 	}
-	vm, err := s.pool.Get(cfg)
+	if s.ae != nil {
+		res, err := s.ae.RunContext(ctx, core.RunOptions{Entry: "run", Args: args, Payload: p})
+		// The enclave's crossings and paging burn wall-clock on real hardware.
+		burn(res.EnclaveCycles)
+		return res, err
+	}
+	intr, stop := interp.InterruptOn(ctx)
+	defer stop()
+	vm, err := s.pool.Get(interp.Config{CostModel: s.requestModel(), Interrupt: intr})
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("faas: instantiate: %w", err)
+		return core.RunResult{}, fmt.Errorf("faas: instantiate: %w", err)
 	}
 	defer s.pool.Put(vm)
 	if s.enclave != nil {
@@ -672,67 +661,59 @@ func (s *Server) serveWasm(ctx context.Context, body []byte, width, height int) 
 		burn(s.enclave.Transition())
 		defer burn(s.enclave.Transition())
 	}
-	in, err := vm.MemoryDirty(workloads.InBase, uint32(len(body)))
+	if _, err := p.CopyIn(vm); err != nil {
+		return core.RunResult{}, err
+	}
+	res, err := vm.InvokeExport("run", args...)
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("faas: payload: %w", err)
+		return core.RunResult{}, fmt.Errorf("faas: run: %w", err)
 	}
-	copy(in, body)
-	var res []uint64
-	if s.fn == Echo {
-		res, err = vm.InvokeExport("run", uint64(len(body)))
-	} else {
-		res, err = vm.InvokeExport("run", uint64(width), uint64(height))
-	}
-	runErr := err
-	interruptedRun := errors.Is(runErr, interp.ErrInterrupted)
-	if runErr != nil && !interruptedRun {
-		return nil, 0, nil, fmt.Errorf("faas: run: %w", runErr)
-	}
-	var out []byte
-	if runErr == nil {
-		n := uint32(res[0])
-		view, err := vm.MemoryView(workloads.OutBase, n)
-		if err != nil {
-			return nil, 0, nil, fmt.Errorf("faas: response: %w", err)
-		}
-		out = make([]byte, n)
-		copy(out, view)
-	}
-	var counter uint64
-	var rcpt *accounting.Receipt
-	if s.setup == SetupSGXHWInstr || s.setup == SetupSGXHWIO {
-		counter, _ = vm.Global(s.counter)
-		// Chain the request's usage record onto the ledger. No signature
-		// is paid here unless eager signing is configured — checkpoints
-		// vouch for the record in batch.
-		log := accounting.UsageLog{
-			WorkloadHash:         s.modHash,
-			WeightedInstructions: counter,
-			PeakMemoryBytes:      uint64(vm.MemorySize()),
-			SimulatedCycles:      vm.Cost(),
-			Policy:               accounting.PeakMemory,
-		}
-		if s.setup == SetupSGXHWIO {
-			log.IOBytesIn = uint64(len(body))
-			log.IOBytesOut = uint64(len(out))
-		}
-		receipt, _, err := s.ledger.Append(log)
-		if err != nil {
-			return nil, 0, nil, fmt.Errorf("faas: ledger: %w", err)
-		}
-		rcpt = &receipt
+	if _, err := p.CopyOut(vm, res); err != nil {
+		return core.RunResult{}, err
 	}
 	// EPC paging cycles burn wall-clock on real hardware.
 	if s.enclave != nil && s.enclave.Mode() == sgx.ModeHardware {
 		burn(vm.Cost())
 	}
-	if interruptedRun {
-		// The partial run's record is appended above — the work done up to
-		// the interrupt is charged; the error (wrapping ErrInterrupted)
-		// travels up with the receipt so the 504 can carry it.
-		return nil, counter, rcpt, fmt.Errorf("faas: run: %w", runErr)
+	return core.RunResult{}, nil
+}
+
+// payload is one request's body on its way into a sandbox and the
+// function's response on its way out. The plain setups call its copies
+// directly, the accounting enclave through core.RunOptions.Payload; the
+// bytes they report are the record's I/O, which only SetupSGXHWIO accounts.
+type payload struct {
+	body, out []byte
+	accounted bool
+}
+
+// CopyIn writes the body at workloads.InBase.
+func (p *payload) CopyIn(vm *interp.VM) (uint64, error) {
+	in, err := vm.MemoryDirty(workloads.InBase, uint32(len(p.body)))
+	if err != nil {
+		return 0, fmt.Errorf("faas: payload: %w", err)
 	}
-	return out, counter, rcpt, nil
+	copy(in, p.body)
+	return p.io(len(p.body)), nil
+}
+
+// CopyOut copies the response, as many bytes as the function returned, from
+// workloads.OutBase.
+func (p *payload) CopyOut(vm *interp.VM, results []uint64) (uint64, error) {
+	view, err := vm.MemoryView(workloads.OutBase, uint32(results[0]))
+	if err != nil {
+		return 0, fmt.Errorf("faas: response: %w", err)
+	}
+	p.out = make([]byte, len(view))
+	copy(p.out, view)
+	return p.io(len(p.out)), nil
+}
+
+func (p *payload) io(n int) uint64 {
+	if !p.accounted {
+		return 0
+	}
+	return uint64(n)
 }
 
 func (s *Server) serveJS(body []byte, width, height int) []byte {

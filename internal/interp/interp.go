@@ -15,6 +15,7 @@
 package interp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -112,6 +113,25 @@ type Config struct {
 	// the instructions retired before the flag was observed.
 	Interrupt *atomic.Bool
 }
+
+// InterruptOn returns a Config.Interrupt flag that is set the moment ctx is
+// done, and the stop to call once the run is over. A context that can never
+// end needs no flag (nil); one that has already ended gets a flag set from
+// the start, so the run aborts at its entry leader. It starts no goroutine:
+// the flag is set from context.AfterFunc, which runs only if ctx ends.
+func InterruptOn(ctx context.Context) (*atomic.Bool, func() bool) {
+	if ctx.Done() == nil {
+		return nil, noStop
+	}
+	intr := new(atomic.Bool)
+	if ctx.Err() != nil {
+		intr.Store(true)
+		return intr, noStop
+	}
+	return intr, context.AfterFunc(ctx, func() { intr.Store(true) })
+}
+
+func noStop() bool { return false }
 
 // CostModel charges simulated cycles for executed instructions. It is how
 // the SGX substrate injects EPC/transition penalties and how ground-truth

@@ -324,6 +324,7 @@ type EPCModel struct {
 	ring     []uint32 // resident pages in FIFO order, at most capacity
 	head     int
 	faults   uint64
+	paging   uint64 // cycles charged on faults
 	lastPage uint64 // fast path for sequential access runs
 	hasLast  bool
 }
@@ -374,12 +375,14 @@ func (m *EPCModel) touch(page uint64, memSize uint32) uint64 {
 		m.table[page] = int32(len(m.ring))
 		// Cold faults on first touch are charged at a reduced rate: the
 		// page is EADDed once, not paged in and out.
+		m.paging += m.params.PageFaultCycles / 4
 		return m.params.PageFaultCycles / 4
 	}
 	m.table[m.ring[m.head]] = 0
 	m.ring[m.head] = uint32(page)
 	m.table[page] = int32(m.head + 1)
 	m.head = (m.head + 1) % m.capacity
+	m.paging += m.params.PageFaultCycles
 	return m.params.PageFaultCycles
 }
 
@@ -399,6 +402,10 @@ func (m *EPCModel) MemCost(addr, width uint32, store bool, memSize uint32) uint6
 
 // PageFaults reports the number of simulated EPC faults.
 func (m *EPCModel) PageFaults() uint64 { return m.faults }
+
+// PagingCycles reports the cycles the faults charged: the model's share of
+// a run's cost apart from the instruction weights.
+func (m *EPCModel) PagingCycles() uint64 { return m.paging }
 
 // Hash of cost parameters, included in attestation evidence so both parties
 // agree on the cost model.

@@ -357,23 +357,31 @@ func (m *refEPCModel) PageFaults() uint64 { return m.faults }
 type epcAccess struct{ addr, width, memSize uint32 }
 
 // checkEPCTrace drives the model and the reference with the same trace and
-// requires equal cycles per call and equal fault counts throughout.
+// requires equal cycles per call and equal fault counts throughout, and the
+// model's summed paging cycles equal to the cycles its calls returned.
 func checkEPCTrace(t testing.TB, capacity int, trace []epcAccess) {
 	t.Helper()
 	params := sgx.CostParams{UsableEPCBytes: uint64(capacity) * 4096, PageFaultCycles: 1000}
 	got := sgx.NewEPCModel(sgx.ModeHardware, params, nil)
 	want := newRefEPCModel(sgx.ModeHardware, params, nil)
+	var charged uint64
 	for i, a := range trace {
 		var w uint64
 		if a.width != 0 {
 			w = want.MemCost(a.addr, a.width, false, a.memSize)
 		}
-		if g := got.MemCost(a.addr, a.width, false, a.memSize); g != w {
+		g := got.MemCost(a.addr, a.width, false, a.memSize)
+		if g != w {
 			t.Fatalf("capacity %d, access %d %+v: MemCost = %d, reference %d", capacity, i, a, g, w)
 		}
+		charged += g
 		if got.PageFaults() != want.PageFaults() {
 			t.Fatalf("capacity %d, access %d %+v: PageFaults = %d, reference %d",
 				capacity, i, a, got.PageFaults(), want.PageFaults())
+		}
+		if got.PagingCycles() != charged {
+			t.Fatalf("capacity %d, access %d %+v: PagingCycles = %d, MemCost summed %d",
+				capacity, i, a, got.PagingCycles(), charged)
 		}
 	}
 }
