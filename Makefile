@@ -34,19 +34,22 @@ chaos:
 # spill frame decoder, the dump-container verifier (mutated honest
 # containers: no panic, allocation bounded by the input, nothing attested
 # changeable), crash recovery on a damaged spill directory (refused and
-# untouched, or open, anchored and idempotent), and generated programs on
+# untouched, or open, anchored and idempotent), generated programs on
 # the register engine against the structured oracle under a fuel budget
-# and an interrupt point. go test
-# takes one -fuzz target and one package per invocation. The accounting targets cap input minimisation at one
-# execution: with the default (60 s per interesting input) a 20 s run
-# spends all of it minimising the first input it finds and executes a few
-# dozen inputs instead of a hundred thousand.
+# and an interrupt point, and the wasm binary codec (whatever Decode
+# accepts re-encodes to a fixed point: an equal module, the same bytes).
+# go test takes one -fuzz target and one package per invocation. The
+# accounting and codec targets cap input minimisation at one execution:
+# with the default (60 s per interesting input) a 20 s run spends all of it
+# minimising the first input it finds and executes a few dozen inputs
+# instead of a hundred thousand.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEPCModel -fuzztime 20s ./internal/sgx
 	$(GO) test -run '^$$' -fuzz FuzzBinFrameDecode -fuzztime 20s -fuzzminimizetime 1x ./internal/accounting
 	$(GO) test -run '^$$' -fuzz FuzzVerifyReader -fuzztime 20s -fuzzminimizetime 1x ./internal/accounting
 	$(GO) test -run '^$$' -fuzz FuzzRecoverDir -fuzztime 20s -fuzzminimizetime 1x ./internal/accounting
 	$(GO) test -run '^$$' -fuzz FuzzEngineDifferential -fuzztime 20s ./internal/interp
+	$(GO) test -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime 20s -fuzzminimizetime 1x ./internal/wasm/binary
 
 # verify-ledger is the tier-2 smoke path for the verifiable ledger: the
 # faas example serves instrumented requests under bounded retention
@@ -105,7 +108,7 @@ bench:
 # (the median over back-to-back pairs), the call-heavy suite must beat its
 # DisableInline baseline by >= 1.15x geomean where the inliner fires, the
 # compiled footprint set must keep at most bench.CompiledSmokeCeiling retained
-# heap bytes per loop-instrumented instruction (160; deterministic), a warm
+# heap bytes per loop-instrumented instruction (85; deterministic), a warm
 # pooled echo or resize instance must keep at most bench.PooledSmokeCeiling of
 # the memory its module declares (0.6; deterministic), spill-mode
 # retention must keep up with bounded, reading a 100,000-record spilled

@@ -18,7 +18,7 @@
 //	                               # structured on the microbenchmarks,
 //	                               # call inlining must beat the no-inline
 //	                               # baseline by ≥ 1.15x geomean,
-//	                               # a compiled module must keep ≤ 160 B per
+//	                               # a compiled module must keep ≤ 85 B per
 //	                               # instrumented instruction,
 //	                               # a warm pooled instance ≤ 0.6 of the
 //	                               # memory its module declares,

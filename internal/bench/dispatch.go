@@ -205,8 +205,10 @@ func RunMicro(trials int) ([]MicroRow, error) {
 // shared host runs whole stretches of tens of milliseconds at two thirds of
 // its speed, so neither best-of nor mean times give a stable quotient;
 // Overhead is the median over the pairs of counted/plain, whose two runs
-// share their stretch. The times reported are each side's best.
-func pairedOverhead(plain, counted *wasm.Module, pairs int, args ...uint64) (row InstrumentedRow, err error) {
+// share their stretch. The times reported are each side's best. newModel,
+// when non-nil, gives every run a fresh cost model, and a run's time is
+// then its effective time: wall time plus the simulated cycles it charged.
+func pairedOverhead(plain, counted *wasm.Module, pairs int, newModel func() interp.CostModel, args ...uint64) (row InstrumentedRow, err error) {
 	pcm, err := interp.Compile(plain, interp.CompileOptions{})
 	if err != nil {
 		return row, err
@@ -215,13 +217,28 @@ func pairedOverhead(plain, counted *wasm.Module, pairs int, args ...uint64) (row
 	if err != nil {
 		return row, err
 	}
+	run := func(cm *interp.CompiledModule) (int64, uint64, error) {
+		var cfg interp.Config
+		if newModel != nil {
+			cfg.CostModel = newModel()
+		}
+		vm, err := cm.Instantiate(cfg)
+		if err != nil {
+			return 0, 0, err
+		}
+		start := time.Now()
+		if _, err := vm.InvokeExport("run", args...); err != nil {
+			return 0, 0, err
+		}
+		return int64(effectiveNs(time.Since(start), vm.Cost())), vm.InstrCount(), nil
+	}
 	ratios := make([]float64, pairs)
 	for t := range ratios {
-		p, instr, err := bestRun(pcm, interp.Config{}, "run", 1, args...)
+		p, instr, err := run(pcm)
 		if err != nil {
 			return row, err
 		}
-		c, _, err := bestRun(ccm, interp.Config{}, "run", 1, args...)
+		c, _, err := run(ccm)
 		if err != nil {
 			return row, err
 		}
@@ -251,7 +268,7 @@ func RunInstrumented(trials int) (InstrumentedRow, error) {
 	if err != nil {
 		return InstrumentedRow{}, err
 	}
-	row, err := pairedOverhead(m, inst.Module, 8*max(trials, 1), 128, 128)
+	row, err := pairedOverhead(m, inst.Module, 8*max(trials, 1), nil, 128, 128)
 	row.Name = "resize-128/naive"
 	return row, err
 }

@@ -93,7 +93,7 @@ func RunFig10(trials int) (*Fig10Result, error) {
 		// prices instructions in the modelled columns below.
 		var nsPerInstr float64
 		row.WASMWallClock, err = perLevel(func(v *wasm.Module) (float64, error) {
-			r, err := pairedOverhead(m, v, 8*max(trials, 1), wl.Args...)
+			r, err := pairedOverhead(m, v, 8*max(trials, 1), nil, wl.Args...)
 			nsPerInstr = float64(r.PlainNs) / float64(max(r.Instructions, 1))
 			return r.Overhead, err
 		})

@@ -34,8 +34,8 @@ type Fig6Result struct {
 	MeanWASM       float64 `json:"mean_wasm"`
 	MeanWASMSGXHW  float64 `json:"mean_wasm_sgx_hw"`
 	MeanHWOverWASM float64 `json:"mean_hw_over_wasm"`
-	// InstrOverHWPct is the mean of instrumented/HW per kernel, as a
-	// percentage over HW.
+	// InstrOverHWPct is the mean of instrumented/HW per kernel, each the
+	// median over back-to-back pairs, as a percentage over HW.
 	InstrOverHWPct float64   `json:"instr_over_hw_pct"`
 	Rows           []Fig6Row `json:"rows"`
 }
@@ -43,7 +43,9 @@ type Fig6Result struct {
 // RunFig6 reproduces Fig. 6: the 29 PolyBench kernels under WASM,
 // WASM-SGX SIM, WASM-SGX HW and WASM-SGX HW + loop-based instrumentation,
 // normalised to native runtime. kernels limits the set (nil = all);
-// trials >= 1 selects best-of-n timing.
+// trials >= 1 selects best-of-n timing for the first four setups, and
+// 8 x trials back-to-back pairs for the instrumented one, which is HW times
+// the paired quotient (pairedOverhead).
 func RunFig6(kernels []string, trials int) (*Fig6Result, error) {
 	if kernels == nil {
 		kernels = polybench.Names()
@@ -116,29 +118,28 @@ func RunFig6(kernels []string, trials int) (*Fig6Result, error) {
 			return nil, err
 		}
 
-		// WASM-SGX HW + instrumentation (loop-based)
-		instD, instC, err := bestOf(trials, func() (time.Duration, uint64, error) {
-			model := sgx.NewEPCModel(sgx.ModeHardware, hwParams(), nil)
-			d, vm, err := timeWasm(inst.Module, interp.Config{CostModel: model}, "run")
-			if err != nil {
-				return 0, 0, err
-			}
-			return d, vm.Cost(), nil
+		// WASM-SGX HW + instrumentation (loop-based): its quotient over HW
+		// is the median over back-to-back pairs of HW runs, plain and
+		// instrumented, which best-of-n per side cannot resolve on a
+		// shared host.
+		inst6, err := pairedOverhead(m, inst.Module, 8*trials, func() interp.CostModel {
+			return sgx.NewEPCModel(sgx.ModeHardware, hwParams(), nil)
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fig6 %s instrumented: %w", name, err)
 		}
 
 		nat := float64(nativeD.Nanoseconds())
 		if nat <= 0 {
 			nat = 1
 		}
+		hw := effectiveNs(hwD, hwC) / nat
 		fig.Rows = append(fig.Rows, Fig6Row{
 			Kernel:       name,
 			WASM:         float64(wasmD.Nanoseconds()) / nat,
 			WASMSGXSim:   effectiveNs(simD, simC) / nat,
-			WASMSGXHW:    effectiveNs(hwD, hwC) / nat,
-			Instrumented: effectiveNs(instD, instC) / nat,
+			WASMSGXHW:    hw,
+			Instrumented: hw * inst6.Overhead,
 			EPCFaults:    faults,
 			SimCycles:    simC,
 			HWCycles:     hwC,

@@ -41,14 +41,16 @@ type Graph struct {
 	byStart map[int]int
 }
 
-// Build scans a function body and produces its CFG.
+// Build scans a function body and produces its CFG. brTables is the
+// function's br_table side table (wasm.Func.BrTables), which the body's
+// br_table instructions index.
 //
 // Block boundaries (segment starts) are: the body start, the instruction
 // after every block/loop/if opener, after every else, after every end, and
 // after every br/br_if/br_table/return/unreachable. This matches the
 // paper's basic-block granularity: every point where control can diverge or
 // merge starts a new block.
-func Build(body []wasm.Instr) (*Graph, error) {
+func Build(body []wasm.Instr, brTables [][]uint32) (*Graph, error) {
 	if err := wasm.ValidateStructure(body); err != nil {
 		return nil, err
 	}
@@ -167,7 +169,10 @@ func Build(body []wasm.Instr) (*Graph, error) {
 			addEdge(blk.ID, t)
 			addEdge(blk.ID, pc+1)
 		case wasm.OpBrTable:
-			for _, d := range in.Table {
+			if int(in.Idx) >= len(brTables) {
+				return nil, fmt.Errorf("cfg: br_table targets %d out of range", in.Idx)
+			}
+			for _, d := range brTables[in.Idx] {
 				t, err := targetPC(d)
 				if err != nil {
 					return nil, err

@@ -24,7 +24,7 @@ func diamondBody() []wasm.Instr {
 }
 
 func TestDiamondCFG(t *testing.T) {
-	g, err := cfg.Build(diamondBody())
+	g, err := cfg.Build(diamondBody(), nil)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestLoopCFGHasBackEdge(t *testing.T) {
 		f.Op(wasm.OpNop)
 	})
 	b.ExportFunc("f", f.End())
-	g, err := cfg.Build(b.MustBuild().Funcs[0].Body)
+	g, err := cfg.Build(b.MustBuild().Funcs[0].Body, nil)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestStraightLineSingleBlock(t *testing.T) {
 	f := b.Func("f", nil, []wasm.ValueType{wasm.I32})
 	f.I32Const(1).I32Const(2).Op(wasm.OpI32Add)
 	b.ExportFunc("f", f.End())
-	g, err := cfg.Build(b.MustBuild().Funcs[0].Body)
+	g, err := cfg.Build(b.MustBuild().Funcs[0].Body, nil)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestUnreachableBlockDetected(t *testing.T) {
 		f.Op(wasm.OpNop) // dead
 	})
 	b.ExportFunc("f", f.End())
-	g, err := cfg.Build(b.MustBuild().Funcs[0].Body)
+	g, err := cfg.Build(b.MustBuild().Funcs[0].Body, nil)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestUnreachableBlockDetected(t *testing.T) {
 }
 
 func TestReversePostorderStartsAtEntry(t *testing.T) {
-	g, err := cfg.Build(diamondBody())
+	g, err := cfg.Build(diamondBody(), nil)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}

@@ -144,7 +144,7 @@ func incrSeq(counter uint32, w uint64) []wasm.Instr {
 }
 
 func instrumentFunc(m *wasm.Module, f *wasm.Func, counter uint32, opts Options, stats *Stats) error {
-	g, err := cfg.Build(f.Body)
+	g, err := cfg.Build(f.Body, f.BrTables)
 	if err != nil {
 		return err
 	}

@@ -226,7 +226,7 @@ func TestBrTableExact(t *testing.T) {
 		f.Block(wasm.BlockEmpty, func() {
 			f.Block(wasm.BlockEmpty, func() {
 				f.LocalGet(0)
-				f.Emit(wasm.Instr{Op: wasm.OpBrTable, Table: []uint32{0, 1, 2}})
+				f.BrTable(0, 1, 2)
 			})
 			f.I32Const(11).LocalSet(r).Br(1)
 		})

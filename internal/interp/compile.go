@@ -37,7 +37,8 @@ import (
 
 // ctrlMeta holds the pre-resolved structure for a pc of the pre-inline body:
 // for block/loop/if the matching end (and else); for end/else the header.
-// The structured reference engine interprets branches through it.
+// The lowering pass resolves branches through it, and the structured
+// reference engine interprets them through it (oracleFunc.ctrl).
 type ctrlMeta struct {
 	end   int32 // pc of matching end (for block/loop/if); for end/else: start pc
 	els   int32 // pc of else for if, or -1
@@ -91,11 +92,11 @@ const (
 	fCallDef
 )
 
-// compile builds both engines' front-end representations for one function:
-// the sctrl sidetable (structured reference engine) and the flat IR (which
-// the default engine's register lowering consumes).
-// One cfg.Build provides the control matching, the segment boundaries and
-// the structural validation for both.
+// compile builds the front-end representation of one function: the control
+// table (which Compile keeps for the structured reference engine only until
+// it trims) and the flat IR (which the default engine's register lowering
+// consumes). One cfg.Build provides the control matching, the segment
+// boundaries and the structural validation for both.
 func compile(m *wasm.Module, f *wasm.Func) (compiledFunc, error) {
 	t := m.Types[f.TypeIdx]
 	cf := compiledFunc{
@@ -106,12 +107,12 @@ func compile(m *wasm.Module, f *wasm.Func) (compiledFunc, error) {
 		body:     f.Body,
 		name:     f.Name,
 	}
-	g, err := cfg.Build(f.Body)
+	g, err := cfg.Build(f.Body, f.BrTables)
 	if err != nil {
 		return cf, err
 	}
-	buildCtrl(&cf, g)
-	if err := lower(m, &cf, g); err != nil {
+	cf.ctrl = buildCtrl(f.Body, g)
+	if err := lower(m, &cf, g, f.BrTables); err != nil {
 		return cf, err
 	}
 	// Register lowering runs later, from Compile (module.go): the inlining
@@ -119,11 +120,10 @@ func compile(m *wasm.Module, f *wasm.Func) (compiledFunc, error) {
 	return cf, nil
 }
 
-// buildCtrl derives the structured engine's per-pc control metadata from
-// the shared CFG matching.
-func buildCtrl(cf *compiledFunc, g *cfg.Graph) {
-	body := cf.body
-	cf.sctrl = make([]ctrlMeta, len(body))
+// buildCtrl derives the per-pc control metadata of body from the shared CFG
+// matching.
+func buildCtrl(body []wasm.Instr, g *cfg.Graph) []ctrlMeta {
+	ctrl := make([]ctrlMeta, len(body))
 	for pc, in := range body {
 		switch in.Op {
 		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
@@ -132,17 +132,41 @@ func buildCtrl(cf *compiledFunc, g *cfg.Graph) {
 			if _, ok := in.BT.Value(); ok {
 				arity = 1
 			}
-			cf.sctrl[pc] = ctrlMeta{end: int32(mi.EndPC), els: int32(mi.ElsePC), arity: arity}
+			ctrl[pc] = ctrlMeta{end: int32(mi.EndPC), els: int32(mi.ElsePC), arity: arity}
 		case wasm.OpElse:
-			cf.sctrl[pc] = ctrlMeta{end: int32(g.Match[pc].EndPC), els: -1}
+			ctrl[pc] = ctrlMeta{end: int32(g.Match[pc].EndPC), els: -1}
 		case wasm.OpEnd:
 			if mi, ok := g.Match[pc]; ok {
-				cf.sctrl[pc] = ctrlMeta{end: int32(mi.HdrPC), els: -1}
+				ctrl[pc] = ctrlMeta{end: int32(mi.HdrPC), els: -1}
 			} else {
-				cf.sctrl[pc] = ctrlMeta{end: -1, els: -1} // function-final end
+				ctrl[pc] = ctrlMeta{end: -1, els: -1} // function-final end
 			}
 		}
 	}
+	return ctrl
+}
+
+// segLeaders is where both engines charge a segment: every basic-block
+// start, plus the instruction after each call/call_indirect/memory.grow so
+// accounting is settled whenever host code (imports, grow hooks) can
+// observe the VM.
+func segLeaders(g *cfg.Graph) []bool {
+	return g.Leaders(wasm.OpCall, wasm.OpCallIndirect, wasm.OpMemoryGrow)
+}
+
+// segCounts is the per-pc segment instruction count of g's body: non-zero
+// exactly at segment leaders.
+func segCounts(g *cfg.Graph) []uint32 {
+	leader := segLeaders(g)
+	seg := make([]uint32, len(leader))
+	end := len(leader)
+	for pc := len(leader) - 1; pc >= 0; pc-- {
+		if leader[pc] {
+			seg[pc] = uint32(end - pc)
+			end = pc
+		}
+	}
+	return seg
 }
 
 // lframe is one open control frame during lowering. opener 0 denotes the
@@ -156,16 +180,12 @@ type lframe struct {
 }
 
 // lower builds the flat IR: branch sidetable, segment accounting tables and
-// the stack high-water mark.
-func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph) error {
+// the stack high-water mark. brTables holds the body's br_table targets.
+func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph, brTables [][]uint32) error {
 	body := cf.body
 	flat := make([]flatOp, len(body))
 	cf.flat = flat
-
-	// Segment leaders: every basic-block start, plus the instruction after
-	// each call/call_indirect/memory.grow so accounting is settled whenever
-	// host code (imports, grow hooks) can observe the VM.
-	leader := g.Leaders(wasm.OpCall, wasm.OpCallIndirect, wasm.OpMemoryGrow)
+	leader := segLeaders(g)
 
 	// Accounting tables: per-segment instruction counts charged at leaders
 	// (cost sums are derived per cost-model fingerprint in module.go).
@@ -204,7 +224,7 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph) error {
 		case fr.opener == wasm.OpLoop: // backward edge, no results
 			return flatTarget{pc: int32(fr.hdr + 1), height: fr.height, arity: 0}, nil
 		default:
-			return flatTarget{pc: cf.sctrl[fr.hdr].end + 1, height: fr.height, arity: fr.results}, nil
+			return flatTarget{pc: cf.ctrl[fr.hdr].end + 1, height: fr.height, arity: fr.results}, nil
 		}
 	}
 
@@ -215,7 +235,7 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph) error {
 		case wasm.OpBlock, wasm.OpLoop:
 			frames = append(frames, lframe{
 				opener: in.Op, hdr: pc, height: h,
-				results: cf.sctrl[pc].arity, dead: dead,
+				results: cf.ctrl[pc].arity, dead: dead,
 			})
 		case wasm.OpIf:
 			if !dead {
@@ -223,12 +243,12 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph) error {
 			}
 			frames = append(frames, lframe{
 				opener: in.Op, hdr: pc, height: h,
-				results: cf.sctrl[pc].arity, dead: dead,
+				results: cf.ctrl[pc].arity, dead: dead,
 			})
-			if els := cf.sctrl[pc].els; els >= 0 {
+			if els := cf.ctrl[pc].els; els >= 0 {
 				flat[pc].target = els + 1
 			} else {
-				flat[pc].target = cf.sctrl[pc].end + 1
+				flat[pc].target = cf.ctrl[pc].end + 1
 			}
 		case wasm.OpElse:
 			fr := &frames[len(frames)-1]
@@ -236,7 +256,7 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph) error {
 			dead = fr.dead
 			// Fallthrough from the then-arm continues after the matching
 			// end; the end it skips is charged by the engine inline.
-			flat[pc].target = cf.sctrl[pc].end + 1
+			flat[pc].target = cf.ctrl[pc].end + 1
 		case wasm.OpEnd:
 			if len(frames) > 1 {
 				fr := frames[len(frames)-1]
@@ -266,8 +286,9 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph) error {
 			if !dead {
 				h-- // index
 			}
-			tbl := make([]flatTarget, len(in.Table))
-			for i, d := range in.Table {
+			targets := brTables[in.Idx] // in range: cfg.Build checked it
+			tbl := make([]flatTarget, len(targets))
+			for i, d := range targets {
 				t, err := resolve(d)
 				if err != nil {
 					return err

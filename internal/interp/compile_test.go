@@ -131,8 +131,9 @@ func TestLoweredIfElseTargets(t *testing.T) {
 func funcID(f regFn) uintptr { return *(*uintptr)(unsafe.Pointer(&f)) }
 
 // TestCompileTrimsLoweringTables checks what a compiled artifact keeps: no
-// function retains the lowering passes' flat sidetables or reachability map,
-// and every statement-interior pc holds the one shared guard rather than a
+// function retains the lowering passes' flat sidetables, reachability map or
+// control table, the oracle's views are left to be rebuilt on demand, and
+// every statement-interior pc holds the one shared guard rather than a
 // closure of its own.
 func TestCompileTrimsLoweringTables(t *testing.T) {
 	k, err := polybench.Get("gemm")
@@ -148,12 +149,15 @@ func TestCompileTrimsLoweringTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if cm.oracle != nil {
+			t.Errorf("%s: the oracle's views kept", name)
+		}
 		interior := 0
 		for fi := range cm.funcs {
 			cf := &cm.funcs[fi]
-			if cf.flat != nil || cf.sflat != nil || cf.preDead != nil {
-				t.Errorf("%s func %d: lowering tables kept (flat %v, sflat %v, preDead %v)",
-					name, fi, cf.flat != nil, cf.sflat != nil, cf.preDead != nil)
+			if cf.flat != nil || cf.sflat != nil || cf.preDead != nil || cf.ctrl != nil {
+				t.Errorf("%s func %d: lowering tables kept (flat %v, sflat %v, preDead %v, ctrl %v)",
+					name, fi, cf.flat != nil, cf.sflat != nil, cf.preDead != nil, cf.ctrl != nil)
 			}
 			for pc := range cf.body {
 				if cf.reg.wid[pc] != 0 {

@@ -254,7 +254,7 @@ func buildBrTableModule() *wasm.Module {
 		f.Block(wasm.BlockEmpty, func() {
 			f.Block(wasm.BlockEmpty, func() {
 				f.LocalGet(0)
-				f.Emit(wasm.Instr{Op: wasm.OpBrTable, Table: []uint32{0, 1, 2}})
+				f.BrTable(0, 1, 2)
 			})
 			f.I32Const(10).LocalSet(r).Br(1)
 		})
@@ -461,7 +461,7 @@ func randomFlatProgram(rng *rand.Rand) *wasm.Module {
 				f.Block(wasm.BlockEmpty, func() {
 					f.Block(wasm.BlockEmpty, func() {
 						f.LocalGet(x).I32Const(3).Op(wasm.OpI32RemU)
-						f.Emit(wasm.Instr{Op: wasm.OpBrTable, Table: []uint32{0, 1, 2}})
+						f.BrTable(0, 1, 2)
 					})
 					f.I32Const(2).LocalSet(r).Br(1)
 				})

@@ -1,7 +1,9 @@
 package interp
 
 import (
+	"fmt"
 	"math/bits"
+	"reflect"
 
 	"acctee/internal/wasm"
 )
@@ -102,4 +104,36 @@ func (vm *VM) DirtyBlocks() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
+}
+
+// OracleRebuildMismatch lowers m twice: with lowerModule, which keeps the
+// oracle's views it built while lowering, and with Compile, which drops
+// them. It rebuilds the trimmed artifact's views on demand and describes
+// the first function whose views differ from the kept ones ("" when every
+// function agrees).
+func OracleRebuildMismatch(m *wasm.Module, opts CompileOptions) (string, error) {
+	kept, err := lowerModule(m, opts)
+	if err != nil {
+		return "", err
+	}
+	trimmed, err := Compile(m, opts)
+	if err != nil {
+		return "", err
+	}
+	if trimmed.oracle != nil {
+		return "Compile kept the oracle's views", nil
+	}
+	rebuilt, err := trimmed.oracleViews()
+	if err != nil {
+		return "", err
+	}
+	if len(rebuilt) != len(kept.oracle) {
+		return fmt.Sprintf("%d functions rebuilt, %d kept", len(rebuilt), len(kept.oracle)), nil
+	}
+	for i := range rebuilt {
+		if !reflect.DeepEqual(rebuilt[i], kept.oracle[i]) {
+			return fmt.Sprintf("func %d: rebuilt %+v, kept %+v", i, rebuilt[i], kept.oracle[i]), nil
+		}
+	}
+	return "", nil
 }

@@ -35,10 +35,9 @@ import "acctee/internal/wasm"
 // retargeting across function boundaries: the caller's own sidetable is
 // remapped through a pc map, the callee contributes none.
 //
-// The structured reference engine never sees any of this: Compile freezes
-// the original views (sbody/sctrl/sflat) before the pass runs, so the oracle
-// executes real calls and the differential suite checks splice correctness
-// on every run.
+// The structured reference engine never sees any of this: it runs the
+// module's own pre-inline bodies (oracleFunc), so the oracle executes real
+// calls and the differential suite checks splice correctness on every run.
 
 const (
 	// inlineMaxBody is the largest callee body (in flat instructions,

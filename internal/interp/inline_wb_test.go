@@ -64,7 +64,7 @@ func TestInlineArtifactInvariants(t *testing.T) {
 	icSites := map[int32]bool{}
 	for fi := range cm.funcs {
 		cf := &cm.funcs[fi]
-		grown += len(cf.body) - len(cf.sbody)
+		grown += len(cf.body) - len(cm.m.Funcs[fi].Body)
 
 		// Segments tile the body: each leader's segment ends exactly where
 		// the next begins, and the counts sum to the body length.
@@ -182,7 +182,7 @@ func TestDisableInlineLeavesNoMarkers(t *testing.T) {
 	}
 	for fi := range cm.funcs {
 		cf := &cm.funcs[fi]
-		if len(cf.body) != len(cf.sbody) {
+		if len(cf.body) != len(cm.m.Funcs[fi].Body) {
 			t.Errorf("func %d: body grew with inlining disabled", fi)
 		}
 		for pc := range cf.body {

@@ -156,6 +156,7 @@ type VM struct {
 	cm       *CompiledModule
 	module   *wasm.Module
 	funcs    []compiledFunc // shared, read-only: the compiled artifact
+	oracle   []oracleFunc   // shared, read-only: the oracle's views (EngineStructured only)
 	costs    []funcCosts    // shared, read-only: cost tables for this config
 	hostFns  []HostFunc     // imported functions
 	hostSigs []wasm.FuncType
@@ -226,8 +227,9 @@ type VM struct {
 }
 
 // compiledFunc is one function of the artifact. After Compile it keeps what
-// the engines read; flat, sflat and preDead are the lowering passes' tables
-// and Compile drops them (trim) once the register stream is built.
+// the register engine reads; flat, sflat, preDead and ctrl are the lowering
+// passes' tables and Compile drops them (trim) once the register stream is
+// built. The structured reference engine reads its own views (oracleFunc).
 type compiledFunc struct {
 	typeIdx  uint32
 	numLoc   int // params + locals
@@ -240,19 +242,10 @@ type compiledFunc struct {
 	reg      *regCode // register-form direct-threaded stream (EngineReg)
 	name     string
 
-	flat    []flatOp // branch sidetable + segment leaders; lowering only
-	preDead []bool   // pc statically unreachable (after unconditional transfer); lowering only
-
-	// Original (pre-inlining) views, used by the structured reference
-	// engine: the oracle must execute real call frames so differential
-	// tests compare inlined execution against the ground-truth call path.
-	// sseg holds the oracle's segment instruction counts (non-zero at the
-	// leaders where it polls); when the inlining pass leaves a function
-	// untouched sbody aliases body and sseg the register stream's seg.
-	sbody []wasm.Instr
-	sctrl []ctrlMeta
-	sseg  []uint32
-	sflat []flatOp // pre-inline flat sidetable; lowering only
+	flat    []flatOp   // branch sidetable + segment leaders; lowering only
+	preDead []bool     // pc statically unreachable (after unconditional transfer); lowering only
+	ctrl    []ctrlMeta // pre-inline control table; lowering only
+	sflat   []flatOp   // pre-inline flat sidetable; lowering only
 }
 
 // Instantiate compiles and instantiates a module in one step. Callers that
@@ -538,7 +531,7 @@ func (vm *VM) Invoke(idx uint32, args ...uint64) ([]uint64, error) {
 	if vm.engine == EngineStructured {
 		locals := make([]uint64, f.numLoc)
 		copy(locals, args)
-		return vm.execStructured(f, locals, make([]uint64, 0, 64))
+		return vm.execStructured(di, locals, make([]uint64, 0, 64))
 	}
 	frame := vm.getFrame(f.numLoc+f.maxStack, f.nparams, f.numLoc)
 	copy(frame, args)

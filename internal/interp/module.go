@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"acctee/internal/affinity"
+	"acctee/internal/cfg"
 	"acctee/internal/wasm"
 )
 
@@ -16,13 +17,15 @@ import (
 // "instrument once, execute many times", and the FaaS gateway of §5.3 that
 // spins up a fresh sandbox per request). Compile produces an immutable
 // CompiledModule — the register-form closure stream with its segment
-// tables, the oracle's pre-inline views and initialiser templates — that any
-// number of VMs instantiate from without repeating the lowering passes. The
-// passes' own tables (the flat IR) are dropped once the stream is built: an
-// artifact stays resident while its module is deployed, inside an enclave in
-// EPC. Per-CostModel segment cost sums are cached on the artifact keyed by
-// the model's per-opcode cost fingerprint, so a fresh stateful model per run
-// (e.g. a new EPC paging model per request) still hits the cache.
+// tables and initialiser templates — that any number of VMs instantiate
+// from without repeating the lowering passes. The passes' own tables (the
+// flat IR, the control table) are dropped once the stream is built, and so
+// are the structured oracle's views, which the first EngineStructured
+// instantiation rebuilds from the module: an artifact stays resident while
+// its module is deployed, inside an enclave in EPC. Per-CostModel segment
+// cost sums are cached on the artifact keyed by the model's per-opcode cost
+// fingerprint, so a fresh stateful model per run (e.g. a new EPC paging
+// model per request) still hits the cache.
 // InstancePool recycles VM slabs (memory, globals, table, call frames) across
 // runs with a deterministic Reset that is observationally identical to a
 // fresh instantiation.
@@ -69,6 +72,14 @@ type CompiledModule struct {
 	// numICSites is the number of static call_indirect sites across all
 	// (post-inline) bodies; it sizes each VM's inline-cache array.
 	numICSites int
+
+	// oracle holds the structured reference engine's views, one per
+	// function. lowerModule keeps the ones it built while lowering; Compile
+	// drops them, and the first EngineStructured instantiation rebuilds them
+	// from m, once (oracleViews).
+	oracleOnce sync.Once
+	oracle     []oracleFunc
+	oracleErr  error
 
 	// costCache holds the cost tables per CostModel fingerprint. Reads
 	// vastly outnumber writes (every pooled Get with a cost model looks up,
@@ -130,13 +141,16 @@ func Compile(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 	return cm, nil
 }
 
-// trim drops what only the lowering passes read: the flat sidetables (the
-// executable one and the frozen pre-inline one) and the reachability map.
+// trim drops what only the lowering passes read — the flat sidetables (the
+// executable one and the frozen pre-inline one), the reachability map and
+// the control table — and the oracle's views, which oracleViews rebuilds on
+// demand.
 func (cm *CompiledModule) trim() {
 	for i := range cm.funcs {
 		cf := &cm.funcs[i]
-		cf.flat, cf.sflat, cf.preDead = nil, nil, nil
+		cf.flat, cf.sflat, cf.preDead, cf.ctrl = nil, nil, nil, nil
 	}
+	cm.oracle = nil
 }
 
 // lowerModule is Compile without the trim: every pass runs and every
@@ -151,7 +165,7 @@ func lowerModule(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 			cm.importKeys = append(cm.importKeys, im.Module+"."+im.Name)
 			cm.importSigs = append(cm.importSigs, m.Types[im.TypeIdx])
 		case wasm.ExternalMemory:
-			return nil, fmt.Errorf("interp: memory imports must be linked via host.Link")
+			return nil, fmt.Errorf("interp: memory imports are not supported")
 		}
 	}
 
@@ -220,12 +234,12 @@ func lowerModule(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 	}
 	sort.Slice(cm.opsUsed, func(i, j int) bool { return cm.opsUsed[i] < cm.opsUsed[j] })
 
-	// Freeze the original views for the structured reference engine before
-	// inlining rewrites the executable ones; for functions the inliner
-	// leaves alone these keep aliasing the same arrays.
+	// Freeze the pre-inline flat IR before inlining rewrites the executable
+	// one; for functions the inliner leaves alone it keeps aliasing the same
+	// array.
 	for i := range cm.funcs {
 		cf := &cm.funcs[i]
-		cf.sbody, cf.sflat = cf.body, cf.flat
+		cf.sflat = cf.flat
 	}
 
 	// Cross-function inlining, then residual-call finalization (fast-path
@@ -236,21 +250,56 @@ func lowerModule(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 		cm.InlineStats = inlinePass(cm)
 	}
 	finalizeCalls(cm)
+	cm.oracle = make([]oracleFunc, len(cm.funcs))
 	for i := range cm.funcs {
 		regLower(cm, i)
-		cf := &cm.funcs[i]
-		// The oracle polls at its pre-inline leaders: the register stream's
-		// where the inliner left the function alone (splicing always grows
-		// a body), the frozen flat's counts where it did not.
-		cf.sseg = cf.reg.seg
-		if len(cf.sbody) != len(cf.body) {
-			cf.sseg = make([]uint32, len(cf.sbody))
+		cf, f := &cm.funcs[i], &m.Funcs[i]
+		// The oracle runs the pre-inline body and polls at its leaders: the
+		// register stream's where the inliner left the function alone
+		// (splicing always grows a body), the frozen flat's counts where it
+		// did not.
+		o := oracleFunc{body: f.Body, brTables: f.BrTables, ctrl: cf.ctrl, seg: cf.reg.seg}
+		if len(f.Body) != len(cf.body) {
+			o.seg = make([]uint32, len(f.Body))
 			for pc := range cf.sflat {
-				cf.sseg[pc] = uint32(cf.sflat[pc].segCnt)
+				o.seg[pc] = uint32(cf.sflat[pc].segCnt)
 			}
 		}
+		cm.oracle[i] = o
 	}
 	return cm, nil
+}
+
+// oracleViews returns the structured reference engine's views, rebuilding
+// them once from the module when Compile dropped them. The rebuild is a
+// pass over the pre-inline bodies: one cfg.Build per function for the
+// control table, and the leader counts wherever the inliner grew the body.
+func (cm *CompiledModule) oracleViews() ([]oracleFunc, error) {
+	cm.oracleOnce.Do(func() {
+		if cm.oracle == nil {
+			cm.oracle, cm.oracleErr = buildOracle(cm)
+		}
+	})
+	return cm.oracle, cm.oracleErr
+}
+
+// buildOracle derives the oracle's views from cm.m and the register
+// streams, as lowerModule derives them from its lowering tables.
+func buildOracle(cm *CompiledModule) ([]oracleFunc, error) {
+	views := make([]oracleFunc, len(cm.funcs))
+	for i := range cm.funcs {
+		cf, f := &cm.funcs[i], &cm.m.Funcs[i]
+		g, err := cfg.Build(f.Body, f.BrTables)
+		if err != nil {
+			return nil, fmt.Errorf("interp: func %d: %w", cm.m.NumImportedFuncs()+i, err)
+		}
+		o := oracleFunc{body: f.Body, brTables: f.BrTables, ctrl: buildCtrl(f.Body, g), seg: cf.reg.seg}
+		if len(f.Body) != len(cf.body) {
+			o.seg = segCounts(g)
+		}
+		views[i] = o
+	}
+	return views, nil
 }
 
 // Module returns the underlying module.
@@ -356,6 +405,14 @@ func (vm *VM) Reset(cfg Config) error {
 
 	// Bind the configuration.
 	vm.engine = cfg.Engine
+	vm.oracle = nil
+	if cfg.Engine == EngineStructured {
+		views, err := cm.oracleViews()
+		if err != nil {
+			return err
+		}
+		vm.oracle = views
+	}
 	vm.maxDepth = cfg.MaxCallDepth
 	if vm.maxDepth == 0 {
 		vm.maxDepth = 1024

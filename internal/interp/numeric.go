@@ -95,7 +95,7 @@ func (vm *VM) numeric(in *wasm.Instr, stack []uint64) ([]uint64, error) {
 			default:
 				width = 8
 			}
-			if err := vm.storeBits(base, in.Off, width, val); err != nil {
+			if err := vm.storeBits(base, in.Offset(), width, val); err != nil {
 				return stack, err
 			}
 			return stack, nil
@@ -105,29 +105,29 @@ func (vm *VM) numeric(in *wasm.Instr, stack []uint64) ([]uint64, error) {
 		var err error
 		switch op {
 		case wasm.OpI32Load, wasm.OpF32Load:
-			v, err = vm.loadBits(base, in.Off, 4, false)
+			v, err = vm.loadBits(base, in.Offset(), 4, false)
 		case wasm.OpI64Load, wasm.OpF64Load:
-			v, err = vm.loadBits(base, in.Off, 8, false)
+			v, err = vm.loadBits(base, in.Offset(), 8, false)
 		case wasm.OpI32Load8U, wasm.OpI64Load8U:
-			v, err = vm.loadBits(base, in.Off, 1, false)
+			v, err = vm.loadBits(base, in.Offset(), 1, false)
 		case wasm.OpI32Load8S:
-			v, err = vm.loadBits(base, in.Off, 1, false)
+			v, err = vm.loadBits(base, in.Offset(), 1, false)
 			v = uint64(uint32(int32(int8(v))))
 		case wasm.OpI64Load8S:
-			v, err = vm.loadBits(base, in.Off, 1, false)
+			v, err = vm.loadBits(base, in.Offset(), 1, false)
 			v = uint64(int64(int8(v)))
 		case wasm.OpI32Load16U, wasm.OpI64Load16U:
-			v, err = vm.loadBits(base, in.Off, 2, false)
+			v, err = vm.loadBits(base, in.Offset(), 2, false)
 		case wasm.OpI32Load16S:
-			v, err = vm.loadBits(base, in.Off, 2, false)
+			v, err = vm.loadBits(base, in.Offset(), 2, false)
 			v = uint64(uint32(int32(int16(v))))
 		case wasm.OpI64Load16S:
-			v, err = vm.loadBits(base, in.Off, 2, false)
+			v, err = vm.loadBits(base, in.Offset(), 2, false)
 			v = uint64(int64(int16(v)))
 		case wasm.OpI64Load32U:
-			v, err = vm.loadBits(base, in.Off, 4, false)
+			v, err = vm.loadBits(base, in.Offset(), 4, false)
 		case wasm.OpI64Load32S:
-			v, err = vm.loadBits(base, in.Off, 4, false)
+			v, err = vm.loadBits(base, in.Offset(), 4, false)
 			v = uint64(int64(int32(uint32(v))))
 		}
 		if err != nil {

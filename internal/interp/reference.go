@@ -12,6 +12,17 @@ import (
 // the register engine must reproduce bit-for-bit, and serves as the oracle
 // for differential tests and before/after dispatch benchmarks.
 
+// oracleFunc is the structured engine's view of one function: the
+// pre-inline body with its br_table targets, its control table, and its
+// segment instruction counts (non-zero at the leaders where it polls). Where
+// the inliner left the function alone, seg aliases the register stream's.
+type oracleFunc struct {
+	body     []wasm.Instr
+	brTables [][]uint32
+	ctrl     []ctrlMeta
+	seg      []uint32
+}
+
 // labelRT is a runtime control label.
 type labelRT struct {
 	headerPC int
@@ -21,20 +32,21 @@ type labelRT struct {
 	isLoop   bool
 }
 
-// execStructured runs a compiled function body to completion and returns
-// its results.
-func (vm *VM) execStructured(f *compiledFunc, locals []uint64, stack []uint64) ([]uint64, error) {
+// execStructured runs defined function di to completion and returns its
+// results.
+func (vm *VM) execStructured(di int, locals []uint64, stack []uint64) ([]uint64, error) {
 	vm.depth++
 	defer func() { vm.depth-- }()
 	if vm.depth > vm.maxDepth {
 		return nil, ErrCallStackExhausted
 	}
 
-	// The oracle runs the frozen pre-inline views (sbody/sctrl/sseg): every
-	// call is a real frame, so the differential suite checks the inliner's
-	// accounting-exactness claim on every run.
+	// The oracle runs the pre-inline views: every call is a real frame, so
+	// the differential suite checks the inliner's accounting-exactness claim
+	// on every run.
+	f, o := &vm.funcs[di], &vm.oracle[di]
 	labels := make([]labelRT, 0, 16)
-	body := f.sbody
+	body := o.body
 	pc := 0
 
 	push := func(v uint64) { stack = append(stack, v) }
@@ -49,10 +61,10 @@ func (vm *VM) execStructured(f *compiledFunc, locals []uint64, stack []uint64) (
 		op := in.Op
 
 		// Poll cooperative cancellation at the same program points the
-		// register engine does — segment leaders (sseg[pc] != 0) — and
+		// register engine does — segment leaders (seg[pc] != 0) — and
 		// before charging this instruction, so the abort pc and the counters
 		// are bit-identical across engines.
-		if vm.intr != nil && f.sseg[pc] != 0 && vm.intr.Load() {
+		if vm.intr != nil && o.seg[pc] != 0 && vm.intr.Load() {
 			return nil, ErrInterrupted
 		}
 
@@ -73,7 +85,7 @@ func (vm *VM) execStructured(f *compiledFunc, locals []uint64, stack []uint64) (
 		case wasm.OpNop:
 			// nothing
 		case wasm.OpBlock, wasm.OpIf, wasm.OpLoop:
-			meta := f.sctrl[pc]
+			meta := o.ctrl[pc]
 			l := labelRT{
 				headerPC: pc,
 				endPC:    int(meta.end),
@@ -99,17 +111,17 @@ func (vm *VM) execStructured(f *compiledFunc, locals []uint64, stack []uint64) (
 		case wasm.OpElse:
 			// Reached by falling off the then-branch: jump to matching end,
 			// which pops the label.
-			pc = int(f.sctrl[pc].end)
+			pc = int(o.ctrl[pc].end)
 			continue
 		case wasm.OpEnd:
-			if f.sctrl[pc].end == -1 && len(labels) == 0 {
+			if o.ctrl[pc].end == -1 && len(labels) == 0 {
 				// function-final end
 				break
 			}
 			labels = labels[:len(labels)-1]
 		case wasm.OpBr:
 			var err error
-			pc, labels, stack, err = vm.branch(f, int(in.Idx), labels, stack)
+			pc, labels, stack, err = vm.branch(f.nresults, len(body), int(in.Idx), labels, stack)
 			if err != nil {
 				return nil, err
 			}
@@ -117,22 +129,21 @@ func (vm *VM) execStructured(f *compiledFunc, locals []uint64, stack []uint64) (
 		case wasm.OpBrIf:
 			if pop() != 0 {
 				var err error
-				pc, labels, stack, err = vm.branch(f, int(in.Idx), labels, stack)
+				pc, labels, stack, err = vm.branch(f.nresults, len(body), int(in.Idx), labels, stack)
 				if err != nil {
 					return nil, err
 				}
 				continue
 			}
 		case wasm.OpBrTable:
+			targets := o.brTables[in.Idx]
 			i := uint32(pop())
-			var d uint32
-			if int(i) < len(in.Table)-1 {
-				d = in.Table[i]
-			} else {
-				d = in.Table[len(in.Table)-1]
+			d := targets[len(targets)-1]
+			if int(i) < len(targets)-1 {
+				d = targets[i]
 			}
 			var err error
-			pc, labels, stack, err = vm.branch(f, int(d), labels, stack)
+			pc, labels, stack, err = vm.branch(f.nresults, len(body), int(d), labels, stack)
 			if err != nil {
 				return nil, err
 			}
@@ -202,7 +213,7 @@ func (vm *VM) execStructured(f *compiledFunc, locals []uint64, stack []uint64) (
 			}
 		}
 
-		if op == wasm.OpEnd && f.sctrl[pc].end == -1 && len(labels) == 0 {
+		if op == wasm.OpEnd && o.ctrl[pc].end == -1 && len(labels) == 0 {
 			break
 		}
 		pc++
@@ -217,16 +228,17 @@ func (vm *VM) execStructured(f *compiledFunc, locals []uint64, stack []uint64) (
 	return nil, nil
 }
 
-// branch performs `br depth` and returns the new pc/labels/stack.
-func (vm *VM) branch(f *compiledFunc, depth int, labels []labelRT, stack []uint64) (int, []labelRT, []uint64, error) {
+// branch performs `br depth` in a function of nresults results and bodyLen
+// instructions, and returns the new pc/labels/stack.
+func (vm *VM) branch(nresults, bodyLen, depth int, labels []labelRT, stack []uint64) (int, []labelRT, []uint64, error) {
 	if depth == len(labels) {
 		// The implicit function label: the branch returns, carrying the
 		// function results.
-		keep := f.nresults
+		keep := nresults
 		if keep > 0 {
 			copy(stack[0:], stack[len(stack)-keep:])
 		}
-		return len(f.sbody), labels[:0], stack[:keep], nil
+		return bodyLen, labels[:0], stack[:keep], nil
 	}
 	l := labels[len(labels)-1-depth]
 	if l.isLoop {
@@ -265,12 +277,13 @@ func (vm *VM) callFuncStructured(idx uint32, stack []uint64) ([]uint64, error) {
 		}
 		return append(stack, res...), nil
 	}
-	f := &vm.funcs[int(idx)-nimp]
+	di := int(idx) - nimp
+	f := &vm.funcs[di]
 	locals := make([]uint64, f.numLoc)
 	n := f.nparams
 	copy(locals, stack[len(stack)-n:])
 	stack = stack[:len(stack)-n]
-	res, err := vm.execStructured(f, locals, make([]uint64, 0, 32))
+	res, err := vm.execStructured(di, locals, make([]uint64, 0, 32))
 	if err != nil {
 		return stack, err
 	}

@@ -960,7 +960,7 @@ func (rl *regLowering) storeCommit(in *wasm.Instr, a, v vnode, pc int, s *stmtSt
 		return regTrapAlways(&UnknownOpcodeError{Op: in.Op}, pc)
 	}
 	tp := int32(pc)
-	off := uint64(in.Off)
+	off := uint64(in.Offset())
 	fc := s.fault
 	ae := s.evalOf(a)
 	ve := s.evalOf(v)
@@ -1043,7 +1043,7 @@ func (rl *regLowering) loadNode(in *wasm.Instr, a vnode, pc int, s *stmtState) v
 		return vnode{kind: vEval, eval: regFaultEval(&UnknownOpcodeError{Op: in.Op}, pc)}
 	}
 	tp := int32(pc)
-	off := uint64(in.Off)
+	off := uint64(in.Offset())
 	ae := s.evalOf(a)
 	if ext == extNone && width == 8 {
 		return vnode{kind: vEval, eval: func(vm *VM, fr []uint64) uint64 {

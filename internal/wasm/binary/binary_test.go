@@ -1,6 +1,8 @@
 package binary_test
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -9,6 +11,7 @@ import (
 
 	"acctee/internal/wasm"
 	"acctee/internal/wasm/binary"
+	"acctee/internal/wasm/validate"
 )
 
 func demoModule() *wasm.Module {
@@ -189,4 +192,101 @@ func TestDecodeLocalsCeiling(t *testing.T) {
 			}
 		})
 	}
+}
+
+// loadModule is a module whose one function returns i32.load with the given
+// alignment exponent from address 0 of a one-page memory.
+func loadModule(align uint32) []byte {
+	body := []byte{0, 0x41, 0, 0x28} // no locals; i32.const 0; i32.load
+	body = append(append(body, uleb(align)...), 0, 0x0B)
+	code := append(append([]byte{1}, uleb(uint32(len(body)))...), body...)
+	mod := []byte{0, 'a', 's', 'm', 1, 0, 0, 0,
+		1, 5, 1, 0x60, 0, 1, 0x7F, // one type: () -> i32
+		3, 2, 1, 0, // one function of that type
+		5, 3, 1, 0, 1, // one memory of one page
+		10}
+	return append(append(mod, uleb(uint32(len(code)))...), code...)
+}
+
+// TestDecodeAlignmentFitsInstr: an Instr holds the alignment exponent in a
+// byte, so the decoder refuses every exponent above wasm.MaxAlign with the
+// validator's message instead of letting 256 wrap to 0 and validate. An
+// exponent that fits still reaches the validator, and is refused with the
+// error it always had.
+func TestDecodeAlignmentFitsInstr(t *testing.T) {
+	for _, align := range []uint32{wasm.MaxAlign + 1, 256 + 2, 1<<32 - 1} {
+		_, err := binary.Decode(loadModule(align))
+		want := fmt.Sprintf("alignment 2^%d larger than access width", align)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("align 2^%d: decode err = %v, want %q", align, err, want)
+		}
+	}
+	for align, want := range map[uint32]string{
+		2:             "",
+		5:             "validate: func #0: instr 1 (i32.load): alignment 2^5 larger than access width",
+		wasm.MaxAlign: "validate: func #0: instr 1 (i32.load): alignment 2^255 larger than access width",
+	} {
+		m, err := binary.Decode(loadModule(align))
+		if err != nil {
+			t.Fatalf("align 2^%d: %v", align, err)
+		}
+		if got := m.Funcs[0].Body[1].Align; uint32(got) != align {
+			t.Errorf("align 2^%d decoded as 2^%d", align, got)
+		}
+		err = validate.Module(m)
+		if (want == "" && err != nil) || (want != "" && (err == nil || err.Error() != want)) {
+			t.Errorf("align 2^%d: validate err = %v, want %q", align, err, want)
+		}
+	}
+}
+
+// TestBrTableRoundTrip: br_table targets live in the function's side table
+// and encode exactly as the binary format's inline vector.
+func TestBrTableRoundTrip(t *testing.T) {
+	bin, err := binary.Encode(brTableModule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := binary.Decode(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &m.Funcs[0]
+	if want := [][]uint32{{0, 1, 2}, {1, 0}}; !reflect.DeepEqual(f.BrTables, want) {
+		t.Errorf("BrTables = %v, want %v", f.BrTables, want)
+	}
+	again, err := binary.Encode(m)
+	if err != nil || !bytes.Equal(again, bin) {
+		t.Errorf("re-encoding differs (%v)", err)
+	}
+	for i, in := range f.Body {
+		if in.Op == wasm.OpBrTable {
+			f.Body[i].Idx = 2
+			break
+		}
+	}
+	if _, err := binary.Encode(m); err == nil || !strings.Contains(err.Error(), "br_table without targets") {
+		t.Errorf("br_table past BrTables encoded: %v", err)
+	}
+}
+
+// brTableModule dispatches its argument through two br_tables.
+func brTableModule() *wasm.Module {
+	b := wasm.NewModule("")
+	f := b.Func("", []wasm.ValueType{wasm.I32}, []wasm.ValueType{wasm.I32})
+	f.Block(wasm.BlockEmpty, func() {
+		f.Block(wasm.BlockEmpty, func() {
+			f.Block(wasm.BlockEmpty, func() {
+				f.LocalGet(0).BrTable(0, 1, 2)
+			})
+			f.I32Const(10).Return()
+		})
+		f.Block(wasm.BlockEmpty, func() {
+			f.LocalGet(0).BrTable(1, 0)
+		})
+		f.I32Const(20).Return()
+	})
+	f.I32Const(30)
+	b.ExportFunc("run", f.End())
+	return b.MustBuild()
 }

@@ -3,6 +3,7 @@ package binary
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"acctee/internal/wasm"
 )
@@ -66,6 +67,14 @@ func Decode(data []byte) (*wasm.Module, error) {
 		}
 		if err != nil {
 			return nil, fmt.Errorf("binary: section %d: %w", id, err)
+		}
+	}
+	// Every function the function section declares needs its body: a
+	// module without its code section would encode to one that fails to
+	// decode.
+	for i := range m.Funcs {
+		if len(m.Funcs[i].Body) == 0 {
+			return nil, fmt.Errorf("binary: func %d: no code", i)
 		}
 	}
 	return m, nil
@@ -323,7 +332,7 @@ func decodeGlobals(r *reader, m *wasm.Module) error {
 }
 
 func decodeConstExpr(r *reader) (wasm.Instr, error) {
-	in, err := decodeInstr(r)
+	in, err := decodeInstr(r, nil)
 	if err != nil {
 		return wasm.Instr{}, err
 	}
@@ -395,6 +404,14 @@ func decodeElements(r *reader, m *wasm.Module) error {
 // few bytes of function body ask the decoder for 2^32-1 entries.
 const MaxLocals = 50_000
 
+// bodyScratch holds a body while it is decoded and its length is not yet
+// known, so that every body is allocated once, at its exact size.
+var bodyScratch = sync.Pool{New: func() any { return new([]wasm.Instr) }}
+
+// maxPooledScratch is the largest scratch (in instructions) returned to
+// bodyScratch; a larger one is left to the collector.
+const maxPooledScratch = 1 << 16
+
 func decodeCode(r *reader, m *wasm.Module) error {
 	n, err := r.u32()
 	if err != nil {
@@ -403,6 +420,12 @@ func decodeCode(r *reader, m *wasm.Module) error {
 	if int(n) != len(m.Funcs) {
 		return fmt.Errorf("code count %d != function count %d", n, len(m.Funcs))
 	}
+	scratch := bodyScratch.Get().(*[]wasm.Instr)
+	defer func() {
+		if cap(*scratch) <= maxPooledScratch {
+			bodyScratch.Put(scratch)
+		}
+	}()
 	for i := uint32(0); i < n; i++ {
 		size, err := r.u32()
 		if err != nil {
@@ -434,13 +457,17 @@ func decodeCode(r *reader, m *wasm.Module) error {
 				f.Locals = append(f.Locals, wasm.ValueType(vt))
 			}
 		}
+		code := (*scratch)[:0]
 		for !br.eof() {
-			in, err := decodeInstr(br)
+			in, err := decodeInstr(br, f)
 			if err != nil {
 				return fmt.Errorf("func %d: %w", i, err)
 			}
-			f.Body = append(f.Body, in)
+			code = append(code, in)
 		}
+		*scratch = code
+		f.Body = make([]wasm.Instr, len(code))
+		copy(f.Body, code)
 		if err := wasm.ValidateStructure(f.Body); err != nil {
 			return fmt.Errorf("func %d: %w", i, err)
 		}
@@ -474,7 +501,9 @@ func decodeData(r *reader, m *wasm.Module) error {
 	return nil
 }
 
-func decodeInstr(r *reader) (wasm.Instr, error) {
+// decodeInstr decodes one instruction of f's body; a br_table's targets are
+// appended to f.BrTables. Constant expressions pass a nil f.
+func decodeInstr(r *reader, f *wasm.Func) (wasm.Instr, error) {
 	opb, err := r.byte()
 	if err != nil {
 		return wasm.Instr{}, err
@@ -486,6 +515,9 @@ func decodeInstr(r *reader) (wasm.Instr, error) {
 		bt, err := r.byte()
 		if err != nil {
 			return in, err
+		}
+		if wasm.BlockType(bt) != wasm.BlockEmpty && !wasm.ValueType(bt).Valid() {
+			return in, fmt.Errorf("invalid block type 0x%02x", bt)
 		}
 		in.BT = wasm.BlockType(bt)
 	case wasm.OpBr, wasm.OpBrIf, wasm.OpCall, wasm.OpLocalGet, wasm.OpLocalSet,
@@ -503,17 +535,25 @@ func decodeInstr(r *reader) (wasm.Instr, error) {
 			return in, err
 		}
 	case wasm.OpBrTable:
+		if f == nil {
+			return in, errors.New("br_table in a constant expression")
+		}
 		cnt, err := r.u32()
 		if err != nil {
 			return in, err
 		}
-		for j := uint32(0); j <= cnt; j++ {
+		// Every target takes at least one byte: a count the body cannot
+		// hold fails on the first missing one, not on an allocation.
+		n := min(uint64(cnt)+1, uint64(len(r.data)-r.pos))
+		targets := make([]uint32, 0, n)
+		for j := uint64(0); j <= uint64(cnt); j++ {
 			t, err := r.u32()
 			if err != nil {
 				return in, err
 			}
-			in.Table = append(in.Table, t)
+			targets = append(targets, t)
 		}
+		in = f.AddBrTable(targets...)
 	case wasm.OpI32Const:
 		v, err := r.s64()
 		if err != nil {
@@ -548,14 +588,21 @@ func decodeInstr(r *reader) (wasm.Instr, error) {
 		}
 	default:
 		if op.IsMemAccess() {
-			in.Align, err = r.u32()
+			align, err := r.u32()
 			if err != nil {
 				return in, err
 			}
-			in.Off, err = r.u32()
+			// The validator's message: every exponent above MaxAlign is
+			// wider than any access.
+			if align > wasm.MaxAlign {
+				return in, fmt.Errorf("alignment 2^%d larger than access width", align)
+			}
+			in.Align = byte(align)
+			off, err := r.u32()
 			if err != nil {
 				return in, err
 			}
+			in.U64 = uint64(off)
 		} else if _, ok := wasm.OpcodeByName(op.String()); !ok {
 			return in, fmt.Errorf("unknown opcode 0x%02x", opb)
 		}

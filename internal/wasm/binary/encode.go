@@ -123,7 +123,7 @@ func Encode(m *wasm.Module) ([]byte, error) {
 			} else {
 				b.WriteByte(0)
 			}
-			if err := encodeInstr(&b, g.Init); err != nil {
+			if err := encodeInstr(&b, g.Init, nil); err != nil {
 				return nil, err
 			}
 			b.WriteByte(byte(wasm.OpEnd))
@@ -156,7 +156,7 @@ func Encode(m *wasm.Module) ([]byte, error) {
 		writeU32(&b, uint32(len(m.Elements)))
 		for _, e := range m.Elements {
 			writeU32(&b, 0) // table index
-			if err := encodeInstr(&b, e.Offset); err != nil {
+			if err := encodeInstr(&b, e.Offset, nil); err != nil {
 				return nil, err
 			}
 			b.WriteByte(byte(wasm.OpEnd))
@@ -189,7 +189,7 @@ func Encode(m *wasm.Module) ([]byte, error) {
 		writeU32(&b, uint32(len(m.Data)))
 		for _, d := range m.Data {
 			writeU32(&b, 0) // memory index
-			if err := encodeInstr(&b, d.Offset); err != nil {
+			if err := encodeInstr(&b, d.Offset, nil); err != nil {
 				return nil, err
 			}
 			b.WriteByte(byte(wasm.OpEnd))
@@ -223,14 +223,16 @@ func encodeBody(f *wasm.Func) ([]byte, error) {
 		b.WriteByte(byte(r.t))
 	}
 	for _, in := range f.Body {
-		if err := encodeInstr(&b, in); err != nil {
+		if err := encodeInstr(&b, in, f); err != nil {
 			return nil, err
 		}
 	}
 	return b.Bytes(), nil
 }
 
-func encodeInstr(b *bytes.Buffer, in wasm.Instr) error {
+// encodeInstr encodes one instruction of f's body, whose BrTables hold the
+// targets of its br_tables. Constant expressions pass a nil f.
+func encodeInstr(b *bytes.Buffer, in wasm.Instr, f *wasm.Func) error {
 	b.WriteByte(byte(in.Op))
 	switch in.Op {
 	case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
@@ -246,11 +248,15 @@ func encodeInstr(b *bytes.Buffer, in wasm.Instr) error {
 		writeU32(b, in.Idx)
 		b.WriteByte(0) // table index
 	case wasm.OpBrTable:
-		if len(in.Table) == 0 {
+		var targets []uint32
+		if f != nil {
+			targets = f.BrTable(in)
+		}
+		if len(targets) == 0 {
 			return fmt.Errorf("br_table without targets")
 		}
-		writeU32(b, uint32(len(in.Table)-1))
-		for _, t := range in.Table {
+		writeU32(b, uint32(len(targets)-1))
+		for _, t := range targets {
 			writeU32(b, t)
 		}
 	case wasm.OpI32Const:
@@ -270,8 +276,8 @@ func encodeInstr(b *bytes.Buffer, in wasm.Instr) error {
 		b.WriteByte(0) // memory index
 	default:
 		if in.Op.IsMemAccess() {
-			writeU32(b, in.Align)
-			writeU32(b, in.Off)
+			writeU32(b, uint32(in.Align))
+			writeU32(b, in.Offset())
 		}
 	}
 	return nil

@@ -167,17 +167,17 @@ func (f *FuncBuilder) Call(idx uint32) *FuncBuilder { return f.Emit(WithIdx(OpCa
 
 // Load emits a load with the given memarg offset.
 func (f *FuncBuilder) Load(op Opcode, offset uint32) *FuncBuilder {
-	return f.Emit(Instr{Op: op, Off: offset, Align: NaturalAlign(op)})
+	return f.Emit(Instr{Op: op, Align: NaturalAlign(op), U64: uint64(offset)})
 }
 
 // Store emits a store with the given memarg offset.
 func (f *FuncBuilder) Store(op Opcode, offset uint32) *FuncBuilder {
-	return f.Emit(Instr{Op: op, Off: offset, Align: NaturalAlign(op)})
+	return f.Emit(Instr{Op: op, Align: NaturalAlign(op), U64: uint64(offset)})
 }
 
 // NaturalAlign returns the natural alignment exponent of a memory
 // instruction (log2 of the access width in bytes).
-func NaturalAlign(op Opcode) uint32 {
+func NaturalAlign(op Opcode) byte {
 	switch op {
 	case OpI32Load8S, OpI32Load8U, OpI64Load8S, OpI64Load8U, OpI32Store8, OpI64Store8:
 		return 0
@@ -227,6 +227,12 @@ func (f *FuncBuilder) Br(depth uint32) *FuncBuilder { return f.Emit(WithIdx(OpBr
 
 // BrIf emits a conditional branch to the given relative label depth.
 func (f *FuncBuilder) BrIf(depth uint32) *FuncBuilder { return f.Emit(WithIdx(OpBrIf, depth)) }
+
+// BrTable emits a br_table over the given relative label depths, the
+// default label last.
+func (f *FuncBuilder) BrTable(depths ...uint32) *FuncBuilder {
+	return f.Emit(f.mb.m.Funcs[f.slot].AddBrTable(depths...))
+}
 
 // Return emits an early return.
 func (f *FuncBuilder) Return() *FuncBuilder { return f.Op(OpReturn) }

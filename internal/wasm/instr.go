@@ -28,23 +28,29 @@ func (b BlockType) Value() (ValueType, bool) {
 
 // Instr is a single flat instruction. Structured instructions (block, loop,
 // if/else) appear inline and are delimited by OpEnd, exactly as in the
-// binary format. The immediate fields used depend on Op:
+// binary format. An Instr is 16 bytes and holds no pointer: a function body
+// is one flat array the garbage collector never scans. The immediate fields
+// used depend on Op:
 //
-//	Idx    — local/global/function/type index, or br/br_if label depth
-//	U64    — constant bits (i32/i64/f32/f64 const)
-//	Off    — memarg offset (loads/stores)
-//	Align  — memarg alignment exponent (loads/stores)
 //	BT     — block result type (block/loop/if)
-//	Table  — br_table targets; the final entry is the default label
+//	Align  — memarg alignment exponent (loads/stores)
+//	Idx    — local/global/function/type index, br/br_if label depth, or
+//	         for br_table the index of its targets in Func.BrTables
+//	U64    — constant bits (i32/i64/f32/f64 const), or the memarg offset
+//	         (loads/stores; read it with Offset)
 type Instr struct {
 	Op    Opcode
-	Idx   uint32
-	Align uint32
-	Off   uint32
-	U64   uint64
 	BT    BlockType
-	Table []uint32
+	Align byte
+	Idx   uint32
+	U64   uint64
 }
+
+// MaxAlign is the largest memarg alignment exponent an Instr holds. No
+// access is wider than 2^3 bytes, so validation refuses every exponent
+// above 3; decoders refuse the ones above MaxAlign outright, so a wide
+// exponent can never wrap into a small one.
+const MaxAlign = 255
 
 // Convenience constructors for common instructions.
 
@@ -78,10 +84,15 @@ func (in Instr) F32Val() float32 { return math.Float32frombits(uint32(in.U64)) }
 // F64Val returns the f64 constant carried by the instruction.
 func (in Instr) F64Val() float64 { return math.Float64frombits(in.U64) }
 
+// Offset returns the memarg offset of a load or store.
+func (in Instr) Offset() uint32 { return uint32(in.U64) }
+
 // HasMemarg reports whether the instruction carries a memarg immediate.
 func (in Instr) HasMemarg() bool { return in.Op.IsMemAccess() }
 
-// String renders the instruction in text-format style (without nesting).
+// String renders the instruction in text-format style (without nesting). A
+// br_table's targets live in its function's BrTables, so String names the
+// table by index; the WAT printer renders the targets.
 func (in Instr) String() string {
 	switch in.Op {
 	case OpI32Const:
@@ -98,11 +109,7 @@ func (in Instr) String() string {
 	case OpCallIndirect:
 		return "call_indirect (type " + strconv.FormatUint(uint64(in.Idx), 10) + ")"
 	case OpBrTable:
-		s := "br_table"
-		for _, t := range in.Table {
-			s += " " + strconv.FormatUint(uint64(t), 10)
-		}
-		return s
+		return "br_table (table " + strconv.FormatUint(uint64(in.Idx), 10) + ")"
 	case OpBlock, OpLoop, OpIf:
 		s := in.Op.String()
 		if v, ok := in.BT.Value(); ok {
@@ -112,8 +119,8 @@ func (in Instr) String() string {
 	default:
 		if in.HasMemarg() {
 			s := in.Op.String()
-			if in.Off != 0 {
-				s += " offset=" + strconv.FormatUint(uint64(in.Off), 10)
+			if off := in.Offset(); off != 0 {
+				s += " offset=" + strconv.FormatUint(uint64(off), 10)
 			}
 			return s
 		}

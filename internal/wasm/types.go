@@ -141,7 +141,27 @@ type Func struct {
 	TypeIdx uint32
 	Locals  []ValueType // locals beyond the parameters
 	Body    []Instr     // flat structured code, terminated by OpEnd
-	Name    string      // optional
+	// BrTables holds the targets of the body's br_table instructions: a
+	// br_table's Idx indexes it, and the final entry of each table is the
+	// default label.
+	BrTables [][]uint32
+	Name     string // optional
+}
+
+// BrTable returns the targets of the br_table instruction in, the default
+// label last, or nil when in.Idx is outside f.BrTables.
+func (f *Func) BrTable(in Instr) []uint32 {
+	if int(in.Idx) >= len(f.BrTables) {
+		return nil
+	}
+	return f.BrTables[in.Idx]
+}
+
+// AddBrTable appends a br_table's targets (the default label last) to
+// f.BrTables and returns the br_table instruction that selects them.
+func (f *Func) AddBrTable(targets ...uint32) Instr {
+	f.BrTables = append(f.BrTables, targets)
+	return Instr{Op: OpBrTable, Idx: uint32(len(f.BrTables) - 1)}
 }
 
 // Element initialises a span of a table with function indices.
@@ -265,12 +285,12 @@ func (m *Module) Clone() *Module {
 		nf := Func{TypeIdx: f.TypeIdx, Name: f.Name}
 		nf.Locals = append([]ValueType(nil), f.Locals...)
 		nf.Body = make([]Instr, len(f.Body))
-		for j, in := range f.Body {
-			ni := in
-			if in.Table != nil {
-				ni.Table = append([]uint32(nil), in.Table...)
+		copy(nf.Body, f.Body)
+		if len(f.BrTables) > 0 {
+			nf.BrTables = make([][]uint32, len(f.BrTables))
+			for j, t := range f.BrTables {
+				nf.BrTables[j] = append([]uint32(nil), t...)
 			}
-			nf.Body[j] = ni
 		}
 		c.Funcs[i] = nf
 	}

@@ -123,6 +123,7 @@ type ctrlFrame struct {
 
 type checker struct {
 	m      *wasm.Module
+	f      *wasm.Func
 	locals []wasm.ValueType
 	stack  []wasm.ValueType
 	ctrl   []ctrlFrame
@@ -138,7 +139,7 @@ func function(m *wasm.Module, idx uint32, f *wasm.Func) error {
 	if err := wasm.ValidateStructure(f.Body); err != nil {
 		return err
 	}
-	c := &checker{m: m}
+	c := &checker{m: m, f: f}
 	c.locals = append(c.locals, ft.Params...)
 	c.locals = append(c.locals, f.Locals...)
 	resBT := wasm.BlockEmpty
@@ -284,17 +285,21 @@ func (c *checker) instr(in wasm.Instr, ft wasm.FuncType) error {
 		}
 		return nil
 	case wasm.OpBrTable:
+		if int(in.Idx) >= len(c.f.BrTables) {
+			return fmt.Errorf("br_table targets %d out of range (%d tables)", in.Idx, len(c.f.BrTables))
+		}
+		targets := c.f.BrTables[in.Idx]
 		if err := c.pop(wasm.I32); err != nil {
 			return err
 		}
-		if len(in.Table) == 0 {
+		if len(targets) == 0 {
 			return fmt.Errorf("br_table without targets")
 		}
-		def, err := c.labelType(in.Table[len(in.Table)-1])
+		def, err := c.labelType(targets[len(targets)-1])
 		if err != nil {
 			return err
 		}
-		for _, t := range in.Table[:len(in.Table)-1] {
+		for _, t := range targets[:len(targets)-1] {
 			bt, err := c.labelType(t)
 			if err != nil {
 				return err
@@ -428,7 +433,7 @@ func (c *checker) instr(in wasm.Instr, ft wasm.FuncType) error {
 			return err
 		}
 		width, vt, store := memAccessInfo(op)
-		if in.Align > width {
+		if uint32(in.Align) > width {
 			return fmt.Errorf("alignment 2^%d larger than access width", in.Align)
 		}
 		if store {

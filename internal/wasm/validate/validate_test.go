@@ -1,6 +1,7 @@
 package validate_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -148,14 +149,36 @@ func TestBrTableConsistency(t *testing.T) {
 		wasm.Instr{Op: wasm.OpBlock, BT: wasm.BlockOf(wasm.I32)},
 		wasm.Instr{Op: wasm.OpBlock, BT: wasm.BlockEmpty},
 		wasm.ConstI32(0),
-		wasm.Instr{Op: wasm.OpBrTable, Table: []uint32{0, 1}},
+		wasm.Instr{Op: wasm.OpBrTable, Idx: 0},
 		wasm.Op1(wasm.OpEnd),
 		wasm.ConstI32(1),
 		wasm.Op1(wasm.OpEnd),
 		wasm.Op1(wasm.OpEnd),
 	}
-	m.Funcs = append(m.Funcs, wasm.Func{TypeIdx: ti, Body: body})
+	m.Funcs = append(m.Funcs, wasm.Func{TypeIdx: ti, Body: body, BrTables: [][]uint32{{0, 1}}})
 	if err := validate.Module(m); err == nil {
 		t.Error("br_table with mismatched target arities accepted")
+	}
+}
+
+// TestBrTableIndexOutOfRange: a br_table's Idx selects its targets from
+// Func.BrTables; one past the table is refused with a stable error, before
+// the operand stack is looked at.
+func TestBrTableIndexOutOfRange(t *testing.T) {
+	for _, tables := range [][][]uint32{nil, {{0}}} {
+		m := &wasm.Module{}
+		ti := m.AddType(wasm.FuncType{})
+		body := []wasm.Instr{
+			wasm.Instr{Op: wasm.OpBlock, BT: wasm.BlockEmpty},
+			wasm.Instr{Op: wasm.OpBrTable, Idx: uint32(len(tables))},
+			wasm.Op1(wasm.OpEnd),
+			wasm.Op1(wasm.OpEnd),
+		}
+		m.Funcs = append(m.Funcs, wasm.Func{TypeIdx: ti, Body: body, BrTables: tables})
+		want := fmt.Sprintf("validate: func #0: instr 1 (br_table): br_table targets %d out of range (%d tables)",
+			len(tables), len(tables))
+		if err := validate.Module(m); err == nil || err.Error() != want {
+			t.Errorf("%d tables: err = %v, want %q", len(tables), err, want)
+		}
 	}
 }

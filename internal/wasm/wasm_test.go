@@ -3,6 +3,7 @@ package wasm_test
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"acctee/internal/wasm"
 )
@@ -148,5 +149,46 @@ func TestBuilderRejectsLateImports(t *testing.T) {
 	b.ImportFunc("env", "late", nil, nil)
 	if _, err := b.Build(); err == nil {
 		t.Error("expected error for import after defined function")
+	}
+}
+
+// TestInstrIs16Bytes pins the size of a flat instruction: every deployed
+// body keeps one per instruction, and a pointer-free Instr keeps bodies out
+// of the collector's scan.
+func TestInstrIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(wasm.Instr{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(wasm.Instr{}) = %d, want 16", got)
+	}
+}
+
+func TestBrTableSideTable(t *testing.T) {
+	b := wasm.NewModule("")
+	f := b.Func("", []wasm.ValueType{wasm.I32}, nil)
+	f.Block(wasm.BlockEmpty, func() {
+		f.Block(wasm.BlockEmpty, func() {
+			f.LocalGet(0).BrTable(0, 1, 1)
+		})
+		f.LocalGet(0).BrTable(0, 0)
+	})
+	f.End()
+	m := b.MustBuild()
+	fn := &m.Funcs[0]
+	var got [][]uint32
+	for _, in := range fn.Body {
+		if in.Op == wasm.OpBrTable {
+			got = append(got, fn.BrTable(in))
+		}
+	}
+	if want := [][]uint32{{0, 1, 1}, {0, 0}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("br_table targets %v, want %v", got, want)
+	}
+	if fn.BrTable(wasm.Instr{Op: wasm.OpBrTable, Idx: 2}) != nil {
+		t.Error("an index past BrTables resolves to targets")
+	}
+
+	c := m.Clone()
+	c.Funcs[0].BrTables[0][0] = 7
+	if fn.BrTables[0][0] != 0 {
+		t.Error("Clone shares br_table targets with the original")
 	}
 }

@@ -3,6 +3,7 @@ package wat
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -567,7 +568,7 @@ func (p *modParser) funcDecl(d sexpr) error {
 		}
 		items = items[1:]
 	}
-	body, err := p.body(items)
+	body, err := p.body(&fn, items)
 	if err != nil {
 		return fmt.Errorf("wat: func %q: %w", name, err)
 	}
@@ -576,8 +577,9 @@ func (p *modParser) funcDecl(d sexpr) error {
 	return nil
 }
 
-// body parses the linear instruction sequence of a function.
-func (p *modParser) body(items []sexpr) ([]wasm.Instr, error) {
+// body parses the linear instruction sequence of fn; br_table targets go to
+// fn.BrTables.
+func (p *modParser) body(fn *wasm.Func, items []sexpr) ([]wasm.Instr, error) {
 	var out []wasm.Instr
 	i := 0
 	next := func() (sexpr, bool) {
@@ -666,17 +668,19 @@ func (p *modParser) body(items []sexpr) ([]wasm.Instr, error) {
 				in.Idx = idx
 			}
 		case wasm.OpBrTable:
+			var targets []uint32
 			for i < len(items) && items[i].leaf {
-				if _, err := strconv.ParseUint(items[i].atom, 10, 32); err != nil {
+				v, err := strconv.ParseUint(items[i].atom, 10, 32)
+				if err != nil {
 					break
 				}
-				v, _ := strconv.ParseUint(items[i].atom, 10, 32)
-				in.Table = append(in.Table, uint32(v))
+				targets = append(targets, uint32(v))
 				i++
 			}
-			if len(in.Table) == 0 {
+			if len(targets) == 0 {
 				return nil, fmt.Errorf("br_table: missing targets")
 			}
+			in = fn.AddBrTable(targets...)
 		default:
 			if op.IsMemAccess() {
 				in.Align = wasm.NaturalAlign(op)
@@ -687,19 +691,22 @@ func (p *modParser) body(items []sexpr) ([]wasm.Instr, error) {
 						if err != nil {
 							return nil, fmt.Errorf("bad offset %q", a)
 						}
-						in.Off = uint32(v)
+						in.U64 = v
 						i++
 					} else if strings.HasPrefix(a, "align=") {
 						v, err := strconv.ParseUint(a[len("align="):], 10, 32)
 						if err != nil {
 							return nil, fmt.Errorf("bad align %q", a)
 						}
-						// store the exponent form used internally
-						exp := uint32(0)
-						for (uint32(1) << exp) < uint32(v) {
-							exp++
+						// Store the exponent form used internally: the
+						// smallest e with 2^e >= v. v fits in 32 bits, so
+						// e <= 32 and always fits in Align; validation
+						// refuses every e above the access width.
+						exp := 0
+						if v > 1 {
+							exp = bits.Len64(v - 1)
 						}
-						in.Align = exp
+						in.Align = byte(exp)
 						i++
 					} else {
 						break

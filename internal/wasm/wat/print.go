@@ -173,6 +173,12 @@ func (p *printer) funcDecl(idx uint32, f *wasm.Func) {
 		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
 			p.line(depth, in.String())
 			depth++
+		case wasm.OpBrTable:
+			s := "br_table"
+			for _, t := range f.BrTable(in) {
+				s += " " + strconv.FormatUint(uint64(t), 10)
+			}
+			p.line(depth, s)
 		default:
 			p.line(depth, in.String())
 		}

@@ -1,10 +1,13 @@
 package wat_test
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"acctee/internal/wasm"
+	"acctee/internal/wasm/validate"
 	"acctee/internal/wasm/wat"
 )
 
@@ -35,7 +38,7 @@ func complexModule() *wasm.Module {
 	h := b.Func("helper", nil, nil)
 	h.Block(wasm.BlockEmpty, func() {
 		h.I32Const(1).BrIf(0)
-		h.Emit(wasm.Instr{Op: wasm.OpBrTable, Table: []uint32{0, 0}})
+		h.BrTable(0, 0)
 	})
 	hIdx := h.End()
 	b.Table(hIdx)
@@ -139,5 +142,65 @@ func TestBlockCommentsAndStrings(t *testing.T) {
 	}
 	if len(m.Memories) != 1 || m.Memories[0].Limits.Min != 2 || m.Memories[0].Limits.Max != 4 {
 		t.Errorf("memory = %+v", m.Memories)
+	}
+}
+
+// TestAlignExponentFits: align= is in bytes and is stored as the exponent
+// of the smallest power of two not below it. A 32-bit value has an exponent
+// of at most 32, so it always fits in Instr.Align and never wraps: an
+// alignment wider than the access reaches the validator and is refused.
+func TestAlignExponentFits(t *testing.T) {
+	src := func(align string) string {
+		return `(module (memory 1) (func $f (result i32) i32.const 0 i32.load offset=4 ` + align + `))`
+	}
+	for align, exp := range map[string]byte{
+		"align=4":          2,
+		"align=3":          2,
+		"align=256":        8,
+		"align=2147483649": 32,
+		"align=4294967295": 32,
+	} {
+		m, err := wat.Parse(src(align))
+		if err != nil {
+			t.Fatalf("%s: %v", align, err)
+		}
+		in := m.Funcs[0].Body[1]
+		if in.Align != exp || in.Offset() != 4 {
+			t.Errorf("%s: align 2^%d offset %d, want 2^%d offset 4", align, in.Align, in.Offset(), exp)
+		}
+		err = validate.Module(m)
+		if want := fmt.Sprintf("alignment 2^%d larger than access width", exp); exp > 2 &&
+			(err == nil || !strings.Contains(err.Error(), want)) {
+			t.Errorf("%s: validate err = %v, want %q", align, err, want)
+		}
+	}
+	if _, err := wat.Parse(src("align=4294967296")); err == nil || !strings.Contains(err.Error(), "bad align") {
+		t.Errorf("align past 32 bits: err = %v", err)
+	}
+}
+
+// TestBrTableTargetsRoundTrip: br_table targets parse into the function's
+// side table and print back from it.
+func TestBrTableTargetsRoundTrip(t *testing.T) {
+	m, err := wat.Parse(`(module (func $f (param i32)
+		block
+		  block
+		    local.get 0
+		    br_table 1 0 1
+		  end
+		  local.get 0
+		  br_table 0
+		end))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]uint32{{1, 0, 1}, {0}}; !reflect.DeepEqual(m.Funcs[0].BrTables, want) {
+		t.Errorf("BrTables = %v, want %v", m.Funcs[0].BrTables, want)
+	}
+	text := wat.Print(m)
+	for _, line := range []string{"br_table 1 0 1\n", "br_table 0\n"} {
+		if !strings.Contains(text, line) {
+			t.Errorf("printed module lacks %q:\n%s", line, text)
+		}
 	}
 }
