@@ -36,13 +36,16 @@ chaos:
 # changeable), crash recovery on a damaged spill directory (refused and
 # untouched, or open, anchored and idempotent), generated programs on
 # the register engine against the structured oracle under a fuel budget
-# and an interrupt point, and the wasm binary codec (whatever Decode
-# accepts re-encodes to a fixed point: an equal module, the same bytes).
+# and an interrupt point, the wasm binary codec (whatever Decode accepts
+# re-encodes to a fixed point: an equal module, the same bytes), and
+# linear memory's page table (accesses, memory.grow, host views and pooled
+# Reset near page boundaries and the memory's end, on both engines, against
+# a flat []byte model).
 # go test takes one -fuzz target and one package per invocation. The
-# accounting and codec targets cap input minimisation at one execution:
-# with the default (60 s per interesting input) a 20 s run spends all of it
-# minimising the first input it finds and executes a few dozen inputs
-# instead of a hundred thousand.
+# accounting, codec and page-table targets cap input minimisation at one
+# execution: with the default (60 s per interesting input) a 20 s run
+# spends all of it minimising the first input it finds and executes a few
+# dozen inputs instead of a hundred thousand.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEPCModel -fuzztime 20s ./internal/sgx
 	$(GO) test -run '^$$' -fuzz FuzzBinFrameDecode -fuzztime 20s -fuzzminimizetime 1x ./internal/accounting
@@ -50,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRecoverDir -fuzztime 20s -fuzzminimizetime 1x ./internal/accounting
 	$(GO) test -run '^$$' -fuzz FuzzEngineDifferential -fuzztime 20s ./internal/interp
 	$(GO) test -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime 20s -fuzzminimizetime 1x ./internal/wasm/binary
+	$(GO) test -run '^$$' -fuzz FuzzLinearMemory -fuzztime 20s -fuzzminimizetime 1x ./internal/interp
 
 # verify-ledger is the tier-2 smoke path for the verifiable ledger: the
 # faas example serves instrumented requests under bounded retention
@@ -110,7 +114,7 @@ bench:
 # compiled footprint set must keep at most bench.CompiledSmokeCeiling retained
 # heap bytes per loop-instrumented instruction (85; deterministic), a warm
 # pooled echo or resize instance must keep at most bench.PooledSmokeCeiling of
-# the memory its module declares (0.6; deterministic), spill-mode
+# the memory its module declares (0.05; deterministic), spill-mode
 # retention must keep up with bounded, reading a 100,000-record spilled
 # ledger back (reopen + VerifySpillDir + WriteDump + VerifyReader) must cost
 # at most bench.AuditSmokeCeiling times writing it (append + Compact + Close;

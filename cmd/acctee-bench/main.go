@@ -20,7 +20,7 @@
 //	                               # baseline by ≥ 1.15x geomean,
 //	                               # a compiled module must keep ≤ 85 B per
 //	                               # instrumented instruction,
-//	                               # a warm pooled instance ≤ 0.6 of the
+//	                               # a warm pooled instance ≤ 0.05 of the
 //	                               # memory its module declares,
 //	                               # spill-mode retention must hold ≥ 0.35x bounded,
 //	                               # GOMAXPROCS=4 must reach ≥ 1.8x GOMAXPROCS=1

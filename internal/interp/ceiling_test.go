@@ -86,7 +86,7 @@ func TestMemoryMinimumCeiling(t *testing.T) {
 				var vm *interp.VM
 				got := allocated(func() { vm, err = instantiate() })
 				if tc.ok {
-					if err != nil || len(vm.Memory()) != int(tc.min)*wasm.PageSize {
+					if err != nil || vm.MemorySize() != tc.min*wasm.PageSize {
 						t.Fatalf("%s: %d pages under a cap of %d: %v", how, tc.min, tc.maxPages, err)
 					}
 					continue

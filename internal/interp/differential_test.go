@@ -42,13 +42,23 @@ func observe(t *testing.T, m *wasm.Module, cfg interp.Config, entry string, args
 		count:  vm.InstrCount(),
 		cost:   vm.Cost(),
 		fuel:   vm.FuelRemaining(),
-		memory: bytes.Clone(vm.Memory()),
+		memory: memoryOf(t, vm),
 	}
 	for i := range vm.Module().Globals {
 		g, _ := vm.Global(uint32(i))
 		o.global = append(o.global, g)
 	}
 	return o
+}
+
+// memoryOf copies vm's whole linear memory.
+func memoryOf(t *testing.T, vm *interp.VM) []byte {
+	t.Helper()
+	view, err := vm.MemoryView(0, vm.MemorySize())
+	if err != nil {
+		t.Fatalf("MemoryView: %v", err)
+	}
+	return bytes.Clone(view)
 }
 
 // diffEngines runs entry under the structured reference engine and the

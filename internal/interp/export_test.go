@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"reflect"
+	"runtime"
+	"weak"
 
 	"acctee/internal/wasm"
 )
@@ -93,9 +95,49 @@ func (vm *VM) TraceReg(fi int, args ...uint64) (pcs []int, err error) {
 	return pcs, err
 }
 
-// Backed is the capacity of the backing behind linear memory: the bytes
-// the instance holds for it, against MemorySize declared.
-func (vm *VM) Backed() int { return cap(vm.memory) }
+// Backed is the bytes the instance holds for linear memory — its backed
+// pages, those beyond the page table's length included — against
+// MemorySize declared.
+func (vm *VM) Backed() int {
+	n := 0
+	for _, pg := range vm.pages[:cap(vm.pages)] {
+		if len(pg) != 0 {
+			n += wasm.PageSize
+		}
+	}
+	return n
+}
+
+// PageRefs holds a weak pointer to the first byte of each page-table
+// entry, those beyond the table's length included (zero for an unbacked
+// page), so that a test can see which allocations a later step leaves
+// behind.
+type PageRefs []weak.Pointer[byte]
+
+func (vm *VM) PageRefs() PageRefs {
+	refs := make(PageRefs, cap(vm.pages))
+	for pn, pg := range vm.pages[:cap(vm.pages)] {
+		if len(pg) > 0 {
+			refs[pn] = weak.Make(&pg[0])
+		}
+	}
+	return refs
+}
+
+// Stranded collects garbage and counts the pages of refs whose entry has
+// since moved to another allocation while the old one is still alive: an
+// allocation the page table no longer reads, kept by an entry that points
+// into it. The caller must hold no view of the memory.
+func (vm *VM) Stranded(refs PageRefs) int {
+	runtime.GC()
+	pages, n := vm.pages[:cap(vm.pages)], 0
+	for pn, ref := range refs[:min(len(refs), len(pages))] {
+		if pg := pages[pn]; len(pg) > 0 && ref != (weak.Pointer[byte]{}) && weak.Make(&pg[0]) != ref && ref.Value() != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // DirtyBlocks counts the blocks the next pooled Reset re-zeroes.
 func (vm *VM) DirtyBlocks() int {

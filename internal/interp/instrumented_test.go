@@ -140,7 +140,7 @@ func runPair(t *testing.T, cm *interp.CompiledModule, cfg func(interp.Engine) in
 		t.Fatalf("Cost: reg %d, structured %d", got.vm.Cost(), ref.vm.Cost())
 	case got.vm.FuelRemaining() != ref.vm.FuelRemaining():
 		t.Fatalf("FuelRemaining: reg %d, structured %d", got.vm.FuelRemaining(), ref.vm.FuelRemaining())
-	case !bytes.Equal(got.vm.Memory(), ref.vm.Memory()):
+	case !bytes.Equal(memoryOf(t, got.vm), memoryOf(t, ref.vm)):
 		t.Fatalf("memory differs")
 	}
 	for i := range cm.Module().Globals {

@@ -161,13 +161,19 @@ type VM struct {
 	hostFns  []HostFunc     // imported functions
 	hostSigs []wasm.FuncType
 	globals  []uint64
-	// memory backs linear memory as a grown prefix: it holds the first
-	// len(memory) of the memPages pages the instance has, and everything
-	// above reads as zero until an access touches it (back). len(memory) is
-	// min(cap(memory), memPages*PageSize), so the engines' one bounds check
-	// against len(memory) stays the fast path and back is reached only when
-	// it fails. memory.grow moves memPages and copies nothing.
-	memory   []byte
+	// pages backs linear memory page by page: pages[pn] is wasm page pn,
+	// PageSize long, or empty until an access touches it, and an unbacked
+	// page reads as zero. The table reaches no further than the highest
+	// page touched (len(pages) <= memPages), so declaring or growing memory
+	// allocates nothing; the engines' one bounds check is the page lookup in
+	// at. An entry is cut from an allocation and its cap runs to that
+	// allocation's end: pages a view joined share one (span), no entry's
+	// cap reaches a page whose entry points elsewhere, and every page of an
+	// allocation has its entry in it, so the table keeps alive exactly the
+	// pages it backs. Between len and cap lie the entries of pages an
+	// earlier run backed above the initial size, which Reset zeroed and a
+	// later touch takes back.
+	pages    [][]byte
 	memPages uint32
 	maxPages uint32
 	table    []int32 // function indices; -1 = undefined
@@ -214,16 +220,14 @@ type VM struct {
 	// point converts it into a regTrapRet. Always false between statements.
 	regFault bool
 
-	// dirty is a bitmap over dirtyBlock-sized blocks of the backing written
-	// since the last reset; Reset re-zeroes only those blocks instead of the
-	// whole backing. Tracking is enabled only for pool-managed instances
-	// (trackDirty), so one-shot instantiations pay nothing per store;
-	// untracked VMs fall back to a full clear on Reset. dirtyAll records an
-	// escape hatch: the caller took an unscoped Memory() alias, so everything
-	// may have been written.
+	// dirty is a bitmap over the dirtyBlock-sized blocks of the pages the
+	// table reaches, set by writes since the last reset; Reset re-zeroes
+	// only those blocks instead of every backed page. Tracking is enabled
+	// only for pool-managed instances (trackDirty), so one-shot
+	// instantiations pay nothing per store; untracked VMs fall back to
+	// clearing every backed page on Reset.
 	dirty      []uint64
 	trackDirty bool
-	dirtyAll   bool
 }
 
 // compiledFunc is one function of the artifact. After Compile it keeps what
@@ -289,83 +293,192 @@ func (vm *VM) MemorySize() uint32 { return vm.memSize() }
 // a full 4 GiB memory reads 0.
 func (vm *VM) memSize() uint32 { return vm.memPages * wasm.PageSize }
 
-// Memory exposes the whole linear memory for host functions, backing all of
-// it first. The returned slice aliases the VM's memory; it is invalidated by
-// memory.grow and by any access that extends the backing. Because the
-// caller may write through the alias, the entire memory is conservatively
-// treated as dirty for pooled reset — hot paths should prefer MemoryView
-// (reads) and MemoryDirty (writes), which back only the range they return.
-func (vm *VM) Memory() []byte {
-	vm.back(uint64(vm.memPages) * wasm.PageSize)
-	vm.dirtyAll = true
-	return vm.memory
-}
-
-// MemoryView returns memory[off:off+n] for reading. Writing through the
-// view is not allowed: such writes are invisible to the dirty tracking that
-// pooled Reset relies on. The view is invalidated by memory.grow and by any
-// access that extends the backing.
+// MemoryView returns memory[off:off+n] for reading, backing the pages under
+// it. Writing through the view is not allowed: such writes are invisible to
+// the dirty tracking that pooled Reset relies on. The view aliases the
+// memory until memory.grow, Reset, or a view that joins any of its pages
+// (span) invalidates it.
 func (vm *VM) MemoryView(off, n uint32) ([]byte, error) {
-	if end := uint64(off) + uint64(n); end > uint64(len(vm.memory)) && !vm.back(end) {
-		return nil, ErrOutOfBounds
-	}
-	return vm.memory[off : off+n : off+n], nil
+	return vm.span(off, n)
 }
 
 // MemoryDirty returns memory[off:off+n] for host-side writes, recording the
 // range as dirty so pooled Reset re-zeroes it. The view is invalidated as
 // MemoryView's is.
 func (vm *VM) MemoryDirty(off, n uint32) ([]byte, error) {
-	if end := uint64(off) + uint64(n); end > uint64(len(vm.memory)) && !vm.back(end) {
-		return nil, ErrOutOfBounds
-	}
-	if n > 0 {
+	b, err := vm.span(off, n)
+	if err == nil && n > 0 {
 		vm.markDirty(int(off), int(n))
 	}
-	return vm.memory[off : off+n : off+n], nil
+	return b, err
 }
 
-// back extends the backed prefix to cover memory[:end]. It reports false,
-// allocating nothing, when end lies beyond the memory's size: the access is
-// out of bounds. A new backing is the larger of end and twice the old one,
-// rounded up to a page, so memory touched bottom-up is copied at most once
-// per byte on average, while one touch far above the rest costs only the
-// pages below it. A backing that would leave less than a quarter of the
-// memory unbacked backs all of it: a random walk over a large memory pays
-// two or three copies where it would pay four or five.
-func (vm *VM) back(end uint64) bool {
-	size := uint64(vm.memPages) * wasm.PageSize
-	if end > size {
+// pageShift and pageMask split an address into its page number and its
+// offset in the page (wasm.PageSize is 1<<pageShift).
+const (
+	pageShift = 16
+	pageMask  = 1<<pageShift - 1
+)
+
+// at is the engines' one bounds check: the bytes from ea on when
+// [ea, ea+w) lies inside one backed page, or nil on a miss — out of bounds,
+// an unbacked page, or an access that straddles two pages — which the
+// caller hands to loadMiss or storeMiss.
+func (vm *VM) at(ea, w uint64) []byte {
+	if pn := ea >> pageShift; pn < uint64(len(vm.pages)) {
+		if pg, o := vm.pages[pn], ea&pageMask; o+w <= uint64(len(pg)) {
+			return pg[o:]
+		}
+	}
+	return nil
+}
+
+// inMemory reports whether [ea, ea+w) lies inside the memory's size.
+func (vm *VM) inMemory(ea, w uint64) bool {
+	return ea+w <= uint64(vm.memPages)<<pageShift
+}
+
+// loadMiss is a load off at's fast path. Out of bounds it reports false
+// and charges nothing; otherwise it charges MemCost, backs the pages the
+// access touches and reads width bytes little-endian, across a page
+// boundary when the access straddles one.
+func (vm *VM) loadMiss(ea uint64, width uint32) (uint64, bool) {
+	if !vm.inMemory(ea, uint64(width)) {
+		return 0, false
+	}
+	if vm.cost != nil {
+		vm.costAcc += vm.cost.MemCost(uint32(ea), width, false, vm.memSize())
+	}
+	var v uint64
+	for a := ea + uint64(width); a > ea; {
+		a--
+		v = v<<8 | uint64(vm.page(a >> pageShift)[a&pageMask])
+	}
+	return v, true
+}
+
+// storeMiss is a store off at's fast path, as loadMiss is a load's: out of
+// bounds it writes no byte and charges nothing.
+func (vm *VM) storeMiss(ea uint64, width uint32, v uint64) bool {
+	if !vm.inMemory(ea, uint64(width)) {
 		return false
 	}
-	if end <= uint64(len(vm.memory)) {
-		return true
+	if vm.cost != nil {
+		vm.costAcc += vm.cost.MemCost(uint32(ea), width, true, vm.memSize())
 	}
-	n := (max(end, 2*uint64(cap(vm.memory))) + wasm.PageSize - 1) / wasm.PageSize * wasm.PageSize
-	if n > size/4*3 {
-		n = size
+	for a := ea; a < ea+uint64(width); a++ {
+		vm.page(a >> pageShift)[a&pageMask] = byte(v)
+		v >>= 8
 	}
-	grown := make([]byte, n)
-	copy(grown, vm.memory)
-	vm.memory = grown
-	if words := int(((n+dirtyBlock-1)/dirtyBlock + 63) / 64); vm.trackDirty && words > len(vm.dirty) {
+	vm.markDirty(int(ea), int(width))
+	return true
+}
+
+// page returns page pn (below memPages), backing it first if no access has
+// touched it: a zeroed allocation of its own, which no other entry's cap
+// reaches because none reaches an unbacked page.
+func (vm *VM) page(pn uint64) []byte {
+	if pn >= uint64(len(vm.pages)) {
+		vm.reach(int(pn) + 1)
+	}
+	pg := vm.pages[pn]
+	if len(pg) == 0 {
+		pg = make([]byte, wasm.PageSize)
+		vm.pages[pn] = pg
+	}
+	return pg
+}
+
+// reach extends the page table to n entries (n <= memPages), and the dirty
+// bitmap with it. Entries up to the table's cap come back as Reset left
+// them, zeroed; a table that must grow copies its whole cap, so no page an
+// earlier run backed is dropped while an entry's cap still reaches it.
+func (vm *VM) reach(n int) {
+	if n > cap(vm.pages) {
+		grown := make([][]byte, n, min(max(n, 2*cap(vm.pages)), int(vm.memPages)))
+		copy(grown, vm.pages[:cap(vm.pages)])
+		vm.pages = grown
+	}
+	vm.pages = vm.pages[:n]
+	if words := (n*pageBlocks + 63) / 64; vm.trackDirty && words > len(vm.dirty) {
 		vm.dirty = append(vm.dirty, make([]uint64, words-len(vm.dirty))...)
 	}
-	return true
+}
+
+// span returns memory[off:off+n], backing the pages under it. A range
+// inside one allocation aliases it. A range that spans allocations joins
+// its pages: one new allocation, each page copied in once and its entry
+// repointed to it. The allocations it replaces may reach below first and
+// above last; the pages they hold there move too, each side into one
+// allocation of its own, so no old allocation stays reachable from the
+// table and the memory never holds more than one copy of a page. A view
+// taken earlier of a moved page no longer aliases the memory.
+func (vm *VM) span(off, n uint32) ([]byte, error) {
+	a, end := uint64(off), uint64(off)+uint64(n)
+	if !vm.inMemory(a, uint64(n)) {
+		return nil, ErrOutOfBounds
+	}
+	if n == 0 {
+		return []byte{}, nil
+	}
+	first, last := a>>pageShift, (end-1)>>pageShift
+	if last >= uint64(len(vm.pages)) {
+		vm.reach(int(last) + 1)
+	}
+	pg := vm.page(first)
+	if end-first<<pageShift > uint64(cap(pg)) {
+		lo, hi := int(first), int(last)+1
+		for lo > 0 && cap(vm.pages[lo-1]) > (int(first)-lo+1)<<pageShift {
+			lo--
+		}
+		if c := cap(vm.pages[last]); c > 0 {
+			hi += c>>pageShift - 1
+		}
+		vm.rehome(lo, int(first))
+		vm.rehome(int(last)+1, hi)
+		pg = vm.rehome(int(first), int(last)+1)
+	}
+	o := a & pageMask
+	return pg[o : o+uint64(n) : o+uint64(n)], nil
+}
+
+// rehome copies pages [lo, hi) into one new allocation and repoints their
+// entries to it, and returns it. Pages above the table's length, which a
+// Reset cut off, move too: an allocation a join replaces may reach them.
+func (vm *VM) rehome(lo, hi int) []byte {
+	if lo >= hi {
+		return nil
+	}
+	pages := vm.pages[:cap(vm.pages)]
+	buf := make([]byte, (hi-lo)<<pageShift)
+	for pn := lo; pn < hi; pn++ {
+		at := (pn - lo) << pageShift
+		copy(buf[at:], pages[pn])
+		pages[pn] = buf[at : at+wasm.PageSize]
+	}
+	return buf
+}
+
+// copyIn writes b at a page by page, backing the pages it covers, and
+// marks it dirty: Reset's data segments.
+func (vm *VM) copyIn(a uint64, b []byte) {
+	for len(b) > 0 {
+		n := copy(vm.page(a >> pageShift)[a&pageMask:], b)
+		vm.markDirty(int(a), n)
+		a, b = a+uint64(n), b[n:]
+	}
 }
 
 // grow is memory.grow on both engines: it returns the old page count, or
 // 0xFFFFFFFF when the memory cannot grow by delta pages. Nothing is
-// allocated or copied: the new pages lie above the backed prefix until
-// touched, or inside a backing kept from an earlier run, which Reset left
-// zeroed.
+// allocated or copied: the new pages lie beyond the page table until
+// touched.
 func (vm *VM) grow(delta uint32) uint32 {
 	old := vm.memPages
 	if delta > vm.maxPages || old+delta > vm.maxPages {
 		return 0xFFFFFFFF
 	}
 	vm.memPages = old + delta
-	vm.memory = vm.memory[:min(cap(vm.memory), int(vm.memPages)*wasm.PageSize)]
 	if vm.growHook != nil {
 		vm.growHook(vm, old, old+delta)
 	}
@@ -374,12 +487,15 @@ func (vm *VM) grow(delta uint32) uint32 {
 
 // dirtyBlock is the granularity of the dirty bitmap and so of pooled reset:
 // a request that writes a few bytes costs Reset one 4 KiB clear, not a
-// 64 KiB wasm page.
-const dirtyBlock = 4 << 10
+// 64 KiB wasm page. pageBlocks is the number of blocks in a page.
+const (
+	dirtyBlock = 4 << 10
+	pageBlocks = wasm.PageSize / dirtyBlock
+)
 
 // markDirty records that memory[a:a+n) is about to be written (n >= 1; the
-// caller has already bounds-checked the range). It is a no-op unless the
-// instance is pool-managed.
+// caller has already backed the range, so the bitmap covers it). It is a
+// no-op unless the instance is pool-managed.
 func (vm *VM) markDirty(a, n int) {
 	if !vm.trackDirty {
 		return
@@ -393,28 +509,33 @@ func (vm *VM) markDirty(a, n int) {
 	}
 }
 
-// clearDirtyMemory re-zeroes the dirty blocks of the backing, one clear per
-// run of adjacent blocks, and resets the dirty tracking. Reset calls it
-// before it reslices memory to the initial size, while memory still covers
-// every byte the run could write; what lies between len and cap was zeroed
-// by the Reset that last shrank it, so a later memory.grow re-exposes only
-// zeros. Untracked instances and instances with an unscoped Memory() alias
-// outstanding fall back to zeroing everything.
+// clearDirtyMemory re-zeroes the dirty blocks, one clear per page a run of
+// adjacent blocks covers, and resets the dirty tracking. Reset calls it
+// before it cuts the page table back to the initial size, while the table
+// still reaches every page the run could write; the pages beyond the cut
+// stay zeroed until a later run touches them again. Untracked instances
+// zero every backed page.
 func (vm *VM) clearDirtyMemory() {
-	if !vm.trackDirty || vm.dirtyAll {
-		clear(vm.memory)
-	} else {
-		for w, word := range vm.dirty {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				run := bits.TrailingZeros64(^(word >> b))
-				word &^= (1<<run - 1) << b
-				lo := (w*64 + b) * dirtyBlock
-				clear(vm.memory[lo:min(lo+run*dirtyBlock, len(vm.memory))])
+	if !vm.trackDirty {
+		for _, pg := range vm.pages {
+			clear(pg)
+		}
+		return
+	}
+	for w, word := range vm.dirty {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			run := bits.TrailingZeros64(^(word >> b))
+			word &^= (1<<run - 1) << b
+			lo := uint64(w*64+b) * dirtyBlock
+			for end := lo + uint64(run)*dirtyBlock; lo < end; {
+				pn := lo >> pageShift
+				hi := min(end, (pn+1)<<pageShift)
+				clear(vm.pages[pn][lo&pageMask : hi-pn<<pageShift])
+				lo = hi
 			}
 		}
 	}
-	vm.dirtyAll = false
 	clear(vm.dirty)
 }
 

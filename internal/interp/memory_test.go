@@ -2,6 +2,7 @@ package interp_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"acctee/internal/interp"
@@ -9,10 +10,10 @@ import (
 	"acctee/internal/workloads"
 )
 
-// This file pins how linear memory is backed: as a prefix grown on first
-// touch, so an instance holds the pages below the highest byte it touched
-// rather than every page its module declares; memory.grow copies nothing;
-// and pooled Reset re-zeroes 4 KiB blocks.
+// This file pins how linear memory is backed: page by page on first touch,
+// so an instance holds the pages it touched rather than every page its
+// module declares or every page below the highest byte it touched;
+// memory.grow copies nothing; and pooled Reset re-zeroes 4 KiB blocks.
 
 var i32 = []wasm.ValueType{wasm.I32}
 
@@ -121,7 +122,7 @@ func TestMemoryGrowCopiesNothing(t *testing.T) {
 		}
 		call(t, vm, "store", high, 9)
 		if call(t, vm, "load", high) != 9 || call(t, vm, "load", 100) != 7 {
-			t.Errorf("%v: stores lost across the backing's growth", engine)
+			t.Errorf("%v: stores lost across memory.grow", engine)
 		}
 		if got := call(t, vm, "grow", 100); uint32(got) != 0xFFFFFFFF || call(t, vm, "size") != 513 {
 			t.Errorf("%v: grow past MaxPages = %d", engine, got)
@@ -132,14 +133,15 @@ func TestMemoryGrowCopiesNothing(t *testing.T) {
 	}
 }
 
-// TestPooledStoreAtTopOfBacking: every byte of a pooled instance's backing
-// can be stored to and is re-zeroed by the next Reset, whatever sizes the
-// backing grew through. The stores below drive the backing up from the
-// bottom of a 417-page memory; each is followed by a store into the last
-// byte of the backing as it stands, the block a dirty bitmap sized from a
-// rounded-down block count has no bit for.
+// TestPooledStoreAtTopOfBacking: every page a pooled instance backs can be
+// stored to up to its last byte, and the next Reset re-zeroes it, wherever
+// in a 417-page memory the pages lie. After each store below, the last byte
+// of every page backed so far takes a store too: the block of each page a
+// dirty bitmap sized from a rounded-down block count, or reaching only to
+// the lower pages, has no bit for. The instance holds exactly those pages.
 func TestPooledStoreAtTopOfBacking(t *testing.T) {
-	cm := memoryModule(t, 417, 417)
+	const pages = 417
+	cm := memoryModule(t, pages, pages)
 	for _, engine := range engines {
 		cfg := interp.Config{Engine: engine}
 		pool, err := cm.NewPool(cfg, interp.PoolConfig{})
@@ -150,20 +152,29 @@ func TestPooledStoreAtTopOfBacking(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tops []uint64
-		for _, a := range []uint64{13959167, 13959168, 17448960, 21811200, 27263999} {
+		var stored, backed []uint64
+		for _, a := range []uint64{13959167, 13959168, 17448960, 21811200, 27263999, pages*wasm.PageSize - 1} {
 			call(t, vm, "store", a, 1)
-			top := uint64(vm.Backed() - 1)
-			call(t, vm, "store", top, 0xCD)
-			tops = append(tops, top)
+			stored = append(stored, a)
+			if pn := a / wasm.PageSize; !slices.Contains(backed, pn) {
+				backed = append(backed, pn)
+			}
+			for _, pn := range backed {
+				top := (pn+1)*wasm.PageSize - 1
+				call(t, vm, "store", top, 0xCD)
+				stored = append(stored, top)
+			}
+			if got, want := vm.Backed(), len(backed)*wasm.PageSize; got != want {
+				t.Errorf("%v: after a store at %d, backed %d bytes, want %d", engine, a, got, want)
+			}
 		}
 		pool.Put(vm)
 		if vm, err = pool.Get(cfg); err != nil {
 			t.Fatal(err)
 		}
-		for _, top := range tops {
-			if got := call(t, vm, "load", top); got != 0 {
-				t.Errorf("%v: byte %d reads %#x after Reset", engine, top, got)
+		for _, a := range stored {
+			if got := call(t, vm, "load", a); got != 0 {
+				t.Errorf("%v: byte %d reads %#x after Reset", engine, a, got)
 			}
 		}
 	}
@@ -215,10 +226,10 @@ func TestResetHidesGrownPages(t *testing.T) {
 
 // TestPooledEchoBacksWhatItTouches serves gateway-shaped echo requests from
 // a pool: a 64 B payload written at InBase, run, the response read at
-// OutBase. The instance backs the 66 pages up to the response's page, not
-// the 129 the module declares; each request dirties one 4 KiB block at
-// either end, which is all Reset clears; and a recycled instance reuses its
-// backing.
+// OutBase. The instance backs the 2 pages it touches — the request's and
+// the response's — not the 66 up to the response's page nor the 129 the
+// module declares; each request dirties one 4 KiB block at either end,
+// which is all Reset clears; and a recycled instance reuses its pages.
 func TestPooledEchoBacksWhatItTouches(t *testing.T) {
 	m, err := workloads.BuildEcho()
 	if err != nil {
@@ -252,8 +263,8 @@ func TestPooledEchoBacksWhatItTouches(t *testing.T) {
 	}
 	vm := serve()
 	declared := int(vm.MemorySize()) / wasm.PageSize
-	if want := workloads.OutBase/wasm.PageSize + 1; vm.Backed() != want*wasm.PageSize || declared != 129 {
-		t.Errorf("backed %d of %d declared pages, want %d", vm.Backed()/wasm.PageSize, declared, want)
+	if vm.Backed() != 2*wasm.PageSize || declared != 129 {
+		t.Errorf("backed %d of %d declared pages, want 2", vm.Backed()/wasm.PageSize, declared)
 	}
 	if got := vm.DirtyBlocks(); got != 2 {
 		t.Errorf("one request dirtied %d blocks, want 2", got)
@@ -264,7 +275,7 @@ func TestPooledEchoBacksWhatItTouches(t *testing.T) {
 		t.Errorf("a recycled instance allocated %d bytes serving a request", got)
 	}
 	if again != vm || again.Backed() != vm.Backed() {
-		t.Errorf("the pool did not hand back the warm instance with its backing")
+		t.Errorf("the pool did not hand back the warm instance with its pages")
 	}
 	pool.Put(again)
 	vm, err = pool.Get(interp.Config{})

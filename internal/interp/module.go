@@ -54,7 +54,6 @@ type CompiledModule struct {
 
 	hasMemory   bool
 	minMemBytes int
-	dataEnd     int // end of the highest data segment: what Reset backs
 	memMaxPages uint32
 	globalInit  []uint64
 	tableInit   []int32
@@ -182,9 +181,6 @@ func lowerModule(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 		off := int(d.Offset.I32Val())
 		if off < 0 || off+len(d.Bytes) > cm.minMemBytes {
 			return nil, fmt.Errorf("interp: data segment out of bounds")
-		}
-		if len(d.Bytes) > 0 {
-			cm.dataEnd = max(cm.dataEnd, off+len(d.Bytes))
 		}
 	}
 
@@ -456,9 +452,10 @@ func (vm *VM) Reset(cfg Config) error {
 	vm.globals = vm.globals[:len(cm.globalInit)]
 	copy(vm.globals, cm.globalInit)
 
-	// Memory: keep the backing the previous runs grew, re-zeroing only the
-	// blocks they dirtied, back what the data segments need and re-apply
-	// them. Pages no segment covers stay unbacked until touched.
+	// Memory: keep the pages the previous runs backed, re-zeroing only the
+	// blocks they dirtied, cut the page table back to the initial size and
+	// re-apply the data segments, backing the pages they cover. Pages no
+	// segment covers stay unbacked until touched.
 	if cm.hasMemory {
 		vm.maxPages = cm.memMaxPages
 		if cfg.MaxPages > 0 && cfg.MaxPages < vm.maxPages {
@@ -466,18 +463,12 @@ func (vm *VM) Reset(cfg Config) error {
 		}
 		vm.clearDirtyMemory()
 		vm.memPages = uint32(cm.minMemBytes / wasm.PageSize)
-		vm.memory = vm.memory[:min(cap(vm.memory), cm.minMemBytes)]
-		vm.back(uint64(cm.dataEnd))
+		vm.pages = vm.pages[:min(len(vm.pages), int(vm.memPages))]
 		for _, d := range cm.m.Data {
-			if len(d.Bytes) == 0 {
-				continue
-			}
-			off := int(d.Offset.I32Val())
-			vm.markDirty(off, len(d.Bytes))
-			copy(vm.memory[off:], d.Bytes)
+			vm.copyIn(uint64(d.Offset.I32Val()), d.Bytes)
 		}
 	} else {
-		vm.memory = nil
+		vm.pages = nil
 		vm.memPages, vm.maxPages = 0, 0
 	}
 

@@ -14,40 +14,40 @@ import (
 // ---------------------------------------------------------------------------
 // memory access helpers
 
-func (vm *VM) effAddr(base uint32, off uint32, width uint32) (int, error) {
-	addr := uint64(base) + uint64(off)
-	if end := addr + uint64(width); end > uint64(len(vm.memory)) && !vm.back(end) {
+func (vm *VM) loadBits(base, off, width uint32) (uint64, error) {
+	ea := uint64(base) + uint64(off)
+	p := vm.at(ea, uint64(width))
+	if p == nil {
+		if v, ok := vm.loadMiss(ea, width); ok {
+			return v, nil
+		}
 		return 0, ErrOutOfBounds
 	}
-	return int(addr), nil
-}
-
-func (vm *VM) loadBits(base, off, width uint32, store bool) (uint64, error) {
-	a, err := vm.effAddr(base, off, width)
-	if err != nil {
-		return 0, err
-	}
 	if vm.cost != nil {
-		vm.costAcc += vm.cost.MemCost(uint32(a), width, store, vm.memSize())
+		vm.costAcc += vm.cost.MemCost(uint32(ea), width, false, vm.memSize())
 	}
 	var v uint64
 	for i := int(width) - 1; i >= 0; i-- {
-		v = v<<8 | uint64(vm.memory[a+i])
+		v = v<<8 | uint64(p[i])
 	}
 	return v, nil
 }
 
 func (vm *VM) storeBits(base, off, width uint32, v uint64) error {
-	a, err := vm.effAddr(base, off, width)
-	if err != nil {
-		return err
+	ea := uint64(base) + uint64(off)
+	p := vm.at(ea, uint64(width))
+	if p == nil {
+		if vm.storeMiss(ea, width, v) {
+			return nil
+		}
+		return ErrOutOfBounds
 	}
 	if vm.cost != nil {
-		vm.costAcc += vm.cost.MemCost(uint32(a), width, true, vm.memSize())
+		vm.costAcc += vm.cost.MemCost(uint32(ea), width, true, vm.memSize())
 	}
-	vm.markDirty(a, int(width))
+	vm.markDirty(int(ea), int(width))
 	for i := 0; i < int(width); i++ {
-		vm.memory[a+i] = byte(v)
+		p[i] = byte(v)
 		v >>= 8
 	}
 	return nil
@@ -105,29 +105,29 @@ func (vm *VM) numeric(in *wasm.Instr, stack []uint64) ([]uint64, error) {
 		var err error
 		switch op {
 		case wasm.OpI32Load, wasm.OpF32Load:
-			v, err = vm.loadBits(base, in.Offset(), 4, false)
+			v, err = vm.loadBits(base, in.Offset(), 4)
 		case wasm.OpI64Load, wasm.OpF64Load:
-			v, err = vm.loadBits(base, in.Offset(), 8, false)
+			v, err = vm.loadBits(base, in.Offset(), 8)
 		case wasm.OpI32Load8U, wasm.OpI64Load8U:
-			v, err = vm.loadBits(base, in.Offset(), 1, false)
+			v, err = vm.loadBits(base, in.Offset(), 1)
 		case wasm.OpI32Load8S:
-			v, err = vm.loadBits(base, in.Offset(), 1, false)
+			v, err = vm.loadBits(base, in.Offset(), 1)
 			v = uint64(uint32(int32(int8(v))))
 		case wasm.OpI64Load8S:
-			v, err = vm.loadBits(base, in.Offset(), 1, false)
+			v, err = vm.loadBits(base, in.Offset(), 1)
 			v = uint64(int64(int8(v)))
 		case wasm.OpI32Load16U, wasm.OpI64Load16U:
-			v, err = vm.loadBits(base, in.Offset(), 2, false)
+			v, err = vm.loadBits(base, in.Offset(), 2)
 		case wasm.OpI32Load16S:
-			v, err = vm.loadBits(base, in.Offset(), 2, false)
+			v, err = vm.loadBits(base, in.Offset(), 2)
 			v = uint64(uint32(int32(int16(v))))
 		case wasm.OpI64Load16S:
-			v, err = vm.loadBits(base, in.Offset(), 2, false)
+			v, err = vm.loadBits(base, in.Offset(), 2)
 			v = uint64(int64(int16(v)))
 		case wasm.OpI64Load32U:
-			v, err = vm.loadBits(base, in.Offset(), 4, false)
+			v, err = vm.loadBits(base, in.Offset(), 4)
 		case wasm.OpI64Load32S:
-			v, err = vm.loadBits(base, in.Offset(), 4, false)
+			v, err = vm.loadBits(base, in.Offset(), 4)
 			v = uint64(int64(int32(uint32(v))))
 		}
 		if err != nil {

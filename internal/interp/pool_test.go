@@ -34,7 +34,7 @@ func collectObs(t *testing.T, vm *interp.VM, entry string, args ...uint64) obs {
 		count:  vm.InstrCount(),
 		cost:   vm.Cost(),
 		fuel:   vm.FuelRemaining(),
-		memory: bytes.Clone(vm.Memory()),
+		memory: memoryOf(t, vm),
 	}
 	for i := range vm.Module().Globals {
 		g, _ := vm.Global(uint32(i))

@@ -952,8 +952,9 @@ func i32CmpPred(op wasm.Opcode, a, b vnode, s *stmtState) func(vm *VM, fr []uint
 // memory nodes
 
 // storeCommit builds a store sink: evaluate address then value (program
-// order), fault-check, one bounds check, MemCost charge, dirty-block
-// tracking, word-at-a-time write. Natural-width stores get dedicated arms.
+// order), fault-check, one page lookup (at), MemCost charge, dirty-block
+// tracking, word-at-a-time write; a miss goes to regStoreMiss.
+// Natural-width stores get dedicated arms.
 func (rl *regLowering) storeCommit(in *wasm.Instr, a, v vnode, pc int, s *stmtState, next int) regFn {
 	width, ok := storeSpec(in.Op)
 	if !ok {
@@ -973,16 +974,15 @@ func (rl *regLowering) storeCommit(in *wasm.Instr, a, v vnode, pc int, s *stmtSt
 				return regTrapRet
 			}
 			ea := uint64(uint32(ad)) + off
-			if ea+8 > uint64(len(vm.memory)) && !vm.back(ea+8) {
-				vm.regErr = ErrOutOfBounds
-				vm.regTrapPC = tp
-				return regTrapRet
+			p := vm.at(ea, 8)
+			if p == nil {
+				return vm.regStoreMiss(ea, 8, x, tp, next)
 			}
 			if vm.cost != nil {
 				vm.costAcc += vm.cost.MemCost(uint32(ea), 8, true, vm.memSize())
 			}
 			vm.markDirty(int(ea), 8)
-			binary.LittleEndian.PutUint64(vm.memory[ea:], x)
+			binary.LittleEndian.PutUint64(p, x)
 			return next
 		}
 	}
@@ -995,16 +995,15 @@ func (rl *regLowering) storeCommit(in *wasm.Instr, a, v vnode, pc int, s *stmtSt
 				return regTrapRet
 			}
 			ea := uint64(uint32(ad)) + off
-			if ea+4 > uint64(len(vm.memory)) && !vm.back(ea+4) {
-				vm.regErr = ErrOutOfBounds
-				vm.regTrapPC = tp
-				return regTrapRet
+			p := vm.at(ea, 4)
+			if p == nil {
+				return vm.regStoreMiss(ea, 4, x, tp, next)
 			}
 			if vm.cost != nil {
 				vm.costAcc += vm.cost.MemCost(uint32(ea), 4, true, vm.memSize())
 			}
 			vm.markDirty(int(ea), 4)
-			binary.LittleEndian.PutUint32(vm.memory[ea:], uint32(x))
+			binary.LittleEndian.PutUint32(p, uint32(x))
 			return next
 		}
 	}
@@ -1018,23 +1017,32 @@ func (rl *regLowering) storeCommit(in *wasm.Instr, a, v vnode, pc int, s *stmtSt
 			return regTrapRet
 		}
 		ea := uint64(uint32(ad)) + off
-		if ea+wd > uint64(len(vm.memory)) && !vm.back(ea+wd) {
-			vm.regErr = ErrOutOfBounds
-			vm.regTrapPC = tp
-			return regTrapRet
+		p := vm.at(ea, wd)
+		if p == nil {
+			return vm.regStoreMiss(ea, width, x, tp, next)
 		}
 		if vm.cost != nil {
 			vm.costAcc += vm.cost.MemCost(uint32(ea), width, true, vm.memSize())
 		}
 		vm.markDirty(int(ea), int(width))
-		fastStore(vm.memory, ea, width, x)
+		fastStore(p, width, x)
 		return next
 	}
 }
 
+// regStoreMiss is storeMiss for a store sink: out of bounds it traps at tp.
+func (vm *VM) regStoreMiss(ea uint64, width uint32, x uint64, tp int32, next int) int {
+	if !vm.storeMiss(ea, width, x) {
+		vm.regErr = ErrOutOfBounds
+		vm.regTrapPC = tp
+		return regTrapRet
+	}
+	return next
+}
+
 // loadNode builds a memory-load evaluator: fault-latch entry guard,
-// effective address, one bounds check, MemCost charge, word-at-a-time
-// read. Natural-width loads get dedicated arms.
+// effective address, one page lookup (at), MemCost charge, word-at-a-time
+// read; a miss goes to regLoadMiss. Natural-width loads get dedicated arms.
 func (rl *regLowering) loadNode(in *wasm.Instr, a vnode, pc int, s *stmtState) vnode {
 	s.fault = true
 	width, ext, ok := loadSpec(in.Op)
@@ -1051,16 +1059,14 @@ func (rl *regLowering) loadNode(in *wasm.Instr, a vnode, pc int, s *stmtState) v
 				return 0
 			}
 			ea := uint64(uint32(ae(vm, fr))) + off
-			if ea+8 > uint64(len(vm.memory)) && !vm.back(ea+8) {
-				vm.regFault = true
-				vm.regErr = ErrOutOfBounds
-				vm.regTrapPC = tp
-				return 0
+			p := vm.at(ea, 8)
+			if p == nil {
+				return vm.regLoadMiss(ea, 8, tp)
 			}
 			if vm.cost != nil {
 				vm.costAcc += vm.cost.MemCost(uint32(ea), 8, false, vm.memSize())
 			}
-			return binary.LittleEndian.Uint64(vm.memory[ea:])
+			return binary.LittleEndian.Uint64(p)
 		}}
 	}
 	if ext == extNone && width == 4 {
@@ -1069,16 +1075,14 @@ func (rl *regLowering) loadNode(in *wasm.Instr, a vnode, pc int, s *stmtState) v
 				return 0
 			}
 			ea := uint64(uint32(ae(vm, fr))) + off
-			if ea+4 > uint64(len(vm.memory)) && !vm.back(ea+4) {
-				vm.regFault = true
-				vm.regErr = ErrOutOfBounds
-				vm.regTrapPC = tp
-				return 0
+			p := vm.at(ea, 4)
+			if p == nil {
+				return vm.regLoadMiss(ea, 4, tp)
 			}
 			if vm.cost != nil {
 				vm.costAcc += vm.cost.MemCost(uint32(ea), 4, false, vm.memSize())
 			}
-			return uint64(binary.LittleEndian.Uint32(vm.memory[ea:]))
+			return uint64(binary.LittleEndian.Uint32(p))
 		}}
 	}
 	s.generic++
@@ -1088,17 +1092,27 @@ func (rl *regLowering) loadNode(in *wasm.Instr, a vnode, pc int, s *stmtState) v
 			return 0
 		}
 		ea := uint64(uint32(ae(vm, fr))) + off
-		if ea+wd > uint64(len(vm.memory)) && !vm.back(ea+wd) {
-			vm.regFault = true
-			vm.regErr = ErrOutOfBounds
-			vm.regTrapPC = tp
-			return 0
+		p := vm.at(ea, wd)
+		if p == nil {
+			return extend(vm.regLoadMiss(ea, width, tp), ext)
 		}
 		if vm.cost != nil {
 			vm.costAcc += vm.cost.MemCost(uint32(ea), width, false, vm.memSize())
 		}
-		return fastLoad(vm.memory, ea, width, ext)
+		return fastLoad(p, width, ext)
 	}}
+}
+
+// regLoadMiss is loadMiss for a load evaluator: out of bounds it latches
+// the fault at tp and yields 0.
+func (vm *VM) regLoadMiss(ea uint64, width uint32, tp int32) uint64 {
+	v, ok := vm.loadMiss(ea, width)
+	if !ok {
+		vm.regFault = true
+		vm.regErr = ErrOutOfBounds
+		vm.regTrapPC = tp
+	}
+	return v
 }
 
 // regFaultEval is an evaluator that always sets the fault latch (a

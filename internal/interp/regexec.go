@@ -593,21 +593,26 @@ func applyBin(op wasm.Opcode, a, b uint64) (uint64, error) {
 	return 0, &UnknownOpcodeError{Op: op}
 }
 
-// fastLoad reads width bytes little-endian at a (the caller has already
-// bounds-checked [a, a+width)) and applies the load's extension: one word
-// access instead of loadBits's byte loop, with identical results.
-func fastLoad(mem []byte, a uint64, width, ext uint32) uint64 {
+// fastLoad reads width bytes little-endian from p (the caller has already
+// found [0, width) inside one page) and applies the load's extension: one
+// word access instead of loadBits's byte loop, with identical results.
+func fastLoad(p []byte, width, ext uint32) uint64 {
 	var v uint64
 	switch width {
 	case 1:
-		v = uint64(mem[a])
+		v = uint64(p[0])
 	case 2:
-		v = uint64(binary.LittleEndian.Uint16(mem[a:]))
+		v = uint64(binary.LittleEndian.Uint16(p))
 	case 4:
-		v = uint64(binary.LittleEndian.Uint32(mem[a:]))
+		v = uint64(binary.LittleEndian.Uint32(p))
 	default:
-		v = binary.LittleEndian.Uint64(mem[a:])
+		v = binary.LittleEndian.Uint64(p)
 	}
+	return extend(v, ext)
+}
+
+// extend applies a load's sign extension to its raw little-endian bits.
+func extend(v uint64, ext uint32) uint64 {
 	switch ext {
 	case extI32S8:
 		v = uint64(uint32(int32(int8(v))))
@@ -623,17 +628,18 @@ func fastLoad(mem []byte, a uint64, width, ext uint32) uint64 {
 	return v
 }
 
-// fastStore writes the low width bytes of v little-endian at a (the caller
-// has already bounds-checked the range and recorded it dirty).
-func fastStore(mem []byte, a uint64, width uint32, v uint64) {
+// fastStore writes the low width bytes of v little-endian into p (the
+// caller has already found [0, width) inside one page and recorded it
+// dirty).
+func fastStore(p []byte, width uint32, v uint64) {
 	switch width {
 	case 1:
-		mem[a] = byte(v)
+		p[0] = byte(v)
 	case 2:
-		binary.LittleEndian.PutUint16(mem[a:], uint16(v))
+		binary.LittleEndian.PutUint16(p, uint16(v))
 	case 4:
-		binary.LittleEndian.PutUint32(mem[a:], uint32(v))
+		binary.LittleEndian.PutUint32(p, uint32(v))
 	default:
-		binary.LittleEndian.PutUint64(mem[a:], v)
+		binary.LittleEndian.PutUint64(p, v)
 	}
 }

@@ -605,7 +605,11 @@ func TestVMCostMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				if len(tc.args) > 0 {
-					copy(vm.Memory()[workloads.InBase:], img)
+					in, err := vm.MemoryDirty(workloads.InBase, uint32(len(img)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					copy(in, img)
 				}
 				if _, err := vm.InvokeExport("run", tc.args...); err != nil {
 					t.Fatal(err)

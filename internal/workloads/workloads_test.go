@@ -126,14 +126,18 @@ func TestEchoMatchesNative(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := workloads.TestImage(16, 16) // 1 KiB
-	copy(vm.Memory()[workloads.InBase:], payload)
+	in, err := vm.MemoryDirty(workloads.InBase, uint32(len(payload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(in, payload)
 	res, err := vm.InvokeExport("run", uint64(len(payload)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := int(uint32(res[0]))
-	got := vm.Memory()[workloads.OutBase : workloads.OutBase+n]
-	if !bytes.Equal(got, workloads.NativeEcho(payload)) {
+	got, err := vm.MemoryView(workloads.OutBase, uint32(n))
+	if err != nil || !bytes.Equal(got, workloads.NativeEcho(payload)) {
 		t.Error("echo output differs from input")
 	}
 }
@@ -149,7 +153,11 @@ func TestResizeMatchesNativeAndJS(t *testing.T) {
 	}
 	for _, size := range []int{64, 128, 200} {
 		img := workloads.TestImage(size, size)
-		copy(vm.Memory()[workloads.InBase:], img)
+		in, err := vm.MemoryDirty(workloads.InBase, uint32(len(img)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(in, img)
 		res, err := vm.InvokeExport("run", uint64(size), uint64(size))
 		if err != nil {
 			t.Fatalf("resize %d: %v", size, err)
@@ -158,9 +166,9 @@ func TestResizeMatchesNativeAndJS(t *testing.T) {
 		if n != workloads.ResizeTarget*workloads.ResizeTarget*4 {
 			t.Fatalf("resize output length %d", n)
 		}
-		got := vm.Memory()[workloads.OutBase : workloads.OutBase+n]
+		got, err := vm.MemoryView(workloads.OutBase, uint32(n))
 		want := workloads.NativeResize(img, size, size)
-		if !bytes.Equal(got, want) {
+		if err != nil || !bytes.Equal(got, want) {
 			t.Errorf("resize %d: wasm and native outputs differ", size)
 		}
 		js := workloads.JSResize(img, size, size)
