@@ -17,18 +17,23 @@ package accounting
 // a valid single-record frame, a signed batch, truncations at interesting
 // offsets and single-bit flips; for containers, the honest full,
 // truncated and pruned-chain dumps of the compatibility fixture, and the
-// malformed ones TestBinaryDumpRoundTrip lists.
+// malformed ones TestBinaryDumpRoundTrip lists; FuzzVerifyReader's seed-08
+// is forgedChain's container, longer than one batch of the verifiers'
+// hash-ahead stage (TestForgedChainSeed pins it).
 
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"acctee/internal/sgx"
@@ -108,6 +113,58 @@ func FuzzVerifyReader(f *testing.F) {
 		}
 		t.Fatalf("a container no honest ledger wrote verifies under the attested key: %+v", *res)
 	})
+}
+
+// TestForgedChainSeed: FuzzVerifyReader's seed-08 is forgedChain(the
+// fixture's measurement, aheadRecords+64, aheadRecords+32) as a corpus
+// entry. Verifying it crosses a batch boundary of the hash-ahead stage
+// before it fails, and so do most of its mutations.
+func TestForgedChainSeed(t *testing.T) {
+	m, err := readSpillManifest(filepath.Join(compatDir, "spill-v2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := forgedChain(m.Measurement, aheadRecords+64, aheadRecords+32)
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzVerifyReader", "seed-08"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", want); string(raw) != got {
+		t.Fatalf("seed-08 (%d bytes) is not forgedChain's container encoded as a corpus entry (%d bytes)", len(raw), len(got))
+	}
+	pub, err := ParsePublicKey(m.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = VerifyReader(bytes.NewReader(want), VerifyOptions{Key: pub, Measurement: m.Measurement})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("record %d content does not match its hash", aheadRecords+32)) {
+		t.Fatalf("the forged chain: %v, want record %d's hash mismatch", err, aheadRecords+32)
+	}
+}
+
+// forgedChain is a container of n records on one shard, chained from
+// genesis under no checkpoint, whose record bad carries a hash its content
+// does not have; its successor chains from the forged hash, so no byte of
+// the input holds the hash that would mend it.
+func forgedChain(meas sgx.Measurement, n, bad int) []byte {
+	head := &Dump{Format: DumpFormatV3, Shards: 1, Measurement: meas, Records: []Record{}}
+	var buf bytes.Buffer
+	var prev [32]byte
+	_ = writeDumpContainer(&buf, head, func(cw *containerWriter) error {
+		for i := 0; i < n; i++ {
+			r := Record{Log: codecLog(i), PrevHash: prev}
+			r.Hash = r.ComputeHash()
+			if i == bad {
+				r.Hash = sha256.Sum256(r.Hash[:])
+			}
+			prev = r.Hash
+			if err := cw.record(&r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return buf.Bytes()
 }
 
 func FuzzBinFrameDecode(f *testing.F) {

@@ -914,7 +914,7 @@ func (l *Ledger) DumpTruncated() (*Dump, error) {
 // under compactMu — the only phase that needs it. Replaying the returned
 // snapshots is lock-free, so a slow dump consumer can never stall
 // compaction (and with it, the retention bound).
-func (l *Ledger) snapshotDump(opts DumpOptions) (dumpCapture, []func(func(*Record) error) error, error) {
+func (l *Ledger) snapshotDump(opts DumpOptions) (dumpCapture, []*shardSnapshot, error) {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()
 	// Drain the spill pipeline so the dump only ever reflects seals that
@@ -925,9 +925,9 @@ func (l *Ledger) snapshotDump(opts DumpOptions) (dumpCapture, []func(func(*Recor
 		return dumpCapture{}, nil, fmt.Errorf("accounting: drain spill writer: %w", err)
 	}
 	c := l.capture(opts)
-	snaps := make([]func(func(*Record) error) error, len(l.lanes))
+	snaps := make([]*shardSnapshot, len(l.lanes))
 	for i := range l.lanes {
-		s, err := l.store.Snapshot(uint32(i), c.starts[i], c.ends[i])
+		s, err := l.store.snapshot(uint32(i), c.starts[i], c.ends[i])
 		if err != nil {
 			return dumpCapture{}, nil, err
 		}
@@ -965,8 +965,8 @@ func (l *Ledger) dump(opts DumpOptions) (*Dump, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range snaps {
-		err := snaps[i](func(r *Record) error {
+	for _, sn := range snaps {
+		err := sn.replay(func(r *Record) error {
 			rec := *r
 			if rec.Signature != nil {
 				// Detach eager signatures from store-internal storage.
@@ -985,10 +985,11 @@ func (l *Ledger) dump(opts DumpOptions) (*Dump, error) {
 // WriteDump streams the dump container to w in O(segment + resident)
 // memory: the header, anchor and checkpoints first, then records shard by
 // shard — the resident suffix from a point-in-time copy, sealed segments
-// straight from the spill files one frame at a time. The snapshot phase
-// is the only part that takes ledger locks: a consumer draining the
-// stream slowly (a curl of GET /ledger over a bad link) never blocks
-// appends or compaction.
+// straight from the spill files one frame at a time, each spilled record's
+// bytes copied into the container as they lie in its checked frame. The
+// snapshot phase is the only part that takes ledger locks: a consumer
+// draining the stream slowly (a curl of GET /ledger over a bad link) never
+// blocks appends or compaction.
 func (l *Ledger) WriteDump(w io.Writer, opts DumpOptions) error {
 	c, snaps, err := l.snapshotDump(opts)
 	if err != nil {
@@ -998,7 +999,14 @@ func (l *Ledger) WriteDump(w io.Writer, opts DumpOptions) error {
 	if err != nil {
 		return err
 	}
-	return writeDumpContainer(w, head, snaps)
+	return writeDumpContainer(w, head, func(cw *containerWriter) error {
+		for _, sn := range snaps {
+			if err := sn.writeTo(cw); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // capturedPruned reports whether the captured checkpoint sequence has

@@ -83,14 +83,15 @@ func (s *shardScan) boundary(n uint64) (k int, ok bool) {
 func scanShardFile(path string, shard uint32) (s shardScan, err error) {
 	var next uint64
 	var st frameStamp
-	_, err = walkFrames(path, func(fr *spillFrame, off, size int64) error {
-		if fr.Shard != shard || fr.Base != next || len(fr.Records) == 0 {
+	var r Record // each record viewed in place: its signature is not read
+	_, err = walkFrameViews(path, func(fr *frameView, off, size int64) error {
+		if fr.Shard != shard || fr.Base != next || len(fr.ends) == 0 {
 			return fmt.Errorf(
 				"accounting: spill shard %d frame at offset %d out of order (base %d, want %d)",
 				shard, off, fr.Base, next)
 		}
-		for i := range fr.Records {
-			r := &fr.Records[i]
+		for i := range fr.ends {
+			viewRecordBin(fr.record(i), &r)
 			if r.Shard != shard || r.Log.Sequence != next {
 				return fmt.Errorf(
 					"accounting: spill shard %d record %d out of sequence (want %d)", shard, r.Log.Sequence, next)
@@ -107,7 +108,7 @@ func scanShardFile(path string, shard uint32) (s shardScan, err error) {
 			return fmt.Errorf(
 				"accounting: spill shard %d frame at offset %d head/totals stamp mismatch", shard, off)
 		}
-		s.frames = append(s.frames, frameIndex{base: fr.Base, count: uint64(len(fr.Records)), off: off, size: size})
+		s.frames = append(s.frames, frameIndex{base: fr.Base, count: uint64(len(fr.ends)), off: off, size: size})
 		s.stamps = append(s.stamps, st)
 		return nil
 	})

@@ -160,7 +160,7 @@ func TestDumpContainerRecordsThroughReusedRecord(t *testing.T) {
 	}
 	var container bytes.Buffer
 	head := &Dump{Format: DumpFormatV3, Shards: 4, Records: []Record{}}
-	if err := writeDumpContainer(&container, head, []func(func(*Record) error) error{replaySlice(want)}); err != nil {
+	if err := writeDumpContainer(&container, head, (&shardSnapshot{tail: want}).writeTo); err != nil {
 		t.Fatal(err)
 	}
 	var got []Record

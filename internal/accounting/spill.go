@@ -312,9 +312,13 @@ func (sp *spill) rewriteCheckpoints(cps []SignedCheckpoint) error {
 }
 
 // pruneCheckpoints rewrites the persisted checkpoint log down to the
-// retained set. Rewrites are amortised: the log is left alone until it
-// holds roughly twice as many lines as survivors, so a prune after every
-// checkpoint costs O(1) amortised I/O.
+// retained set. Rewrites are amortised on the lines a rewrite would drop:
+// the log is left alone until they outnumber half the survivors plus 16.
+// A rewrite of R lines then follows more than R/2 appended ones, so a
+// prune after every checkpoint costs O(1) amortised I/O, and the log holds
+// at most 1.5·R + 16 lines whatever CheckpointKeepEvery is — at K = 2,
+// where half the lines survive, a trigger on the log's length alone
+// (twice the survivors) would never fire.
 func (s *RecordStore) pruneCheckpoints(retained []SignedCheckpoint) error {
 	if !s.Persistent() {
 		return nil // nothing persists; nothing to prune
@@ -324,7 +328,7 @@ func (s *RecordStore) pruneCheckpoints(retained []SignedCheckpoint) error {
 	if s.cpF == nil {
 		return fmt.Errorf("accounting: spill store closed")
 	}
-	if s.cpLines <= 2*len(retained)+16 {
+	if dropped := s.cpLines - len(retained); dropped <= len(retained)/2+16 {
 		return nil
 	}
 	return s.rewriteCheckpoints(retained)

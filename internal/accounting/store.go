@@ -402,22 +402,43 @@ func (s *RecordStore) Seal(sc *SignedCheckpoint) (int, error) {
 // copies what it keeps. Snapshot fails if [from, to) reaches below the
 // earliest reachable sequence.
 func (s *RecordStore) Snapshot(shard uint32, from, to uint64) (func(fn func(*Record) error) error, error) {
+	sn, err := s.snapshot(shard, from, to)
+	if err != nil {
+		return nil, err
+	}
+	return sn.replay, nil
+}
+
+// shardSnapshot is what Snapshot pins: the spill frames and the copied
+// tail that hold a shard's records in [from, to).
+type shardSnapshot struct {
+	shard    uint32
+	from, to uint64
+	spilled  uint64       // records below it are in frames
+	path     string       // the shard's segment file, when spilled > 0
+	frames   []frameIndex // the shard's frames at the snapshot
+	tail     []Record     // the rest of the range, copied
+}
+
+func (s *RecordStore) snapshot(shard uint32, from, to uint64) (*shardSnapshot, error) {
 	if int(shard) >= len(s.shards) {
 		return nil, fmt.Errorf("accounting: snapshot names shard %d of %d", shard, len(s.shards))
 	}
 	sh := &s.shards[shard]
 	sh.mu.Lock()
-	spilled := sh.spilled
-	frames := append([]frameIndex(nil), sh.frames...)
+	sn := &shardSnapshot{shard: shard, from: from, to: to,
+		spilled: sh.spilled, frames: append([]frameIndex(nil), sh.frames...)}
+	if sn.spilled > 0 {
+		sn.path = s.shardPath(int(shard))
+	}
 	// Pending frames cover [spilled, sealed) and the resident segments
 	// the rest; copy the overlap with the request so the snapshot survives
 	// the frames landing (and leaving the pending queue) and the segments
 	// being released mid-replay.
-	var tail []Record
 	for _, pf := range sh.pending {
 		seq := pf.base
 		for _, run := range pf.runs {
-			tail = appendRange(tail, run, seq, from, to)
+			sn.tail = appendRange(sn.tail, run, seq, from, to)
 			seq += uint64(len(run))
 		}
 	}
@@ -427,42 +448,89 @@ func (s *RecordStore) Snapshot(shard uint32, from, to uint64) (func(fn func(*Rec
 		return nil, fmt.Errorf("accounting: store snapshot from %d below earliest resident %d", lo, sh.dropped)
 	}
 	for _, seg := range sh.segs {
-		tail = appendRange(tail, seg.recs, seg.base, lo, to)
+		sn.tail = appendRange(sn.tail, seg.recs, seg.base, lo, to)
 	}
 	sh.mu.Unlock()
-	return func(fn func(*Record) error) error {
-		if from < spilled {
-			f, err := os.Open(s.shardPath(int(shard)))
-			if err != nil {
-				return fmt.Errorf("accounting: open spill shard %d: %w", shard, err)
+	return sn, nil
+}
+
+// eachFrame hands fn, in order, every spilled frame holding records of the
+// range, with the shard's segment file open; fn reports whether its frame
+// reached the end of the range.
+func (sn *shardSnapshot) eachFrame(fn func(f *os.File, fi frameIndex) (done bool, err error)) error {
+	if sn.from >= sn.spilled {
+		return nil
+	}
+	f, err := os.Open(sn.path)
+	if err != nil {
+		return fmt.Errorf("accounting: open spill shard %d: %w", sn.shard, err)
+	}
+	defer f.Close()
+	for _, fi := range sn.frames {
+		if fi.base+fi.count <= sn.from {
+			continue
+		}
+		if fi.base >= sn.to {
+			return nil
+		}
+		if done, err := fn(f, fi); done || err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replay hands fn the snapshot's records in order, spilled ones decoded a
+// frame at a time into storage the next frame overwrites.
+func (sn *shardSnapshot) replay(fn func(*Record) error) error {
+	var d frameReader
+	err := sn.eachFrame(func(f *os.File, fi frameIndex) (bool, error) {
+		frame, err := d.at(f, fi)
+		if err != nil {
+			return false, err
+		}
+		for i := range frame.Records {
+			seq := fi.base + uint64(i)
+			if seq < sn.from {
+				continue
 			}
-			defer f.Close()
-			var d frameReader // one frame in memory, refilled per frame
-			for _, fi := range frames {
-				if fi.base+fi.count <= from {
-					continue
-				}
-				if fi.base >= to {
-					return nil
-				}
-				frame, err := d.at(f, fi)
-				if err != nil {
-					return err
-				}
-				for i := range frame.Records {
-					seq := fi.base + uint64(i)
-					if seq < from {
-						continue
-					}
-					if seq >= to {
-						return nil
-					}
-					if err := fn(&frame.Records[i]); err != nil {
-						return err
-					}
-				}
+			if seq >= sn.to {
+				return true, nil
+			}
+			if err := fn(&frame.Records[i]); err != nil {
+				return false, err
 			}
 		}
-		return replaySlice(tail)(fn)
-	}, nil
+		return false, nil
+	})
+	if err != nil {
+		return err
+	}
+	return replaySlice(sn.tail)(fn)
+}
+
+// writeTo streams the snapshot's records into a dump container: spilled
+// records copied from their frames as they lie on disk, read and checked a
+// frame ahead of the writes, then the tail encoded.
+func (sn *shardSnapshot) writeTo(cw *containerWriter) error {
+	err := copyAhead(func(emit func([]byte) ([]byte, error)) error {
+		var d frameReader
+		var buf []byte
+		return sn.eachFrame(func(f *os.File, fi frameIndex) (done bool, err error) {
+			if buf, done, err = d.gatherFrame(buf, f, fi, sn.from, sn.to); err != nil {
+				return false, err
+			}
+			buf, err = emit(buf)
+			return done, err
+		})
+	}, cw.write)
+	if err != nil {
+		return err
+	}
+	for i := range sn.tail {
+		if err := cw.record(&sn.tail[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -23,23 +23,30 @@
 //   - eager per-record signatures where present.
 //
 // The engine is incremental (verifyCore): it consumes one record at a
-// time and keeps O(shards + checkpoints) state, never the records
-// themselves. There are two serialised inputs and one entry point for
-// each: VerifyReader drives the engine straight off a dump container — a
-// million-record dump verifies record by record in O(1) record memory —
+// time, in input order, and keeps O(shards + checkpoints) state, never the
+// records themselves. There are two serialised inputs and one entry point
+// for each: VerifyReader drives the engine straight off a dump container,
 // and VerifySpillDir replays a ledger's spill directory frame by frame;
-// VerifyDump feeds it from an in-memory Dump. The byte layouts of both
-// inputs belong to codec.go; nothing here parses them.
+// both feed it through the hash-ahead stage below, which hashes records on
+// every core ahead of the in-order checks, in memory bounded by the
+// batches in flight. VerifyDump feeds it from an in-memory Dump, hashing
+// as it goes: the sequential replay the stage is tested against. The byte
+// layouts of both inputs belong to codec.go; nothing here parses them.
 package accounting
 
 import (
+	"bufio"
 	"crypto/ecdsa"
 	"crypto/sha256"
 	"crypto/x509"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"sync"
 
 	"acctee/internal/sgx"
 )
@@ -317,8 +324,17 @@ func (c *verifyCore) advance(s int) error {
 	return nil
 }
 
-// record consumes the next record in merge order.
-func (c *verifyCore) record(r *Record) error {
+// replay consumes the next record of an in-memory dump: marshalled and
+// hashed here, then checked.
+func (c *verifyCore) replay(r *Record) error {
+	m := r.appendMarshal(c.scratch[:0])
+	return c.record(r, m, sha256.Sum256(m))
+}
+
+// record consumes the next record in merge order: m is its marshalled
+// form, which the hash and an eager signature cover, and h the SHA-256 of
+// m.
+func (c *verifyCore) record(r *Record, m []byte, h [32]byte) error {
 	i := c.res.Records
 	c.res.Records++
 	if int(r.Shard) >= c.res.Shards {
@@ -338,9 +354,6 @@ func (c *verifyCore) record(r *Record) error {
 		return fmt.Errorf("accounting: shard %d record %d breaks the hash chain (prev hash mismatch)",
 			r.Shard, r.Log.Sequence)
 	}
-	// Marshalled once: the hash and an eager signature cover the same bytes.
-	m := r.appendMarshal(c.scratch[:0])
-	h := sha256.Sum256(m)
 	if h != r.Hash {
 		return fmt.Errorf("accounting: shard %d record %d content does not match its hash",
 			r.Shard, r.Log.Sequence)
@@ -453,7 +466,7 @@ func VerifyDump(d *Dump, opts VerifyOptions) (*VerifyResult, error) {
 		return nil, err
 	}
 	for i := range d.Records {
-		if err := core.record(&d.Records[i]); err != nil {
+		if err := core.replay(&d.Records[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -462,17 +475,20 @@ func VerifyDump(d *Dump, opts VerifyOptions) (*VerifyResult, error) {
 
 // VerifyReader verifies a dump container straight off the reader without
 // materialising the record array: the header and checkpoints are checked
-// first, then records are verified one at a time — constant record memory
-// however large the ledger grew.
+// first, then the record stream goes through the hash-ahead stage — memory
+// bounded by the batches in flight, however large the ledger grew. r is
+// read on a goroutine of the call's own, which has exited when it returns.
 func VerifyReader(r io.Reader, opts VerifyOptions) (*VerifyResult, error) {
-	var core *verifyCore
-	err := readDumpContainer(r,
-		func(d *Dump) (err error) { core, err = newDumpCore(d, opts); return err },
-		func(rec *Record) error { return core.record(rec) })
+	br := bufio.NewReaderSize(r, 1<<16)
+	d, err := readDumpHeader(br)
 	if err != nil {
 		return nil, err
 	}
-	return core.finish()
+	core, err := newDumpCore(d, opts)
+	if err != nil {
+		return nil, err
+	}
+	return core.run(func(p *hashAhead) error { return readDumpRecords(br, p.add) })
 }
 
 // VerifySpillDir replays a ledger's spill directory offline, frame by
@@ -508,25 +524,219 @@ func VerifySpillDir(dir string, opts VerifyOptions) (*VerifyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	for shard := 0; shard < m.Shards; shard++ {
-		var totals UsageLog
-		var head [32]byte
-		_, err := walkFrames(filepath.Join(dir, shardFileName(shard)), func(fr *spillFrame, _, _ int64) error {
-			for i := range fr.Records {
-				if err := core.record(&fr.Records[i]); err != nil {
-					return err
+	return core.run(func(p *hashAhead) error {
+		for shard := 0; shard < m.Shards; shard++ {
+			_, err := walkFrameViews(filepath.Join(dir, shardFileName(shard)), func(v *frameView, _, _ int64) error {
+				for i := range v.ends {
+					if err := p.add(v.record(i)); err != nil {
+						return err
+					}
 				}
-				aggregate(&totals, &fr.Records[i].Log)
-				head = fr.Records[i].Hash
+				p.stamp(shard, v.Head, v.Totals)
+				return nil
+			})
+			if err != nil {
+				return err
 			}
-			if fr.Head != head || fr.Totals != totals {
-				return fmt.Errorf("accounting: spill shard %d: frame head/totals stamp mismatch", shard)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		}
+		return nil
+	})
+}
+
+// The hash-ahead stage. Hashing is most of what verification costs, and a
+// record's hash depends on nothing but its own bytes, while every other
+// check depends on the records before it. So the stage splits the two. One
+// goroutine reads the input and cuts it into batches of raw records: each
+// record's wire encoding, whose first recordMarshalSize bytes are exactly
+// what the chain hashes (codec.go). GOMAXPROCS hashers hash whole batches
+// in place, in any order. The calling goroutine takes the batches strictly
+// in input order and runs the checks with the hashes already computed. The
+// first bad record in input order therefore fails verification with the
+// error a one-record-at-a-time replay reports, and a parse error ends it
+// only once every record before it has passed. A fixed set of batches
+// circulates, so memory is bounded by the batches in flight, not by the
+// record count.
+const (
+	aheadRecords = 1024      // records per batch
+	aheadBytes   = 256 << 10 // bytes per batch, beyond its first record
+)
+
+// rawBatch is one run of raw records through the stage.
+type rawBatch struct {
+	buf    []byte     // the records' wire encodings, back to back
+	ends   []int      // end offset in buf of each record
+	sums   [][32]byte // each record's hash, filled by a hasher
+	stamps []batchStamp
+	// err is what ended the input after these records; nil in the last
+	// batch of an input read to its clean end.
+	err error
+	// hashed carries one token per pass, sent once a hasher has filled
+	// sums; its one slot lets the hasher move on without waiting.
+	hashed chan struct{}
+}
+
+// batchStamp is the head/totals stamp of a spill frame whose last record
+// is the batch's record last; file is the frame's shard file.
+type batchStamp struct {
+	last, file int
+	frameStamp
+}
+
+// hashAhead runs the stage for one verification. The reader owns cur and
+// fills it through add and stamp.
+type hashAhead struct {
+	free  chan *rawBatch // checked batches, back to the reader
+	work  chan *rawBatch // filled batches, to the hashers
+	order chan *rawBatch // filled batches, to the checks in input order
+	quit  chan struct{}  // closed when the checks stop early
+	cur   *rawBatch
+	wg    sync.WaitGroup
+}
+
+// errStopped ends the reader once the checks have stopped.
+var errStopped = errors.New("accounting: verification stopped")
+
+// run verifies the records read drives through the stage, then settles the
+// checkpoints. Every goroutine it starts has exited when it returns.
+func (c *verifyCore) run(read func(*hashAhead) error) (*VerifyResult, error) {
+	workers := runtime.GOMAXPROCS(0)
+	// A batch being filled, one being checked, and two per hasher.
+	inflight := 2*workers + 2
+	p := &hashAhead{
+		free:  make(chan *rawBatch, inflight),
+		work:  make(chan *rawBatch, inflight),
+		order: make(chan *rawBatch, inflight),
+		quit:  make(chan struct{}),
+	}
+	for range inflight {
+		p.free <- &rawBatch{hashed: make(chan struct{}, 1)}
+	}
+	p.wg.Add(workers + 1)
+	for range workers {
+		go p.hash()
+	}
+	go p.read(read)
+	err := c.check(p)
+	close(p.quit)
+	p.wg.Wait()
+	if err != nil {
+		return nil, err
+	}
+	return c.finish()
+}
+
+// read runs the reader and hands on its last batch with its error. The
+// channels hold every batch there is, so no send blocks.
+func (p *hashAhead) read(read func(*hashAhead) error) {
+	defer p.wg.Done()
+	defer close(p.work)
+	defer close(p.order)
+	err := p.take()
+	if err == nil {
+		err = read(p)
+	}
+	if err == errStopped {
+		return
+	}
+	p.cur.err = err
+	p.send()
+}
+
+// take makes a free batch the one being filled, waiting for the checks to
+// hand one back.
+func (p *hashAhead) take() error {
+	select {
+	case b := <-p.free:
+		b.buf, b.ends, b.stamps, b.err = b.buf[:0], b.ends[:0], b.stamps[:0], nil
+		p.cur = b
+		return nil
+	case <-p.quit:
+		return errStopped
+	}
+}
+
+func (p *hashAhead) send() {
+	p.order <- p.cur
+	p.work <- p.cur
+}
+
+// add copies one record's wire encoding into the batch being filled,
+// handing the batch on first if the record does not fit.
+func (p *hashAhead) add(rec []byte) error {
+	if b := p.cur; len(b.ends) == aheadRecords || len(b.buf) > 0 && len(b.buf)+len(rec) > aheadBytes {
+		p.send()
+		if err := p.take(); err != nil {
+			return err
 		}
 	}
-	return core.finish()
+	b := p.cur
+	if cap(b.buf) == 0 {
+		// Sized on first use, so an input of one small batch allocates one
+		// small batch; grown by append, a full one would be allocated about
+		// five times over.
+		b.buf, b.ends = make([]byte, 0, aheadBytes), make([]int, 0, aheadRecords)
+	}
+	b.buf = append(b.buf, rec...)
+	b.ends = append(b.ends, len(b.buf))
+	return nil
+}
+
+// stamp records a spill frame's head/totals stamp; the frame's last record
+// is the last one added.
+func (p *hashAhead) stamp(file int, head [32]byte, totals UsageLog) {
+	b := p.cur
+	b.stamps = append(b.stamps, batchStamp{last: len(b.ends) - 1, file: file, frameStamp: frameStamp{head, totals}})
+}
+
+// hash is one hasher: each batch's records hashed where they lie.
+func (p *hashAhead) hash() {
+	defer p.wg.Done()
+	for b := range p.work {
+		b.sums = slices.Grow(b.sums[:0], len(b.ends))[:len(b.ends)]
+		start := 0
+		for i, end := range b.ends {
+			b.sums[i] = sha256.Sum256(b.buf[start : start+recordMarshalSize])
+			start = end
+		}
+		b.hashed <- struct{}{}
+	}
+}
+
+// check runs the in-order checks on every batch, and on a spill
+// directory's frames their head/totals stamps: each stamp must equal the
+// chain head and running totals of its shard file after the frame.
+func (c *verifyCore) check(p *hashAhead) error {
+	var rec Record
+	var frame UsageLog   // the current frame's records so far
+	var sofar frameStamp // the current shard file's head and totals
+	file := -1
+	for b := range p.order {
+		<-b.hashed
+		start, st := 0, b.stamps
+		for i, end := range b.ends {
+			raw := b.buf[start:end]
+			start = end
+			viewRecordBin(raw, &rec)
+			if err := c.record(&rec, raw[:recordMarshalSize], b.sums[i]); err != nil {
+				return err
+			}
+			aggregate(&frame, &rec.Log)
+			if len(st) > 0 && st[0].last == i { // frames are never empty: one stamp at most
+				if st[0].file != file {
+					file, sofar = st[0].file, frameStamp{}
+				}
+				merge(&sofar.totals, &frame)
+				sofar.head, frame = rec.Hash, UsageLog{}
+				if st[0].frameStamp != sofar {
+					return fmt.Errorf("accounting: spill shard %d: frame head/totals stamp mismatch", file)
+				}
+				st = st[1:]
+			}
+		}
+		if b.err != nil {
+			return b.err
+		}
+		p.free <- b
+	}
+	return nil
 }
