@@ -37,12 +37,15 @@ chaos:
 # untouched, or open, anchored and idempotent), generated programs on
 # the register engine against the structured oracle under a fuel budget
 # and an interrupt point, the wasm binary codec (whatever Decode accepts
-# re-encodes to a fixed point: an equal module, the same bytes), and
-# linear memory's page table (accesses, memory.grow, host views and pooled
-# Reset near page boundaries and the memory's end, on both engines, against
-# a flat []byte model).
+# re-encodes to a fixed point: an equal module, the same bytes, and the
+# same bytes again when streamed), linear memory's page table (accesses,
+# memory.grow, host views and pooled Reset near page boundaries and the
+# memory's end, on both engines, against a flat []byte model), and the CFG
+# builder (every body of a decoded module built by the dense builder and by
+# the map-based reference kept in its tests: the same graph or the same
+# error, never a panic).
 # go test takes one -fuzz target and one package per invocation. The
-# accounting, codec and page-table targets cap input minimisation at one
+# accounting, codec, page-table and CFG targets cap input minimisation at one
 # execution: with the default (60 s per interesting input) a 20 s run
 # spends all of it minimising the first input it finds and executes a few
 # dozen inputs instead of a hundred thousand.
@@ -54,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEngineDifferential -fuzztime 20s ./internal/interp
 	$(GO) test -run '^$$' -fuzz FuzzBinaryRoundTrip -fuzztime 20s -fuzzminimizetime 1x ./internal/wasm/binary
 	$(GO) test -run '^$$' -fuzz FuzzLinearMemory -fuzztime 20s -fuzzminimizetime 1x ./internal/interp
+	$(GO) test -run '^$$' -fuzz FuzzCFGBuild -fuzztime 20s -fuzzminimizetime 1x ./internal/cfg
 
 # verify-ledger is the tier-2 smoke path for the verifiable ledger: the
 # faas example serves instrumented requests under bounded retention

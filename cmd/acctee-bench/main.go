@@ -231,6 +231,14 @@ func smoke(trials int) error {
 	if err := bench.CheckPooledGate(in.Pooled, bench.PooledSmokeCeiling); err != nil {
 		return err
 	}
+	deploy, err := bench.RunDeployAlloc()
+	if err != nil {
+		return err
+	}
+	bench.PrintDeployAlloc(os.Stdout, deploy)
+	if err := bench.CheckDeployAllocGate(deploy, bench.DeployAllocSmokeCeiling); err != nil {
+		return err
+	}
 	fmt.Println("gates passed")
 	fmt.Println()
 	fmt.Println("== Bench smoke gate: spill-mode retention must keep up with bounded ==")

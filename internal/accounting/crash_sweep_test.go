@@ -160,9 +160,11 @@ func TestSpillCrashSweep(t *testing.T) {
 // TestSpillCrashSweepReachesLogRewrite sweeps the one spill write the
 // workload above never makes: the checkpoint-log rewrite of a prune. One
 // append per compaction until the prune has its pruneDrainMin droppable
-// checkpoints and the log holds more than twice the survivors plus 16
-// lines; keep-every 4, because at keep-every 2 half the log survives and
-// that second condition never holds. A counting run learns the rewrite's
+// checkpoints and the lines a rewrite would drop outnumber half the
+// survivors plus 16. That happens at every keep-every above 1
+// (TestCheckpointLogShrinksAtKeepEvery2 pins K = 2); keep-every 4 drops
+// three checkpoints in four, so the rewrite comes after fewer compactions
+// than at 2. A counting run learns the rewrite's
 // write ordinal (the log is shorter after the compaction that made it);
 // the sweep then crashes at that write, the two before it (the
 // compaction's checkpoint line and frame) and the three after, with every

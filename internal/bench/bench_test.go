@@ -215,3 +215,34 @@ func TestInstrumentedRowAndGate(t *testing.T) {
 		t.Error("gate passed an instrumented/plain ratio above its ceiling")
 	}
 }
+
+// TestDeployAllocRowAndGate: deploying the footprint set allocates at most
+// bench.DeployAllocSmokeCeiling bytes per instrumented instruction, the
+// three passes agree to within a byte per instruction (the row is
+// deterministic), and the gate fails above its ceiling.
+func TestDeployAllocRowAndGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	row, err := bench.RunDeployAlloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := bench.RunDeployAlloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%+v", row)
+	if row.Modules == 0 || row.Instructions == 0 || row.BytesPerInstr <= 0 {
+		t.Fatalf("unmeasured row: %+v", row)
+	}
+	if d := row.BytesPerInstr - again.BytesPerInstr; d > 1 || d < -1 {
+		t.Errorf("two measurements differ: %.1f and %.1f B per instruction", row.BytesPerInstr, again.BytesPerInstr)
+	}
+	if err := bench.CheckDeployAllocGate(row, bench.DeployAllocSmokeCeiling); err != nil {
+		t.Error(err)
+	}
+	if err := bench.CheckDeployAllocGate(bench.DeployAllocRow{BytesPerInstr: 2}, 1); err == nil {
+		t.Error("gate passed a row above its ceiling")
+	}
+}

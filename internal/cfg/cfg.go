@@ -1,13 +1,12 @@
 // Package cfg decomposes flat structured WebAssembly function bodies into
 // basic blocks (segments), builds the control-flow graph between them, and
-// computes dominators and natural loops. The instrumentation enclave's
-// flow-based and loop-based optimisations (paper §3.6) are driven by the
-// analyses in this package.
+// weighs their code ranges. The instrumentation enclave's flow-based and
+// loop-based optimisations (paper §3.6) and the interpreter's lowering pass
+// are driven by the analyses in this package.
 package cfg
 
 import (
 	"fmt"
-	"sort"
 
 	"acctee/internal/wasm"
 )
@@ -28,17 +27,43 @@ type Block struct {
 	Preds []int
 }
 
-// Graph is the CFG of one function body.
+// Graph is the CFG of one function body. Its tables are dense and indexed
+// by block ID or by pc: the blocks share one backing array, their edge
+// lists are cut from one slab, and Match and the pc→block table hold one
+// entry per instruction.
 type Graph struct {
 	Body   []wasm.Instr
-	Blocks []*Block
-	// Match pairs structured-control instructions: for block/loop/if the
-	// matching end (and else); for else/end the header. The function-final
-	// end has no entry. Consumers (the interpreter's lowering pass) reuse
+	Blocks []Block
+	// Match pairs structured-control instructions, indexed by pc: for
+	// block/loop/if the matching end (and else); for else/end the header.
+	// Consumers (the interpreter's lowering pass, the loop matcher) reuse
 	// it instead of re-scanning the body.
-	Match map[int]MatchInfo
-	// byStart maps an instruction index to the block starting there.
-	byStart map[int]int
+	Match []MatchInfo
+	// blockOf maps every pc to the ID of the block containing it.
+	blockOf []int32
+}
+
+// MatchInfo pre-resolves one structured-control instruction: for
+// block/loop/if EndPC (and ElsePC, -1 without an else); for else/end the
+// header, with the else's EndPC pointing at its if's end.
+type MatchInfo struct {
+	EndPC  int32
+	ElsePC int32
+	HdrPC  int32
+	// Ok marks a pc that has an entry: every block/loop/if/else/end but
+	// the function-final end.
+	Ok bool
+}
+
+// endsBlock reports whether op is a block boundary: the instruction after
+// it starts a new block.
+func endsBlock(op wasm.Opcode) bool {
+	switch op {
+	case wasm.OpBlock, wasm.OpLoop, wasm.OpIf, wasm.OpElse, wasm.OpEnd,
+		wasm.OpBr, wasm.OpBrIf, wasm.OpBrTable, wasm.OpReturn, wasm.OpUnreachable:
+		return true
+	}
+	return false
 }
 
 // Build scans a function body and produces its CFG. brTables is the
@@ -50,124 +75,141 @@ type Graph struct {
 // after every br/br_if/br_table/return/unreachable. This matches the
 // paper's basic-block granularity: every point where control can diverge or
 // merge starts a new block.
+//
+// Build makes the same allocations whatever the body's length, unless
+// control nests deeper than 32.
 func Build(body []wasm.Instr, brTables [][]uint32) (*Graph, error) {
 	if err := wasm.ValidateStructure(body); err != nil {
 		return nil, err
 	}
-	matching, err := matchControl(body)
-	if err != nil {
-		return nil, err
-	}
+	n := len(body)
+	g := &Graph{Body: body, Match: make([]MatchInfo, n), blockOf: make([]int32, n)}
 
-	// Pass 1: find block start positions.
-	starts := map[int]bool{0: true}
+	// Pass 1: pair structured control, number the blocks and bound the
+	// edges (each boundary adds at most this many successors to its block).
+	// ValidateStructure guarantees an open header below every else and
+	// every end but the function-final one.
+	stack := make([]int32, 0, 32)
+	nblocks, maxEdges := 1, 0
 	for pc, in := range body {
+		g.blockOf[pc] = int32(nblocks - 1)
 		switch in.Op {
-		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf, wasm.OpElse, wasm.OpEnd,
-			wasm.OpBr, wasm.OpBrIf, wasm.OpBrTable, wasm.OpReturn, wasm.OpUnreachable:
-			if pc+1 < len(body) {
-				starts[pc+1] = true
+		case wasm.OpBlock, wasm.OpLoop:
+			g.Match[pc] = MatchInfo{ElsePC: -1, Ok: true}
+			stack = append(stack, int32(pc))
+			maxEdges++
+		case wasm.OpIf:
+			g.Match[pc] = MatchInfo{ElsePC: -1, Ok: true}
+			stack = append(stack, int32(pc))
+			maxEdges += 2
+		case wasm.OpElse:
+			hdr := stack[len(stack)-1]
+			g.Match[hdr].ElsePC = int32(pc)
+			g.Match[pc] = MatchInfo{HdrPC: hdr, ElsePC: -1, Ok: true} // EndPC: pass 2
+			maxEdges++
+		case wasm.OpEnd:
+			if len(stack) > 0 { // else the function-final end
+				hdr := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				g.Match[hdr].EndPC = int32(pc)
+				g.Match[pc] = MatchInfo{HdrPC: hdr, ElsePC: -1, Ok: true}
 			}
+			maxEdges++
+		case wasm.OpBrIf:
+			maxEdges += 2
+		case wasm.OpBrTable:
+			if int(in.Idx) < len(brTables) { // else pass 2 reports it, in pc order
+				maxEdges += len(brTables[in.Idx])
+			}
+		case wasm.OpBr, wasm.OpReturn, wasm.OpUnreachable:
+			maxEdges++
+		}
+		if endsBlock(in.Op) && pc+1 < n {
+			nblocks++
 		}
 	}
 
-	g := &Graph{Body: body, Match: matching, byStart: make(map[int]int)}
-	// Pass 2: materialise blocks in order.
-	order := make([]int, 0, len(starts))
-	for pc := range starts {
-		order = append(order, pc)
-	}
-	sortInts(order)
-	for _, s := range order {
-		id := len(g.Blocks)
-		g.Blocks = append(g.Blocks, &Block{ID: id, Start: s})
-		g.byStart[s] = id
-	}
-	// Terminator of each block = next start - 1 (or last instruction).
-	for i, b := range g.Blocks {
-		if i+1 < len(g.Blocks) {
-			b.Term = g.Blocks[i+1].Start - 1
-		} else {
-			b.Term = len(body) - 1
-		}
-	}
-
-	// Pass 3: edges. We need, for each branch depth at a pc, the target
-	// continuation pc. Maintain a label stack while walking.
-	type openLabel struct {
-		isLoop bool
-		hdrPC  int
-		endPC  int
-	}
-	var labels []openLabel
+	// Pass 2: blocks and successors. A block's edges all leave from its
+	// terminator, so the blocks' successor lists are consecutive runs of
+	// one slab; the predecessor lists are cut from its second half.
+	g.Blocks = make([]Block, nblocks)
+	slab := make([]int, 2*maxEdges)
+	succs := slab[:0:maxEdges]
+	// labels is the open-label stack: the header pc of each enclosing
+	// block/loop/if, innermost last.
+	labels := stack[:0]
 	targetPC := func(depth uint32) (int, error) {
 		if int(depth) == len(labels) {
 			// The implicit function label: branching to it returns.
-			return len(body), nil
+			return n, nil
 		}
 		if int(depth) > len(labels) {
 			return 0, fmt.Errorf("cfg: branch depth %d out of range", depth)
 		}
-		l := labels[len(labels)-1-int(depth)]
-		if l.isLoop {
-			return l.hdrPC + 1, nil
+		hdr := labels[len(labels)-1-int(depth)]
+		if body[hdr].Op == wasm.OpLoop {
+			return int(hdr) + 1, nil
 		}
-		return l.endPC + 1, nil
+		return int(g.Match[hdr].EndPC) + 1, nil
 	}
-	addEdge := func(from int, toPC int) {
-		b := g.Blocks[from]
-		if toPC >= len(body) {
-			b.Succs = appendUnique(b.Succs, Exit)
-			return
+	first := 0 // the current block's first successor in succs
+	addEdge := func(toPC int) {
+		to := Exit
+		if toPC < n {
+			to = int(g.blockOf[toPC]) // toPC follows a boundary: a block start
 		}
-		to, ok := g.byStart[toPC]
-		if !ok {
-			// The target must be a block start by construction.
-			panic(fmt.Sprintf("cfg: branch target %d is not a block start", toPC))
+		for _, s := range succs[first:] {
+			if s == to {
+				return
+			}
 		}
-		b.Succs = appendUnique(b.Succs, to)
+		succs = append(succs, to)
 	}
 
 	for pc, in := range body {
-		blk := g.blockAt(pc)
+		id := int(g.blockOf[pc])
+		b := &g.Blocks[id]
+		if pc == 0 || id != int(g.blockOf[pc-1]) {
+			b.ID, b.Start = id, pc
+			first = len(succs)
+		}
+		b.Term = pc
 		switch in.Op {
 		case wasm.OpBlock, wasm.OpLoop:
-			m := matching[pc]
-			labels = append(labels, openLabel{isLoop: in.Op == wasm.OpLoop, hdrPC: pc, endPC: m.EndPC})
-			if pc == blk.Term {
-				addEdge(blk.ID, pc+1) // fallthrough into the structure
-			}
+			labels = append(labels, int32(pc))
+			addEdge(pc + 1) // fallthrough into the structure
 		case wasm.OpIf:
-			m := matching[pc]
-			labels = append(labels, openLabel{hdrPC: pc, endPC: m.EndPC})
-			addEdge(blk.ID, pc+1) // then branch
+			m := g.Match[pc]
+			labels = append(labels, int32(pc))
+			addEdge(pc + 1) // then branch
 			if m.ElsePC >= 0 {
-				addEdge(blk.ID, m.ElsePC+1)
+				addEdge(int(m.ElsePC) + 1)
 			} else {
-				addEdge(blk.ID, m.EndPC+1) // false with no else skips body
+				addEdge(int(m.EndPC) + 1) // false with no else skips body
 			}
 		case wasm.OpElse:
 			// fallthrough from the then-arm jumps to after the if's end
-			m := matching[pc]
-			addEdge(blk.ID, m.EndPC+1)
+			end := g.Match[g.Match[pc].HdrPC].EndPC
+			g.Match[pc].EndPC = end
+			addEdge(int(end) + 1)
 		case wasm.OpEnd:
 			if len(labels) > 0 {
 				labels = labels[:len(labels)-1]
 			}
-			addEdge(blk.ID, pc+1) // fallthrough (pc+1 == len -> Exit)
+			addEdge(pc + 1) // fallthrough (pc+1 == len -> Exit)
 		case wasm.OpBr:
 			t, err := targetPC(in.Idx)
 			if err != nil {
 				return nil, err
 			}
-			addEdge(blk.ID, t)
+			addEdge(t)
 		case wasm.OpBrIf:
 			t, err := targetPC(in.Idx)
 			if err != nil {
 				return nil, err
 			}
-			addEdge(blk.ID, t)
-			addEdge(blk.ID, pc+1)
+			addEdge(t)
+			addEdge(pc + 1)
 		case wasm.OpBrTable:
 			if int(in.Idx) >= len(brTables) {
 				return nil, fmt.Errorf("cfg: br_table targets %d out of range", in.Idx)
@@ -177,18 +219,42 @@ func Build(body []wasm.Instr, brTables [][]uint32) (*Graph, error) {
 				if err != nil {
 					return nil, err
 				}
-				addEdge(blk.ID, t)
+				addEdge(t)
 			}
 		case wasm.OpReturn, wasm.OpUnreachable:
-			g.Blocks[blk.ID].Succs = appendUnique(g.Blocks[blk.ID].Succs, Exit)
+			addEdge(n)
+		}
+		if len(succs) > first && (pc+1 == n || g.blockOf[pc+1] != int32(id)) {
+			b.Succs = succs[first:len(succs):len(succs)]
 		}
 	}
 
-	// Preds.
-	for _, b := range g.Blocks {
-		for _, s := range b.Succs {
+	// Preds, in block order: count each block's into the length of its
+	// list (every list a prefix of the slab's second half for now), then
+	// give each its own run and fill the runs in the order the blocks
+	// list their successors.
+	preds := slab[maxEdges:]
+	for i := range g.Blocks {
+		for _, s := range g.Blocks[i].Succs {
 			if s != Exit {
-				g.Blocks[s].Preds = appendUnique(g.Blocks[s].Preds, b.ID)
+				g.Blocks[s].Preds = preds[:len(g.Blocks[s].Preds)+1]
+			}
+		}
+	}
+	off := 0
+	for i := range g.Blocks {
+		b := &g.Blocks[i]
+		k := len(b.Preds)
+		b.Preds = nil
+		if k > 0 {
+			b.Preds = preds[off : off : off+k]
+		}
+		off += k
+	}
+	for i := range g.Blocks {
+		for _, s := range g.Blocks[i].Succs {
+			if s != Exit {
+				g.Blocks[s].Preds = append(g.Blocks[s].Preds, i)
 			}
 		}
 	}
@@ -239,161 +305,13 @@ func (g *Graph) BlockCosts(costFn func(wasm.Opcode) uint64) []uint64 {
 	return costs
 }
 
-// blockAt returns the block containing instruction pc.
-func (g *Graph) blockAt(pc int) *Block {
-	// binary search over Starts
-	lo, hi := 0, len(g.Blocks)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if g.Blocks[mid].Start <= pc {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return g.Blocks[lo]
-}
-
-// BlockAt exposes blockAt for analyses in other packages.
-func (g *Graph) BlockAt(pc int) *Block { return g.blockAt(pc) }
-
-// MatchInfo pre-resolves one structured-control instruction: for
-// block/loop/if EndPC (and ElsePC, -1 without an else); for else/end the
-// header, with the else's EndPC pointing at its if's end.
-type MatchInfo struct {
-	EndPC  int
-	ElsePC int
-	HdrPC  int
-}
-
-// matchControl pairs every block/loop/if with its end (and else), and every
-// else/end with its header.
-func matchControl(body []wasm.Instr) (map[int]MatchInfo, error) {
-	m := make(map[int]MatchInfo)
-	var stack []int
-	for pc, in := range body {
-		switch in.Op {
-		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
-			m[pc] = MatchInfo{ElsePC: -1}
-			stack = append(stack, pc)
-		case wasm.OpElse:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("cfg: else outside if")
-			}
-			hdr := stack[len(stack)-1]
-			mi := m[hdr]
-			mi.ElsePC = pc
-			m[hdr] = mi
-			m[pc] = MatchInfo{HdrPC: hdr, ElsePC: -1}
-		case wasm.OpEnd:
-			if len(stack) == 0 {
-				continue // function-final end
-			}
-			hdr := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			mi := m[hdr]
-			mi.EndPC = pc
-			m[hdr] = mi
-			// point the else (if any) at the end too
-			if mi.ElsePC >= 0 {
-				e := m[mi.ElsePC]
-				e.EndPC = pc
-				m[mi.ElsePC] = e
-			}
-			m[pc] = MatchInfo{HdrPC: hdr, ElsePC: -1}
-		}
-	}
-	// fix else entries: their endPC set above via header
-	for pc, in := range body {
-		if in.Op == wasm.OpElse {
-			mi := m[pc]
-			hdr := mi.HdrPC
-			mi.EndPC = m[hdr].EndPC
-			m[pc] = mi
-		}
-	}
-	return m, nil
-}
-
-// Dominators computes the immediate-dominator array using the iterative
-// data-flow algorithm (Cooper/Harvey/Kennedy). idom[0] == 0 (entry).
-// Unreachable blocks get idom -2.
-func (g *Graph) Dominators() []int {
-	n := len(g.Blocks)
-	const unset = -2
-	idom := make([]int, n)
-	for i := range idom {
-		idom[i] = unset
-	}
-	// reverse postorder over reachable blocks
-	rpo := g.ReversePostorder()
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, b := range rpo {
-		pos[b] = i
-	}
-	idom[0] = 0
-	intersect := func(a, b int) int {
-		for a != b {
-			for pos[a] > pos[b] {
-				a = idom[a]
-			}
-			for pos[b] > pos[a] {
-				b = idom[b]
-			}
-		}
-		return a
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range rpo {
-			if b == 0 {
-				continue
-			}
-			newIdom := unset
-			for _, p := range g.Blocks[b].Preds {
-				if idom[p] == unset {
-					continue
-				}
-				if newIdom == unset {
-					newIdom = p
-				} else {
-					newIdom = intersect(p, newIdom)
-				}
-			}
-			if newIdom != unset && idom[b] != newIdom {
-				idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-	return idom
-}
-
-// Dominates reports whether a dominates b given the idom array. Unreachable
-// blocks are dominated by nothing.
-func Dominates(idom []int, a, b int) bool {
-	if idom[b] == -2 {
-		return false
-	}
-	for {
-		if a == b {
-			return true
-		}
-		if b == 0 {
-			return false
-		}
-		b = idom[b]
-	}
-}
+// BlockAt returns the block containing instruction pc.
+func (g *Graph) BlockAt(pc int) *Block { return &g.Blocks[g.blockOf[pc]] }
 
 // ReversePostorder returns reachable block IDs in reverse postorder.
 func (g *Graph) ReversePostorder() []int {
 	seen := make([]bool, len(g.Blocks))
-	var post []int
+	post := make([]int, 0, len(g.Blocks))
 	var dfs func(int)
 	dfs = func(b int) {
 		seen[b] = true
@@ -411,35 +329,4 @@ func (g *Graph) ReversePostorder() []int {
 		post[i], post[j] = post[j], post[i]
 	}
 	return post
-}
-
-// Reachable returns the set of blocks reachable from entry.
-func (g *Graph) Reachable() []bool {
-	seen := make([]bool, len(g.Blocks))
-	var dfs func(int)
-	dfs = func(b int) {
-		seen[b] = true
-		for _, s := range g.Blocks[b].Succs {
-			if s != Exit && !seen[s] {
-				dfs(s)
-			}
-		}
-	}
-	if len(g.Blocks) > 0 {
-		dfs(0)
-	}
-	return seen
-}
-
-func appendUnique(s []int, v int) []int {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
-	}
-	return append(s, v)
-}
-
-func sortInts(s []int) {
-	sort.Ints(s)
 }

@@ -1,14 +1,15 @@
 package cfg_test
 
 import (
+	"slices"
 	"testing"
 
 	"acctee/internal/cfg"
 	"acctee/internal/wasm"
 )
 
-// diamondBody builds: if (p0) {x=1} else {x=2}; return x
-func diamondBody() []wasm.Instr {
+// diamondModule builds: if (p0) {x=1} else {x=2}; return x
+func diamondModule() *wasm.Module {
 	b := wasm.NewModule("d")
 	f := b.Func("f", []wasm.ValueType{wasm.I32}, []wasm.ValueType{wasm.I32})
 	x := f.Local(wasm.I32)
@@ -20,7 +21,31 @@ func diamondBody() []wasm.Instr {
 	})
 	f.LocalGet(x)
 	b.ExportFunc("f", f.End())
-	return b.MustBuild().Funcs[0].Body
+	return b.MustBuild()
+}
+
+func diamondBody() []wasm.Instr { return diamondModule().Funcs[0].Body }
+
+// reachableWithout marks the blocks reachable from the entry along Succs
+// when block skip is taken out of the graph (-1 takes out nothing). A
+// reachable block b is dominated by a exactly when taking out a leaves b
+// unreachable.
+func reachableWithout(g *cfg.Graph, skip int) []bool {
+	seen := make([]bool, len(g.Blocks))
+	var walk func(int)
+	walk = func(b int) {
+		if b == skip || seen[b] {
+			return
+		}
+		seen[b] = true
+		for _, s := range g.Blocks[b].Succs {
+			if s != cfg.Exit {
+				walk(s)
+			}
+		}
+	}
+	walk(0)
+	return seen
 }
 
 func TestDiamondCFG(t *testing.T) {
@@ -34,15 +59,23 @@ func TestDiamondCFG(t *testing.T) {
 	if len(entry.Succs) != 2 {
 		t.Fatalf("entry succs = %v, want 2", entry.Succs)
 	}
-	idom := g.Dominators()
-	// entry dominates everything reachable
-	for _, b := range g.Blocks {
-		if g.Reachable()[b.ID] && !cfg.Dominates(idom, 0, b.ID) {
-			t.Errorf("entry does not dominate block %d", b.ID)
+	// The entry dominates everything reachable: every block is reachable,
+	// is in the reverse postorder, and without the entry nothing is.
+	reach, rpo := reachableWithout(g, -1), g.ReversePostorder()
+	if len(rpo) != len(g.Blocks) {
+		t.Errorf("rpo = %v, want all %d blocks", rpo, len(g.Blocks))
+	}
+	for _, b := range rpo {
+		if !reach[b] {
+			t.Errorf("block %d in rpo but unreachable", b)
 		}
 	}
-	// then-arm does not dominate the merge block
-	thenBlk := entry.Succs[0]
+	if slices.Contains(reachableWithout(g, 0), true) {
+		t.Error("a block is reachable without the entry")
+	}
+	// The merge block joins both arms; the then-arm does not dominate it:
+	// with the then-arm taken out, the merge is still reachable.
+	thenBlk, elseBlk := entry.Succs[0], entry.Succs[1]
 	merge := -1
 	for _, b := range g.Blocks {
 		if len(b.Preds) >= 2 {
@@ -52,7 +85,10 @@ func TestDiamondCFG(t *testing.T) {
 	if merge < 0 {
 		t.Fatal("no merge block found")
 	}
-	if cfg.Dominates(idom, thenBlk, merge) {
+	if p := g.Blocks[merge].Preds; !slices.Equal(p, []int{thenBlk, elseBlk}) {
+		t.Errorf("merge preds = %v, want [then %d, else %d]", p, thenBlk, elseBlk)
+	}
+	if !reachableWithout(g, thenBlk)[merge] {
 		t.Errorf("then-arm %d should not dominate merge %d", thenBlk, merge)
 	}
 }
@@ -122,16 +158,20 @@ func TestUnreachableBlockDetected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	reach := g.Reachable()
+	// The dead nop's block has no predecessor, is not the entry, and is
+	// neither in the reverse postorder nor reachable along Succs.
+	reach, rpo := reachableWithout(g, -1), g.ReversePostorder()
 	dead := 0
-	for id, r := range reach {
-		if !r {
+	for _, blk := range g.Blocks {
+		if !reach[blk.ID] {
 			dead++
-			_ = id
+			if blk.ID == 0 || len(blk.Preds) != 0 || slices.Contains(rpo, blk.ID) {
+				t.Errorf("unreachable block %+v has preds or is in rpo %v", blk, rpo)
+			}
 		}
 	}
-	if dead == 0 {
-		t.Error("expected at least one unreachable block")
+	if dead == 0 || len(rpo) != len(g.Blocks)-dead {
+		t.Errorf("%d unreachable blocks, rpo %v of %d blocks; want at least one", dead, rpo, len(g.Blocks))
 	}
 }
 

@@ -105,13 +105,16 @@ func (ie *InstrumentationEnclave) Quote(qe *sgx.QuotingEnclave) (sgx.Quote, erro
 	return qe.QuoteReport(rep)
 }
 
-// ModuleHash hashes a module's binary encoding.
+// ModuleHash hashes a module's binary encoding, streamed into SHA-256
+// section by section rather than built whole.
 func ModuleHash(m *wasm.Module) ([32]byte, error) {
-	bin, err := wasmbin.Encode(m)
-	if err != nil {
-		return [32]byte{}, fmt.Errorf("core: encode module: %w", err)
+	var sum [32]byte
+	h := sha256.New()
+	if err := wasmbin.EncodeTo(h, m); err != nil {
+		return sum, fmt.Errorf("core: encode module: %w", err)
 	}
-	return sha256.Sum256(bin), nil
+	h.Sum(sum[:0])
+	return sum, nil
 }
 
 // Instrument validates and instruments a module, returning the instrumented

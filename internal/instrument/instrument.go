@@ -133,14 +133,20 @@ func freshCounterName(m *wasm.Module) string {
 	}
 }
 
-// incrSeq builds the four-instruction counter update: c += w.
-func incrSeq(counter uint32, w uint64) []wasm.Instr {
-	return []wasm.Instr{
+// appendIncr appends the four-instruction counter update: c += w.
+func appendIncr(body []wasm.Instr, counter uint32, w uint64) []wasm.Instr {
+	return append(body,
 		wasm.WithIdx(wasm.OpGlobalGet, counter),
 		wasm.ConstI64(int64(w)),
 		wasm.Op1(wasm.OpI64Add),
 		wasm.WithIdx(wasm.OpGlobalSet, counter),
-	}
+	)
+}
+
+// insertion is code the loop optimisation inserts before body[pc].
+type insertion struct {
+	pc   int
+	code []wasm.Instr
 }
 
 func instrumentFunc(m *wasm.Module, f *wasm.Func, counter uint32, opts Options, stats *Stats) error {
@@ -159,13 +165,16 @@ func instrumentFunc(m *wasm.Module, f *wasm.Func, counter uint32, opts Options, 
 	}
 
 	protected := make([]bool, len(g.Blocks))
-	inserts := map[int][]wasm.Instr{}
+	// The loop optimisation's prologues and epilogues, in pc order: counted
+	// loops never nest or overlap, and each one's prologue precedes its
+	// epilogue.
+	var loopCode []insertion
 
 	if opts.Level >= LoopBased {
 		nparams := len(m.Types[f.TypeIdx].Params)
 		loops := detectCountedLoops(f.Body, g)
 		for _, lp := range loops {
-			applyLoopOpt(f, nparams, g, lp, counter, opts.Weights, incr, protected, inserts)
+			loopCode = applyLoopOpt(f, nparams, g, lp, counter, opts.Weights, incr, protected, loopCode)
 			stats.LoopsOptimised++
 		}
 	}
@@ -173,27 +182,34 @@ func instrumentFunc(m *wasm.Module, f *wasm.Func, counter uint32, opts Options, 
 		optimiseFlow(g, incr, protected)
 	}
 
-	// Place the remaining per-block increments before each block terminator.
-	for i, b := range g.Blocks {
-		if incr[i] == 0 {
-			continue
+	// The remaining per-block increments go before each block terminator.
+	n := len(f.Body)
+	for _, w := range incr {
+		if w > 0 {
+			stats.IncrementsPlaced++
+			n += 4
 		}
-		inserts[b.Term] = append(inserts[b.Term], incrSeq(counter, incr[i])...)
-		stats.IncrementsPlaced++
 	}
-
-	// Rebuild the body with all insertions applied.
-	if len(inserts) == 0 {
+	for _, ins := range loopCode {
+		n += len(ins.code)
+	}
+	if n == len(f.Body) {
 		return nil
 	}
-	n := len(f.Body)
-	for _, extra := range inserts {
-		n += len(extra)
-	}
+
+	// Rebuild the body with all insertions applied: at a pc, the loop code
+	// comes first, then the increment of the block the pc terminates.
 	newBody := make([]wasm.Instr, 0, n)
+	next, blk := 0, 0
 	for pc, in := range f.Body {
-		if extra, ok := inserts[pc]; ok {
-			newBody = append(newBody, extra...)
+		for ; next < len(loopCode) && loopCode[next].pc == pc; next++ {
+			newBody = append(newBody, loopCode[next].code...)
+		}
+		if pc == g.Blocks[blk].Term {
+			if incr[blk] > 0 {
+				newBody = appendIncr(newBody, counter, incr[blk])
+			}
+			blk++
 		}
 		newBody = append(newBody, in)
 	}

@@ -38,14 +38,13 @@ type countedLoop struct {
 // shape above.
 func detectCountedLoops(body []wasm.Instr, g *cfg.Graph) []countedLoop {
 	var loops []countedLoop
-	ends := matchEnds(body)
 	for pc := 0; pc+1 < len(body); pc++ {
 		if body[pc].Op != wasm.OpBlock || body[pc+1].Op != wasm.OpLoop {
 			continue
 		}
-		blockEnd := ends[pc]
+		blockEnd := int(g.Match[pc].EndPC)
 		loopPC := pc + 1
-		loopEnd := ends[loopPC]
+		loopEnd := int(g.Match[loopPC].EndPC)
 		if loopEnd+1 != blockEnd {
 			continue // loop must be the block's sole content
 		}
@@ -56,24 +55,6 @@ func detectCountedLoops(body []wasm.Instr, g *cfg.Graph) []countedLoop {
 		loops = append(loops, lp)
 	}
 	return loops
-}
-
-// matchEnds maps each block/loop/if opener pc to its matching end pc.
-func matchEnds(body []wasm.Instr) map[int]int {
-	ends := make(map[int]int)
-	var stack []int
-	for pc, in := range body {
-		switch in.Op {
-		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
-			stack = append(stack, pc)
-		case wasm.OpEnd:
-			if len(stack) > 0 {
-				ends[stack[len(stack)-1]] = pc
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return ends
 }
 
 func matchLoopShape(body []wasm.Instr, blockPC, loopPC, loopEnd, blockEnd int) (countedLoop, bool) {
@@ -170,9 +151,10 @@ func matchLoopShape(body []wasm.Instr, blockPC, loopPC, loopEnd, blockEnd int) (
 //     (the header executes N+1 times, the body N times).
 //
 // All blocks covered by the loop region are marked protected so the
-// flow-based passes do not move counts across it.
+// flow-based passes do not move counts across it. The prologue and the
+// epilogue are appended to code, which it returns.
 func applyLoopOpt(f *wasm.Func, nparams int, g *cfg.Graph, lp countedLoop, counter uint32,
-	tbl *weights.Table, incr []uint64, protected []bool, inserts map[int][]wasm.Instr) {
+	tbl *weights.Table, incr []uint64, protected []bool, code []insertion) []insertion {
 
 	body := f.Body
 	hdrBlk := g.BlockAt(lp.loopPC + 1)
@@ -208,10 +190,10 @@ func applyLoopOpt(f *wasm.Func, nparams int, g *cfg.Graph, lp countedLoop, count
 	f.Locals = append(f.Locals, wasm.I32)
 
 	// Prologue: saved = v (before the block opener).
-	inserts[lp.blockPC] = append(inserts[lp.blockPC],
+	pro := []wasm.Instr{
 		wasm.WithIdx(wasm.OpLocalGet, lp.loopVar),
 		wasm.WithIdx(wasm.OpLocalSet, saved),
-	)
+	}
 
 	// Epilogue: counter += (wHeader+wBody) * (v - saved)/step + wHeader,
 	// inserted immediately after the block's end.
@@ -230,5 +212,5 @@ func applyLoopOpt(f *wasm.Func, nparams int, g *cfg.Graph, lp countedLoop, count
 		wasm.Op1(wasm.OpI64Add),
 		wasm.WithIdx(wasm.OpGlobalSet, counter),
 	}
-	inserts[lp.blockEnd+1] = append(inserts[lp.blockEnd+1], epi...)
+	return append(code, insertion{lp.blockPC, pro}, insertion{lp.blockEnd + 1, epi})
 }

@@ -125,19 +125,19 @@ func compile(m *wasm.Module, f *wasm.Func) (compiledFunc, error) {
 func buildCtrl(body []wasm.Instr, g *cfg.Graph) []ctrlMeta {
 	ctrl := make([]ctrlMeta, len(body))
 	for pc, in := range body {
+		mi := g.Match[pc]
 		switch in.Op {
 		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
-			mi := g.Match[pc]
 			var arity int32
 			if _, ok := in.BT.Value(); ok {
 				arity = 1
 			}
-			ctrl[pc] = ctrlMeta{end: int32(mi.EndPC), els: int32(mi.ElsePC), arity: arity}
+			ctrl[pc] = ctrlMeta{end: mi.EndPC, els: mi.ElsePC, arity: arity}
 		case wasm.OpElse:
-			ctrl[pc] = ctrlMeta{end: int32(g.Match[pc].EndPC), els: -1}
+			ctrl[pc] = ctrlMeta{end: mi.EndPC, els: -1}
 		case wasm.OpEnd:
-			if mi, ok := g.Match[pc]; ok {
-				ctrl[pc] = ctrlMeta{end: int32(mi.HdrPC), els: -1}
+			if mi.Ok {
+				ctrl[pc] = ctrlMeta{end: mi.HdrPC, els: -1}
 			} else {
 				ctrl[pc] = ctrlMeta{end: -1, els: -1} // function-final end
 			}

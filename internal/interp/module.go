@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -213,7 +212,8 @@ func lowerModule(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 	// Lower every function and collect the opcode set for fingerprinting.
 	nimp := m.NumImportedFuncs()
 	cm.funcs = make([]compiledFunc, len(m.Funcs))
-	seen := map[wasm.Opcode]bool{wasm.OpEnd: true}
+	var seen [256]bool
+	seen[wasm.OpEnd] = true
 	for i := range m.Funcs {
 		cf, err := compile(m, &m.Funcs[i])
 		if err != nil {
@@ -224,11 +224,18 @@ func lowerModule(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 			seen[in.Op] = true
 		}
 	}
-	cm.opsUsed = make([]wasm.Opcode, 0, len(seen))
-	for op := range seen {
-		cm.opsUsed = append(cm.opsUsed, op)
+	nops := 0
+	for _, used := range seen {
+		if used {
+			nops++
+		}
 	}
-	sort.Slice(cm.opsUsed, func(i, j int) bool { return cm.opsUsed[i] < cm.opsUsed[j] })
+	cm.opsUsed = make([]wasm.Opcode, 0, nops)
+	for op, used := range seen {
+		if used {
+			cm.opsUsed = append(cm.opsUsed, wasm.Opcode(op))
+		}
+	}
 
 	// Freeze the pre-inline flat IR before inlining rewrites the executable
 	// one; for functions the inliner leaves alone it keeps aliasing the same

@@ -6,10 +6,14 @@ package binary
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 
 	"acctee/internal/wasm"
 )
+
+var le = binary.LittleEndian
 
 // Magic and version of the wasm binary format.
 var header = []byte{0x00, 0x61, 0x73, 0x6D, 0x01, 0x00, 0x00, 0x00}
@@ -32,296 +36,297 @@ const (
 // Encode serialises a module to wasm binary.
 func Encode(m *wasm.Module) ([]byte, error) {
 	var out bytes.Buffer
-	out.Write(header)
-
-	sec := func(id byte, payload []byte) {
-		if len(payload) == 0 {
-			return
-		}
-		out.WriteByte(id)
-		writeU32(&out, uint32(len(payload)))
-		out.Write(payload)
+	if err := EncodeTo(&out, m); err != nil {
+		return nil, err
 	}
+	return out.Bytes(), nil
+}
+
+// EncodeTo writes m's wasm binary to w: the bytes Encode returns, streamed
+// a section at a time, so a caller that only hashes the module (a
+// sha256.New() as w) never holds its whole binary. One section buffer and
+// one function-body buffer are reused across the encoding.
+func EncodeTo(w io.Writer, m *wasm.Module) error {
+	e := encoder{w: w}
+	e.write(header)
 
 	// Type section.
 	if len(m.Types) > 0 {
-		var b bytes.Buffer
-		writeU32(&b, uint32(len(m.Types)))
+		b := appendU32(e.sec[:0], uint32(len(m.Types)))
 		for _, t := range m.Types {
-			b.WriteByte(0x60)
-			writeU32(&b, uint32(len(t.Params)))
+			b = append(b, 0x60)
+			b = appendU32(b, uint32(len(t.Params)))
 			for _, p := range t.Params {
-				b.WriteByte(byte(p))
+				b = append(b, byte(p))
 			}
-			writeU32(&b, uint32(len(t.Results)))
+			b = appendU32(b, uint32(len(t.Results)))
 			for _, r := range t.Results {
-				b.WriteByte(byte(r))
+				b = append(b, byte(r))
 			}
 		}
-		sec(secType, b.Bytes())
+		e.section(secType, b)
 	}
 
 	// Import section.
 	if len(m.Imports) > 0 {
-		var b bytes.Buffer
-		writeU32(&b, uint32(len(m.Imports)))
+		b := appendU32(e.sec[:0], uint32(len(m.Imports)))
 		for _, im := range m.Imports {
-			writeName(&b, im.Module)
-			writeName(&b, im.Name)
-			b.WriteByte(byte(im.Kind))
+			b = appendName(b, im.Module)
+			b = appendName(b, im.Name)
+			b = append(b, byte(im.Kind))
 			switch im.Kind {
 			case wasm.ExternalFunc:
-				writeU32(&b, im.TypeIdx)
+				b = appendU32(b, im.TypeIdx)
 			case wasm.ExternalMemory:
-				writeLimits(&b, im.MemLimit)
+				b = appendLimits(b, im.MemLimit)
 			default:
-				return nil, fmt.Errorf("binary: unsupported import kind %d", im.Kind)
+				return fmt.Errorf("binary: unsupported import kind %d", im.Kind)
 			}
 		}
-		sec(secImport, b.Bytes())
+		e.section(secImport, b)
 	}
 
 	// Function section.
 	if len(m.Funcs) > 0 {
-		var b bytes.Buffer
-		writeU32(&b, uint32(len(m.Funcs)))
+		b := appendU32(e.sec[:0], uint32(len(m.Funcs)))
 		for _, f := range m.Funcs {
-			writeU32(&b, f.TypeIdx)
+			b = appendU32(b, f.TypeIdx)
 		}
-		sec(secFunction, b.Bytes())
+		e.section(secFunction, b)
 	}
 
 	// Table section.
 	if len(m.Tables) > 0 {
-		var b bytes.Buffer
-		writeU32(&b, uint32(len(m.Tables)))
+		b := appendU32(e.sec[:0], uint32(len(m.Tables)))
 		for _, t := range m.Tables {
-			b.WriteByte(0x70) // funcref
-			writeLimits(&b, t.Limits)
+			b = append(b, 0x70) // funcref
+			b = appendLimits(b, t.Limits)
 		}
-		sec(secTable, b.Bytes())
+		e.section(secTable, b)
 	}
 
 	// Memory section.
 	if len(m.Memories) > 0 {
-		var b bytes.Buffer
-		writeU32(&b, uint32(len(m.Memories)))
+		b := appendU32(e.sec[:0], uint32(len(m.Memories)))
 		for _, mem := range m.Memories {
-			writeLimits(&b, mem.Limits)
+			b = appendLimits(b, mem.Limits)
 		}
-		sec(secMemory, b.Bytes())
+		e.section(secMemory, b)
 	}
 
 	// Global section.
 	if len(m.Globals) > 0 {
-		var b bytes.Buffer
-		writeU32(&b, uint32(len(m.Globals)))
+		b := appendU32(e.sec[:0], uint32(len(m.Globals)))
 		for _, g := range m.Globals {
-			b.WriteByte(byte(g.Type))
+			b = append(b, byte(g.Type))
 			if g.Mutable {
-				b.WriteByte(1)
+				b = append(b, 1)
 			} else {
-				b.WriteByte(0)
+				b = append(b, 0)
 			}
-			if err := encodeInstr(&b, g.Init, nil); err != nil {
-				return nil, err
+			var err error
+			if b, err = appendInstr(b, g.Init, nil); err != nil {
+				return err
 			}
-			b.WriteByte(byte(wasm.OpEnd))
+			b = append(b, byte(wasm.OpEnd))
 		}
-		sec(secGlobal, b.Bytes())
+		e.section(secGlobal, b)
 	}
 
 	// Export section.
 	if len(m.Exports) > 0 {
-		var b bytes.Buffer
-		writeU32(&b, uint32(len(m.Exports)))
-		for _, e := range m.Exports {
-			writeName(&b, e.Name)
-			b.WriteByte(byte(e.Kind))
-			writeU32(&b, e.Idx)
+		b := appendU32(e.sec[:0], uint32(len(m.Exports)))
+		for _, ex := range m.Exports {
+			b = appendName(b, ex.Name)
+			b = append(b, byte(ex.Kind))
+			b = appendU32(b, ex.Idx)
 		}
-		sec(secExport, b.Bytes())
+		e.section(secExport, b)
 	}
 
 	// Start section.
 	if m.Start != nil {
-		var b bytes.Buffer
-		writeU32(&b, *m.Start)
-		sec(secStart, b.Bytes())
+		e.section(secStart, appendU32(e.sec[:0], *m.Start))
 	}
 
 	// Element section.
 	if len(m.Elements) > 0 {
-		var b bytes.Buffer
-		writeU32(&b, uint32(len(m.Elements)))
-		for _, e := range m.Elements {
-			writeU32(&b, 0) // table index
-			if err := encodeInstr(&b, e.Offset, nil); err != nil {
-				return nil, err
+		b := appendU32(e.sec[:0], uint32(len(m.Elements)))
+		for _, el := range m.Elements {
+			b = appendU32(b, 0) // table index
+			var err error
+			if b, err = appendInstr(b, el.Offset, nil); err != nil {
+				return err
 			}
-			b.WriteByte(byte(wasm.OpEnd))
-			writeU32(&b, uint32(len(e.Funcs)))
-			for _, f := range e.Funcs {
-				writeU32(&b, f)
+			b = append(b, byte(wasm.OpEnd))
+			b = appendU32(b, uint32(len(el.Funcs)))
+			for _, f := range el.Funcs {
+				b = appendU32(b, f)
 			}
 		}
-		sec(secElement, b.Bytes())
+		e.section(secElement, b)
 	}
 
 	// Code section.
 	if len(m.Funcs) > 0 {
-		var b bytes.Buffer
-		writeU32(&b, uint32(len(m.Funcs)))
+		b := appendU32(e.sec[:0], uint32(len(m.Funcs)))
 		for i := range m.Funcs {
-			body, err := encodeBody(&m.Funcs[i])
+			body, err := appendBody(e.body[:0], &m.Funcs[i])
+			e.body = body
 			if err != nil {
-				return nil, fmt.Errorf("binary: func %d: %w", i, err)
+				return fmt.Errorf("binary: func %d: %w", i, err)
 			}
-			writeU32(&b, uint32(len(body)))
-			b.Write(body)
+			b = appendU32(b, uint32(len(body)))
+			b = append(b, body...)
 		}
-		sec(secCode, b.Bytes())
+		e.section(secCode, b)
 	}
 
 	// Data section.
 	if len(m.Data) > 0 {
-		var b bytes.Buffer
-		writeU32(&b, uint32(len(m.Data)))
+		b := appendU32(e.sec[:0], uint32(len(m.Data)))
 		for _, d := range m.Data {
-			writeU32(&b, 0) // memory index
-			if err := encodeInstr(&b, d.Offset, nil); err != nil {
-				return nil, err
+			b = appendU32(b, 0) // memory index
+			var err error
+			if b, err = appendInstr(b, d.Offset, nil); err != nil {
+				return err
 			}
-			b.WriteByte(byte(wasm.OpEnd))
-			writeU32(&b, uint32(len(d.Bytes)))
-			b.Write(d.Bytes)
+			b = append(b, byte(wasm.OpEnd))
+			b = appendU32(b, uint32(len(d.Bytes)))
+			b = append(b, d.Bytes...)
 		}
-		sec(secData, b.Bytes())
+		e.section(secData, b)
 	}
-
-	return out.Bytes(), nil
+	return e.err
 }
 
-func encodeBody(f *wasm.Func) ([]byte, error) {
-	var b bytes.Buffer
-	// Locals, run-length compressed by type.
-	type run struct {
-		t wasm.ValueType
-		n uint32
+// encoder streams a module's sections to w, keeping the first write error.
+type encoder struct {
+	w    io.Writer
+	err  error
+	head [6]byte // a section's id and length
+	sec  []byte  // the section being built, reused across sections
+	body []byte  // the function body being built, reused across bodies
+}
+
+func (e *encoder) write(p []byte) {
+	if e.err == nil {
+		_, e.err = e.w.Write(p)
 	}
-	var runs []run
-	for _, l := range f.Locals {
-		if len(runs) > 0 && runs[len(runs)-1].t == l {
-			runs[len(runs)-1].n++
-		} else {
-			runs = append(runs, run{t: l, n: 1})
+}
+
+// section writes one section, id and length before payload, and keeps
+// payload's storage for the next section.
+func (e *encoder) section(id byte, payload []byte) {
+	e.sec = payload
+	e.write(appendU32(append(e.head[:0], id), uint32(len(payload))))
+	e.write(payload)
+}
+
+// appendBody appends f's encoded body: its locals, run-length compressed by
+// type, and its instructions.
+func appendBody(b []byte, f *wasm.Func) ([]byte, error) {
+	runs := 0
+	for i, l := range f.Locals {
+		if i == 0 || f.Locals[i-1] != l {
+			runs++
 		}
 	}
-	writeU32(&b, uint32(len(runs)))
-	for _, r := range runs {
-		writeU32(&b, r.n)
-		b.WriteByte(byte(r.t))
+	b = appendU32(b, uint32(runs))
+	for i := 0; i < len(f.Locals); {
+		j := i + 1
+		for j < len(f.Locals) && f.Locals[j] == f.Locals[i] {
+			j++
+		}
+		b = appendU32(b, uint32(j-i))
+		b = append(b, byte(f.Locals[i]))
+		i = j
 	}
+	var err error
 	for _, in := range f.Body {
-		if err := encodeInstr(&b, in, f); err != nil {
-			return nil, err
+		if b, err = appendInstr(b, in, f); err != nil {
+			return b, err
 		}
 	}
-	return b.Bytes(), nil
+	return b, nil
 }
 
-// encodeInstr encodes one instruction of f's body, whose BrTables hold the
+// appendInstr appends one instruction of f's body, whose BrTables hold the
 // targets of its br_tables. Constant expressions pass a nil f.
-func encodeInstr(b *bytes.Buffer, in wasm.Instr, f *wasm.Func) error {
-	b.WriteByte(byte(in.Op))
+func appendInstr(b []byte, in wasm.Instr, f *wasm.Func) ([]byte, error) {
+	b = append(b, byte(in.Op))
 	switch in.Op {
 	case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
 		bt := in.BT
 		if bt == 0 {
 			bt = wasm.BlockEmpty
 		}
-		b.WriteByte(byte(bt))
+		b = append(b, byte(bt))
 	case wasm.OpBr, wasm.OpBrIf, wasm.OpCall, wasm.OpLocalGet, wasm.OpLocalSet,
 		wasm.OpLocalTee, wasm.OpGlobalGet, wasm.OpGlobalSet:
-		writeU32(b, in.Idx)
+		b = appendU32(b, in.Idx)
 	case wasm.OpCallIndirect:
-		writeU32(b, in.Idx)
-		b.WriteByte(0) // table index
+		b = appendU32(b, in.Idx)
+		b = append(b, 0) // table index
 	case wasm.OpBrTable:
 		var targets []uint32
 		if f != nil {
 			targets = f.BrTable(in)
 		}
 		if len(targets) == 0 {
-			return fmt.Errorf("br_table without targets")
+			return b, fmt.Errorf("br_table without targets")
 		}
-		writeU32(b, uint32(len(targets)-1))
+		b = appendU32(b, uint32(len(targets)-1))
 		for _, t := range targets {
-			writeU32(b, t)
+			b = appendU32(b, t)
 		}
 	case wasm.OpI32Const:
-		writeS64(b, int64(in.I32Val()))
+		b = appendS64(b, int64(in.I32Val()))
 	case wasm.OpI64Const:
-		writeS64(b, in.I64Val())
+		b = appendS64(b, in.I64Val())
 	case wasm.OpF32Const:
-		v := uint32(in.U64)
-		b.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
+		b = le.AppendUint32(b, uint32(in.U64))
 	case wasm.OpF64Const:
-		v := in.U64
-		b.Write([]byte{
-			byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24),
-			byte(v >> 32), byte(v >> 40), byte(v >> 48), byte(v >> 56),
-		})
+		b = le.AppendUint64(b, in.U64)
 	case wasm.OpMemorySize, wasm.OpMemoryGrow:
-		b.WriteByte(0) // memory index
+		b = append(b, 0) // memory index
 	default:
 		if in.Op.IsMemAccess() {
-			writeU32(b, uint32(in.Align))
-			writeU32(b, in.Offset())
+			b = appendU32(b, uint32(in.Align))
+			b = appendU32(b, in.Offset())
 		}
 	}
-	return nil
+	return b, nil
 }
 
-func writeName(b *bytes.Buffer, s string) {
-	writeU32(b, uint32(len(s)))
-	b.WriteString(s)
+func appendName(b []byte, s string) []byte {
+	return append(appendU32(b, uint32(len(s))), s...)
 }
 
-func writeLimits(b *bytes.Buffer, l wasm.Limits) {
+func appendLimits(b []byte, l wasm.Limits) []byte {
 	if l.HasMax {
-		b.WriteByte(1)
-		writeU32(b, l.Min)
-		writeU32(b, l.Max)
-	} else {
-		b.WriteByte(0)
-		writeU32(b, l.Min)
+		return appendU32(appendU32(append(b, 1), l.Min), l.Max)
 	}
+	return appendU32(append(b, 0), l.Min)
 }
 
-// writeU32 writes an unsigned LEB128.
-func writeU32(b *bytes.Buffer, v uint32) {
-	for {
-		c := byte(v & 0x7F)
+// appendU32 appends an unsigned LEB128.
+func appendU32(b []byte, v uint32) []byte {
+	for v >= 0x80 {
+		b = append(b, byte(v)|0x80)
 		v >>= 7
-		if v != 0 {
-			b.WriteByte(c | 0x80)
-		} else {
-			b.WriteByte(c)
-			return
-		}
 	}
+	return append(b, byte(v))
 }
 
-// writeS64 writes a signed LEB128.
-func writeS64(b *bytes.Buffer, v int64) {
+// appendS64 appends a signed LEB128.
+func appendS64(b []byte, v int64) []byte {
 	for {
 		c := byte(v & 0x7F)
 		v >>= 7
 		if (v == 0 && c&0x40 == 0) || (v == -1 && c&0x40 != 0) {
-			b.WriteByte(c)
-			return
+			return append(b, c)
 		}
-		b.WriteByte(c | 0x80)
+		b = append(b, c|0x80)
 	}
 }

@@ -1,5 +1,7 @@
 package wasm
 
+import "slices"
+
 // Opcode is a WebAssembly instruction opcode. Values match the binary
 // encoding of the WebAssembly 1.0 (MVP) specification.
 type Opcode byte
@@ -318,8 +320,11 @@ func OpcodeByName(name string) (Opcode, bool) {
 }
 
 // AllOpcodes returns every defined opcode in ascending numeric order,
-// used by the weight-measurement harness (Fig. 7 of the paper).
-func AllOpcodes() []Opcode {
+// used by the weight-measurement harness (Fig. 7 of the paper) and the
+// weight tables. The caller owns the slice.
+func AllOpcodes() []Opcode { return slices.Clone(allOpcodes) }
+
+var allOpcodes = func() []Opcode {
 	ops := make([]Opcode, 0, len(opNames))
 	for b := 0; b < 256; b++ {
 		if _, ok := opNames[Opcode(b)]; ok {
@@ -327,7 +332,7 @@ func AllOpcodes() []Opcode {
 		}
 	}
 	return ops
-}
+}()
 
 // IsMemAccess reports whether the opcode is a linear-memory load or store
 // (excluded from Fig. 7's per-instruction weights; measured by Fig. 8).
