@@ -23,6 +23,7 @@
 package acctee
 
 import (
+	"context"
 	"crypto/ecdsa"
 	"io"
 
@@ -88,9 +89,9 @@ func (m *Module) Raw() *wasm.Module { return m.m }
 // reusable sandbox instances behind it. Compile it once and Execute many
 // times ("instrument once, execute many times", paper §3.3).
 type CompiledModule struct {
-	src  *Module
-	cm   *interp.CompiledModule
-	pool *interp.InstancePool
+	src     *Module
+	cm      *interp.CompiledModule
+	sandbox *core.Sandbox
 }
 
 // Compile lowers the module once into a reusable execution artifact.
@@ -99,11 +100,11 @@ func (m *Module) Compile() (*CompiledModule, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, err := cm.NewPool(interp.Config{}, interp.PoolConfig{})
+	sb, err := core.NewSandbox(cm, interp.Config{}, interp.PoolConfig{}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledModule{src: m, cm: cm, pool: pool}, nil
+	return &CompiledModule{src: m, cm: cm, sandbox: sb}, nil
 }
 
 // Module returns the source module.
@@ -118,12 +119,8 @@ func (c *CompiledModule) RegStats() interp.RegStats { return c.cm.RegStats() }
 // enclaves, no accounting) — the compile-once counterpart of Execute. It is
 // safe to call concurrently.
 func (c *CompiledModule) Execute(entry string, args ...uint64) ([]uint64, error) {
-	vm, err := c.pool.Get(interp.Config{})
-	if err != nil {
-		return nil, err
-	}
-	defer c.pool.Put(vm)
-	return vm.InvokeExport(entry, args...)
+	res, err := c.sandbox.Run(context.Background(), interp.Config{}, nil, core.RunOptions{Entry: entry, Args: args}, nil)
+	return res.Results, err
 }
 
 // OptLevel selects the instrumentation optimisation level (paper §3.6).

@@ -16,10 +16,6 @@ import (
 	"acctee/internal/wasm"
 )
 
-// CyclesPerNs converts simulated enclave cycles into wall-clock effect
-// (the paper's Xeon E3-1230 v5 runs at ~3.4 GHz; we assume 3 cycles/ns).
-const CyclesPerNs = 3.0
-
 // Fig6EPCBytes is the scaled-down usable EPC for the sandboxing-overhead
 // experiment. The paper's kernels use up to hundreds of MB against a 93 MB
 // EPC; our interpreter-scale datasets use tens of KB, so the EPC is scaled
@@ -36,7 +32,7 @@ const Fig6FaultCycles = 300
 
 // effectiveNs returns wall time plus the simulated-cycle charge.
 func effectiveNs(wall time.Duration, cycles uint64) float64 {
-	return float64(wall.Nanoseconds()) + float64(cycles)/CyclesPerNs
+	return float64(wall.Nanoseconds()) + float64(cycles)/sgx.CyclesPerNs
 }
 
 // timeWasm instantiates and runs an export once, returning wall time and

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 
 	"acctee/internal/bench"
 	"acctee/internal/faas"
@@ -71,9 +70,6 @@ func TestRunFig8Small(t *testing.T) {
 }
 
 func TestRunFig9Small(t *testing.T) {
-	old := faas.JSDispatchCost
-	faas.JSDispatchCost = time.Millisecond
-	defer func() { faas.JSDispatchCost = old }()
 	fig, err := bench.RunFig9(bench.Fig9Options{
 		Sizes:     []int{64},
 		Clients:   4,
@@ -86,9 +82,18 @@ func TestRunFig9Small(t *testing.T) {
 	if len(fig.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6 setups", len(fig.Rows))
 	}
+	// The modelled column adds simulated time to the measured run, so it is
+	// never above the measured one, and equal where nothing is simulated.
 	for _, r := range fig.Rows {
 		if r.ReqPerSec <= 0 {
 			t.Errorf("%v: req/s = %v", r.Setup, r.ReqPerSec)
+		}
+		if r.ModelledReqPerSec <= 0 || r.ModelledReqPerSec > r.ReqPerSec {
+			t.Errorf("%v: modelled req/s %v, measured %v: want 0 < modelled <= measured", r.Setup, r.ModelledReqPerSec, r.ReqPerSec)
+		}
+		simulatesNothing := r.Setup == faas.SetupWASM.String() || r.Setup == faas.SetupSGXSim.String()
+		if simulatesNothing && r.ModelledReqPerSec != r.ReqPerSec {
+			t.Errorf("%v simulates nothing, yet modelled req/s %v differs from measured %v", r.Setup, r.ModelledReqPerSec, r.ReqPerSec)
 		}
 	}
 	// In JSON the function and the setup are their names, not enum values.

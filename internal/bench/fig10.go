@@ -112,7 +112,7 @@ func RunFig10(trials int) (*Fig10Result, error) {
 			if _, err := vm.InvokeExport("run", wl.Args...); err != nil {
 				return 0, err
 			}
-			return float64(vm.InstrCount())*nsPerInstr + float64(vm.Cost())/CyclesPerNs, nil
+			return float64(vm.InstrCount())*nsPerInstr + float64(vm.Cost())/sgx.CyclesPerNs, nil
 		}
 		for _, c := range []struct {
 			hw  bool

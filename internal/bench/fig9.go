@@ -7,16 +7,21 @@ import (
 	"time"
 
 	"acctee/internal/faas"
+	"acctee/internal/loadgen"
 	"acctee/internal/workloads"
 )
 
 // Fig9Row is one (function, image size, setup) throughput measurement;
-// Function and Setup are the faas types' String() names.
+// Function and Setup are the faas types' String() names. ReqPerSec is
+// measured; ModelledReqPerSec adds the responses' simulated time, closed-loop
+// and additively (README, "Paper versus measured"): Requests / (Duration +
+// Simulated/Clients).
 type Fig9Row struct {
-	Function  string  `json:"function"`
-	ImageSize int     `json:"image_px"` // square pixels
-	Setup     string  `json:"setup"`
-	ReqPerSec float64 `json:"req_per_sec"`
+	Function          string  `json:"function"`
+	ImageSize         int     `json:"image_px"` // square pixels
+	Setup             string  `json:"setup"`
+	ReqPerSec         float64 `json:"req_per_sec"`
+	ModelledReqPerSec float64 `json:"modelled_req_per_sec"`
 }
 
 // Fig9Result is the FaaS throughput comparison (Fig. 9).
@@ -89,7 +94,7 @@ func RunFig9(opts Fig9Options) (*Fig9Result, error) {
 					return nil, fmt.Errorf("fig9 %v/%v: %w", fn, setup, err)
 				}
 				ts := httptest.NewServer(srv)
-				res := faas.GenerateLoadWithOptions(ts.URL, faas.LoadOptions{
+				res := loadgen.GenerateLoadWithOptions(ts.URL, loadgen.LoadOptions{
 					Clients: opts.Clients, Total: requests, Payload: img,
 					Width: size, Height: size, Timeout: fig9RequestTimeout,
 				})
@@ -97,8 +102,10 @@ func RunFig9(opts Fig9Options) (*Fig9Result, error) {
 				if res.Errors > 0 {
 					return nil, fmt.Errorf("fig9 %v/%v/%d: %d failed requests", fn, setup, size, res.Errors)
 				}
+				modelled := res.Duration + res.Simulated/time.Duration(opts.Clients)
 				fig.Rows = append(fig.Rows, Fig9Row{
 					Function: fn.String(), ImageSize: size, Setup: setup.String(), ReqPerSec: res.ReqPerSec,
+					ModelledReqPerSec: float64(res.Requests) / modelled.Seconds(),
 				})
 			}
 		}
@@ -109,9 +116,9 @@ func RunFig9(opts Fig9Options) (*Fig9Result, error) {
 // PrintFig9 renders the throughput table grouped like the figure.
 func PrintFig9(w io.Writer, fig *Fig9Result) {
 	tw := newTab(w)
-	fmt.Fprintln(tw, "function\timage\tsetup\treq/s")
+	fmt.Fprintln(tw, "function\timage\tsetup\treq/s\tmodelled req/s")
 	for _, r := range fig.Rows {
-		fmt.Fprintf(tw, "%s\t%dpx\t%s\t%.2f\n", r.Function, r.ImageSize, r.Setup, r.ReqPerSec)
+		fmt.Fprintf(tw, "%s\t%dpx\t%s\t%.2f\t%.2f\n", r.Function, r.ImageSize, r.Setup, r.ReqPerSec, r.ModelledReqPerSec)
 	}
 	_ = tw.Flush()
 	fmt.Fprintf(w, "paper: %s\n", fig.Paper)

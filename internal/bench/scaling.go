@@ -10,6 +10,7 @@ import (
 
 	"acctee/internal/accounting"
 	"acctee/internal/faas"
+	"acctee/internal/loadgen"
 	"acctee/internal/sgx"
 	"acctee/internal/workloads"
 )
@@ -142,7 +143,7 @@ func runFaaSScalingCell(requests int) (float64, error) {
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	res := faas.GenerateLoad(ts.URL, FaaSScalingClients, requests, payload, imgSide, imgSide)
+	res := loadgen.GenerateLoad(ts.URL, FaaSScalingClients, requests, payload, imgSide, imgSide)
 	if res.Errors > 0 {
 		return 0, fmt.Errorf("bench: faas scaling cell: %d failed requests", res.Errors)
 	}

@@ -241,7 +241,7 @@ type AccountingEnclave struct {
 	costs    sgx.CostParams
 	weights  *weights.Table
 	compiled *interp.CompiledModule
-	pool     *interp.InstancePool
+	sandbox  *Sandbox
 	modHash  [32]byte
 	counter  uint32
 	ledger   *accounting.Ledger
@@ -346,11 +346,11 @@ func (ae *AccountingEnclave) Close() { ae.ledger.Close() }
 // instances). Call it before serving concurrent runs; instances already
 // handed out to in-flight runs drain to the old pool.
 func (ae *AccountingEnclave) SetPoolConfig(pc interp.PoolConfig) error {
-	pool, err := ae.compiled.NewPool(interp.Config{Imports: DefaultImports(ae.libos)}, pc)
+	sb, err := NewSandbox(ae.compiled, interp.Config{Imports: DefaultImports(ae.libos)}, pc, ae.enclave.Transition)
 	if err != nil {
-		return fmt.Errorf("core: sandbox pool: %w", err)
+		return err
 	}
-	ae.pool = pool
+	ae.sandbox = sb
 	return nil
 }
 
@@ -398,11 +398,6 @@ func (ae *AccountingEnclave) RunContext(ctx context.Context, opts RunOptions) (R
 	if opts.Policy == 0 {
 		opts.Policy = accounting.PeakMemory
 	}
-	// An already expired ctx aborts the run at the entry leader, charging
-	// nothing, but it still flows through the ledger for a zero-work record:
-	// callers see one uniform cancellation path.
-	intr, stop := interp.InterruptOn(ctx)
-	defer stop()
 	model := sgx.NewEPCModel(ae.mode, ae.costs, ae.weights)
 	// Per-run I/O tally: the ledger sums per-record values into signed
 	// checkpoint totals, so every record must carry only this run's bytes,
@@ -421,76 +416,113 @@ func (ae *AccountingEnclave) RunContext(ctx context.Context, opts RunOptions) (R
 	// fine-grained memory policy).
 	var meter accounting.Meter
 	counterIdx := ae.counter
-	pool := ae.pool
-	vm, err := pool.Get(interp.Config{
-		Imports:   imports,
-		Fuel:      opts.Fuel,
-		CostModel: model,
-		MaxPages:  opts.MaxPages,
+	cfg := interp.Config{
+		Imports: imports,
 		GrowHook: func(vm *interp.VM, oldPages, newPages uint32) {
 			c, err := vm.Global(counterIdx)
 			if err == nil {
 				meter.Update(c, uint64(oldPages)*wasm.PageSize)
 			}
 		},
-		Interrupt: intr,
+	}
+	// An already expired ctx aborts the run at the entry leader, charging
+	// nothing, but it still flows through the ledger for a zero-work record:
+	// callers see one uniform cancellation path.
+	return ae.sandbox.Run(ctx, cfg, model, opts, func(vm *interp.VM, res *RunResult, payloadIn, payloadOut uint64) error {
+		counter, err := vm.Global(counterIdx)
+		if err != nil {
+			return fmt.Errorf("core: read counter: %w", err)
+		}
+		meter.Update(counter, uint64(vm.MemorySize()))
+		// vm.IOBytes() holds only custom-import traffic here (the tallied
+		// library-OS shims account into the tally instead), so nothing is
+		// counted twice and the record is a pure per-run delta: summing
+		// records across a checkpoint yields exact cumulative totals.
+		log := accounting.UsageLog{
+			WorkloadHash:         ae.modHash,
+			WeightedInstructions: counter,
+			PeakMemoryBytes:      uint64(vm.MemorySize()),
+			MemoryIntegral:       meter.Integral(),
+			IOBytesIn:            tally.in + vm.IOBytes() + payloadIn,
+			IOBytesOut:           tally.out + payloadOut,
+			SimulatedCycles:      vm.Cost(),
+			Policy:               opts.Policy,
+		}
+		res.Transitions = ae.enclave.Transitions()
+		res.EnclaveCycles += tally.crossings
+		res.Receipt, res.Record, err = ae.ledger.Append(log)
+		return err
 	})
+}
+
+// Sandbox is one compiled module's pooled instances behind a simulated
+// enclave boundary: the run every wasm setup shares. The accounting enclave
+// adds a ledger record to it; the FaaS gateway's plain setups keep none.
+type Sandbox struct {
+	pool  *interp.InstancePool
+	cross func() uint64
+}
+
+// NewSandbox pools instances of compiled, prewarmed under base. cross
+// records one boundary crossing and returns its cycles; nil crosses none.
+func NewSandbox(compiled *interp.CompiledModule, base interp.Config, pc interp.PoolConfig, cross func() uint64) (*Sandbox, error) {
+	pool, err := compiled.NewPool(base, pc)
+	if err != nil {
+		return nil, fmt.Errorf("core: sandbox pool: %w", err)
+	}
+	if cross == nil {
+		cross = func() uint64 { return 0 }
+	}
+	return &Sandbox{pool: pool, cross: cross}, nil
+}
+
+// Run invokes opts.Entry once on a pooled instance under ctx's interrupt,
+// with opts.Payload copied in and out and a crossing on each side of the
+// call. cfg supplies imports and a grow hook; model, if not nil, charges
+// paging. The RunResult holds Results, PageFaults and EnclaveCycles (the
+// crossings plus paging). Before the instance goes back to the pool,
+// account, if set, may record the run into the result, given the bytes the
+// payload moved; its error is Run's. A run that fails before the call
+// crosses nothing and skips account; a workload error keeps the result.
+func (sb *Sandbox) Run(ctx context.Context, cfg interp.Config, model *sgx.EPCModel, opts RunOptions,
+	account func(vm *interp.VM, res *RunResult, payloadIn, payloadOut uint64) error) (RunResult, error) {
+	intr, stop := interp.InterruptOn(ctx)
+	defer stop()
+	cfg.Interrupt, cfg.Fuel, cfg.MaxPages = intr, opts.Fuel, opts.MaxPages
+	if model != nil {
+		cfg.CostModel = model
+	}
+	vm, err := sb.pool.Get(cfg)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("core: instantiate workload: %w", err)
 	}
-	defer pool.Put(vm)
+	defer sb.pool.Put(vm)
 	var payloadIn, payloadOut uint64
 	if opts.Payload != nil {
 		if payloadIn, err = opts.Payload.CopyIn(vm); err != nil {
 			return RunResult{}, fmt.Errorf("core: payload: %w", err)
 		}
 	}
-	// Entering the enclave for the call is one transition.
-	enter := ae.enclave.Transition()
+	enter := sb.cross()
 	vm.AddCost(enter)
-
 	results, runErr := vm.InvokeExport(opts.Entry, opts.Args...)
 	if runErr == nil && opts.Payload != nil {
 		payloadOut, runErr = opts.Payload.CopyOut(vm, results)
 	}
-	// Leaving the enclave with the results is another transition.
-	leave := ae.enclave.Transition()
+	leave := sb.cross()
 	vm.AddCost(leave)
 
-	counter, err := vm.Global(ae.counter)
-	if err != nil {
-		return RunResult{}, fmt.Errorf("core: read counter: %w", err)
+	res := RunResult{Results: results, EnclaveCycles: enter + leave}
+	if model != nil {
+		res.PageFaults = model.PageFaults()
+		res.EnclaveCycles += model.PagingCycles()
 	}
-	meter.Update(counter, uint64(vm.MemorySize()))
-
-	// vm.IOBytes() holds only custom-import traffic here (the tallied
-	// library-OS shims account into the tally instead), so nothing is
-	// counted twice and the record is a pure per-run delta: summing
-	// records across a checkpoint yields exact cumulative totals.
-	log := accounting.UsageLog{
-		WorkloadHash:         ae.modHash,
-		WeightedInstructions: counter,
-		PeakMemoryBytes:      uint64(vm.MemorySize()),
-		MemoryIntegral:       meter.Integral(),
-		IOBytesIn:            tally.in + vm.IOBytes() + payloadIn,
-		IOBytesOut:           tally.out + payloadOut,
-		SimulatedCycles:      vm.Cost(),
-		Policy:               opts.Policy,
-	}
-	receipt, record, err := ae.ledger.Append(log)
-	if err != nil {
-		return RunResult{}, err
-	}
-	res := RunResult{
-		Results:       results,
-		Receipt:       receipt,
-		Record:        record,
-		PageFaults:    model.PageFaults(),
-		Transitions:   ae.enclave.Transitions(),
-		EnclaveCycles: enter + leave + tally.crossings + model.PagingCycles(),
+	if account != nil {
+		if err := account(vm, &res, payloadIn, payloadOut); err != nil {
+			return RunResult{}, err
+		}
 	}
 	if runErr != nil {
-		// The record is still valid — resources were spent up to the trap.
 		return res, fmt.Errorf("core: workload: %w", runErr)
 	}
 	return res, nil

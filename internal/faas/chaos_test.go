@@ -10,6 +10,7 @@ import (
 	"acctee/internal/accounting"
 	"acctee/internal/faas"
 	"acctee/internal/fault"
+	"acctee/internal/loadgen"
 	"acctee/internal/workloads"
 )
 
@@ -55,7 +56,7 @@ func TestGatewayChaosCrashMidGroupCommitRecovers(t *testing.T) {
 
 	// Warm-up: let a few group commits land cleanly so the crash has a
 	// durable, signed prefix to tear away from.
-	warm := faas.GenerateLoadWithOptions(ts.URL, faas.LoadOptions{
+	warm := loadgen.GenerateLoadWithOptions(ts.URL, loadgen.LoadOptions{
 		Clients: 4, Total: 200, Payload: payload,
 	})
 	if warm.Requests != 200 {
@@ -67,7 +68,7 @@ func TestGatewayChaosCrashMidGroupCommitRecovers(t *testing.T) {
 	// mid-commit power cut.)
 	inj.CrashOnWrite(inj.Writes()+3, 7)
 
-	res := faas.GenerateLoadWithOptions(ts.URL, faas.LoadOptions{
+	res := loadgen.GenerateLoadWithOptions(ts.URL, loadgen.LoadOptions{
 		Clients: 8, Total: total, Payload: payload,
 	})
 	if res.Requests != total {

@@ -1,17 +1,20 @@
 package faas_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"acctee/internal/accounting"
 	"acctee/internal/core"
 	"acctee/internal/faas"
 	"acctee/internal/instrument"
+	"acctee/internal/interp"
 	"acctee/internal/sgx"
 	"acctee/internal/workloads"
 )
@@ -73,7 +76,7 @@ func TestGatewayEnclaveIsTheAccountingEnclave(t *testing.T) {
 // instruction weights, both crossings and a memory integral, and equals the
 // record of the same run made in the accounting enclave directly. The
 // counter is the one the gateway always reported, and the enclave cycles it
-// burns are today's: 22,000 per echo, 76,000 per resize.
+// reports as simulated time are 22,000 per echo and 76,000 per resize.
 func TestGatewayRecordIsTheAccountingEnclaves(t *testing.T) {
 	const edge = 128
 	m, err := workloads.BuildResize()
@@ -144,7 +147,7 @@ func TestGatewayRecordIsTheAccountingEnclaves(t *testing.T) {
 	}
 	defer srv.Close()
 	echo := make([]byte, 64)
-	res, err := srv.Run(echo, uint64(len(echo)))
+	res, err := srv.Run(echo, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,5 +183,93 @@ func TestGatewayChargesTraps(t *testing.T) {
 	}
 	if got, _ := strconv.ParseUint(next.Header.Get("X-Acct-Sequence"), 10, 64); got != seq+1 {
 		t.Errorf("sequence %d after the trapped run's %d", got, seq)
+	}
+}
+
+// TestServerTimingIsTheRunsSimulatedTime: every setup's response reports
+// its request's simulated time, and only that, as a Server-Timing "sim"
+// entry in milliseconds at sgx.CyclesPerNs: the accounting enclave's
+// EnclaveCycles in the instrumented setups, two crossings plus a fresh EPC
+// model's paging in plain HW, nothing in WASM and SIM, and the modelled
+// dispatch in JS.
+func TestServerTimingIsTheRunsSimulatedTime(t *testing.T) {
+	const edge = 128
+	costs := sgx.DefaultCostParams()
+	// plainHW runs the uninstrumented function on its own instance under a
+	// fresh EPC model, as the plain HW setup charges a request.
+	plainHW := func(fn faas.Function, body []byte) uint64 {
+		build, args := workloads.BuildEcho, []uint64{uint64(len(body))}
+		if fn == faas.Resize {
+			build, args = workloads.BuildResize, []uint64{edge, edge}
+		}
+		m, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		model := sgx.NewEPCModel(sgx.ModeHardware, costs, nil)
+		vm, err := interp.Instantiate(m, interp.Config{CostModel: model})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := vm.MemoryDirty(workloads.InBase, uint32(len(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(in, body)
+		if _, err := vm.InvokeExport("run", args...); err != nil {
+			t.Fatal(err)
+		}
+		return 2*costs.TransitionCycles + model.PagingCycles()
+	}
+	ms := func(cycles uint64) float64 { return float64(cycles) / sgx.CyclesPerNs / 1e6 }
+	for _, fn := range []faas.Function{faas.Echo, faas.Resize} {
+		body, width, height, enclaveCycles := make([]byte, 64), 0, 0, uint64(22_000)
+		if fn == faas.Resize {
+			body, width, height, enclaveCycles = workloads.TestImage(edge, edge), edge, edge, 76_000
+		}
+		for _, setup := range []faas.Setup{
+			faas.SetupWASM, faas.SetupSGXSim, faas.SetupSGXHW,
+			faas.SetupSGXHWInstr, faas.SetupSGXHWIO, faas.SetupJS,
+		} {
+			srv, err := faas.NewServer(fn, setup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			r := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+			r.Header.Set("X-Width", strconv.Itoa(width))
+			r.Header.Set("X-Height", strconv.Itoa(height))
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, r)
+			if w.Code != http.StatusOK {
+				t.Fatalf("%v %v: status %d", fn, setup, w.Code)
+			}
+			v, ok := strings.CutPrefix(w.Header().Get("Server-Timing"), "sim;dur=")
+			got, err := strconv.ParseFloat(v, 64)
+			if !ok || err != nil {
+				t.Fatalf("%v %v: Server-Timing %q, want sim;dur=<ms>", fn, setup, w.Header().Get("Server-Timing"))
+			}
+			var want float64
+			switch setup {
+			case faas.SetupJS:
+				want = float64(faas.JSDispatchCost) / 1e6
+			case faas.SetupSGXHW, faas.SetupSGXHWInstr, faas.SetupSGXHWIO:
+				res, err := srv.Run(body, width, height)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantCycles := enclaveCycles
+				if setup == faas.SetupSGXHW {
+					wantCycles = plainHW(fn, body)
+				}
+				if res.EnclaveCycles != wantCycles {
+					t.Errorf("%v %v: EnclaveCycles %d, want %d", fn, setup, res.EnclaveCycles, wantCycles)
+				}
+				want = ms(wantCycles)
+			}
+			if got != want {
+				t.Errorf("%v %v: sim %v ms, want %v", fn, setup, got, want)
+			}
+		}
 	}
 }

@@ -4,7 +4,8 @@
 // HTTP Server instantiates a new WebAssembly module for every incoming
 // request"), six deployment setups (WASM, WASM-SGX SIM, WASM-SGX HW, HW
 // +instrumentation, HW +I/O accounting, and the JavaScript/OpenFaaS
-// baseline), and a concurrent load generator standing in for h2load.
+// baseline). Simulated time (enclave crossings, EPC paging, the JS
+// dispatch) is reported in each response's Server-Timing header, not spent.
 package faas
 
 import (
@@ -15,11 +16,8 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
-	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -83,9 +81,10 @@ func (s Setup) String() string {
 
 // JSDispatchCost models the OpenFaaS classic-watchdog fork/exec plus Docker
 // network hop the paper's JS baseline pays on every request (modelled, since
-// Docker is unavailable here: README, "Paper versus measured"). It is
-// busy-waited, not slept, because the watchdog burns CPU on fork+exec.
-var JSDispatchCost = 12 * time.Millisecond
+// Docker is unavailable here: README, "Paper versus measured"). Like the
+// wasm setups' enclave cycles, it is reported as the response's simulated
+// time, not spent.
+const JSDispatchCost = 12 * time.Millisecond
 
 // Server is the FaaS gateway for one function in one setup. The function
 // module is compiled once at construction; requests are served from a pool
@@ -106,8 +105,7 @@ type Server struct {
 	setup   Setup
 	opts    ServerOptions
 	ae      *core.AccountingEnclave // instrumented setups only
-	pool    *interp.InstancePool    // the other wasm setups
-	enclave *sgx.Enclave            // nil for non-SGX setups
+	sandbox *core.Sandbox           // the plain wasm setups: no ledger
 	costs   sgx.CostParams
 	// Request counters are atomics, not a shared mutex: every response on
 	// every connection bumps them, and a lock here serializes otherwise
@@ -190,32 +188,22 @@ func NewServerWithOptions(fn Function, setup Setup, opts ServerOptions) (*Server
 		if s.ae, err = deploy(m, s.costs, opts); err != nil {
 			return nil, err
 		}
-		s.enclave = s.ae.Enclave()
 		return s, nil
 	}
-	if setup != SetupWASM {
-		mode := sgx.ModeSimulation
-		if setup >= SetupSGXHW {
-			mode = sgx.ModeHardware
-		}
-		encl, err := sgx.NewEnclave([]byte(core.AEMeasurement().String()), mode, s.costs)
-		if err != nil {
-			return nil, err
-		}
-		s.enclave = encl
-	}
+	// Of the plain setups only HW charges anything: a crossing each way and
+	// a per-request EPC model's paging, its segment sums cached at compile.
 	var warm []interp.CostModel
-	if model := s.requestModel(); model != nil {
-		warm = append(warm, model)
+	var cross func() uint64
+	if setup == SetupSGXHW {
+		warm = []interp.CostModel{sgx.NewEPCModel(sgx.ModeHardware, s.costs, nil)}
+		cross = func() uint64 { return s.costs.TransitionCycles }
 	}
 	compiled, err := interp.Compile(m, interp.CompileOptions{CostModels: warm})
 	if err != nil {
 		return nil, fmt.Errorf("faas: compile function: %w", err)
 	}
-	s.pool, err = compiled.NewPool(interp.Config{CostModel: s.requestModel()},
-		interp.PoolConfig{Prewarm: opts.PoolPrewarm})
-	if err != nil {
-		return nil, fmt.Errorf("faas: instance pool: %w", err)
+	if s.sandbox, err = core.NewSandbox(compiled, interp.Config{}, interp.PoolConfig{Prewarm: opts.PoolPrewarm}, cross); err != nil {
+		return nil, fmt.Errorf("faas: %w", err)
 	}
 	return s, nil
 }
@@ -250,16 +238,6 @@ func deploy(m *wasm.Module, costs sgx.CostParams, opts ServerOptions) (*core.Acc
 	return ae, nil
 }
 
-// requestModel returns a fresh per-request cost model, or nil when the
-// setup charges none. Models are stateful (EPC residency), so each request
-// gets its own; all share one cost fingerprint, so segment sums are cached.
-func (s *Server) requestModel() interp.CostModel {
-	if s.enclave != nil && s.enclave.Mode() == sgx.ModeHardware {
-		return sgx.NewEPCModel(sgx.ModeHardware, s.costs, nil)
-	}
-	return nil
-}
-
 // Ledger exposes the gateway's usage ledger (nil for uninstrumented
 // setups).
 func (s *Server) Ledger() *accounting.Ledger {
@@ -269,10 +247,15 @@ func (s *Server) Ledger() *accounting.Ledger {
 	return s.ae.Ledger()
 }
 
-// Enclave exposes the gateway's enclave (nil for SetupWASM and SetupJS). In
-// the instrumented setups it is the accounting enclave's: its public key
-// verifies ledger records and checkpoints, under core.AEMeasurement.
-func (s *Server) Enclave() *sgx.Enclave { return s.enclave }
+// Enclave exposes the accounting enclave's enclave in the instrumented
+// setups, nil in the others: its public key verifies ledger records and
+// checkpoints, under core.AEMeasurement.
+func (s *Server) Enclave() *sgx.Enclave {
+	if s.ae == nil {
+		return nil
+	}
+	return s.ae.Enclave()
+}
 
 // Close stops the ledger's periodic checkpoint goroutine, if configured,
 // and closes its spill files. Close is idempotent.
@@ -480,7 +463,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit(r)
 	if !ok {
 		s.shed.Add(1)
-		// Retry-After steers well-behaved clients (and GenerateLoad's
+		// Retry-After steers well-behaved clients (and the load generator's
 		// backoff) away while the pool is saturated.
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, ErrCodeOverloaded, nil)
@@ -522,12 +505,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	p := &payload{body: body, accounted: s.setup == SetupSGXHWIO}
 	var res core.RunResult
-	switch s.setup {
-	case SetupJS:
+	simNs := float64(JSDispatchCost)
+	if s.setup == SetupJS {
 		p.out = s.serveJS(body, width, height)
-	default:
-		res, err = s.serveWasm(ctx, p, width, height)
+	} else {
+		res, err = s.run(ctx, p, width, height)
+		simNs = float64(res.EnclaveCycles) / sgx.CyclesPerNs
 	}
+	w.Header().Set("Server-Timing", "sim;dur="+strconv.FormatFloat(simNs/1e6, 'f', -1, 64))
 	if counter := res.Record.Log.WeightedInstructions; counter > 0 {
 		w.Header().Set("X-Weighted-Instructions", strconv.FormatUint(counter, 10))
 	}
@@ -631,57 +616,32 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(b)
 }
 
-// serveWasm runs the function once on the request's payload. The
-// instrumented setups run it in the accounting enclave, which charges every
-// run it starts to its ledger, a trap or an interrupt too, and returns the
-// run's result, record and receipt included, with its error. The other
-// setups run it on a pooled instance and charge nothing: no record.
-func (s *Server) serveWasm(ctx context.Context, p *payload, width, height int) (core.RunResult, error) {
+// run runs the function once on the request's payload: in the accounting
+// enclave, which records every run it starts (a trap or an interrupt too),
+// or in the plain setups' sandbox, which records none.
+func (s *Server) run(ctx context.Context, p *payload, width, height int) (core.RunResult, error) {
 	var args []uint64
 	if s.fn == Echo {
 		args = []uint64{uint64(len(p.body))}
 	} else {
 		args = []uint64{uint64(width), uint64(height)}
 	}
+	opts := core.RunOptions{Entry: "run", Args: args, Payload: p}
 	if s.ae != nil {
-		res, err := s.ae.RunContext(ctx, core.RunOptions{Entry: "run", Args: args, Payload: p})
-		// The enclave's crossings and paging burn wall-clock on real hardware.
-		burn(res.EnclaveCycles)
-		return res, err
+		return s.ae.RunContext(ctx, opts)
 	}
-	intr, stop := interp.InterruptOn(ctx)
-	defer stop()
-	vm, err := s.pool.Get(interp.Config{CostModel: s.requestModel(), Interrupt: intr})
-	if err != nil {
-		return core.RunResult{}, fmt.Errorf("faas: instantiate: %w", err)
+	var model *sgx.EPCModel
+	if s.setup == SetupSGXHW {
+		// EPC residency is per run: each request gets a fresh model.
+		model = sgx.NewEPCModel(sgx.ModeHardware, s.costs, nil)
 	}
-	defer s.pool.Put(vm)
-	if s.enclave != nil {
-		// request enters the enclave, response leaves it
-		burn(s.enclave.Transition())
-		defer burn(s.enclave.Transition())
-	}
-	if _, err := p.CopyIn(vm); err != nil {
-		return core.RunResult{}, err
-	}
-	res, err := vm.InvokeExport("run", args...)
-	if err != nil {
-		return core.RunResult{}, fmt.Errorf("faas: run: %w", err)
-	}
-	if _, err := p.CopyOut(vm, res); err != nil {
-		return core.RunResult{}, err
-	}
-	// EPC paging cycles burn wall-clock on real hardware.
-	if s.enclave != nil && s.enclave.Mode() == sgx.ModeHardware {
-		burn(vm.Cost())
-	}
-	return core.RunResult{}, nil
+	return s.sandbox.Run(ctx, interp.Config{}, model, opts, nil)
 }
 
 // payload is one request's body on its way into a sandbox and the
-// function's response on its way out. The plain setups call its copies
-// directly, the accounting enclave through core.RunOptions.Payload; the
-// bytes they report are the record's I/O, which only SetupSGXHWIO accounts.
+// function's response on its way out, copied by the sandbox through
+// core.RunOptions.Payload; the bytes it reports are the record's I/O, which
+// only SetupSGXHWIO accounts.
 type payload struct {
 	body, out []byte
 	accounted bool
@@ -717,235 +677,8 @@ func (p *payload) io(n int) uint64 {
 }
 
 func (s *Server) serveJS(body []byte, width, height int) []byte {
-	spin(JSDispatchCost)
 	if s.fn == Echo {
 		return workloads.JSEcho(body)
 	}
 	return workloads.JSResize(body, width, height)
-}
-
-// burn converts simulated cycles into wall-clock time at an assumed
-// 3 GHz so hardware-mode penalties show up in throughput, as on real SGX.
-func burn(cycles uint64) {
-	if cycles == 0 {
-		return
-	}
-	spin(time.Duration(cycles) * time.Nanosecond / 3)
-}
-
-// spin busy-waits (enclave transitions and fork/exec burn CPU, they do not
-// yield it).
-func spin(d time.Duration) {
-	end := time.Now().Add(d)
-	for time.Now().Before(end) {
-	}
-}
-
-// ---------------------------------------------------------------------------
-// load generator (h2load stand-in)
-
-// LoadResult is one load-generation run's outcome. Failed requests are
-// never silently absorbed into the throughput figure: Requests and
-// ReqPerSec count successful (2xx) responses only, and ByStatus breaks the
-// rest down so a run full of 500s is visible in the bench numbers.
-type LoadResult struct {
-	// Requests counts successfully completed (2xx) requests.
-	Requests int
-	Duration time.Duration
-	// Errors counts transport failures plus non-2xx responses.
-	Errors int
-	// ByStatus counts responses per HTTP status code; transport errors
-	// (no response at all) are recorded under status 0.
-	ByStatus map[int]int
-	// WeightedInstructions sums the X-Weighted-Instructions header over
-	// successful responses. Non-2xx responses never contribute, whether or
-	// not the server attached the header before failing.
-	WeightedInstructions uint64
-	// Shed counts 429/503 responses observed, including ones a retry
-	// later turned into a success — overload visible even when the
-	// backoff absorbs it.
-	Shed int
-	// Retried counts retry attempts issued after a shed response.
-	Retried int
-	// ReqPerSec is successful-request throughput.
-	ReqPerSec float64
-	// LatencyP50/P95/P99 are per-request latency percentiles over every
-	// completed request (including failures — a tail regression that only
-	// shows on errors must not hide), measured from request creation to
-	// body drain.
-	LatencyP50 time.Duration
-	LatencyP95 time.Duration
-	LatencyP99 time.Duration
-}
-
-// percentile returns the p-quantile of a sorted latency sample.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
-}
-
-// LoadOptions tune GenerateLoadWithOptions beyond the classic
-// clients/total shape.
-type LoadOptions struct {
-	Clients int
-	Total   int
-	Payload []byte
-	Width   int
-	Height  int
-	// Timeout bounds each request attempt end to end (default 10s): a
-	// wedged gateway costs the client one timeout, not forever.
-	Timeout time.Duration
-	// Retries caps retry attempts per request after a 429/503 response
-	// (default 2; negative = no retries). Other statuses and transport
-	// errors are never retried — they are results, not backpressure.
-	Retries int
-	// RetryBackoff is the base of the jittered exponential backoff
-	// between retries (default 2ms, doubled per attempt, ±50% jitter).
-	RetryBackoff time.Duration
-}
-
-// GenerateLoad drives the URL with `clients` concurrent connections until
-// `total` requests have completed, mirroring the paper's h2load usage
-// (10 concurrent clients). It is GenerateLoadWithOptions with defaults.
-func GenerateLoad(url string, clients, total int, payload []byte, width, height int) LoadResult {
-	return GenerateLoadWithOptions(url, LoadOptions{
-		Clients: clients, Total: total, Payload: payload,
-		Width: width, Height: height,
-	})
-}
-
-// GenerateLoadWithOptions drives the URL with opts.Clients concurrent
-// connections until opts.Total requests have completed. Each request gets
-// a deadline, and 429/503 responses (the gateway shedding load) are
-// retried with jittered exponential backoff up to opts.Retries times — a
-// well-behaved client backs off when the server asks it to. Per-request
-// latency is measured from first attempt to final completion, backoff
-// included: that is the latency an end user of a retrying client sees.
-//
-// The clients share one Transport sized to keep an idle connection per
-// client: the default Transport caps idle connections per host at 2, so
-// with 10+ clients most requests would tear down and re-dial their
-// connection — measuring TCP setup, not the gateway.
-func GenerateLoadWithOptions(url string, opts LoadOptions) LoadResult {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 10 * time.Second
-	}
-	if opts.Retries == 0 {
-		opts.Retries = 2
-	} else if opts.Retries < 0 {
-		opts.Retries = 0
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = 2 * time.Millisecond
-	}
-	transport := &http.Transport{
-		MaxIdleConns:        opts.Clients + 4,
-		MaxIdleConnsPerHost: opts.Clients + 4,
-	}
-	defer transport.CloseIdleConnections()
-	var (
-		mu        sync.Mutex
-		res       = LoadResult{ByStatus: make(map[int]int)}
-		latencies = make([]time.Duration, 0, opts.Total)
-		wg        sync.WaitGroup
-		client    = &http.Client{Transport: transport}
-	)
-	record := func(status int, weighted uint64, took time.Duration, shed, retried int) {
-		mu.Lock()
-		defer mu.Unlock()
-		res.ByStatus[status]++
-		res.Shed += shed
-		res.Retried += retried
-		latencies = append(latencies, took)
-		if status >= 200 && status < 300 {
-			res.Requests++
-			res.WeightedInstructions += weighted
-		} else {
-			res.Errors++
-		}
-	}
-	// attempt issues one HTTP request and reports its status (0 =
-	// transport error) plus the accounting header on success.
-	attempt := func() (status int, weighted uint64) {
-		ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
-		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytesReader(opts.Payload))
-		if err != nil {
-			return 0, 0
-		}
-		req.Header.Set("X-Width", strconv.Itoa(opts.Width))
-		req.Header.Set("X-Height", strconv.Itoa(opts.Height))
-		resp, err := client.Do(req)
-		if err != nil {
-			return 0, 0
-		}
-		// Drain for connection reuse, but only count the body of a
-		// successful response; the accounting header is parsed only
-		// on success, so a 500 with or without it lands identically
-		// in ByStatus/Errors.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-		if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-			weighted, _ = strconv.ParseUint(resp.Header.Get("X-Weighted-Instructions"), 10, 64)
-		}
-		return resp.StatusCode, weighted
-	}
-	start := time.Now()
-	next := make(chan struct{}, opts.Total)
-	for i := 0; i < opts.Total; i++ {
-		next <- struct{}{}
-	}
-	close(next)
-	for c := 0; c < opts.Clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range next {
-				t0 := time.Now()
-				var shed, retried int
-				status, weighted := attempt()
-				for status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-					shed++
-					if retried >= opts.Retries {
-						break
-					}
-					retried++
-					// Jittered exponential backoff (±50%) so a shed burst
-					// does not come back as a synchronized retry burst.
-					d := opts.RetryBackoff << (retried - 1)
-					d = d/2 + time.Duration(rand.Int63n(int64(d)))
-					time.Sleep(d)
-					status, weighted = attempt()
-				}
-				record(status, weighted, time.Since(t0), shed, retried)
-			}
-		}()
-	}
-	wg.Wait()
-	res.Duration = time.Since(start)
-	res.ReqPerSec = float64(res.Requests) / res.Duration.Seconds()
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	res.LatencyP50 = percentile(latencies, 0.50)
-	res.LatencyP95 = percentile(latencies, 0.95)
-	res.LatencyP99 = percentile(latencies, 0.99)
-	return res
-}
-
-func bytesReader(b []byte) io.Reader { return &sliceReader{b: b} }
-
-type sliceReader struct {
-	b   []byte
-	pos int
-}
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.pos:])
-	r.pos += n
-	return n, nil
 }

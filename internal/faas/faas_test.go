@@ -178,88 +178,6 @@ func (r *countingReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func TestGenerateLoad(t *testing.T) {
-	old := faas.JSDispatchCost
-	faas.JSDispatchCost = time.Millisecond
-	defer func() { faas.JSDispatchCost = old }()
-	srv, err := faas.NewServer(faas.Echo, faas.SetupJS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	res := faas.GenerateLoad(ts.URL, 4, 12, []byte("ping"), 0, 0)
-	if res.Requests != 12 || res.Errors != 0 {
-		t.Errorf("load result %+v", res)
-	}
-	if srv.Requests() != 12 {
-		t.Errorf("server saw %d requests, want 12", srv.Requests())
-	}
-	if res.ReqPerSec <= 0 {
-		t.Errorf("nonsensical throughput %v", res.ReqPerSec)
-	}
-}
-
-// TestGenerateLoadSurfacesFailures pins the satellite fix: failed-but-
-// responded requests must not be silently absorbed — they are excluded from
-// Requests/ReqPerSec, counted in Errors, broken down in ByStatus, and their
-// X-Weighted-Instructions header (present or missing) never contributes.
-func TestGenerateLoadSurfacesFailures(t *testing.T) {
-	var n atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.Copy(io.Discard, r.Body)
-		i := n.Add(1)
-		switch {
-		case i%3 == 0:
-			// failure that still attaches the accounting header: it must
-			// be treated exactly like one that does not.
-			w.Header().Set("X-Weighted-Instructions", "12345")
-			http.Error(w, "boom", http.StatusInternalServerError)
-		case i%5 == 0:
-			http.Error(w, "busy", http.StatusServiceUnavailable)
-		default:
-			w.Header().Set("X-Weighted-Instructions", "7")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write([]byte("ok"))
-		}
-	}))
-	defer ts.Close()
-
-	// Retries are disabled: this test pins the per-status breakdown, and a
-	// retried 503 would (correctly) turn into a 200 and blur it. The shed
-	// counter must still see every 503.
-	const total = 30
-	res := faas.GenerateLoadWithOptions(ts.URL, faas.LoadOptions{
-		Clients: 3, Total: total, Payload: []byte("x"), Retries: -1,
-	})
-
-	want500 := total / 3          // every 3rd
-	want503 := total/5 - total/15 // every 5th, minus overlaps with 3rd
-	wantOK := total - want500 - want503
-	if res.Requests != wantOK {
-		t.Errorf("Requests = %d, want %d", res.Requests, wantOK)
-	}
-	if res.Errors != want500+want503 {
-		t.Errorf("Errors = %d, want %d", res.Errors, want500+want503)
-	}
-	if res.ByStatus[http.StatusOK] != wantOK ||
-		res.ByStatus[http.StatusInternalServerError] != want500 ||
-		res.ByStatus[http.StatusServiceUnavailable] != want503 {
-		t.Errorf("ByStatus = %v, want 200:%d 500:%d 503:%d", res.ByStatus, wantOK, want500, want503)
-	}
-	if res.Requests+res.Errors != total {
-		t.Errorf("accounted %d requests, want %d", res.Requests+res.Errors, total)
-	}
-	// Only successful responses contribute accounting: 7 each, never the
-	// 12345 attached to the 500s.
-	if want := uint64(wantOK * 7); res.WeightedInstructions != want {
-		t.Errorf("WeightedInstructions = %d, want %d", res.WeightedInstructions, want)
-	}
-	if res.Shed != want503 || res.Retried != 0 {
-		t.Errorf("Shed/Retried = %d/%d, want %d/0 (retries disabled)", res.Shed, res.Retried, want503)
-	}
-}
-
 // TestReceiptsAndLedgerEndpoints: every instrumented response carries a
 // ledger receipt; /receipt serves the named record, /checkpoint a freshly
 // batch-signed checkpoint covering all served requests, /ledger an
@@ -424,28 +342,6 @@ func TestEagerGatewayRecordsSigned(t *testing.T) {
 	}
 	if vr.EagerSignatures != 4 {
 		t.Errorf("verified %d eager signatures, want 4", vr.EagerSignatures)
-	}
-}
-
-// TestGenerateLoadLatencyPercentiles pins the satellite: per-request
-// latency percentiles are reported and ordered.
-func TestGenerateLoadLatencyPercentiles(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.Copy(io.Discard, r.Body)
-		time.Sleep(200 * time.Microsecond)
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer ts.Close()
-	res := faas.GenerateLoad(ts.URL, 2, 20, []byte("x"), 0, 0)
-	if res.LatencyP50 <= 0 {
-		t.Fatalf("p50 = %v", res.LatencyP50)
-	}
-	if res.LatencyP95 < res.LatencyP50 || res.LatencyP99 < res.LatencyP95 {
-		t.Errorf("percentiles not ordered: p50=%v p95=%v p99=%v",
-			res.LatencyP50, res.LatencyP95, res.LatencyP99)
-	}
-	if res.LatencyP50 < 200*time.Microsecond {
-		t.Errorf("p50 %v below the handler's sleep", res.LatencyP50)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,14 +20,39 @@ import (
 	"acctee/internal/workloads"
 )
 
-// TestAdmissionControlShedsUnderOverload: with one execution slot, no
-// waiting room, and deliberately slow requests, concurrent callers must
-// split into served (200) and shed (429 + Retry-After + stable error
-// code) — never queue unboundedly, never 5xx.
+// holdSlot starts a request on srv whose declared two-byte body is not yet
+// written. Admission runs before the body is read, so once the handler has
+// read the first byte the request holds an execution slot, and it keeps the
+// slot until release writes the second byte. release returns the held
+// request's status.
+func holdSlot(t *testing.T, srv http.Handler) (release func() int) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	req := httptest.NewRequest(http.MethodPost, "/", pr)
+	req.ContentLength = 2
+	w := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.ServeHTTP(w, req)
+	}()
+	// An unbuffered pipe: the write returns once the handler has read it.
+	if _, err := pw.Write([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	return func() int {
+		_, _ = pw.Write([]byte("y"))
+		_ = pw.Close()
+		<-done
+		return w.Code
+	}
+}
+
+// TestAdmissionControlShedsUnderOverload: with one execution slot held and
+// no waiting room, every concurrent caller is shed (429 + Retry-After +
+// stable error code) — never queued, never 5xx — and the holder is served
+// once it finishes, after which the slot serves again.
 func TestAdmissionControlShedsUnderOverload(t *testing.T) {
-	old := faas.JSDispatchCost
-	faas.JSDispatchCost = 20 * time.Millisecond
-	defer func() { faas.JSDispatchCost = old }()
 	srv, err := faas.NewServerWithOptions(faas.Echo, faas.SetupJS, faas.ServerOptions{
 		MaxInFlight: 1,
 	})
@@ -37,62 +63,54 @@ func TestAdmissionControlShedsUnderOverload(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
+	release := holdSlot(t, srv)
 	const clients = 8
-	var (
-		wg      sync.WaitGroup
-		served  atomic.Int64
-		shed    atomic.Int64
-		unknown atomic.Int64
-	)
+	var wg sync.WaitGroup
+	var shed atomic.Int64
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			resp, body := post(t, ts.URL, []byte("x"), 0, 0)
-			switch resp.StatusCode {
-			case http.StatusOK:
-				served.Add(1)
-			case http.StatusTooManyRequests:
-				shed.Add(1)
-				if resp.Header.Get("Retry-After") == "" {
-					t.Error("shed response missing Retry-After")
-				}
-				var e struct {
-					Error struct {
-						Code string `json:"code"`
-					} `json:"error"`
-				}
-				if err := json.Unmarshal(body, &e); err != nil || e.Error.Code != faas.ErrCodeOverloaded {
-					t.Errorf("shed body %q, want error code %q", body, faas.ErrCodeOverloaded)
-				}
-			default:
-				unknown.Add(1)
-				t.Errorf("status %d, want 200 or 429", resp.StatusCode)
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Errorf("status %d while the only slot is held, want 429", resp.StatusCode)
+				return
+			}
+			shed.Add(1)
+			if resp.Header.Get("Retry-After") == "" {
+				t.Error("shed response missing Retry-After")
+			}
+			var e struct {
+				Error struct {
+					Code string `json:"code"`
+				} `json:"error"`
+			}
+			if err := json.Unmarshal(body, &e); err != nil || e.Error.Code != faas.ErrCodeOverloaded {
+				t.Errorf("shed body %q, want error code %q", body, faas.ErrCodeOverloaded)
 			}
 		}()
 	}
 	wg.Wait()
-	if served.Load() == 0 {
-		t.Fatal("overload shed every request — nothing was served")
+	if code := release(); code != http.StatusOK {
+		t.Fatalf("the request holding the slot: status %d, want 200", code)
 	}
-	if shed.Load() == 0 {
-		t.Fatal("8 concurrent 20ms requests against 1 slot shed nothing")
+	if got := srv.Shed(); got != uint64(shed.Load()) || got != clients {
+		t.Errorf("server counted %d shed, clients saw %d, want %d", got, shed.Load(), clients)
 	}
-	if got := srv.Shed(); got != uint64(shed.Load()) {
-		t.Errorf("server counted %d shed, clients saw %d", got, shed.Load())
+	if resp, _ := post(t, ts.URL, []byte("x"), 0, 0); resp.StatusCode != http.StatusOK {
+		t.Errorf("after the slot was released: status %d, want 200", resp.StatusCode)
 	}
 }
 
-// TestAdmissionQueueAbsorbsBurst: a bounded queue with a timeout longer
-// than the burst turns would-be sheds into slightly delayed successes.
+// TestAdmissionQueueAbsorbsBurst: a bounded queue turns would-be sheds into
+// delayed successes. A burst that arrives while the only slot is held waits
+// in the queue, and every request of it is served once the slot is free.
 func TestAdmissionQueueAbsorbsBurst(t *testing.T) {
-	old := faas.JSDispatchCost
-	faas.JSDispatchCost = 2 * time.Millisecond
-	defer func() { faas.JSDispatchCost = old }()
+	const clients = 6
 	srv, err := faas.NewServerWithOptions(faas.Echo, faas.SetupJS, faas.ServerOptions{
 		MaxInFlight:  1,
-		MaxQueue:     8,
-		QueueTimeout: 2 * time.Second,
+		MaxQueue:     clients,
+		QueueTimeout: time.Minute, // no queued request's wait runs out here
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +119,7 @@ func TestAdmissionQueueAbsorbsBurst(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	const clients = 6
+	release := holdSlot(t, srv)
 	var wg sync.WaitGroup
 	var served atomic.Int64
 	for i := 0; i < clients; i++ {
@@ -114,9 +132,16 @@ func TestAdmissionQueueAbsorbsBurst(t *testing.T) {
 			}
 		}()
 	}
+	// The whole burst is queued behind the held slot before it frees.
+	for srv.Health().Queued < clients {
+		runtime.Gosched()
+	}
+	if code := release(); code != http.StatusOK {
+		t.Fatalf("the request holding the slot: status %d, want 200", code)
+	}
 	wg.Wait()
-	if served.Load() != clients {
-		t.Fatalf("served %d of %d — the queue shed a burst it had room for", served.Load(), clients)
+	if served.Load() != clients || srv.Shed() != 0 {
+		t.Fatalf("served %d of %d, shed %d — the queue shed a burst it had room for", served.Load(), clients, srv.Shed())
 	}
 }
 
@@ -222,33 +247,6 @@ func TestHealthEndpoints(t *testing.T) {
 	}
 }
 
-// TestLoadGeneratorRetriesSheddedRequests: the load generator backs off
-// and retries 429s, so a transient shed becomes a delayed success — and
-// both the shed and the retries stay visible in the result.
-func TestLoadGeneratorRetriesSheddedRequests(t *testing.T) {
-	var n atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if n.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer ts.Close()
-
-	res := faas.GenerateLoadWithOptions(ts.URL, faas.LoadOptions{
-		Clients: 1, Total: 1, Payload: []byte("x"),
-		RetryBackoff: time.Millisecond,
-	})
-	if res.Requests != 1 || res.Errors != 0 {
-		t.Fatalf("Requests/Errors = %d/%d, want 1/0 (retries must absorb the shed)", res.Requests, res.Errors)
-	}
-	if res.Shed != 2 || res.Retried != 2 {
-		t.Fatalf("Shed/Retried = %d/%d, want 2/2", res.Shed, res.Retried)
-	}
-}
-
 func get(t *testing.T, url string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -269,9 +267,6 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 // not an API, and they name internal paths. (The readiness probe's 503 is
 // no error path: it answers with the same health body as its 200.)
 func TestErrorBodiesCarryOnlyACode(t *testing.T) {
-	old := faas.JSDispatchCost
-	faas.JSDispatchCost = 200 * time.Millisecond
-	defer func() { faas.JSDispatchCost = old }()
 	server := func(fn faas.Function, setup faas.Setup, opts faas.ServerOptions) *faas.Server {
 		srv, err := faas.NewServerWithOptions(fn, setup, opts)
 		if err != nil {
@@ -293,6 +288,10 @@ func TestErrorBodiesCarryOnlyACode(t *testing.T) {
 	deadDisk := server(faas.Echo, faas.SetupSGXHWInstr, faas.ServerOptions{Ledger: accounting.LedgerOptions{
 		Shards: 1, Retention: accounting.RetentionPolicy{SpillDir: t.TempDir()}, Faults: inj,
 	}})
+
+	// busy's only slot is held by an unfinished body for the whole table.
+	release := holdSlot(t, busy)
+	defer release()
 
 	req := func(method, target string, body []byte) *http.Request {
 		return httptest.NewRequest(method, target, bytes.NewReader(body))
@@ -322,19 +321,7 @@ func TestErrorBodiesCarryOnlyACode(t *testing.T) {
 		{"deadline", late, req(http.MethodPost, "/", []byte("hello")), 504, faas.ErrCodeDeadlineExceeded},
 		{"checkpoint-cannot-persist", deadDisk, req(http.MethodGet, faas.CheckpointPath, nil), 500, faas.ErrCodeCheckpointFailed},
 		{"compact-cannot-persist", deadDisk, req(http.MethodPost, faas.CompactPath, nil), 500, faas.ErrCodeCompactFailed},
-		{"overloaded", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			// Hold the only slot with one slow request, then knock.
-			held := make(chan struct{})
-			go func() {
-				defer close(held)
-				busy.ServeHTTP(httptest.NewRecorder(), req(http.MethodPost, "/", []byte("x")))
-			}()
-			for busy.Health().InFlight == 0 {
-				time.Sleep(time.Millisecond)
-			}
-			busy.ServeHTTP(w, r)
-			<-held
-		}), req(http.MethodPost, "/", []byte("x")), 429, faas.ErrCodeOverloaded},
+		{"overloaded", busy, req(http.MethodPost, "/", []byte("x")), 429, faas.ErrCodeOverloaded},
 		{"unmarshalable-response", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			faas.WriteJSON(w, http.StatusOK, make(chan int))
 		}), req(http.MethodGet, "/", nil), 500, faas.ErrCodeInternal},
