@@ -18,3 +18,16 @@ var WriteJSON = writeJSON
 func (s *Server) Run(body []byte, width, height int) (core.RunResult, error) {
 	return s.run(context.Background(), &payload{body: body, accounted: s.setup == SetupSGXHWIO}, width, height)
 }
+
+// Route is a row of the route table as a test reads it.
+type Route struct{ Pattern, Policy string }
+
+// Routes returns the route table, each policy by name.
+func Routes() []Route {
+	names := [...]string{probe: "probe", ledger: "ledger", invoke: "invoke"}
+	rs := make([]Route, len(routes))
+	for i, rt := range routes {
+		rs[i] = Route{rt.pattern, names[rt.policy]}
+	}
+	return rs
+}

@@ -60,23 +60,15 @@ const (
 	SetupJS
 )
 
+var setupNames = [...]string{SetupWASM: "WASM", SetupSGXSim: "WASM-SGX SIM", SetupSGXHW: "WASM-SGX HW",
+	SetupSGXHWInstr: "WASM-SGX HW instr.", SetupSGXHWIO: "WASM-SGX HW I/O", SetupJS: "JS"}
+
 // String names the setup as in Fig. 9.
 func (s Setup) String() string {
-	switch s {
-	case SetupWASM:
-		return "WASM"
-	case SetupSGXSim:
-		return "WASM-SGX SIM"
-	case SetupSGXHW:
-		return "WASM-SGX HW"
-	case SetupSGXHWInstr:
-		return "WASM-SGX HW instr."
-	case SetupSGXHWIO:
-		return "WASM-SGX HW I/O"
-	case SetupJS:
-		return "JS"
+	if s < SetupWASM || s > SetupJS {
+		return "setup?"
 	}
-	return "setup?"
+	return setupNames[s]
 }
 
 // JSDispatchCost models the OpenFaaS classic-watchdog fork/exec plus Docker
@@ -98,8 +90,8 @@ const JSDispatchCost = 12 * time.Millisecond
 // enclave's evidence, runs every request and chains its usage record (a trap
 // or an interrupt too) onto its hash-chained ledger. A response carries the
 // record's receipt in X-Acct-Shard / X-Acct-Sequence / X-Acct-Chain, and the
-// ledger endpoints (serveLedger) serve records, checkpoints, the dump and
-// compaction (ServerOptions.Ledger.Retention automates the last).
+// ledger endpoints serve records, checkpoints, the dump and compaction
+// (ServerOptions.Ledger.Retention automates the last).
 type Server struct {
 	fn      Function
 	setup   Setup
@@ -111,7 +103,6 @@ type Server struct {
 	// every connection bumps them, and a lock here serializes otherwise
 	// independent requests at the very end of the handler.
 	requests atomic.Uint64
-	ioBytes  atomic.Uint64
 	// Admission control: sem holds one slot per concurrently executing
 	// invocation (nil = unlimited), queued counts requests waiting for a
 	// slot, shed counts 429s issued, interrupted counts invocations the
@@ -120,6 +111,7 @@ type Server struct {
 	queued      atomic.Int64
 	shed        atomic.Uint64
 	interrupted atomic.Uint64
+	mux         *http.ServeMux
 }
 
 // ServerOptions tune the gateway's instance pool, its accounting ledger and
@@ -155,10 +147,6 @@ type ServerOptions struct {
 	QueueTimeout time.Duration
 }
 
-// defaultQueueTimeout bounds a queued request's wait when the operator
-// configured a queue but no explicit timeout.
-const defaultQueueTimeout = 50 * time.Millisecond
-
 // NewServer builds the gateway with default options (pooled instances over
 // a cached compiled artifact).
 func NewServer(fn Function, setup Setup) (*Server, error) {
@@ -172,6 +160,13 @@ func NewServerWithOptions(fn Function, setup Setup, opts ServerOptions) (*Server
 	s := &Server{fn: fn, setup: setup, opts: opts, costs: sgx.DefaultCostParams()}
 	if opts.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, opts.MaxInFlight)
+	}
+	if opts.QueueTimeout <= 0 {
+		s.opts.QueueTimeout = 50 * time.Millisecond
+	}
+	s.mux = http.NewServeMux()
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.pattern, s.apply(rt))
 	}
 	if setup == SetupJS {
 		return s, nil
@@ -268,19 +263,12 @@ func (s *Server) Close() {
 // Requests returns the number of requests served.
 func (s *Server) Requests() uint64 { return s.requests.Load() }
 
-// IOBytes returns the accounted I/O volume (SetupSGXHWIO only).
-func (s *Server) IOBytes() uint64 { return s.ioBytes.Load() }
-
-// Ledger endpoint paths on the gateway.
+// Ledger and health endpoint paths on the gateway.
 const (
 	ReceiptPath    = "/receipt"
 	CheckpointPath = "/checkpoint"
 	LedgerPath     = "/ledger"
 	CompactPath    = "/compact"
-)
-
-// Health endpoint paths on the gateway.
-const (
 	// HealthPath is the liveness probe: 200 whenever the process can
 	// answer, with pool/queue/ledger state in the body.
 	HealthPath = "/healthz"
@@ -318,39 +306,32 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 }
 
 // admit claims an execution slot, waiting on the bounded queue when every
-// slot is busy. It returns a release func on success and false when the
-// request should be shed (queue full, queue-wait timed out, or the client
-// gave up while queued).
-func (s *Server) admit(r *http.Request) (release func(), ok bool) {
+// slot is busy. It returns false when the request should be shed (queue
+// full, queue-wait timed out, or the client gave up while queued).
+func (s *Server) admit(r *http.Request) bool {
 	if s.sem == nil {
-		return func() {}, true
+		return true
 	}
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, true
+		return true
 	default:
 	}
 	if s.opts.MaxQueue <= 0 {
-		return nil, false
+		return false
 	}
 	if n := s.queued.Add(1); n > int64(s.opts.MaxQueue) {
 		s.queued.Add(-1)
-		return nil, false
+		return false
 	}
 	defer s.queued.Add(-1)
-	qt := s.opts.QueueTimeout
-	if qt <= 0 {
-		qt = defaultQueueTimeout
-	}
-	timer := time.NewTimer(qt)
-	defer timer.Stop()
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, true
-	case <-timer.C:
-		return nil, false
+		return true
+	case <-time.After(s.opts.QueueTimeout):
+		return false
 	case <-r.Context().Done():
-		return nil, false
+		return false
 	}
 }
 
@@ -427,59 +408,87 @@ func (s *Server) Shed() uint64 { return s.shed.Load() }
 // Interrupted returns how many invocations the deadline cut short.
 func (s *Server) Interrupted() uint64 { return s.interrupted.Load() }
 
-// ServeHTTP handles one function invocation. The request body is the
-// payload; for resize the image dimensions travel in X-Width/X-Height.
-// GET requests on /receipt, /checkpoint and /ledger serve the accounting
-// endpoints instead of invoking the function.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case HealthPath, ReadyPath:
-		// Probes are never gated by admission control — they must answer
-		// precisely when the gateway is saturated or degraded.
-		if r.Method == http.MethodGet {
-			s.serveHealth(w, r.URL.Path == ReadyPath)
-			return
-		}
-	case ReceiptPath, CheckpointPath, LedgerPath:
-		// Read endpoints are GET-only; a POST to these paths falls through
-		// to function invocation, as before.
-		if r.Method == http.MethodGet {
-			s.serveLedger(w, r)
-			return
-		}
-	case CompactPath:
-		// Compaction mutates ledger state (signs a checkpoint, seals and
-		// spills segments, advances the truncation anchor): POST only, so
-		// crawlers and monitoring probes issuing GETs can never trigger it.
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, nil)
-			return
-		}
-		s.serveLedger(w, r)
-		return
-	}
-	// Admission control gates only the invocation path, before the body is
-	// read — a shed request costs the gateway next to nothing.
-	release, ok := s.admit(r)
-	if !ok {
-		s.shed.Add(1)
-		// Retry-After steers well-behaved clients (and the load generator's
-		// backoff) away while the pool is saturated.
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, ErrCodeOverloaded, nil)
-		return
-	}
-	defer release()
+// policy is what the route table applies around a row's handler: ledger
+// rows answer 404 where there is no ledger, and only invoke rows pass
+// admission control, so probes and ledger reads answer under saturation.
+type policy int
 
-	// The ceiling applies to the read itself: an oversize body is cut off
-	// at MaxPayload+1 bytes instead of being buffered whole and measured.
-	// A declared length within the ceiling is read into one buffer of that
-	// size (ReadAll regrows from 512 B: ~3x the payload in throwaway
-	// buffers), and that read stops at the length, so it needs no limit; a
-	// body that ends short of it is a bad payload as before.
+const (
+	probe policy = iota
+	ledger
+	invoke
+)
+
+// route is a row of the route table: a ServeMux pattern, policy, handler.
+type route struct {
+	pattern string
+	policy  policy
+	serve   func(s *Server, w http.ResponseWriter, r *http.Request)
+}
+
+// routes is the gateway's route table. A GET pattern serves HEAD too, so a
+// HEAD probe never invokes. Every other method or path falls through to "/"
+// and invokes: a POST to /receipt runs the function.
+var routes = []route{
+	{"GET " + HealthPath, probe, func(s *Server, w http.ResponseWriter, _ *http.Request) { s.serveHealth(w, false) }},
+	{"GET " + ReadyPath, probe, func(s *Server, w http.ResponseWriter, _ *http.Request) { s.serveHealth(w, true) }},
+	{"GET " + ReceiptPath, ledger, (*Server).serveReceipt},
+	{"GET " + CheckpointPath, ledger, (*Server).serveCheckpoint},
+	{"GET " + LedgerPath, ledger, (*Server).serveDump},
+	// Compaction mutates ledger state: a crawler's or a monitor's GET must
+	// never trigger it.
+	{"POST " + CompactPath, ledger, (*Server).serveCompact},
+	{CompactPath, probe, func(_ *Server, w http.ResponseWriter, _ *http.Request) {
+		writeError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, nil)
+	}},
+	{"/", invoke, (*Server).serveInvoke},
+}
+
+// apply wraps a row's handler in its policy: the one place admission
+// control and the ledger's absence are applied.
+func (s *Server) apply(rt route) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case rt.policy == ledger && s.ae == nil:
+			writeError(w, http.StatusNotFound, ErrCodeNotFound, nil)
+			return
+		case rt.policy != invoke: // probes and ledger reads are never gated
+		case !s.admit(r): // before the body is read: a shed costs next to nothing
+			s.shed.Add(1)
+			// Retry-After steers well-behaved clients (and the load
+			// generator's backoff) away while the pool is saturated.
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusTooManyRequests, ErrCodeOverloaded, nil)
+			return
+		case s.sem != nil:
+			defer func() { <-s.sem }()
+		}
+		rt.serve(s, w, r)
+	}
+}
+
+// ServeHTTP routes the request by the route table (routes). A POST to "/"
+// invokes the function: the body is the payload, and for resize the image
+// dimensions travel in X-Width/X-Height.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mux.ServeHTTP(w, r)
+}
+
+// serveInvoke runs the function once on the request's body.
+func (s *Server) serveInvoke(w http.ResponseWriter, r *http.Request) {
+	// A declared length over the ceiling is refused before a byte is read;
+	// one within it is read into one buffer of that size (ReadAll regrows
+	// from 512 B: ~3x the payload in throwaway buffers), and a body that
+	// ends short of it is a bad payload. An undeclared body is cut off at
+	// MaxPayload+1 bytes instead of being buffered whole and measured.
+	n := r.ContentLength
+	if n > workloads.MaxPayload {
+		writeError(w, http.StatusRequestEntityTooLarge, ErrCodePayloadTooLarge, nil)
+		return
+	}
 	var body []byte
 	var err error
-	if n := r.ContentLength; n > 0 && n <= workloads.MaxPayload {
+	if n > 0 {
 		body = make([]byte, n)
 		_, err = io.ReadFull(r.Body, body)
 	} else {
@@ -506,11 +515,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p := &payload{body: body, accounted: s.setup == SetupSGXHWIO}
 	var res core.RunResult
 	simNs := float64(JSDispatchCost)
-	if s.setup == SetupJS {
-		p.out = s.serveJS(body, width, height)
-	} else {
+	switch {
+	case s.setup != SetupJS:
 		res, err = s.run(ctx, p, width, height)
 		simNs = float64(res.EnclaveCycles) / sgx.CyclesPerNs
+	case s.fn == Echo:
+		p.out = workloads.JSEcho(body)
+	default:
+		p.out = workloads.JSResize(body, width, height)
 	}
 	w.Header().Set("Server-Timing", "sim;dur="+strconv.FormatFloat(simNs/1e6, 'f', -1, 64))
 	if counter := res.Record.Log.WeightedInstructions; counter > 0 {
@@ -543,66 +555,58 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.requests.Add(1)
-	if s.setup == SetupSGXHWIO {
-		s.ioBytes.Add(uint64(len(body) + len(p.out)))
-	}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(p.out)
 }
 
-// serveLedger answers the ledger endpoints, 404 where there is no ledger:
-//   - /receipt?shard=S&seq=N returns the record;
-//   - /checkpoint batch-signs the ledger's current state on request (the
-//     paper's "upon request" log) and returns the signed checkpoint;
-//   - /ledger streams the offline-verifiable dump (acctee-verify input) in
-//     O(segment) memory, never materialising the record array.
-//     ?truncated=1 anchors it at the last compaction checkpoint: a non-zero
-//     starting sequence per shard, verifiable against the anchor's
-//     signature alone. The body is always the dump container; the ?bin=1
-//     of earlier clients is ignored. On a write error the headers are gone,
-//     and the truncated body fails to parse, as a verifier should see it;
-//   - /compact runs one bounded-retention compaction: sign a checkpoint
-//     covering every lane, seal what it covers (spill or drop), and report
-//     what was released — before scraping a truncated dump, or to bound
-//     memory without an automatic retention trigger.
-func (s *Server) serveLedger(w http.ResponseWriter, r *http.Request) {
-	l := s.Ledger()
-	if l == nil {
+// serveReceipt answers /receipt?shard=S&seq=N with the record.
+func (s *Server) serveReceipt(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	shard, err1 := strconv.ParseUint(q.Get("shard"), 10, 32)
+	seq, err2 := strconv.ParseUint(q.Get("seq"), 10, 64)
+	if err1 != nil || err2 != nil {
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, nil)
+		return
+	}
+	rec, ok := s.Ledger().Record(uint32(shard), seq)
+	if !ok {
 		writeError(w, http.StatusNotFound, ErrCodeNotFound, nil)
 		return
 	}
-	switch r.URL.Path {
-	case ReceiptPath:
-		shard, err1 := strconv.ParseUint(r.URL.Query().Get("shard"), 10, 32)
-		seq, err2 := strconv.ParseUint(r.URL.Query().Get("seq"), 10, 64)
-		if err1 != nil || err2 != nil {
-			writeError(w, http.StatusBadRequest, ErrCodeBadRequest, nil)
-			return
-		}
-		rec, ok := l.Record(uint32(shard), seq)
-		if !ok {
-			writeError(w, http.StatusNotFound, ErrCodeNotFound, nil)
-			return
-		}
-		writeJSON(w, http.StatusOK, rec)
-	case CheckpointPath:
-		sc, err := l.Checkpoint()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, ErrCodeCheckpointFailed, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, sc)
-	case LedgerPath:
-		w.Header().Set("Content-Type", "application/octet-stream")
-		_ = l.WriteDump(w, accounting.DumpOptions{Truncated: r.URL.Query().Get("truncated") == "1"})
-	case CompactPath:
-		res, err := l.Compact()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, ErrCodeCompactFailed, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, res)
+	writeJSON(w, http.StatusOK, rec)
+}
+
+// serveCheckpoint batch-signs the ledger's current state on request (the
+// paper's "upon request" log) and returns the signed checkpoint.
+func (s *Server) serveCheckpoint(w http.ResponseWriter, _ *http.Request) {
+	sc, err := s.Ledger().Checkpoint()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, ErrCodeCheckpointFailed, err)
+		return
 	}
+	writeJSON(w, http.StatusOK, sc)
+}
+
+// serveDump streams the offline-verifiable dump (acctee-verify input) in
+// O(segment) memory; ?truncated=1 anchors it at the last compaction
+// checkpoint (?bin=1 is ignored). On a write error the headers are gone,
+// and the truncated body fails to parse, as a verifier should see it.
+func (s *Server) serveDump(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_ = s.Ledger().WriteDump(w, accounting.DumpOptions{Truncated: r.URL.Query().Get("truncated") == "1"})
+}
+
+// serveCompact runs one bounded-retention compaction: sign a checkpoint
+// covering every lane, seal what it covers (spill or drop), and report what
+// was released — before scraping a truncated dump, or to bound memory
+// without an automatic retention trigger.
+func (s *Server) serveCompact(w http.ResponseWriter, _ *http.Request) {
+	res, err := s.Ledger().Compact()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, ErrCodeCompactFailed, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, res)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -674,11 +678,4 @@ func (p *payload) io(n int) uint64 {
 		return 0
 	}
 	return uint64(n)
-}
-
-func (s *Server) serveJS(body []byte, width, height int) []byte {
-	if s.fn == Echo {
-		return workloads.JSEcho(body)
-	}
-	return workloads.JSResize(body, width, height)
 }

@@ -70,8 +70,10 @@ func TestEchoAllSetups(t *testing.T) {
 				t.Errorf("%v: missing accounting header", setup)
 			}
 		}
-		if setup == faas.SetupSGXHWIO && srv.IOBytes() == 0 {
-			t.Errorf("%v: no I/O accounted", setup)
+		if setup == faas.SetupSGXHWIO {
+			if tot := srv.Ledger().Totals(); tot.IOBytesIn != uint64(len(payload)) || tot.IOBytesOut != uint64(len(payload)) {
+				t.Errorf("%v: ledger accounts %d bytes in, %d out; want %d each", setup, tot.IOBytesIn, tot.IOBytesOut, len(payload))
+			}
 		}
 	}
 }
@@ -132,6 +134,43 @@ func TestOversizedPayloadRejected(t *testing.T) {
 	resp, _ = post(t, ts.URL, big[:workloads.MaxPayload], 0, 0)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("MaxPayload-sized body: status %d, want 200", resp.StatusCode)
+	}
+	// A declared length over the ceiling is refused before a byte is read.
+	declared := &countingReader{}
+	r := httptest.NewRequest(http.MethodPost, "/", declared)
+	r.ContentLength = workloads.MaxPayload + 1
+	w = httptest.NewRecorder()
+	srv.ServeHTTP(w, r)
+	if w.Code != http.StatusRequestEntityTooLarge || declared.n != 0 {
+		t.Errorf("declared oversize body: status %d after reading %d bytes, want 413 after 0", w.Code, declared.n)
+	}
+	// A body of undeclared length up to the ceiling is read whole and echoed.
+	undeclared := bytes.Repeat([]byte("0123456789abcdef"), workloads.MaxPayload/16)
+	w = httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/", io.MultiReader(bytes.NewReader(undeclared))))
+	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), undeclared) {
+		t.Errorf("undeclared-length body: status %d, %d-byte echo of %d bytes", w.Code, w.Body.Len(), len(undeclared))
+	}
+}
+
+// TestNonCanonicalPathRedirects: the route table's ServeMux answers a path
+// that is not in canonical form with a 301 to the clean path; it does not
+// invoke.
+func TestNonCanonicalPathRedirects(t *testing.T) {
+	srv, err := faas.NewServer(faas.Echo, faas.SetupWASM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, tc := range []struct{ path, location string }{{"//x", "/x"}, {"/./", "/"}, {"/a/../healthz", "/healthz"}} {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader([]byte("x"))))
+		if w.Code != http.StatusMovedPermanently || w.Header().Get("Location") != tc.location {
+			t.Errorf("POST %s: status %d, Location %q; want 301 to %q", tc.path, w.Code, w.Header().Get("Location"), tc.location)
+		}
+	}
+	if n := srv.Requests(); n != 0 {
+		t.Errorf("%d requests invoked through non-canonical paths, want 0", n)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -243,6 +244,94 @@ func TestHealthEndpoints(t *testing.T) {
 		}
 		if h.Ledger == nil || h.Ledger.Degraded {
 			t.Errorf("%s: ledger health %+v, want present and not degraded", path, h.Ledger)
+		}
+	}
+}
+
+// TestRoutePolicy reads the route table and drives every row on a gateway
+// whose one execution slot is held, with no queue: exactly the invoke rows
+// are gated and shed 429, while every probe and ledger row answers. Every
+// probe and ledger path has a row that does not invoke.
+func TestRoutePolicy(t *testing.T) {
+	srv, err := faas.NewServerWithOptions(faas.Echo, faas.SetupSGXHWInstr, faas.ServerOptions{
+		MaxInFlight: 1,
+		Ledger:      accounting.LedgerOptions{Shards: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// One record, so that /receipt?shard=0&seq=0 has one to serve.
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/", strings.NewReader("x")))
+	if w.Code != http.StatusOK {
+		t.Fatalf("invoke: status %d", w.Code)
+	}
+	release := holdSlot(t, srv)
+
+	answered := map[string]bool{}
+	var gated uint64
+	for _, rt := range faas.Routes() {
+		method, path, ok := strings.Cut(rt.Pattern, " ")
+		if !ok { // a row for every method: drive it by GET
+			method, path = http.MethodGet, rt.Pattern
+		}
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(method, path+"?shard=0&seq=0", nil))
+		switch {
+		case rt.Policy == "invoke":
+			want := fmt.Sprintf("{\"error\":{\"code\":%q}}\n", faas.ErrCodeOverloaded)
+			if w.Code != http.StatusTooManyRequests || w.Body.String() != want {
+				t.Errorf("%q (invoke) with the slot held: status %d, body %q; want 429 %q", rt.Pattern, w.Code, w.Body.String(), want)
+			}
+			gated++
+		case rt.Policy != "probe" && rt.Policy != "ledger":
+			t.Errorf("%q: unknown policy %q", rt.Pattern, rt.Policy)
+		case w.Code == http.StatusTooManyRequests || w.Code >= 500:
+			t.Errorf("%q (%s) with the slot held: status %d, want an answer", rt.Pattern, rt.Policy, w.Code)
+		default:
+			answered[path] = true
+		}
+	}
+	if gated == 0 || srv.Shed() != gated {
+		t.Errorf("%d invoke rows, %d requests shed; want at least one, all shed", gated, srv.Shed())
+	}
+	for _, path := range []string{faas.HealthPath, faas.ReadyPath, faas.ReceiptPath, faas.CheckpointPath, faas.LedgerPath, faas.CompactPath} {
+		if !answered[path] {
+			t.Errorf("%s has no ungated row", path)
+		}
+	}
+	if code := release(); code != http.StatusOK {
+		t.Errorf("the request holding the slot: status %d, want 200", code)
+	}
+}
+
+// TestHeadNeverInvokes: HEAD on the probes and the ledger reads is served by
+// their GET rows. It runs no function and chains no record.
+func TestHeadNeverInvokes(t *testing.T) {
+	srv, err := faas.NewServer(faas.Echo, faas.SetupSGXHWIO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if resp, _ := post(t, ts.URL, []byte("x"), 0, 0); resp.StatusCode != http.StatusOK {
+		t.Fatalf("invoke: status %d", resp.StatusCode)
+	}
+	for _, path := range []string{faas.HealthPath, faas.ReadyPath, faas.ReceiptPath + "?shard=0&seq=0", faas.CheckpointPath, faas.LedgerPath} {
+		requests, resident := srv.Requests(), srv.Ledger().Resident()
+		resp, err := http.Head(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500 {
+			t.Errorf("HEAD %s: status %d", path, resp.StatusCode)
+		}
+		if srv.Requests() != requests || srv.Ledger().Resident() != resident {
+			t.Errorf("HEAD %s: requests %d -> %d, resident records %d -> %d; want both unchanged",
+				path, requests, srv.Requests(), resident, srv.Ledger().Resident())
 		}
 	}
 }

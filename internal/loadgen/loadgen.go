@@ -3,6 +3,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math/rand"
@@ -146,7 +147,7 @@ func GenerateLoadWithOptions(url string, opts LoadOptions) LoadResult {
 	attempt := func() (status int, weighted uint64, sim time.Duration) {
 		ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
 		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, &sliceReader{b: opts.Payload})
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(opts.Payload))
 		if err != nil {
 			return 0, 0, 0
 		}
@@ -214,18 +215,4 @@ func GenerateLoadWithOptions(url string, opts LoadOptions) LoadResult {
 func simulated(header string) time.Duration {
 	ms, _ := strconv.ParseFloat(strings.TrimPrefix(header, "sim;dur="), 64)
 	return time.Duration(ms * float64(time.Millisecond))
-}
-
-type sliceReader struct {
-	b   []byte
-	pos int
-}
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.pos:])
-	r.pos += n
-	return n, nil
 }

@@ -31,6 +31,24 @@ func TestGenerateLoad(t *testing.T) {
 	}
 }
 
+// TestGenerateLoadDeclaresLength: every request reaches the handler with
+// its payload's length declared, as h2load sends it.
+func TestGenerateLoadDeclaresLength(t *testing.T) {
+	payload := []byte("a payload of declared length")
+	var undeclared atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength != int64(len(payload)) {
+			undeclared.Add(1)
+		}
+		_, _ = io.Copy(io.Discard, r.Body)
+	}))
+	defer ts.Close()
+	res := loadgen.GenerateLoad(ts.URL, 2, 6, payload, 0, 0)
+	if res.Requests != 6 || undeclared.Load() != 0 {
+		t.Errorf("%d of 6 requests served, %d without Content-Length %d", res.Requests, undeclared.Load(), len(payload))
+	}
+}
+
 // TestGenerateLoadSurfacesFailures pins the satellite fix: failed-but-
 // responded requests must not be silently absorbed — they are excluded from
 // Requests/ReqPerSec, counted in Errors, broken down in ByStatus, and their
