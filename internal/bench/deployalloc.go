@@ -24,9 +24,11 @@ type DeployAllocRow struct {
 }
 
 // DeployAllocSmokeCeiling is the CI gate on the deploy-alloc row, in bytes
-// allocated per instrumented instruction: 1.25 times the 301.9 measured
-// (346.6 before the dense CFG and the streamed module hash).
-const DeployAllocSmokeCeiling = 377
+// allocated per instrumented instruction: 1.25 times the 258.0 measured
+// (302.3 before the lowering read its block structure from the CFG and
+// moved br_table edges out of the per-pc row, 346.6 before the dense CFG
+// and the streamed module hash).
+const DeployAllocSmokeCeiling = 322
 
 // RunDeployAlloc measures the deploy-alloc row.
 func RunDeployAlloc() (DeployAllocRow, error) {

@@ -427,8 +427,11 @@ type route struct {
 }
 
 // routes is the gateway's route table. A GET pattern serves HEAD too, so a
-// HEAD probe never invokes. Every other method or path falls through to "/"
-// and invokes: a POST to /receipt runs the function.
+// HEAD probe never invokes, nor does a GET or HEAD of "/" itself (a load
+// balancer's health check). Every other method or path falls through to "/"
+// and invokes: a POST to /receipt, or a GET of /favicon.ico, runs the
+// function. A method-only "GET /" row would close the last, but ServeMux
+// refuses it beside the method-less /compact row.
 var routes = []route{
 	{"GET " + HealthPath, probe, func(s *Server, w http.ResponseWriter, _ *http.Request) { s.serveHealth(w, false) }},
 	{"GET " + ReadyPath, probe, func(s *Server, w http.ResponseWriter, _ *http.Request) { s.serveHealth(w, true) }},
@@ -438,10 +441,15 @@ var routes = []route{
 	// Compaction mutates ledger state: a crawler's or a monitor's GET must
 	// never trigger it.
 	{"POST " + CompactPath, ledger, (*Server).serveCompact},
-	{CompactPath, probe, func(_ *Server, w http.ResponseWriter, _ *http.Request) {
-		writeError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, nil)
-	}},
+	{CompactPath, probe, refuse(http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed)},
+	{"GET /{$}", probe, refuse(http.StatusNotFound, ErrCodeNotFound)},
 	{"/", invoke, (*Server).serveInvoke},
+}
+
+// refuse is a row's handler that answers status with an error code and
+// does nothing else.
+func refuse(status int, code string) func(*Server, http.ResponseWriter, *http.Request) {
+	return func(_ *Server, w http.ResponseWriter, _ *http.Request) { writeError(w, status, code, nil) }
 }
 
 // apply wraps a row's handler in its policy: the one place admission

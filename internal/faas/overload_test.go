@@ -273,9 +273,10 @@ func TestRoutePolicy(t *testing.T) {
 	var gated uint64
 	for _, rt := range faas.Routes() {
 		method, path, ok := strings.Cut(rt.Pattern, " ")
-		if !ok { // a row for every method: drive it by GET
-			method, path = http.MethodGet, rt.Pattern
+		if !ok { // a row for every method: drive it by one no other row names
+			method, path = http.MethodPut, rt.Pattern
 		}
+		path = strings.TrimSuffix(path, "{$}") // "/{$}" matches "/" alone
 		w := httptest.NewRecorder()
 		srv.ServeHTTP(w, httptest.NewRequest(method, path+"?shard=0&seq=0", nil))
 		switch {
@@ -307,7 +308,8 @@ func TestRoutePolicy(t *testing.T) {
 }
 
 // TestHeadNeverInvokes: HEAD on the probes and the ledger reads is served by
-// their GET rows. It runs no function and chains no record.
+// their GET rows, and GET or HEAD of "/" by its 404 row. None of them runs
+// the function or chains a record.
 func TestHeadNeverInvokes(t *testing.T) {
 	srv, err := faas.NewServer(faas.Echo, faas.SetupSGXHWIO)
 	if err != nil {
@@ -319,19 +321,30 @@ func TestHeadNeverInvokes(t *testing.T) {
 	if resp, _ := post(t, ts.URL, []byte("x"), 0, 0); resp.StatusCode != http.StatusOK {
 		t.Fatalf("invoke: status %d", resp.StatusCode)
 	}
-	for _, path := range []string{faas.HealthPath, faas.ReadyPath, faas.ReceiptPath + "?shard=0&seq=0", faas.CheckpointPath, faas.LedgerPath} {
+	probes := []struct{ method, path string }{
+		{http.MethodHead, faas.HealthPath}, {http.MethodHead, faas.ReadyPath},
+		{http.MethodHead, faas.ReceiptPath + "?shard=0&seq=0"}, {http.MethodHead, faas.CheckpointPath},
+		{http.MethodHead, faas.LedgerPath},
+		// A load balancer's health check of the root.
+		{http.MethodHead, "/"}, {http.MethodGet, "/"},
+	}
+	for _, p := range probes {
 		requests, resident := srv.Requests(), srv.Ledger().Resident()
-		resp, err := http.Head(ts.URL + path)
+		req, err := http.NewRequest(p.method, ts.URL+p.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_ = resp.Body.Close()
 		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500 {
-			t.Errorf("HEAD %s: status %d", path, resp.StatusCode)
+			t.Errorf("%s %s: status %d", p.method, p.path, resp.StatusCode)
 		}
 		if srv.Requests() != requests || srv.Ledger().Resident() != resident {
-			t.Errorf("HEAD %s: requests %d -> %d, resident records %d -> %d; want both unchanged",
-				path, requests, srv.Requests(), resident, srv.Ledger().Resident())
+			t.Errorf("%s %s: requests %d -> %d, resident records %d -> %d; want both unchanged",
+				p.method, p.path, requests, srv.Requests(), resident, srv.Ledger().Resident())
 		}
 	}
 }
@@ -402,6 +415,7 @@ func TestErrorBodiesCarryOnlyACode(t *testing.T) {
 		{"ledger-without-a-ledger", plain, req(http.MethodGet, faas.LedgerPath, nil), 404, faas.ErrCodeNotFound},
 		{"compact-without-a-ledger", plain, req(http.MethodPost, faas.CompactPath, nil), 404, faas.ErrCodeNotFound},
 		{"compact-by-get", ledger, req(http.MethodGet, faas.CompactPath, nil), 405, faas.ErrCodeMethodNotAllowed},
+		{"get-of-the-root", ledger, req(http.MethodGet, "/", nil), 404, faas.ErrCodeNotFound},
 		{"receipt-without-coordinates", ledger, req(http.MethodGet, faas.ReceiptPath+"?shard=x", nil), 400, faas.ErrCodeBadRequest},
 		{"receipt-of-no-record", ledger, req(http.MethodGet, faas.ReceiptPath+"?shard=0&seq=999", nil), 404, faas.ErrCodeNotFound},
 		{"short-body", plain, short, 400, faas.ErrCodeBadRequest},

@@ -35,16 +35,6 @@ import (
 // lives only as long as Compile: once the register stream is built, trim
 // (module.go) drops it.
 
-// ctrlMeta holds the pre-resolved structure for a pc of the pre-inline body:
-// for block/loop/if the matching end (and else); for end/else the header.
-// The lowering pass resolves branches through it, and the structured
-// reference engine interprets them through it (oracleFunc.ctrl).
-type ctrlMeta struct {
-	end   int32 // pc of matching end (for block/loop/if); for end/else: start pc
-	els   int32 // pc of else for if, or -1
-	arity int32 // number of values the label yields
-}
-
 // flatTarget is one precompiled branch edge: continuation pc, the stack
 // height the branch truncates to, and how many label results it copies down.
 type flatTarget struct {
@@ -55,12 +45,12 @@ type flatTarget struct {
 
 // flatOp is the per-pc lowered metadata the register lowering compiles from.
 // target/height/arity describe the taken-branch edge of br/br_if, the
-// false edge of if, and the end-continuation of else. segCnt is non-zero
-// exactly at segment leaders and holds the segment's instruction count; the
-// segment's last pc is in compiledFunc.segEnd, and its InstrCost sum is
-// looked up in the artifact's per-cost-model tables.
+// false edge of if, and the end-continuation of else. A br_table's edges
+// are compiledFunc.brEdges[target:target+height], the last one the default.
+// segCnt is non-zero exactly at segment leaders and holds the segment's
+// instruction count; the segment's last pc is in compiledFunc.segEnd, and
+// its InstrCost sum is looked up in the artifact's per-cost-model tables.
 type flatOp struct {
-	table  []flatTarget // br_table edges; last entry is the default
 	target int32
 	height int32
 	segCnt int32
@@ -92,11 +82,10 @@ const (
 	fCallDef
 )
 
-// compile builds the front-end representation of one function: the control
-// table (which Compile keeps for the structured reference engine only until
-// it trims) and the flat IR (which the default engine's register lowering
-// consumes). One cfg.Build provides the control matching, the segment
-// boundaries and the structural validation for both.
+// compile builds the front-end representation of one function: the flat IR
+// the default engine's register lowering consumes. One cfg.Build provides
+// the control matching, the segment boundaries and the structural
+// validation.
 func compile(m *wasm.Module, f *wasm.Func) (compiledFunc, error) {
 	t := m.Types[f.TypeIdx]
 	cf := compiledFunc{
@@ -111,7 +100,6 @@ func compile(m *wasm.Module, f *wasm.Func) (compiledFunc, error) {
 	if err != nil {
 		return cf, err
 	}
-	cf.ctrl = buildCtrl(f.Body, g)
 	if err := lower(m, &cf, g, f.BrTables); err != nil {
 		return cf, err
 	}
@@ -120,30 +108,12 @@ func compile(m *wasm.Module, f *wasm.Func) (compiledFunc, error) {
 	return cf, nil
 }
 
-// buildCtrl derives the per-pc control metadata of body from the shared CFG
-// matching.
-func buildCtrl(body []wasm.Instr, g *cfg.Graph) []ctrlMeta {
-	ctrl := make([]ctrlMeta, len(body))
-	for pc, in := range body {
-		mi := g.Match[pc]
-		switch in.Op {
-		case wasm.OpBlock, wasm.OpLoop, wasm.OpIf:
-			var arity int32
-			if _, ok := in.BT.Value(); ok {
-				arity = 1
-			}
-			ctrl[pc] = ctrlMeta{end: mi.EndPC, els: mi.ElsePC, arity: arity}
-		case wasm.OpElse:
-			ctrl[pc] = ctrlMeta{end: mi.EndPC, els: -1}
-		case wasm.OpEnd:
-			if mi.Ok {
-				ctrl[pc] = ctrlMeta{end: mi.HdrPC, els: -1}
-			} else {
-				ctrl[pc] = ctrlMeta{end: -1, els: -1} // function-final end
-			}
-		}
+// labelArity is the number of values a block, loop or if of type bt yields.
+func labelArity(bt wasm.BlockType) int32 {
+	if _, ok := bt.Value(); ok {
+		return 1
 	}
-	return ctrl
+	return 0
 }
 
 // segLeaders is where both engines charge a segment: every basic-block
@@ -180,7 +150,8 @@ type lframe struct {
 }
 
 // lower builds the flat IR: branch sidetable, segment accounting tables and
-// the stack high-water mark. brTables holds the body's br_table targets.
+// the stack high-water mark. Block structure comes from g.Match; brTables
+// holds the body's br_table targets.
 func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph, brTables [][]uint32) error {
 	body := cf.body
 	flat := make([]flatOp, len(body))
@@ -224,7 +195,7 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph, brTables [][]uint32) 
 		case fr.opener == wasm.OpLoop: // backward edge, no results
 			return flatTarget{pc: int32(fr.hdr + 1), height: fr.height, arity: 0}, nil
 		default:
-			return flatTarget{pc: cf.ctrl[fr.hdr].end + 1, height: fr.height, arity: fr.results}, nil
+			return flatTarget{pc: g.Match[fr.hdr].EndPC + 1, height: fr.height, arity: fr.results}, nil
 		}
 	}
 
@@ -235,7 +206,7 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph, brTables [][]uint32) 
 		case wasm.OpBlock, wasm.OpLoop:
 			frames = append(frames, lframe{
 				opener: in.Op, hdr: pc, height: h,
-				results: cf.ctrl[pc].arity, dead: dead,
+				results: labelArity(in.BT), dead: dead,
 			})
 		case wasm.OpIf:
 			if !dead {
@@ -243,12 +214,12 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph, brTables [][]uint32) 
 			}
 			frames = append(frames, lframe{
 				opener: in.Op, hdr: pc, height: h,
-				results: cf.ctrl[pc].arity, dead: dead,
+				results: labelArity(in.BT), dead: dead,
 			})
-			if els := cf.ctrl[pc].els; els >= 0 {
-				flat[pc].target = els + 1
+			if mi := g.Match[pc]; mi.ElsePC >= 0 {
+				flat[pc].target = mi.ElsePC + 1
 			} else {
-				flat[pc].target = cf.ctrl[pc].end + 1
+				flat[pc].target = mi.EndPC + 1
 			}
 		case wasm.OpElse:
 			fr := &frames[len(frames)-1]
@@ -256,7 +227,7 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph, brTables [][]uint32) 
 			dead = fr.dead
 			// Fallthrough from the then-arm continues after the matching
 			// end; the end it skips is charged by the engine inline.
-			flat[pc].target = cf.ctrl[pc].end + 1
+			flat[pc].target = g.Match[pc].EndPC + 1
 		case wasm.OpEnd:
 			if len(frames) > 1 {
 				fr := frames[len(frames)-1]
@@ -287,15 +258,14 @@ func lower(m *wasm.Module, cf *compiledFunc, g *cfg.Graph, brTables [][]uint32) 
 				h-- // index
 			}
 			targets := brTables[in.Idx] // in range: cfg.Build checked it
-			tbl := make([]flatTarget, len(targets))
-			for i, d := range targets {
+			flat[pc].target, flat[pc].height = int32(len(cf.brEdges)), int32(len(targets))
+			for _, d := range targets {
 				t, err := resolve(d)
 				if err != nil {
 					return err
 				}
-				tbl[i] = t
+				cf.brEdges = append(cf.brEdges, t)
 			}
-			flat[pc].table = tbl
 			dead = true
 		case wasm.OpReturn, wasm.OpUnreachable:
 			dead = true

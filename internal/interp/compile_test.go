@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -125,14 +126,71 @@ func TestLoweredIfElseTargets(t *testing.T) {
 	}
 }
 
+// brTableModule is a caller that splices an inlinable leaf in ahead of a
+// br_table, so the inliner moves the table's edges:
+//
+//	0: block  1: local.get 0  2: call leaf  3: br_table 0 1
+//	4: end    5: nop          6: end (function)
+//
+// Depth 0 continues at pc 5, depth 1 leaves the function (pc 7).
+func brTableModule() *wasm.Module {
+	b := wasm.NewModule("bt")
+	leaf := b.Func("leaf", []wasm.ValueType{wasm.I32}, []wasm.ValueType{wasm.I32})
+	leaf.LocalGet(0).I32Const(1).Op(wasm.OpI32Add)
+	leafIdx := leaf.End()
+	f := b.Func("f", []wasm.ValueType{wasm.I32}, nil)
+	f.Block(wasm.BlockEmpty, func() {
+		f.LocalGet(0).Call(leafIdx).BrTable(0, 1)
+	})
+	f.Op(wasm.OpNop)
+	b.ExportFunc("f", f.End())
+	return b.MustBuild()
+}
+
+// TestLoweredBrTableEdges pins a br_table's edges in the function's brEdges
+// slab, before and after the inliner splices the leaf's four instructions
+// in at pc 3: every continuation pc moves by four, the exit with the body.
+func TestLoweredBrTableEdges(t *testing.T) {
+	for _, tc := range []struct {
+		opts CompileOptions
+		pc   int
+		want []flatTarget
+	}{
+		{CompileOptions{DisableInline: true}, 3, []flatTarget{{pc: 5}, {pc: 7}}},
+		{CompileOptions{}, 7, []flatTarget{{pc: 9}, {pc: 11}}},
+	} {
+		cm, err := lowerModule(brTableModule(), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf := &cm.funcs[1]
+		if op := cf.body[tc.pc].Op; op != wasm.OpBrTable {
+			t.Fatalf("inline %v: pc %d is %s, want br_table", !tc.opts.DisableInline, tc.pc, op)
+		}
+		fl := cf.flat[tc.pc]
+		if got := cf.brEdges[fl.target : fl.target+fl.height]; !slices.Equal(got, tc.want) {
+			t.Errorf("inline %v: br_table edges %+v, want %+v", !tc.opts.DisableInline, got, tc.want)
+		}
+	}
+}
+
 // funcID is the identity of a func value: the closure object it points to.
 // Every use of one top-level function shares one; two closures made by the
 // same literal do not.
 func funcID(f regFn) uintptr { return *(*uintptr)(unsafe.Pointer(&f)) }
 
+// TestFlatOpSize pins the per-pc row of the flat sidetable at four int32s
+// and a flag byte: a br_table's edges live in the function's brEdges slab,
+// not in the row.
+func TestFlatOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(flatOp{}); got != 20 {
+		t.Errorf("flatOp is %d bytes, want 20", got)
+	}
+}
+
 // TestCompileTrimsLoweringTables checks what a compiled artifact keeps: no
-// function retains the lowering passes' flat sidetables, reachability map or
-// control table, the oracle's views are left to be rebuilt on demand, and
+// function retains the lowering passes' flat sidetable, br_table edges or
+// reachability map, the oracle's views are left to be built on demand, and
 // every statement-interior pc holds the one shared guard rather than a
 // closure of its own.
 func TestCompileTrimsLoweringTables(t *testing.T) {
@@ -144,20 +202,20 @@ func TestCompileTrimsLoweringTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, m := range map[string]*wasm.Module{"wb": wbModule(), "gemm": gemm} {
+	for name, m := range map[string]*wasm.Module{"wb": wbModule(), "gemm": gemm, "br_table": brTableModule()} {
 		cm, err := Compile(m, CompileOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cm.oracle != nil {
-			t.Errorf("%s: the oracle's views kept", name)
+			t.Errorf("%s: the oracle's views built", name)
 		}
 		interior := 0
 		for fi := range cm.funcs {
 			cf := &cm.funcs[fi]
-			if cf.flat != nil || cf.sflat != nil || cf.preDead != nil || cf.ctrl != nil {
-				t.Errorf("%s func %d: lowering tables kept (flat %v, sflat %v, preDead %v, ctrl %v)",
-					name, fi, cf.flat != nil, cf.sflat != nil, cf.preDead != nil, cf.ctrl != nil)
+			if cf.flat != nil || cf.preDead != nil || cf.brEdges != nil {
+				t.Errorf("%s func %d: lowering tables kept (flat %v, preDead %v, brEdges %v)",
+					name, fi, cf.flat != nil, cf.preDead != nil, cf.brEdges != nil)
 			}
 			for pc := range cf.body {
 				if cf.reg.wid[pc] != 0 {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"weak"
 
+	"acctee/internal/cfg"
 	"acctee/internal/wasm"
 )
 
@@ -148,33 +149,47 @@ func (vm *VM) DirtyBlocks() int {
 	return n
 }
 
-// OracleRebuildMismatch lowers m twice: with lowerModule, which keeps the
-// oracle's views it built while lowering, and with Compile, which drops
-// them. It rebuilds the trimmed artifact's views on demand and describes
-// the first function whose views differ from the kept ones ("" when every
-// function agrees).
+// OracleRebuildMismatch compiles m and builds the trimmed artifact's oracle
+// views on demand, and describes the first function whose views differ
+// from a reference assembled here from the pre-inline body ("" when every
+// function agrees). The reference's control matching is cfg.Build's; its
+// leader counts are the register stream's where the inliner left the
+// function alone, and a DisableInline lowering's flat segCnt where it grew
+// the body. Neither lowerModule nor Compile may build views themselves.
 func OracleRebuildMismatch(m *wasm.Module, opts CompileOptions) (string, error) {
-	kept, err := lowerModule(m, opts)
-	if err != nil {
-		return "", err
-	}
 	trimmed, err := Compile(m, opts)
 	if err != nil {
 		return "", err
 	}
-	if trimmed.oracle != nil {
-		return "Compile kept the oracle's views", nil
+	plain, err := lowerModule(m, CompileOptions{DisableInline: true})
+	if err != nil {
+		return "", err
+	}
+	if trimmed.oracle != nil || plain.oracle != nil {
+		return "the oracle's views were built while compiling", nil
 	}
 	rebuilt, err := trimmed.oracleViews()
 	if err != nil {
 		return "", err
 	}
-	if len(rebuilt) != len(kept.oracle) {
-		return fmt.Sprintf("%d functions rebuilt, %d kept", len(rebuilt), len(kept.oracle)), nil
+	if len(rebuilt) != len(m.Funcs) {
+		return fmt.Sprintf("%d functions rebuilt, %d in the module", len(rebuilt), len(m.Funcs)), nil
 	}
-	for i := range rebuilt {
-		if !reflect.DeepEqual(rebuilt[i], kept.oracle[i]) {
-			return fmt.Sprintf("func %d: rebuilt %+v, kept %+v", i, rebuilt[i], kept.oracle[i]), nil
+	for i := range m.Funcs {
+		f, cf := &m.Funcs[i], &trimmed.funcs[i]
+		g, err := cfg.Build(f.Body, f.BrTables)
+		if err != nil {
+			return "", err
+		}
+		want := oracleFunc{body: f.Body, brTables: f.BrTables, match: g.Match, seg: cf.reg.seg}
+		if len(f.Body) != len(cf.body) {
+			want.seg = make([]uint32, len(f.Body))
+			for pc, fo := range plain.funcs[i].flat {
+				want.seg[pc] = uint32(fo.segCnt)
+			}
+		}
+		if !reflect.DeepEqual(rebuilt[i], want) {
+			return fmt.Sprintf("func %d: rebuilt %+v, want %+v", i, rebuilt[i], want), nil
 		}
 	}
 	return "", nil

@@ -15,10 +15,10 @@ import (
 // TestCompiledFootprint pins the heap a compiled module keeps per
 // instrumented instruction over the footprint set (PolyBench at n = 6 and
 // the Fig. 10 programs, loop-instrumented, compiled under the hardware EPC
-// model), at bench.CompiledSmokeCeiling: 77.1 B per instruction measured.
-// Compile drops what only its lowering passes read and the oracle's views,
-// which the first structured instantiation rebuilds, and a function body
-// costs 16 B per instruction.
+// model), at bench.CompiledSmokeCeiling: 77.0 B per instruction measured.
+// Compile drops what only its lowering passes read and builds no oracle
+// views (the first structured instantiation builds them), and a function
+// body costs 16 B per instruction.
 func TestCompiledFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap measurement")
@@ -37,7 +37,7 @@ func TestCompiledFootprint(t *testing.T) {
 
 // TestStructuredRunsTrimmedArtifacts runs the oracle and the register engine
 // from one trimmed artifact per module of the footprint set: the structured
-// engine runs on the views it rebuilds from what Compile keeps (the module's
+// engine runs on the views it builds from what Compile keeps (the module's
 // pre-inline bodies and the register stream's leader counts).
 func TestStructuredRunsTrimmedArtifacts(t *testing.T) {
 	set, err := bench.FootprintSet()
@@ -77,11 +77,13 @@ func TestStructuredRunsTrimmedArtifacts(t *testing.T) {
 	}
 }
 
-// TestOracleRebuiltOnDemand: the oracle's views rebuilt from a trimmed
-// artifact equal the ones lowerModule builds while lowering, for every
-// module of the footprint set and the inliner's call modules (where the
-// executed bodies are not the pre-inline ones), as built and
-// loop-instrumented.
+// TestOracleRebuiltOnDemand: the oracle's views built from a trimmed
+// artifact equal a reference assembled from the pre-inline bodies (cfg.Build's
+// control matching and leader counts taken from the register stream or an
+// uninlined lowering; OracleRebuildMismatch), and no compile step builds
+// them itself, for every module of the footprint set and the inliner's call
+// modules (where the executed bodies are not the pre-inline ones), as built
+// and loop-instrumented.
 func TestOracleRebuiltOnDemand(t *testing.T) {
 	set, err := bench.FootprintSet()
 	if err != nil {
@@ -110,7 +112,7 @@ func TestOracleRebuiltOnDemand(t *testing.T) {
 }
 
 // TestConcurrentStructuredInstances: structured instances made at once from
-// one trimmed artifact share one rebuild of the oracle's views (make race
+// one trimmed artifact share one build of the oracle's views (make race
 // runs this under the race detector), and each counts what the register
 // engine counts.
 func TestConcurrentStructuredInstances(t *testing.T) {

@@ -32,8 +32,8 @@ import "acctee/internal/wasm"
 // from earlier rounds, which lets inlining compose transitively). Calls,
 // indirect calls and memory.grow are allowed — they only split accounting
 // segments, which the splice preserves. This keeps the pass free of branch
-// retargeting across function boundaries: the caller's own sidetable is
-// remapped through a pc map, the callee contributes none.
+// retargeting across function boundaries: the caller's own sidetable and
+// br_table edges are remapped through a pc map, the callee contributes none.
 //
 // The structured reference engine never sees any of this: it runs the
 // module's own pre-inline bodies (oracleFunc), so the oracle executes real
@@ -74,8 +74,8 @@ type inlineSite struct {
 
 // inlinePass splices eligible callees into every function of cm, repeating
 // for inlineRounds so chains of small functions collapse transitively.
-// It must run after lower() and the freezing of the s-views, and before
-// finalizeCalls/regLower, which consume the post-inline bodies.
+// It must run after lower() and before finalizeCalls/regLower, which consume
+// the post-inline bodies.
 func inlinePass(cm *CompiledModule) InlineStats {
 	var st InlineStats
 	nimp := cm.m.NumImportedFuncs()
@@ -272,12 +272,10 @@ func spliceSites(cm *CompiledModule, i int, sites []inlineSite) {
 		case wasm.OpIf, wasm.OpElse, wasm.OpBr, wasm.OpBrIf:
 			fo.target = pcMap[fo.target]
 		case wasm.OpBrTable:
-			tbl := make([]flatTarget, len(fo.table))
-			for k, t := range fo.table {
-				t.pc = pcMap[t.pc]
-				tbl[k] = t
+			edges := cf.brEdges[fo.target : fo.target+fo.height]
+			for k := range edges {
+				edges[k].pc = pcMap[edges[k].pc]
 			}
-			fo.table = tbl
 		}
 	}
 

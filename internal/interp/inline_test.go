@@ -11,7 +11,7 @@ import (
 
 // This file pins the call-path optimization layer (inline.go and the
 // residual-call fast paths) to the structured reference engine, which always
-// executes real calls over the frozen pre-inline bodies: every observation —
+// executes real calls over the module's pre-inline bodies: every observation —
 // results, trap identity, InstrCount, weighted Cost, remaining fuel, memory,
 // globals — must be bit-identical whether a callee was spliced into its
 // caller or not, including traps raised *inside* inlined frames and fuel

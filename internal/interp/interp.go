@@ -231,9 +231,11 @@ type VM struct {
 }
 
 // compiledFunc is one function of the artifact. After Compile it keeps what
-// the register engine reads; flat, sflat, preDead and ctrl are the lowering
+// the register engine reads; flat, brEdges and preDead are the lowering
 // passes' tables and Compile drops them (trim) once the register stream is
-// built. The structured reference engine reads its own views (oracleFunc).
+// built. Block structure is read from the function's cfg.Graph while it is
+// lowered and kept nowhere. The structured reference engine reads its own
+// views (oracleFunc).
 type compiledFunc struct {
 	typeIdx  uint32
 	numLoc   int // params + locals
@@ -246,10 +248,9 @@ type compiledFunc struct {
 	reg      *regCode // register-form direct-threaded stream (EngineReg)
 	name     string
 
-	flat    []flatOp   // branch sidetable + segment leaders; lowering only
-	preDead []bool     // pc statically unreachable (after unconditional transfer); lowering only
-	ctrl    []ctrlMeta // pre-inline control table; lowering only
-	sflat   []flatOp   // pre-inline flat sidetable; lowering only
+	flat    []flatOp     // branch sidetable + segment leaders; lowering only
+	brEdges []flatTarget // every br_table's edges, indexed from flat; lowering only
+	preDead []bool       // pc statically unreachable (after unconditional transfer); lowering only
 }
 
 // Instantiate compiles and instantiates a module in one step. Callers that
@@ -262,9 +263,6 @@ func Instantiate(m *wasm.Module, cfg Config) (*VM, error) {
 	}
 	return cm.Instantiate(cfg)
 }
-
-// Compiled returns the compiled artifact this VM was instantiated from.
-func (vm *VM) Compiled() *CompiledModule { return vm.cm }
 
 // InstrCount returns the ground-truth number of instructions executed so far
 // (every opcode, including structural ones, costed per the weight model).
@@ -547,15 +545,6 @@ func (vm *VM) Global(i uint32) (uint64, error) {
 	return vm.globals[i], nil
 }
 
-// SetGlobal writes a global by index (host-side; bypasses mutability).
-func (vm *VM) SetGlobal(i uint32, v uint64) error {
-	if int(i) >= len(vm.globals) {
-		return fmt.Errorf("interp: global %d out of range", i)
-	}
-	vm.globals[i] = v
-	return nil
-}
-
 // Module returns the instantiated module.
 func (vm *VM) Module() *wasm.Module { return vm.module }
 
@@ -574,14 +563,6 @@ func (vm *VM) invalidateICache() {
 	for i := range vm.icache {
 		vm.icache[i] = icEntry{elem: -1}
 	}
-}
-
-// TableEntry reads the function index stored at table slot i (-1 = empty).
-func (vm *VM) TableEntry(i uint32) (int32, error) {
-	if int(i) >= len(vm.table) {
-		return -1, fmt.Errorf("interp: table index %d out of range", i)
-	}
-	return vm.table[i], nil
 }
 
 // SetTableEntry stores function index fidx (-1 to clear) into table slot i.

@@ -18,10 +18,10 @@ import (
 // CompiledModule — the register-form closure stream with its segment
 // tables and initialiser templates — that any number of VMs instantiate
 // from without repeating the lowering passes. The passes' own tables (the
-// flat IR, the control table) are dropped once the stream is built, and so
-// are the structured oracle's views, which the first EngineStructured
-// instantiation rebuilds from the module: an artifact stays resident while
-// its module is deployed, inside an enclave in EPC. Per-CostModel segment
+// flat IR and its br_table edges) are dropped once the stream is built, and
+// the structured oracle's views are built only by the first EngineStructured
+// instantiation, from the module: an artifact stays resident while its
+// module is deployed, inside an enclave in EPC. Per-CostModel segment
 // cost sums are cached on the artifact keyed by the model's per-opcode cost
 // fingerprint, so a fresh stateful model per run (e.g. a new EPC paging
 // model per request) still hits the cache.
@@ -72,9 +72,8 @@ type CompiledModule struct {
 	numICSites int
 
 	// oracle holds the structured reference engine's views, one per
-	// function. lowerModule keeps the ones it built while lowering; Compile
-	// drops them, and the first EngineStructured instantiation rebuilds them
-	// from m, once (oracleViews).
+	// function, built from m by the first EngineStructured instantiation,
+	// once (oracleViews).
 	oracleOnce sync.Once
 	oracle     []oracleFunc
 	oracleErr  error
@@ -139,16 +138,13 @@ func Compile(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 	return cm, nil
 }
 
-// trim drops what only the lowering passes read — the flat sidetables (the
-// executable one and the frozen pre-inline one), the reachability map and
-// the control table — and the oracle's views, which oracleViews rebuilds on
-// demand.
+// trim drops what only the lowering passes read: the flat sidetable, its
+// br_table edges and the reachability map.
 func (cm *CompiledModule) trim() {
 	for i := range cm.funcs {
 		cf := &cm.funcs[i]
-		cf.flat, cf.sflat, cf.preDead, cf.ctrl = nil, nil, nil, nil
+		cf.flat, cf.brEdges, cf.preDead = nil, nil, nil
 	}
-	cm.oracle = nil
 }
 
 // lowerModule is Compile without the trim: every pass runs and every
@@ -237,14 +233,6 @@ func lowerModule(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 		}
 	}
 
-	// Freeze the pre-inline flat IR before inlining rewrites the executable
-	// one; for functions the inliner leaves alone it keeps aliasing the same
-	// array.
-	for i := range cm.funcs {
-		cf := &cm.funcs[i]
-		cf.sflat = cf.flat
-	}
-
 	// Cross-function inlining, then residual-call finalization (fast-path
 	// descriptors and call_indirect inline-cache site ids — assigned after
 	// inlining so duplicated sites get distinct cache slots), then the
@@ -253,41 +241,26 @@ func lowerModule(m *wasm.Module, opts CompileOptions) (*CompiledModule, error) {
 		cm.InlineStats = inlinePass(cm)
 	}
 	finalizeCalls(cm)
-	cm.oracle = make([]oracleFunc, len(cm.funcs))
 	for i := range cm.funcs {
 		regLower(cm, i)
-		cf, f := &cm.funcs[i], &m.Funcs[i]
-		// The oracle runs the pre-inline body and polls at its leaders: the
-		// register stream's where the inliner left the function alone
-		// (splicing always grows a body), the frozen flat's counts where it
-		// did not.
-		o := oracleFunc{body: f.Body, brTables: f.BrTables, ctrl: cf.ctrl, seg: cf.reg.seg}
-		if len(f.Body) != len(cf.body) {
-			o.seg = make([]uint32, len(f.Body))
-			for pc := range cf.sflat {
-				o.seg[pc] = uint32(cf.sflat[pc].segCnt)
-			}
-		}
-		cm.oracle[i] = o
 	}
 	return cm, nil
 }
 
-// oracleViews returns the structured reference engine's views, rebuilding
-// them once from the module when Compile dropped them. The rebuild is a
-// pass over the pre-inline bodies: one cfg.Build per function for the
-// control table, and the leader counts wherever the inliner grew the body.
+// oracleViews returns the structured reference engine's views, building
+// them once from the module.
 func (cm *CompiledModule) oracleViews() ([]oracleFunc, error) {
 	cm.oracleOnce.Do(func() {
-		if cm.oracle == nil {
-			cm.oracle, cm.oracleErr = buildOracle(cm)
-		}
+		cm.oracle, cm.oracleErr = buildOracle(cm)
 	})
 	return cm.oracle, cm.oracleErr
 }
 
-// buildOracle derives the oracle's views from cm.m and the register
-// streams, as lowerModule derives them from its lowering tables.
+// buildOracle derives the oracle's views from the pre-inline bodies of cm.m:
+// one cfg.Build per function for its control matching, the register
+// stream's leader counts where the inliner left the function alone, and
+// the graph's own leader counts where it grew the body (splicing always
+// does).
 func buildOracle(cm *CompiledModule) ([]oracleFunc, error) {
 	views := make([]oracleFunc, len(cm.funcs))
 	for i := range cm.funcs {
@@ -296,7 +269,7 @@ func buildOracle(cm *CompiledModule) ([]oracleFunc, error) {
 		if err != nil {
 			return nil, fmt.Errorf("interp: func %d: %w", cm.m.NumImportedFuncs()+i, err)
 		}
-		o := oracleFunc{body: f.Body, brTables: f.BrTables, ctrl: buildCtrl(f.Body, g), seg: cf.reg.seg}
+		o := oracleFunc{body: f.Body, brTables: f.BrTables, match: g.Match, seg: cf.reg.seg}
 		if len(f.Body) != len(cf.body) {
 			o.seg = segCounts(g)
 		}

@@ -3,6 +3,7 @@ package interp
 import (
 	"fmt"
 
+	"acctee/internal/cfg"
 	"acctee/internal/wasm"
 )
 
@@ -13,13 +14,14 @@ import (
 // for differential tests and before/after dispatch benchmarks.
 
 // oracleFunc is the structured engine's view of one function: the
-// pre-inline body with its br_table targets, its control table, and its
+// pre-inline body with its br_table targets, the control matching of its
+// cfg.Graph (the table the lowering pass resolves branches from), and its
 // segment instruction counts (non-zero at the leaders where it polls). Where
 // the inliner left the function alone, seg aliases the register stream's.
 type oracleFunc struct {
 	body     []wasm.Instr
 	brTables [][]uint32
-	ctrl     []ctrlMeta
+	match    []cfg.MatchInfo
 	seg      []uint32
 }
 
@@ -85,25 +87,25 @@ func (vm *VM) execStructured(di int, locals []uint64, stack []uint64) ([]uint64,
 		case wasm.OpNop:
 			// nothing
 		case wasm.OpBlock, wasm.OpIf, wasm.OpLoop:
-			meta := o.ctrl[pc]
+			mi := o.match[pc]
 			l := labelRT{
 				headerPC: pc,
-				endPC:    int(meta.end),
+				endPC:    int(mi.EndPC),
 				height:   len(stack),
-				arity:    int(meta.arity),
+				arity:    int(labelArity(in.BT)),
 				isLoop:   op == wasm.OpLoop,
 			}
 			if op == wasm.OpIf {
 				cond := pop()
 				l.height = len(stack)
 				if cond == 0 {
-					if meta.els >= 0 {
+					if mi.ElsePC >= 0 {
 						labels = append(labels, l)
-						pc = int(meta.els) + 1
+						pc = int(mi.ElsePC) + 1
 						continue
 					}
 					// no else: skip past end entirely
-					pc = int(meta.end) + 1
+					pc = int(mi.EndPC) + 1
 					continue
 				}
 			}
@@ -111,10 +113,10 @@ func (vm *VM) execStructured(di int, locals []uint64, stack []uint64) ([]uint64,
 		case wasm.OpElse:
 			// Reached by falling off the then-branch: jump to matching end,
 			// which pops the label.
-			pc = int(o.ctrl[pc].end)
+			pc = int(o.match[pc].EndPC)
 			continue
 		case wasm.OpEnd:
-			if o.ctrl[pc].end == -1 && len(labels) == 0 {
+			if !o.match[pc].Ok && len(labels) == 0 {
 				// function-final end
 				break
 			}
@@ -213,7 +215,7 @@ func (vm *VM) execStructured(di int, locals []uint64, stack []uint64) ([]uint64,
 			}
 		}
 
-		if op == wasm.OpEnd && o.ctrl[pc].end == -1 && len(labels) == 0 {
+		if op == wasm.OpEnd && !o.match[pc].Ok && len(labels) == 0 {
 			break
 		}
 		pc++

@@ -122,9 +122,10 @@ type regLowering struct {
 }
 
 // regLower builds the register-form artifact for compiled function fi.
-// It must run after lower() (preH/preDead, flat sidetable), the inlining
-// pass and finalizeCalls (the call closures specialise on the fInl*/fCallDef
-// descriptors and the host-function and call_indirect site indices).
+// It must run after lower() (preH/preDead, flat sidetable, brEdges), the
+// inlining pass and finalizeCalls (the call closures specialise on the
+// fInl*/fCallDef descriptors and the host-function and call_indirect site
+// indices).
 func regLower(cm *CompiledModule, fi int) {
 	cf := &cm.funcs[fi]
 	rl := &regLowering{cm: cm, cf: cf, numLoc: cf.numLoc, regCode: &regCode{regs: cf.numLoc + cf.maxStack}}
@@ -1696,7 +1697,8 @@ func (rl *regLowering) emitSingle(pc int, h int32) int {
 		}
 
 	case wasm.OpBrTable:
-		tbl := cf.flat[pc].table
+		fl := &cf.flat[pc]
+		tbl := cf.brEdges[fl.target : fl.target+fl.height]
 		edges := make([]regEdge, len(tbl))
 		for i, t := range tbl {
 			edges[i] = rl.edge(t, h-1)
